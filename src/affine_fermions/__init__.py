@@ -48,6 +48,7 @@ from .symplectic import (
 )
 from .slater import (
     CenteredWaveFunction,
+    Gamma2Factors,
     MeasuredSpace,
     center,
     centered_gram,
@@ -55,6 +56,7 @@ from .slater import (
     gamma1,
     gamma2,
     gamma2_entry,
+    gamma2_factors,
     gamma2_pair_expansion,
     one_point,
     order1_kernel,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,10 +37,16 @@ KERNEL_EXPORT_MIN = 1e-12
 def _parse_tolerances(pairs):
     overrides = {}
     for pair in pairs or ():
-        name, _, value = pair.partition("=")
+        name, _, text = pair.partition("=")
         if not _ or not name:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
-        overrides[name] = float(value)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"--tol {name}: {text!r} is not a number") from None
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--tol {name}={text} must be finite and non-negative")
+        overrides[name] = value
     return overrides
 
 
@@ -117,9 +124,11 @@ def cmd_slater(args) -> int:
         f"two_point/6 = {two / 6.0!r}",
     )
 
-    g1 = slater.gamma1(phi, space)
-    g2 = slater.gamma2(phi, space)
     if args.out:
+        # The dense gamma2 is the export's real cost; it raises above its cap
+        # before anything is written.
+        g2 = slater.gamma2(phi, space)
+        g1 = slater.gamma1(phi, space)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = "csv" if args.format == "csv" else "json"

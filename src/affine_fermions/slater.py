@@ -8,8 +8,17 @@ vectors,
     Psi(x_0, ..., x_d) = det(phi(x_1) - phi(x_0), ..., phi(x_d) - phi(x_0)),
 
 and integrals are exact weighted sums over nodes.  The moment and kernel
-routines are restricted to d = 2, where Psi is a sum of three 2x2 wedge
-scalars and everything reduces to dense tensor contractions.
+routines are restricted to d = 2.  There Psi(a, x1, x2) = det(x1 - a, x2 - a)
+is affine in each node, so it factors through three coordinates:
+
+    Psi(a, x1, x2) = F(x1, x2) . (1, a),
+    F(x1, x2) = [x1 ^ x2, (x1 - x2)_2, -(x1 - x2)_1],
+
+with u ^ v = u_1 v_2 - u_2 v_1.  Every weighted sum then reduces to the 3x3
+moment matrix M = sum_a w_a (1, a)(1, a)^T and the pair moment
+N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
+is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
+(1, mean).  The K x K x K tensor of Psi values is never built.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -38,12 +47,15 @@ __all__ = [
     "order1_kernel",
     "gamma1",
     "gamma2",
+    "Gamma2Factors",
+    "gamma2_factors",
     "gamma2_entry",
     "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
 ]
 
-# gamma2 materializes a K^2 x K^2 matrix; beyond this use gamma2_entry.
+# The dense gamma2 (and its export) is a K^2 x K^2 matrix; beyond this many
+# nodes use the factors, whose entries cost O(1) each.
 MAX_DENSE_KERNEL_NODES = 32
 
 
@@ -54,6 +66,8 @@ class MeasuredSpace:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need at least two weighted nodes")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         total = float(w.sum())
@@ -150,7 +164,7 @@ def _require_two_components(values: np.ndarray) -> None:
 
 
 def _psi_tensor(values: np.ndarray) -> np.ndarray:
-    """Psi over all node triples as a K x K x K array (d = 2 fast path)."""
+    """Psi over all node triples as a K x K x K array; the tests' reference."""
     d1 = values[None, :, 0] - values[:, None, 0]  # phi_1(q) - phi_1(p)
     d2 = values[None, :, 1] - values[:, None, 1]
     return np.einsum("ij,ik->ijk", d1, d2) - np.einsum("ik,ij->ijk", d1, d2)
@@ -161,24 +175,72 @@ def _wedge_matrix(values: np.ndarray) -> np.ndarray:
     return np.outer(values[:, 0], values[:, 1]) - np.outer(values[:, 1], values[:, 0])
 
 
-def one_point(phi, space: MeasuredSpace) -> float:
-    """Triple-weighted mean of Psi; vanishes by antisymmetry."""
-    values = _as_wavefunction(phi, space)
+def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """F(x1, x2) = [x1 ^ x2, (x1 - x2)_2, -(x1 - x2)_1] along a new last axis.
+
+    `first` and `second` broadcast against each other and carry the two
+    components on their last axis.  Equal nodes give an exactly zero row.
+    """
+    wedge = first[..., 0] * second[..., 1] - first[..., 1] * second[..., 0]
+    diff = first - second
+    return np.stack([wedge, diff[..., 1], -diff[..., 0]], axis=-1)
+
+
+def _lift(values: np.ndarray) -> np.ndarray:
+    """Affine coordinates (1, phi) of every node, K x 3."""
+    return np.column_stack([np.ones(len(values)), values])
+
+
+def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M = sum_a w_a (1, a)(1, a)^T, the 3x3 moment matrix of the nodes."""
+    lifted = _lift(values)
+    return lifted.T @ (weights[:, None] * lifted)
+
+
+def _pair_moments(m: np.ndarray) -> np.ndarray:
+    """N = sum_{x1, x2} w w F(x1, x2)^T F(x1, x2) = 2 adj(M).
+
+    Each entry of N is a sum of products of one first or second moment of x1
+    and one of x2, which are the entries of M; collected, they are twice the
+    cofactors of M.  Built from the upper triangle of M, so N is exactly
+    symmetric.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = m.tolist()
+    return 2.0 * np.array(
+        [
+            [d * f - e * e, c * e - b * f, b * e - c * d],
+            [c * e - b * f, a * f - c * c, b * c - a * e],
+            [b * e - c * d, b * c - a * e, a * d - b * b],
+        ]
+    )
+
+
+def _centered_two_components(phi, space: MeasuredSpace) -> np.ndarray:
+    values = center(phi, space).values
     _require_two_components(values)
-    w = space.weights
-    return float(np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(values)))
+    return values
+
+
+def one_point(phi, space: MeasuredSpace) -> float:
+    """Triple-weighted mean of Psi; vanishes by antisymmetry.
+
+    <Psi> = sum_{x1, x2} w w F(x1, x2) . sum_a w_a (1, a).  F is affine in
+    each node, so its mean is F at the mean node, whose wedge and difference
+    both vanish.
+    """
+    m = _moments(_centered_two_components(phi, space), space.weights)
+    mean = m[0, 1:]
+    return float(_pair_rows(mean, mean) @ m[0])
 
 
 def two_point(phi, space: MeasuredSpace) -> float:
-    """Triple-weighted mean of Psi^2.
+    """Triple-weighted mean of Psi^2, <M, N> in O(K) work.
 
     Equals 6 det(centered Gram); in particular 6 when the components are
     centered and orthonormal.
     """
-    values = _as_wavefunction(phi, space)
-    _require_two_components(values)
-    w = space.weights
-    return float(np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(values) ** 2))
+    m = _moments(_centered_two_components(phi, space), space.weights)
+    return float(np.sum(m * _pair_moments(m)))
 
 
 class PsiMoments(NamedTuple):
@@ -254,13 +316,13 @@ def order1_kernel(phi, space: MeasuredSpace) -> np.ndarray:
     """Unnormalized order-1 kernel by double integration.
 
     Gamma(x', x) = sum over (x_0, x_2) of w w Psi(x_0, x, x_2) Psi(x_0, x', x_2),
-    computed with centered components.  Symmetric K x K matrix.
+    computed with centered components.  Psi(x_0, x, x_2) = F(x_2, x_0) .
+    (1, x), so Gamma = f N f^T with f = (1, phi): a symmetric K x K matrix
+    of rank at most 3, built in O(K^2).
     """
-    values = center(phi, space).values
-    _require_two_components(values)
-    w = space.weights
-    p = _psi_tensor(values)
-    return np.einsum("a,b,ajb,aib->ij", w, w, p, p)
+    values = _centered_two_components(phi, space)
+    lifted = _lift(values)
+    return lifted @ _pair_moments(_moments(values, space.weights)) @ lifted.T
 
 
 def gamma1(phi, space: MeasuredSpace) -> np.ndarray:
@@ -273,46 +335,63 @@ def gamma1(phi, space: MeasuredSpace) -> np.ndarray:
     return order1_kernel(phi, space) / 2.0 - gram_det
 
 
+class Gamma2Factors(NamedTuple):
+    """The order-2 kernel as its rank-3 factors, gamma2 = F M F^T.
+
+    Holds O(K) numbers: the centered components and M.  `entry` costs O(1);
+    `dense` builds the K^2 x K^2 matrix, up to MAX_DENSE_KERNEL_NODES nodes.
+    """
+
+    space: MeasuredSpace
+    values: np.ndarray  # (K, 2) centered components
+    moments: np.ndarray  # (3, 3) M
+
+    def entry(self, x1p, x2p, x1, x2) -> float:
+        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node labels."""
+        idx = [self.space.index(label) for label in (x1p, x2p, x1, x2)]
+        nodes = self.values[idx]
+        primed, unprimed = _pair_rows(nodes[[0, 2]], nodes[[1, 3]])
+        return float(primed @ self.moments @ unprimed)
+
+    def dense(self) -> np.ndarray:
+        """The K^2 x K^2 matrix with row-major pair indexing."""
+        k = len(self.space)
+        if k > MAX_DENSE_KERNEL_NODES:
+            raise ValueError(
+                f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
+                f"dense kernel and its export are capped at "
+                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_entry beyond that"
+            )
+        rows = _pair_rows(self.values[:, None, :], self.values[None, :, :])
+        rows = rows.reshape(k * k, 3)
+        return rows @ self.moments @ rows.T
+
+
+def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
+    """Rank-3 factors of the order-2 kernel in O(K) work and memory."""
+    values = _centered_two_components(phi, space)
+    return Gamma2Factors(space, values, _moments(values, space.weights))
+
+
 def gamma2(phi, space: MeasuredSpace) -> np.ndarray:
     """Order-2 density kernel as a K^2 x K^2 matrix, integrating over x_0 only.
 
     Entry ((x'_1, x'_2), (x_1, x_2)) = sum_a w_a Psi(a, x_1, x_2)
-    Psi(a, x'_1, x'_2) with row-major pair indexing.  Symmetric as a big
-    matrix, antisymmetric under swapping within either pair, and positive
-    semidefinite (a weighted Gram matrix by construction).
+    Psi(a, x'_1, x'_2) = F(x'_1, x'_2) M F(x_1, x_2)^T with row-major pair
+    indexing.  Symmetric as a big matrix, antisymmetric under swapping
+    within either pair, and positive semidefinite of rank at most 3.
     """
-    values = center(phi, space).values
-    _require_two_components(values)
-    k = len(space)
-    if k > MAX_DENSE_KERNEL_NODES:
-        raise ValueError(
-            f"{k} nodes would materialize a {k * k} x {k * k} matrix; "
-            f"use gamma2_entry beyond {MAX_DENSE_KERNEL_NODES} nodes"
-        )
-    p = _psi_tensor(values)
-    big = np.einsum("a,aij,akl->ijkl", space.weights, p, p)
-    return big.reshape(k * k, k * k)
+    return gamma2_factors(phi, space).dense()
 
 
 def gamma2_entry(phi, space: MeasuredSpace, x1p, x2p, x1, x2) -> float:
-    """Single order-2 kernel entry for node labels, O(K) work.
+    """Single order-2 kernel entry for node labels.
 
+    O(K) set-up, then O(1); for many entries build `gamma2_factors` once.
     Matches gamma2 at ((x'_1, x'_2), (x_1, x_2)) without materializing the
     dense matrix.
     """
-    values = center(phi, space).values
-    _require_two_components(values)
-    i1p, i2p = space.index(x1p), space.index(x2p)
-    i1, i2 = space.index(x1), space.index(x2)
-
-    def psi_column(i, j):
-        d1 = values[[i, j], 0][None, :] - values[:, 0][:, None]
-        d2 = values[[i, j], 1][None, :] - values[:, 1][:, None]
-        return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-    return float(
-        np.sum(space.weights * psi_column(i1, i2) * psi_column(i1p, i2p))
-    )
+    return gamma2_factors(phi, space).entry(x1p, x2p, x1, x2)
 
 
 def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:

@@ -116,14 +116,9 @@ class SignatureResult:
         }
 
 
-def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
-    """Symmetric matrix of Q on L1 (+) L2 (+) L3 in the provided bases.
-
-    Assembles the blocks omega(basis_i, basis_j) with cyclic signs into an
-    upper form B and returns (B + B^T) / 2.
-    """
-    b1, b2, b3 = triple.bases
-    n = triple.n
+def _cyclic_form(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """Q for three bases: cyclic omega blocks in an upper form B, as (B + B^T) / 2."""
+    n = b1.shape[1]
     j = standard_symplectic_matrix(n)
     raw = np.zeros((3 * n, 3 * n))
     raw[0:n, n : 2 * n] = b1.T @ j @ b2
@@ -132,21 +127,37 @@ def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
     return (raw + raw.T) / 2.0
 
 
+def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
+    """Symmetric matrix of Q on L1 (+) L2 (+) L3 in the provided bases.
+
+    Assembles the blocks omega(basis_i, basis_j) with cyclic signs into an
+    upper form B and returns (B + B^T) / 2.
+    """
+    return _cyclic_form(*triple.bases)
+
+
 def kashiwara_index(
     triple: LagrangianTriple, zero_tol: float = 1e-8
 ) -> SignatureResult:
     """Eigenvalue signs of the cyclic pairing form.
 
-    Eigenvalues with magnitude below zero_tol times the largest magnitude
-    count as zero; signature = n_plus - n_minus.
+    The inertia is decided on QR-orthonormalized bases of the same
+    subspaces.  That change of basis is a congruence, so by Sylvester's law
+    it keeps the signature, and it keeps badly scaled or nearly parallel
+    basis columns from pushing true eigenvalues below the zero cut.  There,
+    eigenvalues with magnitude below zero_tol times the largest magnitude
+    count as zero; signature = n_plus - n_minus.  The reported eigenvalues
+    are those of kashiwara_q, in the provided bases.
     """
-    q = kashiwara_q(triple)
-    eigenvalues = np.linalg.eigvalsh(q)
-    top = np.abs(eigenvalues).max()
+    orthonormal = np.linalg.qr(np.stack(triple.bases)).Q
+    decided, eigenvalues = np.linalg.eigvalsh(
+        np.stack([_cyclic_form(*orthonormal), kashiwara_q(triple)])
+    )
+    top = np.abs(decided).max()
     cut = zero_tol * top if top > 0 else 0.0
-    n_plus = int(np.sum(eigenvalues > cut))
-    n_minus = int(np.sum(eigenvalues < -cut))
-    n_zero = eigenvalues.size - n_plus - n_minus
+    n_plus = int(np.sum(decided > cut))
+    n_minus = int(np.sum(decided < -cut))
+    n_zero = decided.size - n_plus - n_minus
     return SignatureResult(n_plus, n_minus, n_zero, eigenvalues)
 
 

@@ -78,7 +78,36 @@ def test_verify_unknown_tolerance_is_usage_error(capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("seed", [421, 620, 879])
+def test_verify_kashiwara_seeds_pass(seed, capsys):
+    status, out, _ = run(["verify", "--seed", str(seed)], capsys)
+    assert status == 0
+    record = next(c for c in json.loads(out)["checks"] if c["name"] == "kashiwara_invariance")
+    assert record["measured"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "abc"])
+@pytest.mark.parametrize("command", ["verify", "slater"])
+def test_tolerance_rejects_bad_values(tmp_path, capsys, command, value):
+    argv = [command, "--tol", f"two_point={value}"]
+    if command == "slater":
+        argv += ["--input", str(orthonormal_input(tmp_path / "input.json"))]
+    status, out, err = run(argv, capsys)
+    assert status == 2
+    assert out == ""
+    assert "two_point" in err and value in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ----------------------------------------------------------------- slater
+
+
+def random_input(path, k, seed=0):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(k) + 0.1
+    doc = {"weights": (weights / weights.sum()).tolist(), "phi": rng.standard_normal((k, 2)).tolist()}
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_slater_orthonormal_example(tmp_path, capsys):
@@ -133,6 +162,36 @@ def test_slater_rejects_bad_weights(tmp_path, capsys):
     status, _, err = run(["slater", "--input", str(path)], capsys)
     assert status == 2
     assert "sum to 1" in err
+
+
+def test_slater_rejects_non_finite_weights(tmp_path, capsys):
+    doc = {"weights": [math.nan, math.nan], "phi": [[0.0, 1.0], [1.0, 0.0]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(["slater", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: weights must be finite"]
+
+
+def test_slater_report_without_export_has_no_node_cap(tmp_path, capsys):
+    path = random_input(tmp_path / "input.json", 1024)
+    status, out, _ = run(["slater", "--input", str(path)], capsys)
+    assert status == 0
+    report = json.loads(out)
+    two = next(c for c in report["checks"] if c["name"] == "two_point_vs_gram")
+    assert two["status"] == "pass"
+    assert report["summary"]["failed"] == 0
+
+
+def test_slater_export_beyond_dense_cap_is_usage_error(tmp_path, capsys):
+    path = random_input(tmp_path / "input.json", 33)
+    out_dir = tmp_path / "out"
+    status, out, err = run(["slater", "--input", str(path), "--out", str(out_dir)], capsys)
+    assert status == 2
+    assert out == ""
+    assert "capped at 32 nodes" in err
+    assert not out_dir.exists()
 
 
 def test_slater_rejects_missing_fields(tmp_path, capsys):

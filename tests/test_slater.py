@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from affine_fermions import (
     gamma1,
     gamma2,
     gamma2_entry,
+    gamma2_factors,
     gamma2_pair_expansion,
     one_point,
     order1_kernel,
@@ -22,6 +24,7 @@ from affine_fermions import (
     symmetric_m_identity,
     two_point,
 )
+from affine_fermions.slater import _psi_tensor
 
 
 def random_instance(rng, k=None, max_nodes=10):
@@ -39,6 +42,17 @@ def orthonormal_instance(rng, k=6):
 def psi_oracle(values, idx):
     """Wave function through the generic affine determinant, not the 2x2 path."""
     return float(np.real(affine_det(values[list(idx)])))
+
+
+def triple_mean_oracle(phi, space, power):
+    """Brute-force sum of w w w Psi^power over all node triples."""
+    values = np.asarray(phi, dtype=float)
+    w = space.weights
+    k = len(space)
+    return sum(
+        w[a] * w[b] * w[c] * psi_oracle(values, (a, b, c)) ** power
+        for a, b, c in itertools.product(range(k), repeat=3)
+    )
 
 
 def symmetrized_table(rng, k):
@@ -59,6 +73,14 @@ def test_space_validates_weights():
         MeasuredSpace([1.2, -0.2])
     with pytest.raises(ValueError):
         MeasuredSpace([1.0])
+
+
+@pytest.mark.parametrize(
+    "weights", [[math.nan, math.nan], [0.5, math.nan], [math.inf, 0.5], [1.5, -math.inf]]
+)
+def test_space_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        MeasuredSpace(weights)
 
 
 def test_space_labels():
@@ -221,6 +243,25 @@ def test_two_point_equals_gram_determinant():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
+@pytest.mark.parametrize("k", [2, 3, 7, 12])
+def test_moments_match_brute_force_oracle(k):
+    rng = np.random.default_rng(100 + k)
+    space, phi = random_instance(rng, k=k)
+    phi = 3.0 * phi + 1.5  # off-centre, so centering matters
+    scale = max(1.0, np.abs(phi).max())
+    assert abs(one_point(phi, space) - triple_mean_oracle(phi, space, 1)) <= 1e-10 * scale**3
+    want = triple_mean_oracle(phi, space, 2)
+    assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_psi_tensor_reference_matches_oracle():
+    rng = np.random.default_rng(101)
+    space, phi = random_instance(rng, k=6)
+    tensor = _psi_tensor(phi)
+    for idx in itertools.product(range(6), repeat=3):
+        assert tensor[idx] == pytest.approx(psi_oracle(phi, idx), abs=1e-12)
+
+
 def test_moments_invariant_under_centering():
     rng = np.random.default_rng(13)
     space, phi = random_instance(rng)
@@ -326,6 +367,15 @@ def test_order1_kernel_matches_generic_oracle():
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
+def test_gamma1_matches_generic_oracle():
+    rng = np.random.default_rng(32)
+    space, phi = random_instance(rng, k=9)
+    phi = 2.0 * phi - 0.7
+    want = order1_kernel_oracle(phi, space) / 2.0 - np.linalg.det(centered_gram(phi, space))
+    got = gamma1(phi, space)
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
 def test_gamma1_orthonormal_orbital_sum():
     rng = np.random.default_rng(20)
     space, phi = orthonormal_instance(rng)
@@ -416,6 +466,32 @@ def test_gamma2_dense_cap_and_entry_evaluator():
     for ip, jp, i, j in ((0, 1, 2, 3), (4, 2, 1, 0), (3, 3, 1, 2)):
         got = gamma2_entry(phi_small, space_small, ip, jp, i, j)
         assert got == pytest.approx(dense[ip * 5 + jp, i * 5 + j], abs=1e-12)
+
+
+def test_gamma2_entries_match_generic_oracle():
+    rng = np.random.default_rng(30)
+    space, phi = random_instance(rng, k=5)
+    want = gamma2_oracle(phi, space)
+    factors = gamma2_factors(phi, space)
+    scale = max(1.0, np.abs(want).max())
+    for ip, jp, i, j in itertools.product(range(5), repeat=4):
+        got = factors.entry(ip, jp, i, j)
+        assert abs(got - want[ip * 5 + jp, i * 5 + j]) <= 1e-10 * scale
+    assert gamma2_entry(phi, space, 4, 2, 1, 0) == factors.entry(4, 2, 1, 0)
+
+
+def test_gamma2_entry_beyond_dense_cap_matches_oracle():
+    rng = np.random.default_rng(31)
+    space, phi = random_instance(rng, k=40)
+    values = center(phi, space).values
+    w = space.weights
+    for ip, jp, i, j in ((0, 39, 17, 5), (38, 1, 1, 38), (12, 12, 3, 4), (7, 30, 30, 7)):
+        want = sum(
+            w[a] * psi_oracle(values, (a, i, j)) * psi_oracle(values, (a, ip, jp))
+            for a in range(40)
+        )
+        got = gamma2_entry(phi, space, ip, jp, i, j)
+        assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 
 def test_kernels_require_two_components():

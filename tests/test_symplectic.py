@@ -152,3 +152,18 @@ def test_json_malformed_documents_rejected():
         lagrangian_triple_from_json(
             {"n": 2, "L1": [[1.0], [0.0]], "L2": [[0.0], [1.0]], "L3": [[1.0], [1.0]]}
         )
+
+
+def test_kashiwara_index_ill_conditioned_basis_change():
+    # Shearing the basis of L1 leaves the subspaces alone but spreads the
+    # eigenvalues of Q in the provided bases from about 700 down to 1e-6,
+    # below the default relative zero cut of 1e-8.
+    t = plane_triple()
+    shear = np.array([[1.0, 1e3], [0.0, 1.0]])
+    base = kashiwara_index(t)
+    result = kashiwara_index(t.rebased(shear, np.eye(2), np.eye(2)))
+    assert (result.n_plus, result.n_minus, result.n_zero) == (
+        base.n_plus,
+        base.n_minus,
+        base.n_zero,
+    )
