@@ -1,13 +1,6 @@
 """Affine determinants, fermion-triple collapse, and affine Slater kernels."""
 
-from .exterior import (
-    antisymmetrize,
-    compose,
-    perm_sign,
-    signed_permutations,
-    tensor_product,
-    wedge_scalar,
-)
+from .exterior import perm_sign, signed_permutations
 from .affine_forms import (
     MultiAffineForm,
     NullspaceResult,

@@ -93,7 +93,7 @@ def cmd_slater(args) -> int:
         raise ValueError(f"input must carry 'weights' and 'phi': {exc}") from exc
     space = slater.MeasuredSpace(weights)
 
-    report = Report(command="slater", seed=args.seed)
+    report = Report(command="slater", seed=DEFAULT_SEED)
     one = slater.one_point(phi, space)
     two = slater.two_point(phi, space)
     gram = slater.centered_gram(phi, space)
@@ -150,7 +150,7 @@ def cmd_slater(args) -> int:
 
 def cmd_conjecture(args) -> int:
     result = affine_forms.conjecture_nullspace(args.dim, args.arity, args.degree)
-    report = Report(command="conjecture", seed=args.seed)
+    report = Report(command="conjecture", seed=DEFAULT_SEED)
     report.add(
         "nullspace_dimension",
         True,
@@ -191,7 +191,7 @@ def cmd_kashiwara(args) -> int:
     doc = json.loads(Path(args.input).read_text())
     triple = symplectic.lagrangian_triple_from_json(doc)
     result = symplectic.kashiwara_index(triple)
-    report = Report(command="kashiwara", seed=args.seed)
+    report = Report(command="kashiwara", seed=DEFAULT_SEED)
     report.add(
         "signature",
         True,
@@ -263,35 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", metavar="PATH")
-
     p = sub.add_parser("verify", help="run all invariant checks")
-    common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("slater", help="moments and density kernels for a node-set input")
-    common(p)
     p.add_argument("--input", required=True, metavar="PATH")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    p.add_argument("--out", metavar="DIR")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_slater)
 
     p = sub.add_parser("conjecture", help="nullspace of antisymmetric multi-affine forms")
-    common(p)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--arity", type=int, default=3)
     p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("kashiwara", help="signature of a Lagrangian triple")
-    common(p)
     p.add_argument("--input", required=True, metavar="PATH")
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_kashiwara)
 
     p = sub.add_parser("collapse-demo", help="seeded walk through the collapse pipeline")
-    common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_collapse_demo)
 
     return parser

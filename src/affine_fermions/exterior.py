@@ -1,17 +1,12 @@
-"""Dense complex tensors, signed permutations, and exterior-algebra primitives.
+"""Signed permutations: the sign bookkeeping of antisymmetrization.
 
-Tensors of degree p over C^d are plain numpy arrays of shape (d,)*p in
-row-major (C) order; a degree-0 tensor is a shape-() array.  Everything here
-is a pure function over immutable values, safe for concurrent use.
+Pure functions over immutable values, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
-
-import numpy as np
 
 # Antisymmetrization enumerates S_p explicitly; 8! = 40320 is the ceiling.
 MAX_ANTISYM_DEGREE = 8
@@ -35,13 +30,6 @@ def perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def compose(p, q):
-    """Composition p . q, i.e. (p.q)(i) = p[q[i]]."""
-    if len(p) != len(q):
-        raise ValueError("permutations act on different sets")
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 @lru_cache(maxsize=None)
 def signed_permutations(p: int):
     """All of S_p as ((perm, sign), ...), in lexicographic order."""
@@ -50,49 +38,3 @@ def signed_permutations(p: int):
     return tuple(
         (perm, perm_sign(perm)) for perm in itertools.permutations(range(p))
     )
-
-
-def tensor_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Tensor (outer) product: degree adds, entry (I,J) = s[I] * t[J]."""
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    if s.ndim > 0 and t.ndim > 0 and s.shape[0] != t.shape[0]:
-        raise ValueError(f"dimension mismatch: {s.shape[0]} vs {t.shape[0]}")
-    return np.multiply.outer(s, t)
-
-
-def antisymmetrize(t: np.ndarray) -> np.ndarray:
-    """Project a degree-p tensor onto its fully antisymmetric part.
-
-    Returns (1/p!) * sum over sigma in S_p of sign(sigma) * t with slots
-    permuted by sigma.  Idempotent; kills any tensor with a repeated index
-    pattern.  Degrees above MAX_ANTISYM_DEGREE are rejected.
-    """
-    t = np.asarray(t, dtype=complex)
-    p = t.ndim
-    if p > MAX_ANTISYM_DEGREE:
-        raise ValueError(
-            f"antisymmetrize: degree {p} unsupported (max {MAX_ANTISYM_DEGREE})"
-        )
-    if p <= 1:
-        return t.copy()
-    out = np.zeros_like(t)
-    for perm, sign in signed_permutations(p):
-        out += sign * np.transpose(t, perm)
-    out /= math.factorial(p)
-    return out
-
-
-def wedge_scalar(vectors) -> complex:
-    """Top-degree wedge of d vectors in C^d: the determinant of their matrix.
-
-    The vectors are the matrix columns, so swapping two arguments flips the
-    sign.
-    """
-    vs = [np.asarray(v, dtype=complex) for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    d = vs[0].shape[0]
-    if len(vs) != d or any(v.shape != (d,) for v in vs):
-        raise ValueError(f"need exactly {d} vectors of dimension {d}")
-    return complex(np.linalg.det(np.column_stack(vs)))

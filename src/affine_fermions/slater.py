@@ -257,6 +257,8 @@ def sample_psi_moments(
     generator and averages with numpy's pairwise summation, so a given
     (input, seed, n_triples) always reproduces the same estimate.
     """
+    if n_triples < 1:
+        raise ValueError(f"n_triples must be at least 1, got {n_triples}")
     values = _as_wavefunction(phi, space)
     _require_two_components(values)
     rng = np.random.default_rng(seed)
@@ -402,11 +404,16 @@ def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:
         + W(x_1, x_2) W(x'_1, x'_2)
 
     where W is the pairwise wedge scalar.  Valid when the centered Gram
-    matrix is the identity.
+    matrix is the identity.  Dense, so capped at MAX_DENSE_KERNEL_NODES nodes.
     """
     values = center(phi, space).values
     _require_two_components(values)
     k = len(space)
+    if k > MAX_DENSE_KERNEL_NODES:
+        raise ValueError(
+            f"{k} nodes would materialize a {k * k} x {k * k} pair expansion; "
+            f"it is capped at {MAX_DENSE_KERNEL_NODES} nodes like the dense gamma2"
+        )
     diff = values[:, None, :] - values[None, :, :]  # (K, K, 2)
     affine_part = np.einsum("ijm,klm->ijkl", diff, diff)
     wedge = _wedge_matrix(values)

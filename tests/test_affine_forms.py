@@ -209,12 +209,6 @@ def test_antisymmetrized_pair_generator_d2():
     assert np.abs(anti.coeffs - want).max() <= 1e-12
 
 
-def test_antisymmetrized_triple_generator_d3():
-    anti = antisymmetrize_generator(determinant_generator(3, 4))
-    want = -6.0 * affine_det_form(3).coeffs
-    assert np.abs(anti.coeffs - want).max() <= 1e-12
-
-
 def test_antisymmetrize_zero_generator():
     zero = MultiAffineForm.zero(2, 3)
     assert_allclose(antisymmetrize_generator(zero).coeffs, zero.coeffs)
@@ -249,21 +243,6 @@ def test_antisymmetrize_arity_cap():
 
 
 # ------------------------------------------------------ conjecture_nullspace
-
-
-def test_nullspace_degree_two_sector():
-    result = conjecture_nullspace(2, 3, 2)
-    assert result.dimension == 1
-    target = np.real(affine_det_form(2).coeffs).ravel()
-    target = target / np.linalg.norm(target)
-    basis = np.real(result.basis[0].coeffs).ravel()
-    residual = np.linalg.norm(target - (target @ basis) * basis)
-    assert residual < 1e-8
-
-
-def test_nullspace_lower_sectors_empty():
-    assert conjecture_nullspace(2, 3, 1).dimension == 0
-    assert conjecture_nullspace(2, 3, 0).dimension == 0
 
 
 def test_nullspace_four_arguments_degree_two_empty():

@@ -291,3 +291,26 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "csv"],
+        ["slater", "--input", "space.json", "--seed", "3"],
+        ["conjecture", "--seed", "3"],
+        ["conjecture", "--tol", "x=1"],
+        ["conjecture", "--format", "csv"],
+        ["kashiwara", "--input", "triple.json", "--seed", "3"],
+        ["kashiwara", "--input", "triple.json", "--tol", "nonsense=1"],
+        ["kashiwara", "--input", "triple.json", "--format", "csv"],
+        ["collapse-demo", "--tol", "x=1"],
+        ["collapse-demo", "--format", "csv"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_subcommand_rejects_flags_it_does_not_take(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

@@ -213,34 +213,11 @@ def test_one_point_two_nodes_exact_zero():
     assert one_point(phi, space) == 0.0
 
 
-def test_one_point_vanishes_randomly():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        space, phi = random_instance(rng, max_nodes=12)
-        scale = max(1.0, np.abs(phi).max())
-        assert abs(one_point(phi, space)) <= 1e-10 * scale**3
-
-
-def test_two_point_orthonormal_components():
-    rng = np.random.default_rng(10)
-    space, phi = orthonormal_instance(rng)
-    assert two_point(phi, space) / 6.0 == pytest.approx(1.0, abs=1e-9)
-
-
 def test_two_point_degenerate_components():
     rng = np.random.default_rng(11)
     space, phi = random_instance(rng)
     phi[:, 1] = phi[:, 0]
     assert abs(two_point(phi, space)) <= 1e-12 * max(1.0, np.abs(phi).max() ** 4)
-
-
-def test_two_point_equals_gram_determinant():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        space, phi = random_instance(rng, max_nodes=12)
-        lhs = two_point(phi, space)
-        rhs = 6.0 * np.linalg.det(centered_gram(phi, space))
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 12])
@@ -280,6 +257,13 @@ def test_sampled_moments_deterministic_and_consistent():
     exact = two_point(phi, space)
     assert abs(first.second_moment - exact) <= 0.2 * max(1.0, exact)
     assert abs(first.mean) <= 0.2 * max(1.0, np.abs(phi).max() ** 2)
+
+
+@pytest.mark.parametrize("n_triples", [0, -1])
+def test_sampled_moments_reject_non_positive_counts(n_triples):
+    space, phi = random_instance(np.random.default_rng(31), k=5)
+    with pytest.raises(ValueError, match="n_triples"):
+        sample_psi_moments(phi, space, n_triples)
 
 
 # ------------------------------------------------- symmetric-M identity
@@ -376,14 +360,6 @@ def test_gamma1_matches_generic_oracle():
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_gamma1_orthonormal_orbital_sum():
-    rng = np.random.default_rng(20)
-    space, phi = orthonormal_instance(rng)
-    got = gamma1(phi, space)
-    want = phi @ phi.T
-    assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
-
-
 def test_gamma1_orthonormal_trace_is_two():
     rng = np.random.default_rng(21)
     space, phi = orthonormal_instance(rng)
@@ -437,21 +413,6 @@ def test_gamma2_equal_labels_row_vanishes():
         assert np.abs(g[i * k + i, :]).max() == 0.0
 
 
-def test_gamma2_expansion_orthonormal():
-    rng = np.random.default_rng(27)
-    space, phi = orthonormal_instance(rng, k=6)
-    got = gamma2(phi, space)
-    want = gamma2_pair_expansion(phi, space)
-    assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
-
-
-def test_gamma2_positive_semidefinite():
-    rng = np.random.default_rng(28)
-    space, phi = orthonormal_instance(rng, k=6)
-    eigenvalues = np.linalg.eigvalsh(gamma2(phi, space))
-    assert eigenvalues.min() >= -1e-9
-
-
 def test_gamma2_dense_cap_and_entry_evaluator():
     rng = np.random.default_rng(29)
     k = 40
@@ -466,6 +427,13 @@ def test_gamma2_dense_cap_and_entry_evaluator():
     for ip, jp, i, j in ((0, 1, 2, 3), (4, 2, 1, 0), (3, 3, 1, 2)):
         got = gamma2_entry(phi_small, space_small, ip, jp, i, j)
         assert got == pytest.approx(dense[ip * 5 + jp, i * 5 + j], abs=1e-12)
+
+
+def test_gamma2_pair_expansion_beyond_dense_cap_is_rejected():
+    space = MeasuredSpace.uniform(33)
+    phi = np.random.default_rng(30).standard_normal((33, 2))
+    with pytest.raises(ValueError, match="capped at 32 nodes"):
+        gamma2_pair_expansion(phi, space)
 
 
 def test_gamma2_entries_match_generic_oracle():
