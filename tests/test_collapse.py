@@ -13,6 +13,7 @@ from affine_fermions import (
     lambda_tensor,
     rho,
     rho_trace_A,
+    rho_trace_AC,
     theta,
     tr1,
 )
@@ -207,6 +208,14 @@ def test_collapse_repeated_and_collinear_inputs_vanish():
     assert abs(collapse(*pts)) <= 1e-12
 
 
+def test_collapse_equals_affine_det():
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        a, b, c = random_triple(rng)
+        direct = affine_det([a, b, c])
+        assert abs(collapse(a, b, c) - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
 # -------------------------------------------------- collapse_with_morphism
 
 
@@ -233,6 +242,16 @@ def test_morphism_singular_kills_everything():
         assert abs(collapse_with_morphism(a, b, c, sigma)) <= 1e-10 * max(
             1.0, np.abs((a, b, c)).max() ** 2
         )
+
+
+def test_morphism_covariance_random():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        a, b, c = random_triple(rng)
+        sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        lhs = collapse_with_morphism(a, b, c, sigma)
+        rhs = np.linalg.det(sigma) * collapse(a, b, c)
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 # ------------------------------------------------------------ rho traces
@@ -278,3 +297,11 @@ def test_rho_trace_a_basis_matrix_is_zero():
         for cp in BASIS_2D
     ]
     assert max(abs(v) for v in values) == 0.0
+
+
+def test_rho_trace_ac_closed_form():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        b, bp = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        closed = 2.0 * (b[0] + b[1] - 1.0) * (bp[0] + bp[1] - 1.0)
+        assert abs(rho_trace_AC(b, bp) - closed) <= 1e-12 * max(1.0, abs(closed))
