@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Affine determinants beyond three points: antisymmetry, generators,
-and a numerical search for competing antisymmetric forms.
+and the exact basis of competing antisymmetric forms.
 
 The affine determinant det(x_1 - x_0, ..., x_d - x_0) is antisymmetric in
 all d+1 arguments and translation invariant.  Antisymmetrizing the plain
 determinant of the first d arguments over the full symmetric group
-reproduces it up to an integer factor, and a nullspace computation over the
-multi-affine coefficient space shows it is the only antisymmetric form in
-its homogeneity sector for d = 2.
+reproduces it up to an integer factor, and the exact nullspace of the
+antisymmetry constraints on the multi-affine coefficient space shows it is
+the only antisymmetric form in its homogeneity sector for d = 2.
 """
 
 import numpy as np

@@ -23,7 +23,6 @@ from .collapse import (
     collapse_with_morphism,
     embed,
     lambda_tensor,
-    rho,
     rho_trace_A,
     rho_trace_AC,
     theta,
@@ -37,7 +36,6 @@ from .symplectic import (
     lagrangian_triple_from_json,
     random_symplectic,
     standard_symplectic_matrix,
-    symplectic_product,
 )
 from .slater import (
     CenteredWaveFunction,
@@ -45,17 +43,14 @@ from .slater import (
     MeasuredSpace,
     center,
     centered_gram,
-    component_means,
     gamma1,
     gamma2,
-    gamma2_entry,
     gamma2_factors,
     gamma2_pair_expansion,
     one_point,
     order1_kernel,
     psi,
     reduce_centered,
-    sample_psi_moments,
     symmetric_m_identity,
     two_point,
 )

@@ -4,14 +4,16 @@ The affine determinant of d+1 points in C^d is det(x_1 - x_0, ..., x_d - x_0);
 it is antisymmetric under all (d+1)! argument permutations and translation
 invariant.  The module also carries the machinery for exploring which other
 antisymmetric forms exist: a coefficient representation of multi-affine forms,
-antisymmetrization of generators over the full symmetric group, a nullspace
-solver for the antisymmetry constraints per homogeneity sector, a Monte Carlo
+antisymmetrization of generators over the full symmetric group, the exact
+basis of antisymmetric forms per homogeneity sector, a Monte Carlo
 non-degeneracy falsifier, and a Laplace determinant expansion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +35,8 @@ __all__ = [
 
 MAX_GENERATOR_ARITY = 6
 MAX_LAPLACE_DIM = 6
-MAX_TABLE_SIZE = 100_000
+# Coefficient entries of a whole nullspace basis: dimension x (d+1)^m.
+MAX_BASIS_ENTRIES = 10**7
 
 
 def _as_points(points) -> np.ndarray:
@@ -113,15 +116,7 @@ class MultiAffineForm:
         c = np.asarray(self.coeffs)
         if c.shape != expected:
             raise ValueError(f"coefficient table must have shape {expected}")
-        if c.size > MAX_TABLE_SIZE:
-            raise ValueError(
-                f"coefficient table size {c.size} exceeds {MAX_TABLE_SIZE}"
-            )
         object.__setattr__(self, "coeffs", c.astype(complex))
-
-    @classmethod
-    def zero(cls, dim: int, arity: int) -> "MultiAffineForm":
-        return cls(dim, arity, np.zeros((dim + 1,) * arity, dtype=complex))
 
     def __call__(self, points) -> complex:
         pts = _as_points(points)
@@ -135,33 +130,6 @@ class MultiAffineForm:
             feature = np.concatenate(([1.0], pts[k]))
             value = np.tensordot(value, feature, axes=([0], [0]))
         return complex(value)
-
-    def compose_permutation(self, perm) -> "MultiAffineForm":
-        """The form with arguments permuted: result(p) = self(p[perm[0]], ...).
-
-        Transposing the table by the inverse permutation feeds slot k of the
-        original form with argument perm[k].
-        """
-        if sorted(perm) != list(range(self.arity)):
-            raise ValueError(f"not a permutation of the {self.arity} arguments")
-        return MultiAffineForm(
-            self.dim, self.arity, np.transpose(self.coeffs, np.argsort(perm))
-        )
-
-    def homogeneity_weights(self) -> np.ndarray:
-        """Number of non-constant axis selections per coefficient index."""
-        w = np.zeros((self.dim + 1,) * self.arity, dtype=int)
-        nonconst = np.arange(self.dim + 1) != 0
-        for k in range(self.arity):
-            shape = [1] * self.arity
-            shape[k] = self.dim + 1
-            w = w + nonconst.reshape(shape)
-        return w
-
-    def restrict_homogeneity(self, degree: int) -> "MultiAffineForm":
-        """Keep only monomials with exactly `degree` non-constant factors."""
-        mask = self.homogeneity_weights() == degree
-        return MultiAffineForm(self.dim, self.arity, np.where(mask, self.coeffs, 0))
 
 
 def determinant_generator(d: int, arity: int) -> MultiAffineForm:
@@ -224,7 +192,6 @@ class NullspaceResult:
     arity: int
     homogeneity: int
     dimension: int
-    singular_values: np.ndarray
     basis: tuple  # of MultiAffineForm
 
     def to_json_dict(self) -> dict:
@@ -233,63 +200,54 @@ class NullspaceResult:
             "arity": self.arity,
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
-            "singular_values": [float(s) for s in self.singular_values],
             "basis": [
                 np.real(f.coeffs).reshape(-1).tolist() for f in self.basis
             ],
         }
 
 
-def conjecture_nullspace(
-    d: int, m: int, homogeneity: int, rel_tol: float = 1e-8
-) -> NullspaceResult:
-    """Solve the antisymmetry constraints on multi-affine forms numerically.
+def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
+    """Exact orthonormal basis of the antisymmetric forms of m arguments on
+    C^d whose monomials have `homogeneity` non-constant factors.
 
-    Imposes form . tau = -form for the m-1 adjacent transpositions tau
-    (which generate S_m) on the coefficient sector of the requested
-    homogeneity, and returns the numerical nullspace: its dimension and an
-    orthonormal coefficient basis.  Singular values below rel_tol times the
-    largest count as zero.
+    An antisymmetric table is fixed by its values on strictly increasing
+    index tuples, so the constant index 0 appears at most once: degree m has
+    one form per m-subset of 1..d, degree m-1 one per (0,) + (m-1)-subset,
+    other degrees none.  Each form is +-1/sqrt(m!) on the orderings of its
+    tuple, + on the increasing one; tuples come in lexicographic order.  A
+    basis of more than MAX_BASIS_ENTRIES coefficients is rejected unbuilt.
     """
-    if (d + 1) ** m > MAX_TABLE_SIZE:
-        raise ValueError(
-            f"coefficient table size {(d + 1) ** m} exceeds {MAX_TABLE_SIZE}"
-        )
+    if d < 1:
+        raise ValueError(f"dim must be at least 1, got {d}")
     if m < 2:
-        raise ValueError("need at least two arguments")
-    shape = (d + 1,) * m
-    weights = MultiAffineForm.zero(d, m).homogeneity_weights()
-    sector = [idx for idx in np.ndindex(shape) if weights[idx] == homogeneity]
-    n = len(sector)
-    if n == 0:
-        return NullspaceResult(d, m, homogeneity, 0, np.zeros(0), ())
-    col_of = {idx: j for j, idx in enumerate(sector)}
+        raise ValueError(f"arity must be at least 2, got {m}")
+    if not 0 <= homogeneity <= m:
+        raise ValueError(f"degree must be between 0 and the arity {m}, got {homogeneity}")
+    if homogeneity < m - 1 or homogeneity > d:
+        return NullspaceResult(d, m, homogeneity, 0, ())
+    # Each form has (d+1)^m >= 2^m entries, so past this arity the cap is
+    # exceeded without computing a huge dimension.
+    if m >= MAX_BASIS_ENTRIES.bit_length():
+        raise ValueError(f"a {d + 1}^{m}-entry coefficient table exceeds the cap of {MAX_BASIS_ENTRIES}")
+    dimension, table = math.comb(d, homogeneity), (d + 1) ** m
+    if dimension * table > MAX_BASIS_ENTRIES:
+        raise ValueError(
+            f"{dimension} forms of {table} coefficients are {dimension * table} "
+            f"basis entries, which exceeds the cap of {MAX_BASIS_ENTRIES}"
+        )
 
-    rows = []
-    for k in range(m - 1):
-        for idx in sector:
-            swapped = list(idx)
-            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            row = np.zeros(n)
-            row[col_of[idx]] += 1.0
-            row[col_of[tuple(swapped)]] += 1.0
-            rows.append(row)
-    system = np.array(rows)
-
-    _, svals, vh = np.linalg.svd(system)
-    cutoff = rel_tol * svals[0] if svals.size and svals[0] > 0 else 0.0
-    rank = int(np.sum(svals > cutoff))
-    null_rows = vh[rank:]
-
+    tuples = combinations(range(1, d + 1), homogeneity)
+    if homogeneity == m - 1:
+        tuples = ((0,) + t for t in tuples)
+    orderings = signed_permutations(m)
+    perms = np.array([perm for perm, _ in orderings])
+    values = np.array([sign for _, sign in orderings]) / math.sqrt(math.factorial(m))
     basis = []
-    for row in null_rows:
-        coeffs = np.zeros(shape, dtype=complex)
-        for idx, value in zip(sector, row):
-            coeffs[idx] = value
+    for t in tuples:
+        coeffs = np.zeros((d + 1,) * m, dtype=complex)
+        coeffs[tuple(np.array(t)[perms].T)] = values
         basis.append(MultiAffineForm(d, m, coeffs))
-    return NullspaceResult(
-        d, m, homogeneity, len(basis), svals, tuple(basis)
-    )
+    return NullspaceResult(d, m, homogeneity, dimension, tuple(basis))
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def cmd_slater(args) -> int:
             True,
             float(g2.shape[0]),
             float(g2.shape[0]),
-            f"gamma1.{ext} and gamma2.{ext} written to {out_dir}",
+            f"gamma1.{ext} and gamma2.{ext} written",
         )
         _emit_report(report, str(out_dir / "report.json"))
         sys.stdout.buffer.write(report.to_json_bytes())

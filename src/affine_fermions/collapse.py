@@ -32,7 +32,6 @@ __all__ = [
     "tr1",
     "collapse",
     "collapse_with_morphism",
-    "rho",
     "rho_trace_A",
     "rho_trace_AC",
     "BASIS_2D",
@@ -204,13 +203,6 @@ def collapse_with_morphism(a, b, c, sigma) -> complex:
     if sigma.shape != (2, 2):
         raise ValueError(f"morphism must be 2x2, got shape {sigma.shape}")
     return collapse(sigma @ _as_state(a), sigma @ _as_state(b), sigma @ _as_state(c))
-
-
-def rho(a, b, c, a_prime, b_prime, c_prime) -> complex:
-    """Matrix element det(b-a, c-a) * det(b'-a', c'-a') of the triple state."""
-    left = affine_det([_as_state(a), _as_state(b), _as_state(c)])
-    right = affine_det([_as_state(a_prime), _as_state(b_prime), _as_state(c_prime)])
-    return complex(left * right)
 
 
 def rho_trace_A(b, c, b_prime, c_prime) -> complex:

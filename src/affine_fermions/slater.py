@@ -36,20 +36,17 @@ __all__ = [
     "MeasuredSpace",
     "CenteredWaveFunction",
     "center",
-    "component_means",
     "centered_gram",
     "reduce_centered",
     "psi",
     "one_point",
     "two_point",
-    "sample_psi_moments",
     "symmetric_m_identity",
     "order1_kernel",
     "gamma1",
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
-    "gamma2_entry",
     "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
 ]
@@ -115,12 +112,6 @@ def _as_wavefunction(phi, space: MeasuredSpace) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("wave function values must be finite")
     return values
-
-
-def component_means(phi, space: MeasuredSpace) -> np.ndarray:
-    """Weighted mean of each component, <phi_j> = sum_k w_k phi_j(x_k)."""
-    values = _as_wavefunction(phi, space)
-    return space.weights @ values
 
 
 def center(phi, space: MeasuredSpace) -> CenteredWaveFunction:
@@ -243,36 +234,6 @@ def two_point(phi, space: MeasuredSpace) -> float:
     return float(np.sum(m * _pair_moments(m)))
 
 
-class PsiMoments(NamedTuple):
-    mean: float
-    second_moment: float
-
-
-def sample_psi_moments(
-    phi, space: MeasuredSpace, n_triples: int, seed: int = 0
-) -> PsiMoments:
-    """Monte Carlo estimate of <Psi> and <Psi^2> for large node sets.
-
-    Draws node triples from the weight distribution with a fixed-seed
-    generator and averages with numpy's pairwise summation, so a given
-    (input, seed, n_triples) always reproduces the same estimate.
-    """
-    if n_triples < 1:
-        raise ValueError(f"n_triples must be at least 1, got {n_triples}")
-    values = _as_wavefunction(phi, space)
-    _require_two_components(values)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(space), size=(int(n_triples), 3), p=space.weights)
-    a, b, c = values[idx[:, 0]], values[idx[:, 1]], values[idx[:, 2]]
-    samples = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (
-        b[:, 1] - a[:, 1]
-    )
-    return PsiMoments(
-        float(np.sum(samples) / len(samples)),
-        float(np.sum(samples**2) / len(samples)),
-    )
-
-
 def symmetric_m_identity(phi, space: MeasuredSpace, m_table, *, checks: int = 32):
     """Both sides of the symmetric-weight overlap identity.
 
@@ -362,7 +323,8 @@ class Gamma2Factors(NamedTuple):
             raise ValueError(
                 f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
                 f"dense kernel and its export are capped at "
-                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_entry beyond that"
+                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
+                f"beyond that"
             )
         rows = _pair_rows(self.values[:, None, :], self.values[None, :, :])
         rows = rows.reshape(k * k, 3)
@@ -384,16 +346,6 @@ def gamma2(phi, space: MeasuredSpace) -> np.ndarray:
     within either pair, and positive semidefinite of rank at most 3.
     """
     return gamma2_factors(phi, space).dense()
-
-
-def gamma2_entry(phi, space: MeasuredSpace, x1p, x2p, x1, x2) -> float:
-    """Single order-2 kernel entry for node labels.
-
-    O(K) set-up, then O(1); for many entries build `gamma2_factors` once.
-    Matches gamma2 at ((x'_1, x'_2), (x_1, x_2)) without materializing the
-    dense matrix.
-    """
-    return gamma2_factors(phi, space).entry(x1p, x2p, x1, x2)
 
 
 def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:

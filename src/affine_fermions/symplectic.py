@@ -20,7 +20,6 @@ from scipy.linalg import expm
 
 __all__ = [
     "standard_symplectic_matrix",
-    "symplectic_product",
     "LagrangianTriple",
     "SignatureResult",
     "kashiwara_q",
@@ -38,21 +37,13 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     return j
 
 
-def symplectic_product(u, v) -> float:
-    """omega(u, v) for vectors in R^(2n)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = u.shape[0] // 2
-    return float(u @ standard_symplectic_matrix(n) @ v)
-
-
 class LagrangianTriple:
     """Three Lagrangian subspaces of R^(2n), each given by a 2n x n basis.
 
-    Construction validates that every basis has full column rank and that
-    omega vanishes on each subspace (|omega(col_i, col_j)| <= atol for all
-    column pairs within one basis); the offending subspace, column pair and
-    residual are reported otherwise.
+    Construction validates that every basis is finite, has full column rank
+    and that omega vanishes on each subspace (|omega(col_i, col_j)| <= atol
+    for all column pairs within one basis); the offending subspace, column
+    pair and residual are reported otherwise.
     """
 
     def __init__(self, l1, l2, l3, *, atol: float = 1e-10):
@@ -65,6 +56,8 @@ class LagrangianTriple:
         for which, basis in enumerate(bases, start=1):
             if basis.shape != shape:
                 raise ValueError("all three bases must share one shape")
+            if not np.all(np.isfinite(basis)):
+                raise ValueError(f"L{which} basis entries must be finite")
             rank = np.linalg.matrix_rank(basis)
             if rank < n:
                 raise ValueError(

@@ -48,7 +48,6 @@ DEFAULT_TOLERANCES = {
     "translation_invariance": 1e-10,
     "coordinate_expansion": 1e-10,
     "generator_coefficients": 1e-12,
-    "nullspace_rank": 1e-8,
     "span_residual": 1e-8,
     "kashiwara_zero": 1e-8,
     "one_point": 1e-10,
@@ -314,7 +313,7 @@ def _check_nullspace(report: Report, rng, tol) -> None:
     mismatches = 0
     span_residual = math.inf
     for degree, dim in expected.items():
-        result = affine_forms.conjecture_nullspace(2, 3, degree, rel_tol=tol["nullspace_rank"])
+        result = affine_forms.conjecture_nullspace(2, 3, degree)
         if result.dimension != dim:
             mismatches += 1
         if degree == 2 and result.dimension == 1:

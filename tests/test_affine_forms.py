@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from affine_fermions import (
     nondegeneracy_probe,
     perm_sign,
 )
+from affine_fermions.affine_forms import MAX_BASIS_ENTRIES
 
 
 def random_points(rng, m, d):
@@ -159,13 +161,21 @@ def test_form_evaluation_matches_monomial_sum():
         assert form(pts) == pytest.approx(evaluate_by_monomials(form, pts))
 
 
+def permuted(form, perm):
+    """The form with arguments permuted: result(p) = form(p[perm[0]], ...).
+
+    Transposing the table by the inverse permutation feeds slot k of the
+    original form with argument perm[k].
+    """
+    return MultiAffineForm(form.dim, form.arity, np.transpose(form.coeffs, np.argsort(perm)))
+
+
 def test_form_compose_permutation():
     rng = np.random.default_rng(5)
     form = MultiAffineForm(2, 3, rng.standard_normal((3, 3, 3)))
     perm = (2, 0, 1)
     pts = random_points(rng, 3, 2)
-    composed = form.compose_permutation(perm)
-    assert composed(pts) == pytest.approx(form(pts[list(perm)]))
+    assert permuted(form, perm)(pts) == pytest.approx(form(pts[list(perm)]))
 
 
 def test_form_shape_validation():
@@ -173,13 +183,22 @@ def test_form_shape_validation():
         MultiAffineForm(2, 3, np.zeros((3, 3)))
 
 
+def homogeneity_weights(d, m):
+    """Number of non-constant axis selections per coefficient index."""
+    nonconst = (np.arange(d + 1) != 0).astype(int)
+    weights = np.zeros((d + 1,) * m, dtype=int)
+    for k in range(m):
+        weights = weights + nonconst.reshape([d + 1 if j == k else 1 for j in range(m)])
+    return weights
+
+
 def test_form_homogeneity_restriction():
     form = affine_det_form(2)
-    weights = form.homogeneity_weights()
+    weights = homogeneity_weights(2, 3)
     assert weights.shape == (3, 3, 3)
     # the affine determinant is purely quadratic
-    assert_allclose(form.restrict_homogeneity(2).coeffs, form.coeffs)
-    assert_allclose(form.restrict_homogeneity(1).coeffs, np.zeros((3, 3, 3)))
+    assert_allclose(np.where(weights == 2, form.coeffs, 0), form.coeffs)
+    assert_allclose(np.where(weights == 1, form.coeffs, 0), np.zeros((3, 3, 3)))
 
 
 def test_affine_det_form_matches_affine_det():
@@ -210,7 +229,7 @@ def test_antisymmetrized_pair_generator_d2():
 
 
 def test_antisymmetrize_zero_generator():
-    zero = MultiAffineForm.zero(2, 3)
+    zero = MultiAffineForm(2, 3, np.zeros((3, 3, 3)))
     assert_allclose(antisymmetrize_generator(zero).coeffs, zero.coeffs)
 
 
@@ -221,7 +240,7 @@ def test_antisymmetrized_output_is_alternating():
     for k in range(3):
         perm = list(range(4))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        swapped = anti.compose_permutation(tuple(perm))
+        swapped = permuted(anti, perm)
         assert_allclose(swapped.coeffs, -anti.coeffs, atol=1e-12)
 
 
@@ -239,7 +258,7 @@ def test_antisymmetrize_linearity():
 
 def test_antisymmetrize_arity_cap():
     with pytest.raises(ValueError):
-        antisymmetrize_generator(MultiAffineForm.zero(1, 7))
+        antisymmetrize_generator(MultiAffineForm(1, 7, np.zeros((2,) * 7)))
 
 
 # ------------------------------------------------------ conjecture_nullspace
@@ -261,15 +280,121 @@ def test_nullspace_basis_members_are_antisymmetric():
 
 
 def test_nullspace_size_cap():
-    with pytest.raises(ValueError):
-        conjecture_nullspace(9, 6, 3)
+    # 126 forms of 10^5 coefficients: over the cap on the basis entries
+    with pytest.raises(ValueError, match="12600000 basis entries, which exceeds"):
+        conjecture_nullspace(9, 5, 5)
+
+
+def test_nullspace_huge_arity_is_rejected_before_counting():
+    # C(10^9, 10^9 - 1) forms of (10^9 + 1)^(10^9) entries: never computed
+    with pytest.raises(ValueError, match=r"1000000001\^1000000000-entry coefficient table exceeds"):
+        conjecture_nullspace(10**9, 10**9, 10**9 - 1)
+
+
+def test_nullspace_empty_sector_has_no_size_limit():
+    # degree 3 of 6 arguments is empty, whatever the 10^6-entry table
+    result = conjecture_nullspace(9, 6, 3)
+    assert result.dimension == 0
+    assert result.basis == ()
 
 
 def test_nullspace_report_serializes():
     doc = conjecture_nullspace(2, 3, 2).to_json_dict()
     assert doc["dimension"] == 1
-    assert len(doc["singular_values"]) > 0
+    assert "singular_values" not in doc
     assert len(doc["basis"]) == 1
+
+
+def svd_nullspace(d, m, homogeneity, rel_tol=1e-8):
+    """Oracle: rows of an orthonormal numerical nullspace basis.
+
+    Imposes form . tau = -form for the m-1 adjacent transpositions tau
+    (which generate S_m) on the coefficient sector of the requested
+    homogeneity, and takes the right singular vectors whose singular values
+    are below rel_tol times the largest.
+    """
+    shape = (d + 1,) * m
+    weights = homogeneity_weights(d, m)
+    sector = [idx for idx in np.ndindex(shape) if weights[idx] == homogeneity]
+    if not sector:
+        return np.zeros((0, (d + 1) ** m))
+    col_of = {idx: j for j, idx in enumerate(sector)}
+    rows = []
+    for k in range(m - 1):
+        for idx in sector:
+            swapped = list(idx)
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            row = np.zeros(len(sector))
+            row[col_of[idx]] += 1.0
+            row[col_of[tuple(swapped)]] += 1.0
+            rows.append(row)
+    _, svals, vh = np.linalg.svd(np.array(rows))
+    rank = int(np.sum(svals > rel_tol * svals[0]))
+    basis = np.zeros((len(sector) - rank, (d + 1) ** m))
+    basis[:, [np.ravel_multi_index(idx, shape) for idx in sector]] = vh[rank:]
+    return basis
+
+
+def exact_basis(d, m, p):
+    return np.array(
+        [np.real(f.coeffs).reshape(-1) for f in conjecture_nullspace(d, m, p).basis]
+    ).reshape(-1, (d + 1) ** m)
+
+
+SMALL_SECTORS = [
+    (d, m, p)
+    for d in range(1, 26)
+    for m in range(2, 10)
+    if (d + 1) ** m <= 700
+    for p in range(m + 1)
+]
+
+
+def test_nullspace_matches_svd_oracle():
+    assert len(SMALL_SECTORS) == 169
+    for d, m, p in SMALL_SECTORS:
+        exact, oracle = exact_basis(d, m, p), svd_nullspace(d, m, p)
+        assert len(exact) == len(oracle), (d, m, p)
+        if len(exact):
+            # both orthonormal and of one dimension: each contains the other
+            assert np.abs(oracle - (oracle @ exact.T) @ exact).max() <= 1e-12, (d, m, p)
+            assert np.abs(exact - (exact @ oracle.T) @ oracle).max() <= 1e-12, (d, m, p)
+
+
+def test_nullspace_dimensions_are_binomial():
+    for d in range(1, 13):
+        for m in range(2, 7):
+            for p in range(m + 1):
+                want = math.comb(d, p) if p in (m - 1, m) else 0
+                if want * (d + 1) ** m > MAX_BASIS_ENTRIES:
+                    with pytest.raises(ValueError, match="exceeds"):
+                        conjecture_nullspace(d, m, p)
+                    continue
+                result = conjecture_nullspace(d, m, p)
+                assert result.dimension == len(result.basis) == want, (d, m, p)
+
+
+@pytest.mark.parametrize("d, m, p", [(4, 2, 2), (2, 3, 2), (3, 3, 2), (3, 4, 3), (4, 4, 3), (5, 5, 5), (6, 6, 6)])
+def test_nullspace_basis_is_exact(d, m, p):
+    # 1/sqrt(m!) itself: sqrt(120) * (1/sqrt(120)) rounds to 1 - 2^-53
+    unit = 1 / math.sqrt(math.factorial(m))
+    result = conjecture_nullspace(d, m, p)
+    assert result.dimension > 0
+    increasing = []
+    for form in result.basis:
+        coeffs = form.coeffs
+        assert np.all((coeffs == unit) | (coeffs == -unit) | (coeffs == 0))
+        assert np.count_nonzero(coeffs) == math.factorial(m)
+        for k in range(m - 1):
+            perm = list(range(m))
+            perm[k], perm[k + 1] = perm[k + 1], perm[k]
+            assert np.array_equal(np.transpose(coeffs, perm), -coeffs)
+        ordered = [idx for idx in zip(*np.nonzero(coeffs)) if list(idx) == sorted(idx)]
+        assert len(ordered) == 1 and coeffs[ordered[0]] == unit
+        increasing.append(ordered[0])
+    assert increasing == sorted(increasing)
+    supports = sum(np.abs(f.coeffs) > 0 for f in result.basis)
+    assert supports.max() == 1  # disjoint supports
 
 
 # ------------------------------------------------------ nondegeneracy_probe

@@ -141,6 +141,17 @@ def test_slater_json_kernel_export(tmp_path, capsys):
     assert abs(np.trace(dense) / 6.0 - 2.0) < 1e-9  # orbital-sum trace
 
 
+def test_slater_export_report_does_not_name_the_directory(tmp_path, capsys):
+    path = orthonormal_input(tmp_path / "input.json")
+    outputs = []
+    for out_dir in (tmp_path / "a" / "kernels", tmp_path / "b"):
+        status, out, _ = run(["slater", "--input", str(path), "--out", str(out_dir)], capsys)
+        assert status == 0
+        outputs.append((out.encode(), (out_dir / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == outputs[0][1]
+
+
 def test_slater_constant_wavefunction_zero_kernels(tmp_path, capsys):
     doc = {"weights": [0.25] * 4, "phi": [[1.0, 2.0]] * 4}
     path = tmp_path / "input.json"
@@ -232,9 +243,33 @@ def test_conjecture_four_arguments(capsys):
 
 
 def test_conjecture_size_overflow(capsys):
-    status, _, err = run(["conjecture", "--dim", "9", "--arity", "6", "--degree", "3"], capsys)
+    status, out, err = run(["conjecture", "--dim", "9", "--arity", "5", "--degree", "5"], capsys)
     assert status == 2
-    assert "exceeds" in err
+    assert out == ""
+    assert "exceeds" in err and "12600000" in err
+
+
+def test_conjecture_empty_sector_with_large_table(capsys):
+    status, out, _ = run(["conjecture", "--dim", "9", "--arity", "6", "--degree", "3"], capsys)
+    assert status == 0
+    assert json.loads(out)["nullspace"]["dimension"] == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dim", "-1", "--arity", "2", "--degree", "0"], "dim must be at least 1, got -1"),
+        (["--dim", "0"], "dim must be at least 1, got 0"),
+        (["--arity", "1", "--degree", "0"], "arity must be at least 2, got 1"),
+        (["--degree", "-5"], "degree must be between 0 and the arity 3, got -5"),
+        (["--degree", "4"], "degree must be between 0 and the arity 3, got 4"),
+    ],
+)
+def test_conjecture_rejects_out_of_range_flags(capsys, flags, message):
+    status, out, err = run(["conjecture", *flags], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
 
 
 # -------------------------------------------------------------- kashiwara
@@ -275,6 +310,19 @@ def test_kashiwara_rejects_non_lagrangian(tmp_path, capsys):
     status, _, err = run(["kashiwara", "--input", str(path)], capsys)
     assert status == 2
     assert "not Lagrangian" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", ["L1", "L2", "L3"])
+def test_kashiwara_rejects_non_finite_basis(tmp_path, capsys, slot, value):
+    doc = json.loads(axes_triple_input(tmp_path / "triple.json").read_text())
+    doc[slot][0][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {slot} basis entries must be finite"]
 
 
 # ----------------------------------------------------------- collapse-demo

@@ -11,7 +11,6 @@ from affine_fermions import (
     collapse_with_morphism,
     embed,
     lambda_tensor,
-    rho,
     rho_trace_A,
     rho_trace_AC,
     theta,
@@ -255,14 +254,6 @@ def test_morphism_covariance_random():
 
 
 # ------------------------------------------------------------ rho traces
-
-
-def test_rho_product_form():
-    rng = np.random.default_rng(14)
-    a, b, c = random_triple(rng)
-    ap, bp, cp = random_triple(rng)
-    want = affine_det([a, b, c]) * affine_det([ap, bp, cp])
-    assert rho(a, b, c, ap, bp, cp) == pytest.approx(want)
 
 
 def test_rho_trace_a_repeated_argument_vanishes():

@@ -8,7 +8,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["slater_kernels.py", "kashiwara_example.py"])
+@pytest.mark.parametrize(
+    "demo", ["slater_kernels.py", "kashiwara_example.py", "affine_determinants.py", "collapse_pipeline.py"]
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

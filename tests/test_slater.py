@@ -10,17 +10,14 @@ from affine_fermions import (
     affine_det,
     center,
     centered_gram,
-    component_means,
     gamma1,
     gamma2,
-    gamma2_entry,
     gamma2_factors,
     gamma2_pair_expansion,
     one_point,
     order1_kernel,
     psi,
     reduce_centered,
-    sample_psi_moments,
     symmetric_m_identity,
     two_point,
 )
@@ -138,12 +135,6 @@ def test_centered_wavefunction_is_arraylike():
     assert_allclose(np.asarray(cwf), cwf.values)
 
 
-def test_component_means():
-    space = MeasuredSpace([0.25, 0.75])
-    phi = np.array([[4.0, 0.0], [0.0, 4.0]])
-    assert_allclose(component_means(phi, space), [1.0, 3.0])
-
-
 def test_reduce_centered_gives_identity_gram():
     rng = np.random.default_rng(3)
     space, phi = random_instance(rng)
@@ -246,24 +237,6 @@ def test_moments_invariant_under_centering():
     scale = max(1.0, np.abs(phi).max())
     assert abs(one_point(tilde, space) - one_point(phi, space)) <= 1e-10 * scale**3
     assert two_point(tilde, space) == pytest.approx(two_point(phi, space))
-
-
-def test_sampled_moments_deterministic_and_consistent():
-    rng = np.random.default_rng(14)
-    space, phi = random_instance(rng, k=12)
-    first = sample_psi_moments(phi, space, 20000, seed=42)
-    second = sample_psi_moments(phi, space, 20000, seed=42)
-    assert first == second  # bit-identical for a fixed seed
-    exact = two_point(phi, space)
-    assert abs(first.second_moment - exact) <= 0.2 * max(1.0, exact)
-    assert abs(first.mean) <= 0.2 * max(1.0, np.abs(phi).max() ** 2)
-
-
-@pytest.mark.parametrize("n_triples", [0, -1])
-def test_sampled_moments_reject_non_positive_counts(n_triples):
-    space, phi = random_instance(np.random.default_rng(31), k=5)
-    with pytest.raises(ValueError, match="n_triples"):
-        sample_psi_moments(phi, space, n_triples)
 
 
 # ------------------------------------------------- symmetric-M identity
@@ -419,13 +392,14 @@ def test_gamma2_dense_cap_and_entry_evaluator():
     w = rng.random(k) + 0.1
     space = MeasuredSpace(w / w.sum())
     phi = rng.standard_normal((k, 2))
-    with pytest.raises(ValueError, match="gamma2_entry"):
+    with pytest.raises(ValueError, match=r"gamma2_factors\(\.\.\.\)\.entry"):
         gamma2(phi, space)
     # entry evaluator agrees with the dense kernel on a small instance
     space_small, phi_small = random_instance(rng, k=5)
     dense = gamma2(phi_small, space_small)
+    factors = gamma2_factors(phi_small, space_small)
     for ip, jp, i, j in ((0, 1, 2, 3), (4, 2, 1, 0), (3, 3, 1, 2)):
-        got = gamma2_entry(phi_small, space_small, ip, jp, i, j)
+        got = factors.entry(ip, jp, i, j)
         assert got == pytest.approx(dense[ip * 5 + jp, i * 5 + j], abs=1e-12)
 
 
@@ -445,7 +419,6 @@ def test_gamma2_entries_match_generic_oracle():
     for ip, jp, i, j in itertools.product(range(5), repeat=4):
         got = factors.entry(ip, jp, i, j)
         assert abs(got - want[ip * 5 + jp, i * 5 + j]) <= 1e-10 * scale
-    assert gamma2_entry(phi, space, 4, 2, 1, 0) == factors.entry(4, 2, 1, 0)
 
 
 def test_gamma2_entry_beyond_dense_cap_matches_oracle():
@@ -453,12 +426,13 @@ def test_gamma2_entry_beyond_dense_cap_matches_oracle():
     space, phi = random_instance(rng, k=40)
     values = center(phi, space).values
     w = space.weights
+    factors = gamma2_factors(phi, space)
     for ip, jp, i, j in ((0, 39, 17, 5), (38, 1, 1, 38), (12, 12, 3, 4), (7, 30, 30, 7)):
         want = sum(
             w[a] * psi_oracle(values, (a, i, j)) * psi_oracle(values, (a, ip, jp))
             for a in range(40)
         )
-        got = gamma2_entry(phi, space, ip, jp, i, j)
+        got = factors.entry(ip, jp, i, j)
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 

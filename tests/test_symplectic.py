@@ -12,7 +12,6 @@ from affine_fermions import (
     lagrangian_triple_from_json,
     random_symplectic,
     standard_symplectic_matrix,
-    symplectic_product,
 )
 
 
@@ -30,11 +29,21 @@ def plane_triple():
 
 def test_form_convention():
     # omega((p,q), (p',q')) = p q' - q p'
-    assert symplectic_product([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert symplectic_product([0.0, 1.0], [1.0, 0.0]) == pytest.approx(-1.0)
+    omega = standard_symplectic_matrix(1)
+    assert np.array([1.0, 0.0]) @ omega @ np.array([0.0, 1.0]) == 1.0
+    assert np.array([0.0, 1.0]) @ omega @ np.array([1.0, 0.0]) == -1.0
     j = standard_symplectic_matrix(2)
     assert_allclose(j.T, -j)
     assert_allclose(j @ j, -np.eye(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_triple_rejects_non_finite_basis(slot, value):
+    bases = [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]]]
+    bases[slot][1][0] = value
+    with pytest.raises(ValueError, match=f"L{slot + 1} basis entries must be finite"):
+        LagrangianTriple(*bases)
 
 
 def test_triple_rejects_rank_deficient_basis():
