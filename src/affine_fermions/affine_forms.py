@@ -46,13 +46,21 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def affine_det(points) -> complex:
-    """Determinant of (x_1 - x_0, ..., x_d - x_0) for d+1 points in C^d."""
-    pts = _as_points(points)
-    m, d = pts.shape
+def affine_det(points):
+    """Determinant of (x_1 - x_0, ..., x_d - x_0) for d+1 points in C^d.
+
+    points has shape (d+1, d) and gives a Python complex, or (..., d+1, d)
+    for a batch and gives an array over the leading axes.
+    """
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim < 2:
+        raise ValueError("points must be a sequence of equal-length vectors")
+    m, d = pts.shape[-2:]
     if m != d + 1:
         raise ValueError(f"need d+1 = {d + 1} points in dimension {d}, got {m}")
-    return complex(np.linalg.det((pts[1:] - pts[0]).T))
+    # One batched np.linalg.det equals the per-matrix calls bit for bit.
+    dets = np.linalg.det((pts[..., 1:, :] - pts[..., :1, :]).swapaxes(-1, -2))
+    return complex(dets) if dets.ndim == 0 else dets
 
 
 def is_affinely_dependent(points, rel_tol: float = 1e-10) -> bool:

@@ -11,7 +11,10 @@ module also provides the covariance of the pipeline under a 2x2 morphism
 applied to all three states, and the partial traces of the rank-1 state
 built from two copies of the affine determinant.
 
-All functions are pure; inputs are never mutated.
+All functions are pure; inputs are never mutated.  Each one also takes a
+batch: leading axes in front of its per-triple shape, checked and computed
+in one pass.  A single triple is the case without leading axes and gets
+the same arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,25 +44,70 @@ __all__ = [
 BASIS_2D = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 # Column read-out order of the Lambda matrix for each reindexed block; block
-# k takes rows (2k, 2k+1).  Generated once from the closed form of the
-# reindexation and pinned by the unit tests.
-_THETA_COLS = (
+# k takes row 2k for X' and row 2k+1 for Y'.  Generated once from the closed
+# form of the reindexation and pinned by the unit tests.
+_THETA_COLS = np.array([
     (2, 3, 4, 5, 0, 1),
     (0, 1, 2, 3, 4, 5),
     (4, 5, 0, 1, 2, 3),
-)
+])
+_THETA_ROWS = np.array([[0], [2], [4]])
 
 # Slots of each X'/Y' block that are structurally zero.
 _ZERO_SLOTS = ((4, 5), (2, 3), (0, 1))
+
+# Relative bound of every structural-zero and consistency check.
+_REL_TOL = 1e-12
 
 
 class ConsistencyError(RuntimeError):
     """An internal invariant of the pipeline failed."""
 
 
+def _require_finite(x, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
+def _bound(residual, scale, error, message: str) -> None:
+    """Raise error(message) unless residual <= 1e-12 * scale in every row.
+
+    residual and scale hold one value per row of the batch.  The message is
+    formatted with the residual of the row that breaks its bound by the
+    largest factor; `not <=` makes a NaN residual break it too.
+    """
+    bad = ~(residual <= _REL_TOL * scale)
+    if bad.any():
+        worst = np.argmax(np.where(bad, residual / scale, -np.inf))
+        raise error(message.format(np.reshape(residual, -1)[worst]))
+
+
+def _blocks_scale(x_blocks, y_blocks):
+    """max(1, |X'|max, |Y'|max) per row."""
+    return np.maximum(
+        1.0,
+        np.maximum(np.abs(x_blocks).max(axis=(-2, -1)), np.abs(y_blocks).max(axis=(-2, -1))),
+    )
+
+
+def _unbatched(z):
+    """A Python complex for a single input; the array over the batch otherwise."""
+    return complex(z) if np.ndim(z) == 0 else z
+
+
+def _cmul(u, v):
+    """u * v formed from real and imaginary parts.
+
+    numpy's vectorised complex multiply fuses multiply-adds and differs from
+    the scalar complex product in the last bit; this form equals the scalar
+    product bit for bit.
+    """
+    return (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
+
+
 @dataclass(frozen=True)
 class EmbeddedTriple:
-    """The three states pushed into disjoint 2-blocks of C^6."""
+    """The three states pushed into disjoint 2-blocks of C^6, shape (..., 6)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -71,42 +119,51 @@ class ThetaBlocks:
     """Reindexed form of Lambda: three X' blocks and three Y' blocks in C^6.
 
     Block k carries zeros in its structural slots (4-5 for block 1, 2-3 for
-    block 2, 0-1 for block 3).
+    block 2, 0-1 for block 3).  A batch carries leading axes in front of the
+    (3, 6) block axes.
     """
 
-    x_blocks: np.ndarray  # shape (3, 6)
-    y_blocks: np.ndarray  # shape (3, 6)
+    x_blocks: np.ndarray  # shape (..., 3, 6)
+    y_blocks: np.ndarray  # shape (..., 3, 6)
 
     def __post_init__(self):
         for name, blocks in (("x", self.x_blocks), ("y", self.y_blocks)):
-            if np.asarray(blocks).shape != (3, 6):
-                raise ValueError(f"{name}_blocks must have shape (3, 6)")
-        scale = max(
-            1.0, float(np.abs(self.x_blocks).max()), float(np.abs(self.y_blocks).max())
-        )
+            if np.shape(blocks)[-2:] != (3, 6):
+                raise ValueError(
+                    f"{name}_blocks must have shape (..., 3, 6), got {np.shape(blocks)}"
+                )
+            _require_finite(blocks, f"{name}_blocks")
+        if np.shape(self.x_blocks) != np.shape(self.y_blocks):
+            raise ValueError("x_blocks and y_blocks must have the same shape")
+        scale = _blocks_scale(self.x_blocks, self.y_blocks)
         for blocks in (self.x_blocks, self.y_blocks):
             for k, slots in enumerate(_ZERO_SLOTS):
-                bad = np.abs(blocks[k, list(slots)]).max()
-                if bad > 1e-12 * scale:
-                    raise ValueError(
-                        f"block {k + 1} must vanish in slots {slots}; got residual {bad:g}"
-                    )
+                bad = np.abs(blocks[..., k, list(slots)]).max(axis=-1)
+                _bound(
+                    bad, scale, ValueError,
+                    f"block {k + 1} must vanish in slots {slots}; got residual {{:g}}",
+                )
 
 
-def _as_state(v) -> np.ndarray:
+def _as_state(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if v.shape != (2,):
+    if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError(f"expected a vector in C^2, got shape {v.shape}")
+    _require_finite(v, name)
     return v
 
 
 def embed(a, b, c) -> EmbeddedTriple:
-    """Embed a, b, c in C^2 into slots (0-1), (2-3), (4-5) of C^6."""
-    a, b, c = _as_state(a), _as_state(b), _as_state(c)
+    """Embed a, b, c in C^2 into slots (0-1), (2-3), (4-5) of C^6.
+
+    Each state has shape (2,), or (..., 2) for a batch; the leading axes
+    broadcast against each other.
+    """
+    states = np.broadcast_arrays(_as_state(a, "a"), _as_state(b, "b"), _as_state(c, "c"))
     out = []
-    for block, v in enumerate((a, b, c)):
-        w = np.zeros(6, dtype=complex)
-        w[2 * block : 2 * block + 2] = v
+    for block, v in enumerate(states):
+        w = np.zeros(v.shape[:-1] + (6,), dtype=complex)
+        w[..., 2 * block : 2 * block + 2] = v
         out.append(w)
     return EmbeddedTriple(*out)
 
@@ -114,15 +171,16 @@ def embed(a, b, c) -> EmbeddedTriple:
 def lambda_tensor(a, b, c) -> np.ndarray:
     """The antisymmetric tensor a'^b' + b'^c' + c'^a' as a 6x6 matrix.
 
-    u^v means the antisymmetrized product (u (x) v - v (x) u) / 2.
+    u^v means the antisymmetrized product (u (x) v - v (x) u) / 2.  Batched
+    states give shape (..., 6, 6).
     """
     e = embed(a, b, c)
     raw = (
-        np.outer(e.a, e.b)
-        + np.outer(e.b, e.c)
-        + np.outer(e.c, e.a)
+        e.a[..., :, None] * e.b[..., None, :]
+        + e.b[..., :, None] * e.c[..., None, :]
+        + e.c[..., :, None] * e.a[..., None, :]
     )
-    return (raw - raw.T) / 2.0
+    return (raw - np.swapaxes(raw, -1, -2)) / 2.0
 
 
 def theta(lam: np.ndarray) -> ThetaBlocks:
@@ -131,27 +189,24 @@ def theta(lam: np.ndarray) -> ThetaBlocks:
     Entry-for-entry bijection: block k, slot s reads Lambda[2k + s//6, col]
     minus its transpose partner, i.e. twice the upper value.  Only defined
     for matrices with the Lambda structure (antisymmetric, vanishing 2x2
-    diagonal blocks).
+    diagonal blocks).  lam has shape (6, 6), or (..., 6, 6) for a batch.
     """
     lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (6, 6):
+    if lam.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {lam.shape}")
-    scale = max(1.0, float(np.abs(lam).max()))
-    skew = np.abs(lam + lam.T).max()
-    if skew > 1e-12 * scale:
-        raise ValueError(f"matrix is not antisymmetric (residual {skew:g})")
+    _require_finite(lam, "lam")
+    scale = np.maximum(1.0, np.abs(lam).max(axis=(-2, -1)))
+    skew = np.abs(lam + np.swapaxes(lam, -1, -2)).max(axis=(-2, -1))
+    _bound(skew, scale, ValueError, "matrix is not antisymmetric (residual {:g})")
     for k in range(3):
-        diag = np.abs(lam[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).max()
-        if diag > 1e-12 * scale:
-            raise ValueError(
-                f"diagonal block {k} is nonzero (residual {diag:g}); "
-                "not the tensor of an embedded triple"
-            )
-    x = np.empty((3, 6), dtype=complex)
-    y = np.empty((3, 6), dtype=complex)
-    for k, cols in enumerate(_THETA_COLS):
-        x[k] = lam[2 * k, cols] - lam[cols, 2 * k]
-        y[k] = lam[2 * k + 1, cols] - lam[cols, 2 * k + 1]
+        diag = np.abs(lam[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).max(axis=(-2, -1))
+        _bound(
+            diag, scale, ValueError,
+            f"diagonal block {k} is nonzero (residual {{:g}}); "
+            "not the tensor of an embedded triple",
+        )
+    x = lam[..., _THETA_ROWS, _THETA_COLS] - lam[..., _THETA_COLS, _THETA_ROWS]
+    y = lam[..., _THETA_ROWS + 1, _THETA_COLS] - lam[..., _THETA_COLS, _THETA_ROWS + 1]
     return ThetaBlocks(x_blocks=x, y_blocks=y)
 
 
@@ -163,71 +218,90 @@ def tr1(tb: ThetaBlocks) -> np.ndarray:
     scalars (a^b, c^a, b^c) of the original triple.  The Y' blocks sum to a
     vector living in the complementary slots (0, 2, 4) whose three live
     components must be the negative of the X result; a violation raises
-    ConsistencyError.
+    ConsistencyError.  Batched blocks give shape (..., 3).
     """
-    x_sum = tb.x_blocks.sum(axis=0)
-    y_sum = tb.y_blocks.sum(axis=0)
-    scale = max(1.0, float(np.abs(tb.x_blocks).max()), float(np.abs(tb.y_blocks).max()))
-    dead = max(np.abs(x_sum[[0, 2, 4]]).max(), np.abs(y_sum[[1, 3, 5]]).max())
-    if dead > 1e-12 * scale:
-        raise ConsistencyError(
-            f"dead slots of the block traces did not cancel (residual {dead:g})"
-        )
-    x_live = x_sum[[1, 3, 5]]
-    y_live = y_sum[[0, 2, 4]]
-    mismatch = np.abs(y_live + x_live).max()
-    if mismatch > 1e-12 * scale:
-        raise ConsistencyError(
-            f"Y-block trace is not the negative of the X-block trace "
-            f"(residual {mismatch:g})"
-        )
-    return x_live.copy()
+    x_sum = tb.x_blocks.sum(axis=-2)
+    y_sum = tb.y_blocks.sum(axis=-2)
+    scale = _blocks_scale(tb.x_blocks, tb.y_blocks)
+    dead = np.maximum(
+        np.abs(x_sum[..., [0, 2, 4]]).max(axis=-1), np.abs(y_sum[..., [1, 3, 5]]).max(axis=-1)
+    )
+    _bound(
+        dead, scale, ConsistencyError,
+        "dead slots of the block traces did not cancel (residual {:g})",
+    )
+    x_live = x_sum[..., [1, 3, 5]]
+    y_live = y_sum[..., [0, 2, 4]]
+    mismatch = np.abs(y_live + x_live).max(axis=-1)
+    _bound(
+        mismatch, scale, ConsistencyError,
+        "Y-block trace is not the negative of the X-block trace (residual {:g})",
+    )
+    return x_live
 
 
-def collapse(a, b, c) -> complex:
+def collapse(a, b, c):
     """Run the full pipeline and project to a scalar.
 
     The projection sums the three components of the partial trace (the
     rank-1 quotient map that kills the degenerate directions (0,1,-1) and
-    (1,0,-1)); the result equals det(b-a, c-a).
+    (1,0,-1)); the result equals det(b-a, c-a).  Single states give a
+    Python complex; batched states an array over the leading axes.
     """
-    return complex(tr1(theta(lambda_tensor(a, b, c))).sum())
+    return _unbatched(tr1(theta(lambda_tensor(a, b, c))).sum(axis=-1))
 
 
-def collapse_with_morphism(a, b, c, sigma) -> complex:
+def collapse_with_morphism(a, b, c, sigma):
     """Collapse after applying a 2x2 morphism to each state.
 
-    Equals det(sigma) * collapse(a, b, c).
+    Equals det(sigma) * collapse(a, b, c).  sigma has shape (2, 2), or
+    (..., 2, 2) broadcasting against the states' leading axes.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != (2, 2):
+    if sigma.shape[-2:] != (2, 2):
         raise ValueError(f"morphism must be 2x2, got shape {sigma.shape}")
-    return collapse(sigma @ _as_state(a), sigma @ _as_state(b), sigma @ _as_state(c))
+    _require_finite(sigma, "sigma")
+    # matmul keeps the bits of the single (2, 2) @ (2,) product; einsum does not.
+    moved = [
+        (sigma @ _as_state(v, name)[..., None])[..., 0]
+        for v, name in ((a, "a"), (b, "b"), (c, "c"))
+    ]
+    return collapse(*moved)
 
 
-def rho_trace_A(b, c, b_prime, c_prime) -> complex:
+def _basis_sum(terms):
+    """Sum over terms of det(first triple) * det(second triple), in term order.
+
+    Every triple of every term goes through one affine_det call.
+    """
+    points = np.broadcast_arrays(*(p for term in terms for triple in term for p in triple))
+    pts = np.stack(points, axis=-2).reshape(points[0].shape[:-1] + (len(terms), 2, 3, 2))
+    dets = affine_det(pts)
+    total = np.zeros(dets.shape[:-2], dtype=complex)
+    for t in range(len(terms)):
+        # _cmul, not `*`, keeps the bits of the Python complex product.
+        total = total + _cmul(dets[..., t, 0], dets[..., t, 1])
+    return _unbatched(total)
+
+
+def rho_trace_A(b, c, b_prime, c_prime):
     """Partial trace over the first slot: two-term sum over the basis of C^2.
 
     Tr_A(b, c; b', c') = sum over basis a of det(b-a, c-a) det(b'-a, c'-a).
+    Batched states give an array over their broadcast leading axes.
     """
-    b, c = _as_state(b), _as_state(c)
-    bp, cp = _as_state(b_prime), _as_state(c_prime)
-    total = 0.0 + 0.0j
-    for a in BASIS_2D:
-        total += affine_det([a, b, c]) * affine_det([a, bp, cp])
-    return complex(total)
+    b, c = _as_state(b, "b"), _as_state(c, "c")
+    bp, cp = _as_state(b_prime, "b_prime"), _as_state(c_prime, "c_prime")
+    return _basis_sum([((a, b, c), (a, bp, cp)) for a in BASIS_2D])
 
 
-def rho_trace_AC(b, b_prime) -> complex:
+def rho_trace_AC(b, b_prime):
     """Partial trace over the first and third slots: four-term basis sum.
 
     Tr_AC(b; b') = sum over basis a, c of det(b-a, c-a) det(b'-a, c-a).
     Vanishes whenever both arguments are computational-basis vectors; for
-    general arguments it equals 2 (b1+b2-1)(b'1+b'2-1).
+    general arguments it equals 2 (b1+b2-1)(b'1+b'2-1).  Batched states give
+    an array over their broadcast leading axes.
     """
-    b, bp = _as_state(b), _as_state(b_prime)
-    total = 0.0 + 0.0j
-    for a in BASIS_2D:
-        for c in BASIS_2D:
-            total += affine_det([a, b, c]) * affine_det([a, bp, c])
-    return complex(total)
+    b, bp = _as_state(b, "b"), _as_state(b_prime, "b_prime")
+    return _basis_sum([((a, b, c), (a, bp, c)) for a in BASIS_2D for c in BASIS_2D])

@@ -18,6 +18,7 @@ import numpy as np
 from . import affine_forms, slater, spin, symplectic
 from .collapse import (
     BASIS_2D,
+    _cmul,
     collapse,
     collapse_with_morphism,
     lambda_tensor,
@@ -114,21 +115,36 @@ class Report:
         return (text + "\n").encode("utf-8")
 
 
+def _abs(z):
+    # np.abs of a complex array can differ from abs(complex) in the last bit; np.hypot does not.
+    return np.hypot(z.real, z.imag)
+
+
 def _rel(a, b) -> float:
-    """|a - b| scaled by the larger magnitude, floored at 1."""
-    return float(abs(a - b) / max(1.0, abs(a), abs(b)))
+    """|a - b| scaled by the larger magnitude, floored at 1; the worst entry of a batch."""
+    diff = a - b
+    if isinstance(diff, np.ndarray):
+        return float(np.max(_abs(diff) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))))
+    return float(abs(diff) / max(1.0, abs(a), abs(b)))
 
 
 def _complex_vectors(rng, count, dim=2):
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
+def _complex_batch(rng, n, count, dim=2):
+    """n calls of _complex_vectors(rng, count, dim) at once: count arrays of shape (n, dim).
+
+    The draws are the same numbers in the same order as the n calls.
+    """
+    draws = rng.standard_normal((n, 2, count, dim))
+    return np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 1, 0)
+
+
 def _check_collapse(report: Report, rng, tol) -> None:
-    worst = 0.0
-    for _ in range(1000):
-        a, b, c = _complex_vectors(rng, 3)
-        direct = affine_forms.affine_det([a, b, c])
-        worst = max(worst, _rel(collapse(a, b, c), direct))
+    a, b, c = _complex_batch(rng, 1000, 3)
+    direct = affine_forms.affine_det(np.stack([a, b, c], axis=1))
+    worst = _rel(collapse(a, b, c), direct)
     report.add(
         "collapse_pipeline_equals_affine_det",
         worst <= tol["collapse_pipeline"],
@@ -139,26 +155,25 @@ def _check_collapse(report: Report, rng, tol) -> None:
     )
 
 
-def _wedge2(u, v) -> complex:
-    return u[0] * v[1] - u[1] * v[0]
+def _wedge2(u, v):
+    # _cmul keeps the bits of the scalar complex products.
+    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
 
 
 def _check_tr1_directions(report: Report, rng, tol) -> None:
     u = np.array([0.0, 1.0, -1.0])
     v = np.array([1.0, 0.0, -1.0])
     w = np.array([1.0, -1.0, 0.0])
-    worst = 0.0
-    for _ in range(100):
-        a, b, c = _complex_vectors(rng, 3)
-        cases = (
-            ((a, a, c), _wedge2(c, a), u),
-            ((a, b, b), _wedge2(a, b), w),
-            ((a, b, a), _wedge2(a, b), v),
-        )
-        for args, factor, direction in cases:
-            got = tr1(theta(lambda_tensor(*args)))
-            residual = np.abs(got - factor * direction).max() / max(1.0, abs(factor))
-            worst = max(worst, float(residual))
+    a, b, c = _complex_batch(rng, 100, 3)
+    # axis 1 runs over the patterns (a,a,c), (a,b,b), (a,b,a); args holds their
+    # first, second and third states
+    args = [np.stack(triple, axis=1) for triple in ((a, a, a), (a, b, b), (c, b, a))]
+    factor = np.stack([_wedge2(c, a), _wedge2(a, b), _wedge2(a, b)], axis=1)[..., None]
+    direction = np.array([u, w, v])
+    got = tr1(theta(lambda_tensor(*args)))
+    residual = np.abs(got - factor * direction).max(axis=-1)
+    residual = residual / np.maximum(1.0, _abs(factor[..., 0]))
+    worst = float(residual.max())
     report.add(
         "tr1_degenerate_directions",
         worst <= tol["tr1_directions"],
@@ -178,13 +193,14 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
 
 
 def _check_morphism(report: Report, rng, tol) -> None:
-    worst = 0.0
-    for _ in range(500):
-        a, b, c = _complex_vectors(rng, 3)
-        sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs = collapse_with_morphism(a, b, c, sigma)
-        rhs = np.linalg.det(sigma) * collapse(a, b, c)
-        worst = max(worst, _rel(lhs, rhs))
+    # one row per case: the states' real and imaginary parts, then sigma's
+    draws = rng.standard_normal((500, 20))
+    a, b, c = np.moveaxis((draws[:, 0:6] + 1j * draws[:, 6:12]).reshape(500, 3, 2), 1, 0)
+    sigma = (draws[:, 12:16] + 1j * draws[:, 16:20]).reshape(500, 2, 2)
+    lhs = collapse_with_morphism(a, b, c, sigma)
+    # _cmul keeps the bits of the scalar product det(sigma) * collapse.
+    rhs = _cmul(np.linalg.det(sigma), collapse(a, b, c))
+    worst = _rel(lhs, rhs)
     report.add(
         "morphism_covariance",
         worst <= tol["morphism_covariance"],
@@ -196,10 +212,8 @@ def _check_morphism(report: Report, rng, tol) -> None:
 
 
 def _check_rho_traces(report: Report, rng, tol) -> None:
-    basis = BASIS_2D
-    worst_basis = max(
-        abs(rho_trace_AC(b, bp)) for b in basis for bp in basis
-    )
+    b, bp = np.array(list(itertools.product(BASIS_2D, repeat=2))).transpose(1, 0, 2)
+    worst_basis = float(_abs(rho_trace_AC(b, bp)).max())
     report.add(
         "rho_trace_ac_basis_zero",
         worst_basis <= tol["rho_basis"],
@@ -208,12 +222,11 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
         "the doubly-traced kernel vanishes on all four computational-basis pairs",
     )
 
-    worst_closed = 0.0
-    for _ in range(100):
-        b, bp = _complex_vectors(rng, 2)
-        summed = rho_trace_AC(b, bp)
-        closed = 2.0 * (b[0] + b[1] - 1.0) * (bp[0] + bp[1] - 1.0)
-        worst_closed = max(worst_closed, _rel(summed, closed))
+    b, bp = _complex_batch(rng, 100, 2)
+    summed = rho_trace_AC(b, bp)
+    # _cmul keeps the bits of the scalar complex product.
+    closed = _cmul(2.0 * (b[:, 0] + b[:, 1] - 1.0), bp[:, 0] + bp[:, 1] - 1.0)
+    worst_closed = _rel(summed, closed)
     report.add(
         "rho_trace_ac_closed_form",
         worst_closed <= tol["rho_closed_form"],
@@ -223,18 +236,10 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
         "nonzero for generic continuous arguments",
     )
 
-    nonzero = 0
-    for _ in range(100):
-        b, c, bp, cp = _complex_vectors(rng, 4)
-        if abs(rho_trace_A(b, c, bp, cp)) > 1e-12:
-            nonzero += 1
-    basis_matrix_max = max(
-        abs(rho_trace_A(b, c, bp, cp))
-        for b in basis
-        for c in basis
-        for bp in basis
-        for cp in basis
-    )
+    b, c, bp, cp = _complex_batch(rng, 100, 4)
+    nonzero = int(np.count_nonzero(_abs(rho_trace_A(b, c, bp, cp)) > 1e-12))
+    b, c, bp, cp = np.array(list(itertools.product(BASIS_2D, repeat=4))).transpose(1, 0, 2)
+    basis_matrix_max = float(_abs(rho_trace_A(b, c, bp, cp)).max())
     report.add(
         "rho_trace_a_generic_nonzero",
         nonzero >= 99,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -52,6 +53,23 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert run(["verify", "--seed", "7", "--out", str(a)], capsys)[0] == 0
     assert run(["verify", "--seed", "7", "--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of reports that must not change by a single byte.  A change that
+# alters them on purpose updates the digest and says why in CHANGES.md.  The
+# last bits of the measured values come from numpy's floating-point kernels
+# (numpy 2.4, x86-64 with FMA), so another platform may need its own digests.
+REPORT_DIGESTS = {
+    ("verify", "--seed", "1729"): "9567c6ac7615c84d9a24f91e29a488a1d40d809046dc12b026a09a2095e56258",
+    ("collapse-demo", "--seed", "5"): "b26eb6fa165625b2980eda94715d02d81fe18bd144c05a7c56bd3ab4ab939169",
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=[" ".join(argv) for argv in REPORT_DIGESTS])
+def test_report_bytes_are_pinned(argv, capsysbinary):
+    assert main(list(argv)) == 0
+    report = capsysbinary.readouterr().out
+    assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_verify_seed_change_keeps_verdicts(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
@@ -296,3 +301,158 @@ def test_rho_trace_ac_closed_form():
         b, bp = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         closed = 2.0 * (b[0] + b[1] - 1.0) * (bp[0] + bp[1] - 1.0)
         assert abs(rho_trace_AC(b, bp) - closed) <= 1e-12 * max(1.0, abs(closed))
+
+
+# ------------------------------------------------------- non-finite input
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("value", [NAN, np.inf])
+def test_collapse_rejects_non_finite_state(value):
+    with pytest.raises(ValueError, match="^a has non-finite entries$"):
+        collapse([value, 0.0], [0.0, 1.0], [1.0, 1.0])
+
+
+def test_theta_rejects_non_finite_matrix():
+    with pytest.raises(ValueError, match="^lam has non-finite entries$"):
+        theta(np.full((6, 6), NAN))
+
+
+def test_theta_blocks_reject_non_finite_entries():
+    with pytest.raises(ValueError, match="^y_blocks has non-finite entries$"):
+        ThetaBlocks(x_blocks=np.zeros((3, 6)), y_blocks=np.full((3, 6), np.inf))
+
+
+def test_morphism_rejects_non_finite_sigma():
+    with pytest.raises(ValueError, match="^sigma has non-finite entries$"):
+        collapse_with_morphism([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [[NAN, 0.0], [0.0, 1.0]])
+
+
+def test_rho_traces_name_the_non_finite_argument():
+    with pytest.raises(ValueError, match="^c_prime has non-finite entries$"):
+        rho_trace_A([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [NAN, 0.0])
+    with pytest.raises(ValueError, match="^b_prime has non-finite entries$"):
+        rho_trace_AC([1.0, 0.0], [0.0, np.inf])
+
+
+# --------------------------------------------------------------- batches
+
+
+def random_triple_batch(rng, n):
+    return rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
+
+
+def complex_batches(count, elements):
+    """count arrays of shape (N, 2), N in 1..64, with complex entries."""
+    parts = st.integers(1, 64).flatmap(lambda n: arrays(float, (2, count, n, 2), elements=elements))
+    return parts.map(lambda p: p[0] + 1j * p[1])
+
+
+ENTRIES = {
+    "float": st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    "small_int": st.integers(-3, 3).map(float),
+}
+
+
+def stacked(fn, *batches):
+    """fn called on each row alone, stacked back into a batch."""
+    return np.array([fn(*row) for row in zip(*batches)])
+
+
+@pytest.mark.parametrize("entries", ENTRIES.values(), ids=list(ENTRIES))
+def test_batched_pipeline_equals_row_by_row(entries):
+    @given(complex_batches(7, entries))
+    def check(states):
+        a, b, c, bp, cp, s0, s1 = states
+        sigma = np.stack([s0, s1], axis=-2)
+
+        e = embed(a, b, c)
+        for field in ("a", "b", "c"):
+            rows = stacked(lambda *r: getattr(embed(*r), field), a, b, c)
+            assert np.array_equal(getattr(e, field), rows)
+        lam = lambda_tensor(a, b, c)
+        assert np.array_equal(lam, stacked(lambda_tensor, a, b, c))
+        blocks = theta(lam)
+        assert np.array_equal(blocks.x_blocks, stacked(lambda m: theta(m).x_blocks, lam))
+        assert np.array_equal(blocks.y_blocks, stacked(lambda m: theta(m).y_blocks, lam))
+        assert np.array_equal(tr1(blocks), stacked(lambda m: tr1(theta(m)), lam))
+        assert np.array_equal(collapse(a, b, c), stacked(collapse, a, b, c))
+        assert np.array_equal(
+            collapse_with_morphism(a, b, c, sigma), stacked(collapse_with_morphism, a, b, c, sigma)
+        )
+        assert np.array_equal(rho_trace_A(b, c, bp, cp), stacked(rho_trace_A, b, c, bp, cp))
+        assert np.array_equal(rho_trace_AC(b, bp), stacked(rho_trace_AC, b, bp))
+        for pts in (np.stack([a, b, c], axis=-2), np.moveaxis(states[:6], 0, 1).reshape(-1, 4, 3)):
+            assert np.array_equal(affine_det(pts), stacked(affine_det, pts))
+
+    check()
+
+
+def test_unbatched_calls_keep_their_types():
+    a, b, c = random_triple(np.random.default_rng(19))
+    e = embed(a, b, c)
+    assert (e.a.shape, e.b.shape, e.c.shape) == ((6,), (6,), (6,))
+    lam = lambda_tensor(a, b, c)
+    assert lam.shape == (6, 6)
+    blocks = theta(lam)
+    assert blocks.x_blocks.shape == blocks.y_blocks.shape == (3, 6)
+    assert type(tr1(blocks)) is np.ndarray and tr1(blocks).shape == (3,)
+    assert type(collapse(a, b, c)) is complex
+    assert type(collapse_with_morphism(a, b, c, np.eye(2))) is complex
+    assert type(rho_trace_A(a, b, c, a)) is complex
+    assert type(rho_trace_AC(a, b)) is complex
+    assert type(affine_det([a, b, c])) is complex
+
+
+def plant_diagonal_block(lam, row):
+    """theta and its input with a nonzero diagonal block at lam[row]."""
+    bad = lam.copy()
+    bad[row + (2, 3)] += 1.0
+    bad[row + (3, 2)] -= 1.0
+    return theta, bad
+
+
+def plant_y_mismatch(lam, row):
+    """tr1 and its input with Y' != -X' at row."""
+    blocks = theta(lam)
+    y = blocks.y_blocks.copy()
+    y[row] *= 2.0
+    return tr1, ThetaBlocks(x_blocks=blocks.x_blocks, y_blocks=y)
+
+
+@pytest.mark.parametrize("plant", [plant_diagonal_block, plant_y_mismatch])
+def test_one_bad_row_in_a_batch_raises_like_the_single_call(plant):
+    lam = lambda_tensor(*random_triple_batch(np.random.default_rng(20), 1000))
+    fn, single = plant(lam[417], ())
+    _, batch = plant(lam, (417,))
+    with pytest.raises((ValueError, ConsistencyError)) as expected:
+        fn(single)
+    with pytest.raises(expected.type) as got:
+        fn(batch)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("fn", [embed, lambda_tensor, collapse])
+def test_batched_states_must_have_two_components(fn):
+    _, b, c = random_triple_batch(np.random.default_rng(21), 5)
+    with pytest.raises(ValueError, match=r"expected a vector in C\^2, got shape \(5, 3\)"):
+        fn(np.zeros((5, 3)), b, c)
+
+
+def quadratic_probe_points():
+    """0, +-e_i and e_i + e_j in C^6: the 28 values that fix a polynomial of degree <= 2."""
+    eye = np.eye(6)
+    pairs = [eye[i] + eye[j] for i, j in itertools.combinations(range(6), 2)]
+    return np.array([np.zeros(6), *eye, *-eye, *pairs])
+
+
+def test_collapse_identity_exact_certificate():
+    # The pipeline and det(b-a, c-a) are holomorphic quadratic forms in the six
+    # state coordinates; equal on the 28 probe points, they are equal everywhere
+    # (Schwartz 1980; Zippel 1979).  Small-integer inputs keep every value exact.
+    probes = quadratic_probe_points()
+    pts = np.concatenate([probes, 1j * probes]).reshape(-1, 3, 2)
+    got = collapse(pts[:, 0], pts[:, 1], pts[:, 2])
+    assert len(got) == 56
+    assert np.count_nonzero(got != affine_det(pts)) == 0
