@@ -37,6 +37,13 @@ MAX_GENERATOR_ARITY = 6
 MAX_LAPLACE_DIM = 6
 # Coefficient entries of a whole nullspace basis: dimension x (d+1)^m.
 MAX_BASIS_ENTRIES = 10**7
+# Singular values below this times the largest count as zero in
+# is_affinely_dependent.
+AFFINE_RANK_REL_TOL = 1e-10
+# nondegeneracy_probe tries this many leading points per trial, and counts a
+# value as zero below PROBE_REL_TOL times the largest of 16 prescan values.
+PROBE_CANDIDATES = 8
+PROBE_REL_TOL = 1e-10
 
 
 def _as_points(points) -> np.ndarray:
@@ -63,11 +70,12 @@ def affine_det(points):
     return complex(dets) if dets.ndim == 0 else dets
 
 
-def is_affinely_dependent(points, rel_tol: float = 1e-10) -> bool:
+def is_affinely_dependent(points) -> bool:
     """Whether the affine span of the points has deficient dimension.
 
     True iff the difference vectors x_i - x_0 have numerical rank below
-    min(m-1, d), decided by singular values under rel_tol times the largest.
+    min(m-1, d), decided by singular values under AFFINE_RANK_REL_TOL times
+    the largest.
     """
     pts = _as_points(points)
     m, d = pts.shape
@@ -78,7 +86,7 @@ def is_affinely_dependent(points, rel_tol: float = 1e-10) -> bool:
     if svals[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(svals > rel_tol * svals[0]))
+        rank = int(np.sum(svals > AFFINE_RANK_REL_TOL * svals[0]))
     return rank < min(m - 1, d)
 
 
@@ -278,19 +286,12 @@ class ProbeReport:
         return not self.identically_zero and not self.counterexamples
 
 
-def nondegeneracy_probe(
-    form,
-    d: int,
-    trials: int = 1000,
-    candidates: int = 8,
-    seed: int = 0,
-    rel_tol: float = 1e-10,
-) -> ProbeReport:
+def nondegeneracy_probe(form, d: int, trials: int = 1000, seed: int = 0) -> ProbeReport:
     """Search for violations of non-degeneracy of a (d+1)-argument form.
 
     For each trial, samples points x_1..x_d that do not fit in a
     (d-2)-dimensional affine subspace, then looks for a leading point x_0
-    with form(x_0, x_1, ..., x_d) != 0 among `candidates` samples.  Tuples
+    with form(x_0, x_1, ..., x_d) != 0 among PROBE_CANDIDATES samples.  Tuples
     where every candidate gives zero are reported as counterexamples.
     """
     rng = np.random.default_rng(seed)
@@ -302,7 +303,7 @@ def nondegeneracy_probe(
     scale = max(prescan)
     if scale == 0.0:
         return ProbeReport(d, 0, (), True)
-    threshold = rel_tol * scale
+    threshold = PROBE_REL_TOL * scale
 
     counterexamples = []
     for _ in range(trials):
@@ -310,7 +311,7 @@ def nondegeneracy_probe(
         while is_affinely_dependent(tail):
             tail = sample(d)
         hit = False
-        for _ in range(candidates):
+        for _ in range(PROBE_CANDIDATES):
             x0 = sample(1)
             config = np.vstack([x0, tail])
             if abs(form(config)) > threshold:

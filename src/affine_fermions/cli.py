@@ -21,14 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .collapse import (
-    BASIS_2D,
-    collapse_with_morphism,
-    lambda_tensor,
-    rho_trace_AC,
-    theta,
-    tr1,
-)
+from .collapse import BASIS_2D, collapse, collapse_with_morphism, rho_trace_AC
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
 
 KERNEL_EXPORT_MIN = 1e-12
@@ -50,8 +43,8 @@ def _parse_tolerances(pairs):
     return overrides
 
 
-def _emit_report(report: Report, out: str | None) -> None:
-    data = report.to_json_bytes()
+def _emit_report(report: Report, out: str | None, **sections) -> None:
+    data = report.to_json_bytes(**sections)
     if out:
         Path(out).write_bytes(data)
     else:
@@ -159,7 +152,6 @@ def cmd_conjecture(args) -> int:
         f"antisymmetric multi-affine forms on C^{args.dim} in {args.arity} "
         f"arguments, homogeneity {args.degree}",
     )
-    in_span = None
     if args.arity == args.dim + 1 and args.degree == args.dim and result.dimension > 0:
         target = np.real(affine_forms.affine_det_form(args.dim).coeffs).reshape(-1)
         target /= np.linalg.norm(target)
@@ -168,22 +160,15 @@ def cmd_conjecture(args) -> int:
         )
         projection = basis.T @ (basis @ target)
         residual = float(np.linalg.norm(target - projection))
-        in_span = residual < 1e-8
         report.add(
             "affine_det_in_span",
-            in_span,
+            residual < 1e-8,
             residual,
             1e-8,
             "projection residual of the affine determinant coefficients onto "
             "the computed basis",
         )
-    doc = report.to_json_dict()
-    doc["nullspace"] = result.to_json_dict()
-    data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _emit_report(report, args.out, nullspace=result.to_json_dict())
     return 0 if report.ok else 1
 
 
@@ -200,13 +185,7 @@ def cmd_kashiwara(args) -> int:
         f"inertia ({result.n_plus}, {result.n_minus}, {result.n_zero}) of the "
         "cyclic pairing form in the (p, q)-block convention",
     )
-    out_doc = report.to_json_dict()
-    out_doc["index"] = result.to_json_dict()
-    data = (json.dumps(out_doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _emit_report(report, args.out, index=result.to_json_dict())
     return 0
 
 
@@ -215,10 +194,7 @@ def cmd_collapse_demo(args) -> int:
     a, b, c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     report = Report(command="collapse-demo", seed=args.seed)
 
-    lam = lambda_tensor(a, b, c)
-    blocks = theta(lam)
-    traced = tr1(blocks)
-    scalar = complex(traced.sum())
+    scalar = collapse(a, b, c)
     direct = affine_forms.affine_det([a, b, c])
     residual = abs(scalar - direct) / max(1.0, abs(direct))
     report.add(

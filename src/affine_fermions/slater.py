@@ -55,11 +55,14 @@ __all__ = [
 # nodes use the factors, whose entries cost O(1) each.
 MAX_DENSE_KERNEL_NODES = 32
 
+# How far the weights may sum from 1.
+WEIGHT_SUM_ATOL = 1e-10
+
 
 class MeasuredSpace:
     """Finite weighted node set (x_k, w_k) with w_k > 0 and sum w_k = 1."""
 
-    def __init__(self, weights, labels=None, *, atol: float = 1e-10):
+    def __init__(self, weights, labels=None):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need at least two weighted nodes")
@@ -68,7 +71,7 @@ class MeasuredSpace:
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         total = float(w.sum())
-        if abs(total - 1.0) > atol:
+        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         self.weights = w
         self.labels = tuple(range(w.size)) if labels is None else tuple(labels)
@@ -149,11 +152,6 @@ def psi(phi, space: MeasuredSpace, nodes) -> float:
     return float(np.real(affine_det(values[idx])))
 
 
-def _require_two_components(values: np.ndarray) -> None:
-    if values.shape[1] != 2:
-        raise ValueError("this operation is implemented for d = 2 components")
-
-
 def _psi_tensor(values: np.ndarray) -> np.ndarray:
     """Psi over all node triples as a K x K x K array; the tests' reference."""
     d1 = values[None, :, 0] - values[:, None, 0]  # phi_1(q) - phi_1(p)
@@ -208,7 +206,8 @@ def _pair_moments(m: np.ndarray) -> np.ndarray:
 
 def _centered_two_components(phi, space: MeasuredSpace) -> np.ndarray:
     values = center(phi, space).values
-    _require_two_components(values)
+    if values.shape[1] != 2:
+        raise ValueError("this operation is implemented for d = 2 components")
     return values
 
 
@@ -234,7 +233,7 @@ def two_point(phi, space: MeasuredSpace) -> float:
     return float(np.sum(m * _pair_moments(m)))
 
 
-def symmetric_m_identity(phi, space: MeasuredSpace, m_table, *, checks: int = 32):
+def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
     """Both sides of the symmetric-weight overlap identity.
 
     For a function M symmetric in its three node arguments, with centered
@@ -243,25 +242,26 @@ def symmetric_m_identity(phi, space: MeasuredSpace, m_table, *, checks: int = 32
         lhs = 3 sum w^3 ab M (ab + bc + ca)
         rhs =   sum w^3 (ab + bc + ca) M (ab + bc + ca)
 
-    are equal.  Returns (lhs, rhs).  Symmetry of M is checked on sampled
-    triples; an asymmetric table is rejected.
+    are equal.  Returns (lhs, rhs).  Every entry of M is compared with its
+    five permuted entries, to 1e-12 relative to the entry; an asymmetric or
+    non-finite table is rejected.
     """
-    values = center(phi, space).values
-    _require_two_components(values)
+    values = _centered_two_components(phi, space)
     k = len(space)
     m = np.asarray(m_table, dtype=float)
     if m.shape != (k, k, k):
         raise ValueError(f"M must be a {k}x{k}x{k} table, got shape {m.shape}")
 
-    rng = np.random.default_rng(12345)
-    triples = rng.integers(0, k, size=(checks, 3))
-    for i, j, l in triples:
-        reference = m[i, j, l]
-        for a, b, c in ((i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)):
-            if abs(m[a, b, c] - reference) > 1e-12 * max(1.0, abs(reference)):
-                raise ValueError(
-                    f"M is not symmetric at nodes ({i}, {j}, {l})"
-                )
+    bound = 1e-12 * np.maximum(1.0, np.abs(m))
+    bad = np.zeros(m.shape, dtype=bool)
+    # One transpose at a time holds a few copies of M, not fifteen.  Written
+    # as `not <=` so that NaN, and inf against inf, count as asymmetric.
+    with np.errstate(invalid="ignore"):
+        for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            bad |= ~(np.abs(np.transpose(m, axes) - m) <= bound)
+    if bad.any():
+        i, j, l = np.argwhere(bad)[0]
+        raise ValueError(f"M is not symmetric at nodes ({i}, {j}, {l})")
 
     w = space.weights
     wedge = _wedge_matrix(values)
@@ -358,8 +358,7 @@ def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:
     where W is the pairwise wedge scalar.  Valid when the centered Gram
     matrix is the identity.  Dense, so capped at MAX_DENSE_KERNEL_NODES nodes.
     """
-    values = center(phi, space).values
-    _require_two_components(values)
+    values = _centered_two_components(phi, space)
     k = len(space)
     if k > MAX_DENSE_KERNEL_NODES:
         raise ValueError(

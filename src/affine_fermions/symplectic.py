@@ -28,6 +28,9 @@ __all__ = [
     "lagrangian_triple_from_json",
 ]
 
+# Largest |omega(col_i, col_j)| accepted within one Lagrangian basis.
+LAGRANGIAN_ATOL = 1e-10
+
 
 def standard_symplectic_matrix(n: int) -> np.ndarray:
     """The 2n x 2n matrix J of the standard form in (p, q) block order."""
@@ -41,12 +44,12 @@ class LagrangianTriple:
     """Three Lagrangian subspaces of R^(2n), each given by a 2n x n basis.
 
     Construction validates that every basis is finite, has full column rank
-    and that omega vanishes on each subspace (|omega(col_i, col_j)| <= atol
-    for all column pairs within one basis); the offending subspace, column
-    pair and residual are reported otherwise.
+    and that omega vanishes on each subspace (|omega(col_i, col_j)| <=
+    LAGRANGIAN_ATOL for all column pairs within one basis); the offending
+    subspace, column pair and residual are reported otherwise.
     """
 
-    def __init__(self, l1, l2, l3, *, atol: float = 1e-10):
+    def __init__(self, l1, l2, l3):
         bases = tuple(np.asarray(b, dtype=float) for b in (l1, l2, l3))
         shape = bases[0].shape
         if len(shape) != 2 or shape[0] != 2 * shape[1]:
@@ -66,10 +69,10 @@ class LagrangianTriple:
             gram = basis.T @ j @ basis
             worst = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
             residual = abs(gram[worst])
-            if residual > atol:
+            if residual > LAGRANGIAN_ATOL:
                 raise ValueError(
                     f"L{which} is not Lagrangian: omega(col {worst[0]}, "
-                    f"col {worst[1]}) = {gram[worst]:g} exceeds {atol:g}"
+                    f"col {worst[1]}) = {gram[worst]:g} exceeds {LAGRANGIAN_ATOL:g}"
                 )
         self.n = n
         self.bases = bases
@@ -78,12 +81,6 @@ class LagrangianTriple:
         """The triple with a linear map applied to all three subspaces."""
         s = np.asarray(s, dtype=float)
         return LagrangianTriple(*(s @ b for b in self.bases))
-
-    def rebased(self, g1, g2, g3) -> "LagrangianTriple":
-        """The same subspaces with each basis changed by an invertible matrix."""
-        return LagrangianTriple(
-            *(b @ np.asarray(g, dtype=float) for b, g in zip(self.bases, (g1, g2, g3)))
-        )
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,9 @@ class Report:
             },
         }
 
-    def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+    def to_json_bytes(self, **sections) -> bytes:
+        """The report as sorted, indented JSON, with `sections` as extra top-level keys."""
+        text = json.dumps({**self.to_json_dict(), **sections}, sort_keys=True, indent=2)
         return (text + "\n").encode("utf-8")
 
 
@@ -122,20 +123,14 @@ def _abs(z):
 
 def _rel(a, b) -> float:
     """|a - b| scaled by the larger magnitude, floored at 1; the worst entry of a batch."""
-    diff = a - b
-    if isinstance(diff, np.ndarray):
-        return float(np.max(_abs(diff) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))))
-    return float(abs(diff) / max(1.0, abs(a), abs(b)))
-
-
-def _complex_vectors(rng, count, dim=2):
-    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return float(np.max(_abs(a - b) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))))
 
 
 def _complex_batch(rng, n, count, dim=2):
-    """n calls of _complex_vectors(rng, count, dim) at once: count arrays of shape (n, dim).
+    """count arrays of shape (n, dim) of complex normals.
 
-    The draws are the same numbers in the same order as the n calls.
+    Sample i holds count vectors, drawn as all their real parts and then all
+    their imaginary parts, one sample after another.
     """
     draws = rng.standard_normal((n, 2, count, dim))
     return np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 1, 0)
@@ -255,11 +250,13 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
 def _check_affine_det(report: Report, rng, tol) -> None:
     worst = 0.0
     for d in (2, 3, 4):
-        pts = _complex_vectors(rng, d + 1, d)
-        reference = affine_forms.affine_det(pts)
-        for perm in itertools.permutations(range(d + 1)):
-            sign = perm_sign(perm)
-            worst = max(worst, _rel(affine_forms.affine_det(pts[list(perm)]), sign * reference))
+        pts = rng.standard_normal((2, d + 1, d))
+        pts = pts[0] + 1j * pts[1]
+        perms = list(itertools.permutations(range(d + 1)))
+        dets = affine_forms.affine_det(pts[perms])
+        signs = np.array([perm_sign(perm) for perm in perms])
+        # perms[0] is the identity, so dets[0] is the unpermuted determinant
+        worst = max(worst, _rel(dets, signs * dets[0]))
     report.add(
         "affine_det_antisymmetry",
         worst <= tol["affine_antisymmetry"],
@@ -270,13 +267,13 @@ def _check_affine_det(report: Report, rng, tol) -> None:
 
     worst = 0.0
     for d in (2, 3, 4):
-        for _ in range(20):
-            pts = _complex_vectors(rng, d + 1, d)
-            shift = _complex_vectors(rng, 1, d)[0]
-            worst = max(
-                worst,
-                _rel(affine_forms.affine_det(pts + shift), affine_forms.affine_det(pts)),
-            )
+        k = (d + 1) * d
+        # one row per sample: the points' real and imaginary parts, then the shift's
+        draws = rng.standard_normal((20, 2 * k + 2 * d))
+        pts = (draws[:, :k] + 1j * draws[:, k : 2 * k]).reshape(20, d + 1, d)
+        shift = draws[:, 2 * k : 2 * k + d] + 1j * draws[:, 2 * k + d :]
+        shifted, unshifted = affine_forms.affine_det(np.stack([pts + shift[:, None], pts]))
+        worst = max(worst, _rel(shifted, unshifted))
     report.add(
         "affine_det_translation_invariance",
         worst <= tol["translation_invariance"],
@@ -285,11 +282,12 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         "adding a fixed vector to every point leaves the affine determinant unchanged",
     )
 
-    worst = 0.0
-    for _ in range(100):
-        a, b, c = _complex_vectors(rng, 3)
-        expanded = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        worst = max(worst, _rel(affine_forms.affine_det([a, b, c]), expanded))
+    a, b, c = _complex_batch(rng, 100, 3)
+    # _cmul keeps the bits of the scalar complex products.
+    expanded = _cmul(b[:, 0] - a[:, 0], c[:, 1] - a[:, 1]) - _cmul(
+        c[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    )
+    worst = _rel(affine_forms.affine_det(np.stack([a, b, c], axis=1)), expanded)
     report.add(
         "affine_det_coordinate_expansion",
         worst <= tol["coordinate_expansion"],
@@ -381,8 +379,9 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
         base = symplectic.kashiwara_index(triple, zero_tol=tol["kashiwara_zero"]).signature
         for _ in range(20):
             s = symplectic.random_symplectic(n, rng)
-            moved = triple.transformed(s).rebased(
-                *(np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n) for _ in range(3))
+            changes = (np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n) for _ in range(3))
+            moved = symplectic.LagrangianTriple(
+                *(s @ b @ g for b, g in zip(triple.bases, changes))
             )
             got = symplectic.kashiwara_index(moved, zero_tol=tol["kashiwara_zero"]).signature
             if got != base:
@@ -407,14 +406,15 @@ def _random_space_and_wavefunction(rng, max_nodes=12):
 
 
 def _check_moments(report: Report, rng, tol) -> None:
-    worst_one = 0.0
-    worst_two = 0.0
-    for _ in range(50):
+    one, two, gram = np.zeros((3, 50))
+    for i in range(50):
         space, phi = _random_space_and_wavefunction(rng)
         scale = max(1.0, float(np.abs(phi).max()))
-        worst_one = max(worst_one, abs(slater.one_point(phi, space)) / scale**3)
-        gram_value = 6.0 * float(np.linalg.det(slater.centered_gram(phi, space)))
-        worst_two = max(worst_two, _rel(slater.two_point(phi, space), gram_value))
+        one[i] = abs(slater.one_point(phi, space)) / scale**3
+        two[i] = slater.two_point(phi, space)
+        gram[i] = 6.0 * float(np.linalg.det(slater.centered_gram(phi, space)))
+    worst_one = float(one.max())
+    worst_two = _rel(two, gram)
     report.add(
         "one_point_vanishes",
         worst_one <= tol["one_point"],
@@ -442,16 +442,16 @@ def _check_moments(report: Report, rng, tol) -> None:
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
-    worst_m = 0.0
-    for _ in range(20):
+    sides = np.zeros((2, 20))
+    for i in range(20):
         space, phi = _random_space_and_wavefunction(rng, max_nodes=8)
         k = len(space)
         raw = rng.standard_normal((k, k, k))
         m_table = np.zeros_like(raw)
         for perm in itertools.permutations(range(3)):
             m_table += np.transpose(raw, perm)
-        lhs, rhs = slater.symmetric_m_identity(phi, space, m_table)
-        worst_m = max(worst_m, _rel(lhs, rhs))
+        sides[:, i] = slater.symmetric_m_identity(phi, space, m_table)
+    worst_m = _rel(*sides)
     report.add(
         "symmetric_m_identity",
         worst_m <= tol["m_identity"],

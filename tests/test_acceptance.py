@@ -94,7 +94,7 @@ DEFECTS = [
     (4, verification, "rho_trace_AC", scaled(1 + 1e-8), "rho_trace_ac_closed_form"),
     (4, verification, "rho_trace_A", scaled(0.0), "rho_trace_a_generic_nonzero"),
     (5, verification, "perm_sign", lambda f: lambda perm: 1, "affine_det_antisymmetry"),
-    (5, affine_forms, "affine_det", lambda f: lambda pts: f(pts) + 1e-8 * pts[0][0],
+    (5, affine_forms, "affine_det", lambda f: lambda pts: f(pts) + 1e-8 * np.asarray(pts)[..., 0, 0],
      "affine_det_translation_invariance"),
     (5, affine_forms, "affine_det", scaled(1 + 1e-8), "affine_det_coordinate_expansion"),
     (6, affine_forms, "antisymmetrize_generator", on_result(bump_constant), "generator_antisymmetrization"),

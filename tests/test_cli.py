@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affine_fermions.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -62,11 +65,15 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 REPORT_DIGESTS = {
     ("verify", "--seed", "1729"): "9567c6ac7615c84d9a24f91e29a488a1d40d809046dc12b026a09a2095e56258",
     ("collapse-demo", "--seed", "5"): "b26eb6fa165625b2980eda94715d02d81fe18bd144c05a7c56bd3ab4ab939169",
+    ("conjecture",): "f3973a6d55bb32e69d685c69a6255303d53be5484d89ba53a39ba45b94dc5ee3",
+    ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
+        "e194add0dee55f7fa0da0edf8303e0a6f671342f3734763ae856c8b20be1fe49",
 }
 
 
 @pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=[" ".join(argv) for argv in REPORT_DIGESTS])
-def test_report_bytes_are_pinned(argv, capsysbinary):
+def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
+    monkeypatch.chdir(ROOT)  # input paths are relative to the repository root
     assert main(list(argv)) == 0
     report = capsysbinary.readouterr().out
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[argv]

@@ -280,6 +280,30 @@ def test_m_identity_rejects_asymmetric_table():
         symmetric_m_identity(phi, space, m)
 
 
+def test_m_identity_rejects_one_perturbed_entry_anywhere():
+    rng = np.random.default_rng(19)
+    space, phi = random_instance(rng, k=6)
+    m = symmetrized_table(rng, 6)
+    for i, j, l in itertools.product(range(6), repeat=3):
+        if i == j == l:
+            continue  # (i, i, i) has no other permutation, so a change there stays symmetric
+        bumped = m.copy()
+        bumped[i, j, l] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            symmetric_m_identity(phi, space, bumped)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_m_identity_rejects_non_finite_table(value):
+    rng = np.random.default_rng(20)
+    space, phi = random_instance(rng, k=6)
+    m = symmetrized_table(rng, 6)
+    for perm in itertools.permutations((0, 1, 2)):
+        m[perm] = value
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_m_identity(phi, space, m)
+
+
 # -------------------------------------------------------- density kernels
 
 
