@@ -22,7 +22,7 @@ import numpy as np
 
 from . import affine_forms, slater, symplectic
 from .collapse import BASIS_2D, collapse, collapse_with_morphism, rho_trace_AC
-from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
+from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, _json_text, run_verify
 
 KERNEL_EXPORT_MIN = 1e-12
 
@@ -55,14 +55,11 @@ def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) ->
     if fmt == "csv":
         np.savetxt(path, matrix, delimiter=",")
     else:
-        entries = [
-            [int(i), int(j), float(matrix[i, j])]
-            for i in range(matrix.shape[0])
-            for j in range(matrix.shape[1])
-            if abs(matrix[i, j]) > threshold
-        ]
+        # One mask keeps the row-major order, and drops NaN as `abs(x) > threshold` does.
+        rows, cols = np.nonzero(np.abs(matrix) > threshold)
+        entries = list(zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
         doc = {"shape": list(matrix.shape), "threshold": threshold, "entries": entries}
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path.write_text(_json_text(doc) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -73,6 +70,11 @@ def cmd_verify(args) -> int:
 
 def cmd_slater(args) -> int:
     overrides = _parse_tolerances(args.tol)
+    if not args.out:
+        if args.format is not None:
+            raise ValueError("--format applies only with --out")
+        if "kernel_export_min" in overrides:
+            raise ValueError("--tol kernel_export_min applies only with --out")
     threshold = overrides.pop("kernel_export_min", KERNEL_EXPORT_MIN)
     two_point_tol = overrides.pop("two_point", DEFAULT_TOLERANCES["two_point"])
     if overrides:
@@ -124,9 +126,9 @@ def cmd_slater(args) -> int:
         g1 = slater.gamma1(phi, space)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ext = "csv" if args.format == "csv" else "json"
-        _write_kernel(g1, out_dir / f"gamma1.{ext}", args.format, threshold)
-        _write_kernel(g2, out_dir / f"gamma2.{ext}", args.format, threshold)
+        ext = args.format or "json"
+        _write_kernel(g1, out_dir / f"gamma1.{ext}", ext, threshold)
+        _write_kernel(g2, out_dir / f"gamma2.{ext}", ext, threshold)
         report.add(
             "kernels_exported",
             True,
@@ -134,8 +136,9 @@ def cmd_slater(args) -> int:
             float(g2.shape[0]),
             f"gamma1.{ext} and gamma2.{ext} written",
         )
-        _emit_report(report, str(out_dir / "report.json"))
-        sys.stdout.buffer.write(report.to_json_bytes())
+        data = report.to_json_bytes()
+        (out_dir / "report.json").write_bytes(data)
+        sys.stdout.buffer.write(data)
     else:
         _emit_report(report, None)
     return 0 if report.ok else 1
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"))  # json when --out is given
     p.set_defaults(func=cmd_slater)
 
     p = sub.add_parser("conjecture", help="nullspace of antisymmetric multi-affine forms")

@@ -5,8 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from affine_fermions.cli import main
+from affine_fermions import slater
+from affine_fermions.cli import _write_kernel, main
+from affine_fermions.verification import _json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,12 +75,39 @@ REPORT_DIGESTS = {
 }
 
 
+# SHA-256 of the files `slater --input demos/data/slater_orthonormal.json
+# --out DIR` writes, in each export format, under the same rule.
+EXPORT_DIGESTS = {
+    "json": {
+        "gamma1.json": "94bee986a41d518db58c380165f70c32b34c1c20b83cce87fc64eb7cb62e708a",
+        "gamma2.json": "3d0d40fd90a7bb703bbf8ba145f104d3e471276dd312ae44e0cd43f57ce9fc3a",
+        "report.json": "ba407c8ad7dffce4e83ecadb2a97db532943e091ad14b40540477b9270cdb7d4",
+    },
+    "csv": {
+        "gamma1.csv": "0e67bf887cde546c54e734a7ee44927ce829da477f33e123e1934bcfb0435271",
+        "gamma2.csv": "f37d88658d029626ce231f8382d4d7272fb36680148096be7c3a2fe9e8931948",
+        "report.json": "ca2d0c52bc1d8cb24e55856c8d6ffcb6f9863b5435f333d626456f1987e39a84",
+    },
+}
+
+
 @pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=[" ".join(argv) for argv in REPORT_DIGESTS])
 def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
     monkeypatch.chdir(ROOT)  # input paths are relative to the repository root
     assert main(list(argv)) == 0
     report = capsysbinary.readouterr().out
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt", EXPORT_DIGESTS)
+def test_export_bytes_are_pinned(fmt, tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out_dir = tmp_path / "out"
+    argv = ["slater", "--input", "demos/data/slater_orthonormal.json", "--out", str(out_dir)]
+    assert main(argv + ["--format", fmt]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == EXPORT_DIGESTS[fmt]
+    assert capsysbinary.readouterr().out == (out_dir / "report.json").read_bytes()
 
 
 def test_verify_seed_change_keeps_verdicts(tmp_path, capsys):
@@ -177,6 +208,22 @@ def test_slater_export_report_does_not_name_the_directory(tmp_path, capsys):
     assert outputs[0][0] == outputs[0][1]
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--format", "csv"], "--format"),
+        (["--format", "json"], "--format"),
+        (["--tol", "kernel_export_min=0.5"], "--tol kernel_export_min"),
+    ],
+)
+def test_slater_export_flags_need_out(capsys, monkeypatch, flags, name):
+    monkeypatch.chdir(ROOT)
+    status, out, err = run(["slater", "--input", "demos/data/slater_orthonormal.json", *flags], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {name} applies only with --out"]
+
+
 def test_slater_constant_wavefunction_zero_kernels(tmp_path, capsys):
     doc = {"weights": [0.25] * 4, "phi": [[1.0, 2.0]] * 4}
     path = tmp_path / "input.json"
@@ -235,6 +282,113 @@ def test_slater_rejects_missing_fields(tmp_path, capsys):
     path.write_text(json.dumps({"weights": [0.5, 0.5]}))
     status, _, _ = run(["slater", "--input", str(path)], capsys)
     assert status == 2
+
+
+# ------------------------------------------------------------ JSON writer
+#
+# Reports and kernel files must equal json.dumps(obj, sort_keys=True,
+# indent=2) byte for byte; json.dumps is the oracle.
+
+
+awkward_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([", ", "[", "]", "], [", '"', "\\", "a, b", "\n", "é", "名", "\U0001f600"]),
+)
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+ints = st.one_of(st.integers(), st.sampled_from([2**63, -(2**63) - 1, 10**30]))
+numbers = st.one_of(ints, floats)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    numbers,
+    awkward_text,
+    st.lists(numbers, max_size=6),
+    # ragged and empty rows, and rows that mix bool with numbers
+    st.lists(st.lists(st.one_of(numbers, st.booleans()), max_size=4), max_size=5),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(awkward_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200)
+@given(json_values)
+@example({})
+@example([[]])
+@example([[1, 2], []])
+@example([1, True])
+@example([[True, 1], [2, 3]])
+@example({"entries": [[0, 1, -0.0], [1, 0, math.nan]], "shape": [2, 2]})
+@example([{"a": [1.5, math.inf]}, [], {}, ["], [", ", "]])
+def test_json_text_matches_indented_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_text_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        _json_text({1: 2})
+
+
+def parent_write_kernel(matrix, path, threshold):
+    """The JSON branch of `_write_kernel` before the bulk writer, kept as its oracle."""
+    entries = [
+        [int(i), int(j), float(matrix[i, j])]
+        for i in range(matrix.shape[0])
+        for j in range(matrix.shape[1])
+        if abs(matrix[i, j]) > threshold
+    ]
+    doc = {"shape": list(matrix.shape), "threshold": threshold, "entries": entries}
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def random_kernels(k):
+    rng = np.random.default_rng(k)
+    weights = rng.random(k) + 0.1
+    space = slater.MeasuredSpace((weights / weights.sum()).tolist())
+    phi = rng.standard_normal((k, 2))
+    return {"gamma1": slater.gamma1(phi, space), "gamma2": slater.gamma2(phi, space)}
+
+
+def planted_kernel():
+    """Exact zeros, signed zero, subnormals, values at the thresholds, NaN and inf."""
+    values = [0.0, -0.0, 5e-324, 1e-13, -1e-12, 1e-12, 0.5, -0.5, 0.5000001, 1e6, -1e300,
+              math.nan, math.inf, -math.inf, 2.0, 1.0]
+    return np.array(values).reshape(4, 4)
+
+
+def assert_kernel_matches_parent(matrix, threshold, tmp_path):
+    _write_kernel(matrix, tmp_path / "new.json", "json", threshold)
+    parent_write_kernel(matrix, tmp_path / "parent.json", threshold)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "parent.json").read_bytes()
+
+
+THRESHOLDS = [0.0, 1e-12, 0.5, 1e6]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("k", [2, 3, 12, 32])
+def test_write_kernel_matches_parent(k, threshold, tmp_path):
+    kernels = random_kernels(k)
+    if k == 32 and threshold < 0.5:
+        # The oracle takes about 6 s per encoding of the 1024 x 1024 gamma2
+        # in json.dumps' pure-Python encoder; thresholds 0.5 and 1e6 cover it.
+        del kernels["gamma2"]
+    for matrix in kernels.values():
+        assert_kernel_matches_parent(matrix, threshold, tmp_path)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_write_kernel_planted_entries_match_parent(threshold, tmp_path):
+    assert_kernel_matches_parent(planted_kernel(), threshold, tmp_path)
 
 
 # ------------------------------------------------------------- conjecture
