@@ -43,6 +43,7 @@ print(f"  base signature: {kashiwara_index(planes).signature}")
 rng = np.random.default_rng(2)
 signatures = set()
 for _ in range(10):
-    moved = planes.transformed(random_symplectic(2, rng))
+    s = random_symplectic(2, rng)
+    moved = LagrangianTriple(*(s @ b for b in planes.bases))
     signatures.add(kashiwara_index(moved).signature)
 print(f"  after 10 random symplectic maps: signatures seen = {sorted(signatures)}")

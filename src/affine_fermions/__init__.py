@@ -36,6 +36,7 @@ from .symplectic import (
     lagrangian_triple_from_json,
     random_symplectic,
     standard_symplectic_matrix,
+    symplectic_exp,
 )
 from .slater import (
     CenteredWaveFunction,

@@ -8,6 +8,11 @@ J = [[0, I], [-I, 0]].  The quadratic form on L1 (+) L2 (+) L3 is
 
 and its signature is the index of the triple.  Signature values depend on
 the sign convention of omega; the one above is fixed throughout.
+
+Bases may carry leading batch axes, (..., 2n, n): a stack of triples is
+validated, mapped and indexed in one call, and a single triple is the stack
+without leading axes.  Each triple in a stack gets the same bits as on its
+own.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "standard_symplectic_matrix",
@@ -24,12 +28,17 @@ __all__ = [
     "SignatureResult",
     "kashiwara_q",
     "kashiwara_index",
+    "symplectic_exp",
     "random_symplectic",
     "lagrangian_triple_from_json",
 ]
 
 # Largest |omega(col_i, col_j)| accepted within one Lagrangian basis.
 LAGRANGIAN_ATOL = 1e-10
+
+# Taylor terms of exp(X) for a 1-norm of X at most 1: the first term left
+# out is below 1/19! < 1e-17.
+_EXPM_TERMS = 18
 
 
 def standard_symplectic_matrix(n: int) -> np.ndarray:
@@ -40,52 +49,68 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     return j
 
 
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
 class LagrangianTriple:
     """Three Lagrangian subspaces of R^(2n), each given by a 2n x n basis.
 
-    Construction validates that every basis is finite, has full column rank
-    and that omega vanishes on each subspace (|omega(col_i, col_j)| <=
-    LAGRANGIAN_ATOL for all column pairs within one basis); the offending
-    subspace, column pair and residual are reported otherwise.
+    The bases may share leading batch axes, (..., 2n, n), for a stack of
+    triples.  Construction validates that every basis is finite, has full
+    column rank and that omega vanishes on each subspace (|omega(col_i,
+    col_j)| <= LAGRANGIAN_ATOL for all column pairs within one basis).  The
+    first offending triple in C order is reported with its subspace, column
+    pair and residual, and, in a stack, with its sample index.
     """
 
     def __init__(self, l1, l2, l3):
         bases = tuple(np.asarray(b, dtype=float) for b in (l1, l2, l3))
         shape = bases[0].shape
-        if len(shape) != 2 or shape[0] != 2 * shape[1]:
+        if len(shape) < 2 or shape[-2] != 2 * shape[-1] or shape[-1] < 1:
             raise ValueError(f"bases must be 2n x n matrices, got shape {shape}")
-        n = shape[1]
-        j = standard_symplectic_matrix(n)
-        for which, basis in enumerate(bases, start=1):
-            if basis.shape != shape:
-                raise ValueError("all three bases must share one shape")
-            if not np.all(np.isfinite(basis)):
-                raise ValueError(f"L{which} basis entries must be finite")
-            rank = np.linalg.matrix_rank(basis)
-            if rank < n:
-                raise ValueError(
-                    f"L{which} basis has rank {rank} < {n}; not a basis"
+        if any(basis.shape != shape for basis in bases):
+            raise ValueError("all three bases must share one shape")
+        n = shape[-1]
+        stacked = np.stack(bases)
+        finite = np.isfinite(stacked).all(axis=(-2, -1))
+        # Zeros stand in for a non-finite basis, which fails its first check.
+        safe = np.where(finite[..., None, None], stacked, 0.0)
+        rank = np.linalg.matrix_rank(safe)
+        gram = _transpose(safe) @ standard_symplectic_matrix(n) @ safe
+        gram = gram.reshape(finite.shape + (n * n,))
+        worst = np.argmax(np.abs(gram), axis=-1)
+        residual = np.take_along_axis(gram, worst[..., None], axis=-1)[..., 0]
+        bad = ~finite | (rank < n) | (np.abs(residual) > LAGRANGIAN_ATOL)
+        if bad.any():
+            # The first bad sample in C order, and its first bad subspace.
+            first = np.argmax(np.moveaxis(bad, 0, -1))
+            *sample, which = np.unravel_index(first, shape[:-2] + (3,))
+            at = (which, *sample)
+            if not finite[at]:
+                message = f"L{which + 1} basis entries must be finite"
+            elif rank[at] < n:
+                message = f"L{which + 1} basis has rank {rank[at]} < {n}; not a basis"
+            else:
+                i, j = divmod(int(worst[at]), n)
+                message = (
+                    f"L{which + 1} is not Lagrangian: omega(col {i}, col {j}) = "
+                    f"{residual[at]:g} exceeds {LAGRANGIAN_ATOL:g}"
                 )
-            gram = basis.T @ j @ basis
-            worst = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
-            residual = abs(gram[worst])
-            if residual > LAGRANGIAN_ATOL:
-                raise ValueError(
-                    f"L{which} is not Lagrangian: omega(col {worst[0]}, "
-                    f"col {worst[1]}) = {gram[worst]:g} exceeds {LAGRANGIAN_ATOL:g}"
-                )
+            if sample:
+                message += f" (sample {', '.join(str(k) for k in sample)})"
+            raise ValueError(message)
         self.n = n
         self.bases = bases
-
-    def transformed(self, s) -> "LagrangianTriple":
-        """The triple with a linear map applied to all three subspaces."""
-        s = np.asarray(s, dtype=float)
-        return LagrangianTriple(*(s @ b for b in self.bases))
 
 
 @dataclass(frozen=True)
 class SignatureResult:
-    """Inertia of the cyclic pairing form."""
+    """Inertia of the cyclic pairing form.
+
+    The counts are Python ints for one triple and int arrays over the batch
+    shape for a stack; eigenvalues has shape (..., 3n).
+    """
 
     n_plus: int
     n_minus: int
@@ -108,20 +133,20 @@ class SignatureResult:
 
 def _cyclic_form(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
     """Q for three bases: cyclic omega blocks in an upper form B, as (B + B^T) / 2."""
-    n = b1.shape[1]
+    n = b1.shape[-1]
     j = standard_symplectic_matrix(n)
-    raw = np.zeros((3 * n, 3 * n))
-    raw[0:n, n : 2 * n] = b1.T @ j @ b2
-    raw[n : 2 * n, 2 * n : 3 * n] = b2.T @ j @ b3
-    raw[2 * n : 3 * n, 0:n] = b3.T @ j @ b1
-    return (raw + raw.T) / 2.0
+    raw = np.zeros(b1.shape[:-2] + (3 * n, 3 * n))
+    raw[..., 0:n, n : 2 * n] = _transpose(b1) @ j @ b2
+    raw[..., n : 2 * n, 2 * n : 3 * n] = _transpose(b2) @ j @ b3
+    raw[..., 2 * n : 3 * n, 0:n] = _transpose(b3) @ j @ b1
+    return (raw + _transpose(raw)) / 2.0
 
 
 def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
     """Symmetric matrix of Q on L1 (+) L2 (+) L3 in the provided bases.
 
     Assembles the blocks omega(basis_i, basis_j) with cyclic signs into an
-    upper form B and returns (B + B^T) / 2.
+    upper form B and returns (B + B^T) / 2, of shape (..., 3n, 3n).
     """
     return _cyclic_form(*triple.bases)
 
@@ -137,43 +162,86 @@ def kashiwara_index(
     basis columns from pushing true eigenvalues below the zero cut.  There,
     eigenvalues with magnitude below zero_tol times the largest magnitude
     count as zero; signature = n_plus - n_minus.  The reported eigenvalues
-    are those of kashiwara_q, in the provided bases.
+    are those of kashiwara_q, in the provided bases.  A stack of triples
+    takes one QR and one eigvalsh call.
     """
-    orthonormal = np.linalg.qr(np.stack(triple.bases)).Q
-    decided, eigenvalues = np.linalg.eigvalsh(
-        np.stack([_cyclic_form(*orthonormal), kashiwara_q(triple)])
-    )
-    top = np.abs(decided).max()
-    cut = zero_tol * top if top > 0 else 0.0
-    n_plus = int(np.sum(decided > cut))
-    n_minus = int(np.sum(decided < -cut))
-    n_zero = decided.size - n_plus - n_minus
+    provided = np.stack(triple.bases)
+    # per subspace: the orthonormal basis, then the provided one
+    pairs = np.stack([np.linalg.qr(provided).Q, provided], axis=1)
+    decided, eigenvalues = np.linalg.eigvalsh(_cyclic_form(*pairs))
+    top = np.abs(decided).max(axis=-1, keepdims=True)
+    cut = np.where(top > 0, zero_tol * top, 0.0)
+    n_plus = np.count_nonzero(decided > cut, axis=-1)
+    n_minus = np.count_nonzero(decided < -cut, axis=-1)
+    n_zero = decided.shape[-1] - n_plus - n_minus
+    if decided.ndim == 1:
+        n_plus, n_minus, n_zero = int(n_plus), int(n_minus), int(n_zero)
     return SignatureResult(n_plus, n_minus, n_zero, eigenvalues)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) over the last two axes, by scaling and squaring a Taylor sum.
+
+    Each matrix is scaled by 2^-s, with s the least power of two that brings
+    its 1-norm to at most 1, summed to _EXPM_TERMS terms by Horner's rule and
+    squared s times, so a matrix in a stack gets the same bits as on its own.
+    """
+    _, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
+    squarings = np.maximum(exponent, 0)
+    x = a * np.ldexp(1.0, -squarings)[..., None, None]
+    eye = np.eye(a.shape[-1])
+    result = eye + x / _EXPM_TERMS
+    for k in range(_EXPM_TERMS - 1, 0, -1):
+        result = eye + (x @ result) / k
+    for step in range(squarings.max(initial=0)):
+        result = np.where((squarings > step)[..., None, None], result @ result, result)
+    return result
+
+
+def symplectic_exp(m) -> np.ndarray:
+    """Symplectic matrices exp(J S), S the symmetric part of each 2n x 2n m.
+
+    m has shape (..., 2n, 2n); the result has the same shape.
+    """
+    m = np.asarray(m, dtype=float)
+    j = standard_symplectic_matrix(m.shape[-1] // 2)
+    return _expm(j @ ((m + _transpose(m)) / 2.0))
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """A random symplectic matrix, exp(J M) for a random symmetric M."""
-    m = rng.standard_normal((2 * n, 2 * n))
-    m = (m + m.T) / 2.0
-    return expm(standard_symplectic_matrix(n) @ m)
+    return symplectic_exp(rng.standard_normal((2 * n, 2 * n)))
+
+
+def _basis(doc, key: str, n: int) -> np.ndarray:
+    # Rows of unequal length leave lists among the entries, rejected here.
+    entries = np.asarray(doc[key], dtype=object)
+    for entry in entries.flat:
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValueError(f"{key} entries must be JSON numbers, got {entry!r}")
+    if entries.shape != (2 * n, n):
+        raise ValueError(
+            f"{key} must have {2 * n} rows of {n} entries, got shape {entries.shape}"
+        )
+    try:
+        return entries.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} basis entries must be finite") from None
 
 
 def lagrangian_triple_from_json(doc) -> LagrangianTriple:
     """Build a triple from {"n": int, "L1": rows, "L2": rows, "L3": rows}.
 
-    Each Lk is a list of 2n rows with n entries.  Accepts a parsed document
-    or a JSON string.
+    n is an integer >= 1, and each Lk is a list of 2n rows with n numbers.
+    Accepts a parsed document or a JSON string.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     try:
-        n = int(doc["n"])
-        bases = [np.asarray(doc[key], dtype=float) for key in ("L1", "L2", "L3")]
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a JSON integer >= 1, got {n!r}")
+        bases = [_basis(doc, key, n) for key in ("L1", "L2", "L3")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Lagrangian triple document: {exc}") from exc
-    for key, basis in zip(("L1", "L2", "L3"), bases):
-        if basis.shape != (2 * n, n):
-            raise ValueError(
-                f"{key} must have {2 * n} rows of {n} entries, got shape {basis.shape}"
-            )
     return LagrangianTriple(*bases)

@@ -426,15 +426,15 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
     drift = 0
     for n, triple in triples.items():
         base = symplectic.kashiwara_index(triple, zero_tol=tol["kashiwara_zero"]).signature
-        for _ in range(20):
-            s = symplectic.random_symplectic(n, rng)
-            changes = (np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n) for _ in range(3))
-            moved = symplectic.LagrangianTriple(
-                *(s @ b @ g for b, g in zip(triple.bases, changes))
-            )
-            got = symplectic.kashiwara_index(moved, zero_tol=tol["kashiwara_zero"]).signature
-            if got != base:
-                drift += 1
+        # one row per sample: M's 4n^2 draws, then the three basis changes'
+        draws = rng.standard_normal((20, 7 * n * n))
+        s = symplectic.symplectic_exp(draws[:, : 4 * n * n].reshape(20, 2 * n, 2 * n))
+        changes = np.triu(draws[:, 4 * n * n :].reshape(20, 3, n, n)) + 2.0 * np.eye(n)
+        moved = symplectic.LagrangianTriple(
+            *(s @ b @ g for b, g in zip(triple.bases, changes.swapaxes(0, 1)))
+        )
+        got = symplectic.kashiwara_index(moved, zero_tol=tol["kashiwara_zero"]).signature
+        drift += int(np.count_nonzero(got != base))
     report.add(
         "kashiwara_invariance",
         drift == 0,

@@ -103,7 +103,8 @@ DEFECTS = [
     (7, affine_forms, "affine_det_form", on_result(bump_constant), "nullspace_contains_affine_det"),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
     # diag(I, -I) reverses omega, so every signature flips
-    (8, symplectic, "random_symplectic", lambda f: lambda n, rng: np.diag([1.0] * n + [-1.0] * n),
+    (8, symplectic, "symplectic_exp",
+     lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
      "kashiwara_invariance"),
     (9, slater, "one_point", shifted(1e-8), "one_point_vanishes"),
     (9, slater, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +507,40 @@ def test_kashiwara_rejects_non_finite_basis(tmp_path, capsys, slot, value):
     assert err.strip().splitlines() == [f"error: {slot} basis entries must be finite"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1.5),
+        ("n", True),
+        ("n", "1"),
+        ("n", 0),
+        ("L2", [["1"], [0.0]]),
+        ("L3", [[True], [1.0]]),
+        ("L1", [[10**400], [0.0]]),
+        ("L1", [[1.0], [0.0, 1.0]]),
+    ],
+    ids=["n-float", "n-bool", "n-string", "n-zero", "L2-string-entry", "L3-bool-entry", "L1-huge-integer", "L1-ragged"],
+)
+def test_kashiwara_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    doc = json.loads(axes_triple_input(tmp_path / "triple.json").read_text())
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith(f"error: {field} ")
+
+
+def test_kashiwara_accepts_integer_entries(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"n": 1, "L1": [[1], [0]], "L2": [[0], [1]], "L3": [[1], [1]]}))
+    status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 0
+    assert json.loads(out)["index"]["signature"] == -1
+
+
 # ----------------------------------------------------------- collapse-demo
 
 
@@ -541,3 +578,27 @@ def test_subcommand_rejects_flags_it_does_not_take(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    script = f"""
+import contextlib, io, sys
+from affine_fermions.cli import main
+runs = [
+    ["verify"],
+    ["collapse-demo"],
+    ["conjecture"],
+    ["kashiwara", "--input", "demos/data/lagrangian_axes.json"],
+    ["slater", "--input", "demos/data/slater_orthonormal.json", "--out", {str(tmp_path / "out")!r}],
+]
+for argv in runs:
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
@@ -12,6 +14,7 @@ from affine_fermions import (
     lagrangian_triple_from_json,
     random_symplectic,
     standard_symplectic_matrix,
+    symplectic_exp,
 )
 
 
@@ -176,3 +179,134 @@ def test_kashiwara_index_ill_conditioned_basis_change():
         base.n_minus,
         base.n_zero,
     )
+
+
+# ----------------------------------------------------------- exponential
+
+
+def hamiltonian_draws(n, norms, seed):
+    """Draws m whose exponents J (m + m^T) / 2 have the given 1-norms."""
+    m = np.random.default_rng(seed).standard_normal((len(norms), 2 * n, 2 * n))
+    h = standard_symplectic_matrix(n) @ ((m + m.swapaxes(-1, -2)) / 2.0)
+    m *= (np.asarray(norms) / np.abs(h).sum(axis=-2).max(axis=-1))[:, None, None]
+    return m, standard_symplectic_matrix(n) @ ((m + m.swapaxes(-1, -2)) / 2.0)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+
+
+# Norms just below a power of two leave the Taylor sum a 1-norm near 1, its
+# worst case: with 12 terms the error there is ~1e-11.
+NORMS = np.array([0.01, 0.1, 0.5, 0.999, 1.999, 3.999, 7.999, 15.99, 20.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplectic_exp_matches_scipy(n):
+    # scipy's expm is itself up to ~3e-12 away from a 30-digit exponential
+    # at norm 20 (the mpmath test below), so it bounds the difference at 1e-11.
+    expm = pytest.importorskip("scipy.linalg").expm
+    m, h = hamiltonian_draws(n, NORMS, seed=n)
+    got = symplectic_exp(m)
+    want = np.stack([expm(x) for x in h])
+    assert relative_error(got, want).max() <= 1e-11
+    assert relative_error(got[NORMS <= 1.0], want[NORMS <= 1.0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplectic_exp_matches_high_precision_exponential(n):
+    mp = pytest.importorskip("mpmath")
+    m, h = hamiltonian_draws(n, NORMS, seed=10 + n)
+    with mp.workdps(30):
+        want = np.array([np.array(mp.expm(mp.matrix(x.tolist())).tolist(), dtype=float) for x in h])
+    assert relative_error(symplectic_exp(m), want).max() <= 1e-13
+
+
+def test_symplectic_exp_stack_equals_single_calls():
+    m, _ = hamiltonian_draws(2, NORMS, seed=7)
+    s = symplectic_exp(m)
+    assert np.array_equal(s, np.stack([symplectic_exp(x) for x in m]))
+    rng = np.random.default_rng(8)
+    assert np.array_equal(
+        random_symplectic(2, np.random.default_rng(8)), symplectic_exp(rng.standard_normal((4, 4)))
+    )
+
+
+# --------------------------------------------------------- stacked triples
+
+
+def plane_bases(n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.vstack([eye, zero]), np.vstack([zero, eye]), np.vstack([eye, eye])
+
+
+def moved_bases(n, shape, seed, repeat=False):
+    """Random symplectic images of the standard triple, in random bases."""
+    rng = np.random.default_rng(seed)
+    s = symplectic_exp(rng.standard_normal(shape + (2 * n, 2 * n)))
+    changes = np.triu(rng.standard_normal((3,) + shape + (n, n))) + 2.0 * np.eye(n)
+    bases = [s @ b @ g for b, g in zip(plane_bases(n), changes)]
+    if repeat:  # L3 spans L1, so Q has zero eigenvalues
+        bases[2] = bases[0] @ changes[2]
+    return bases
+
+
+@given(
+    n=st.integers(1, 3),
+    shape=st.sampled_from([(1,), (6,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    repeat=st.booleans(),
+)
+def test_stacked_triples_equal_single_calls(n, shape, seed, repeat):
+    bases = moved_bases(n, shape, seed, repeat)
+    triple = LagrangianTriple(*bases)
+    result = kashiwara_index(triple)
+    rows = [LagrangianTriple(*(b.reshape(-1, 2 * n, n)[i] for b in bases)) for i in range(np.prod(shape))]
+    singles = [kashiwara_index(row) for row in rows]
+
+    def stacked(values):
+        return np.reshape(values, shape + np.shape(values[0]))
+
+    for field in ("n_plus", "n_minus", "n_zero", "signature"):
+        assert np.array_equal(getattr(result, field), stacked([getattr(r, field) for r in singles]))
+    assert np.array_equal(result.eigenvalues, stacked([r.eigenvalues for r in singles]))
+    assert np.array_equal(kashiwara_q(triple), stacked([kashiwara_q(row) for row in rows]))
+    if repeat:
+        assert (result.n_zero > 0).all()
+
+
+def test_unbatched_index_returns_ints():
+    result = kashiwara_index(plane_triple())
+    for value in (result.n_plus, result.n_minus, result.n_zero, result.signature):
+        assert type(value) is int
+    assert result.eigenvalues.shape == (6,)
+    stacked = kashiwara_index(LagrangianTriple(*moved_bases(2, (4,), seed=3)))
+    assert stacked.n_plus.shape == stacked.signature.shape == (4,)
+    assert (stacked.signature == result.signature).all()
+
+
+def plant_non_finite(basis):
+    basis[1, 0] = np.nan
+
+
+def plant_rank_deficient(basis):
+    basis[:, 1] = basis[:, 0]
+
+
+def plant_non_lagrangian(basis):
+    basis[:] = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("plant", [plant_non_finite, plant_rank_deficient, plant_non_lagrangian])
+@pytest.mark.parametrize("shape, at", [((6,), (3,)), ((2, 3), (1, 2))])
+def test_one_bad_sample_raises_the_single_message_with_its_index(plant, shape, at):
+    bases = moved_bases(2, shape, seed=4)
+    plant(bases[1][at])
+    with pytest.raises(ValueError) as single:
+        LagrangianTriple(*(b[at] for b in bases))
+    # a later bad sample does not change which one is reported
+    plant(bases[2][(-1,) * len(shape)])
+    with pytest.raises(ValueError) as batch:
+        LagrangianTriple(*bases)
+    assert str(single.value).startswith("L2 ")
+    assert str(batch.value) == f"{single.value} (sample {', '.join(map(str, at))})"
