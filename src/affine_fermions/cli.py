@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .collapse import BASIS_2D, collapse, collapse_with_morphism, rho_trace_AC
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, _json_text, run_verify
+from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_max, span_residual
 
 KERNEL_EXPORT_MIN = 1e-12
 
@@ -76,30 +76,16 @@ def cmd_slater(args) -> int:
         if "kernel_export_min" in overrides:
             raise ValueError("--tol kernel_export_min applies only with --out")
     threshold = overrides.pop("kernel_export_min", KERNEL_EXPORT_MIN)
-    two_point_tol = overrides.pop("two_point", DEFAULT_TOLERANCES["two_point"])
+    tol = dict(DEFAULT_TOLERANCES)
+    tol["two_point"] = overrides.pop("two_point", tol["two_point"])
     if overrides:
         raise ValueError(f"unknown tolerance names: {sorted(overrides)}")
 
-    doc = json.loads(Path(args.input).read_text())
-    try:
-        weights = doc["weights"]
-        phi = np.asarray(doc["phi"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"input must carry 'weights' and 'phi': {exc}") from exc
-    space = slater.MeasuredSpace(weights)
-
+    space, phi = slater.node_set_from_json(json.loads(Path(args.input).read_text()))
     report = Report(command="slater", seed=DEFAULT_SEED)
-    one = slater.one_point(phi, space)
-    two = slater.two_point(phi, space)
-    gram = slater.centered_gram(phi, space)
-    gram_det = float(np.linalg.det(gram))
-    scale = max(1.0, float(np.abs(phi).max()))
-
-    report.add(
-        "one_point",
-        abs(one) <= 1e-10 * scale**3,
-        one,
-        1e-10 * scale**3,
+    one, cross, two, gram_det = moment_gaps(phi, space)
+    report.add_within(
+        "one_point", one, tol["one_point"],
         "triple-weighted mean of the wave function",
     )
     report.add(
@@ -109,12 +95,8 @@ def cmd_slater(args) -> int:
         gram_det,
         "determinant of the centered component Gram matrix",
     )
-    cross = abs(two - 6.0 * gram_det) / max(1.0, abs(two), 6.0 * abs(gram_det))
-    report.add(
-        "two_point_vs_gram",
-        cross <= two_point_tol,
-        cross,
-        two_point_tol,
+    report.add_within(
+        "two_point_vs_gram", cross, tol["two_point"],
         f"mean of Psi^2 = {two!r} against 6 det(Gram) = {6.0 * gram_det!r}; "
         f"two_point/6 = {two / 6.0!r}",
     )
@@ -156,18 +138,10 @@ def cmd_conjecture(args) -> int:
         f"arguments, homogeneity {args.degree}",
     )
     if args.arity == args.dim + 1 and args.degree == args.dim and result.dimension > 0:
-        target = np.real(affine_forms.affine_det_form(args.dim).coeffs).reshape(-1)
-        target /= np.linalg.norm(target)
-        basis = np.array(
-            [np.real(f.coeffs).reshape(-1) for f in result.basis]
-        )
-        projection = basis.T @ (basis @ target)
-        residual = float(np.linalg.norm(target - projection))
-        report.add(
+        report.add_within(
             "affine_det_in_span",
-            residual < 1e-8,
-            residual,
-            1e-8,
+            span_residual(args.dim, result.basis),
+            DEFAULT_TOLERANCES["span_residual"],
             "projection residual of the affine determinant coefficients onto "
             "the computed basis",
         )
@@ -196,38 +170,22 @@ def cmd_collapse_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     a, b, c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     report = Report(command="collapse-demo", seed=args.seed)
+    tol = DEFAULT_TOLERANCES
 
-    scalar = collapse(a, b, c)
-    direct = affine_forms.affine_det([a, b, c])
-    residual = abs(scalar - direct) / max(1.0, abs(direct))
-    report.add(
-        "pipeline_matches_affine_det",
-        residual <= 1e-10,
-        residual,
-        1e-10,
+    residual, scalar, direct = collapse_gap(a, b, c)
+    report.add_within(
+        "pipeline_matches_affine_det", residual, tol["collapse_pipeline"],
         f"collapsed scalar {scalar!r} against det(b-a, c-a) = {direct!r}",
     )
 
     sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    covariant = collapse_with_morphism(a, b, c, sigma)
-    expected = np.linalg.det(sigma) * scalar
-    residual = abs(covariant - expected) / max(1.0, abs(expected))
-    report.add(
-        "morphism_covariance",
-        residual <= 1e-9,
-        residual,
-        1e-9,
+    report.add_within(
+        "morphism_covariance", morphism_gap(a, b, c, sigma), tol["morphism_covariance"],
         "collapse after a random 2x2 morphism equals det(sigma) times the scalar",
     )
 
-    basis_zero = max(
-        abs(rho_trace_AC(x, y)) for x in BASIS_2D for y in BASIS_2D
-    )
-    report.add(
-        "rho_trace_ac_basis_zero",
-        basis_zero <= 1e-12,
-        basis_zero,
-        1e-12,
+    report.add_within(
+        "rho_trace_ac_basis_zero", rho_basis_max(), tol["rho_basis"],
         "doubly-traced kernel vanishes on computational-basis pairs",
     )
     _emit_report(report, args.out)

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affine_forms import affine_det
+from .json_input import number_array
 
 __all__ = [
     "MeasuredSpace",
@@ -49,6 +50,8 @@ __all__ = [
     "gamma2_factors",
     "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
+    "MAX_PHI",
+    "node_set_from_json",
 ]
 
 # The dense gamma2 (and its export) is a K^2 x K^2 matrix; beyond this many
@@ -57,6 +60,11 @@ MAX_DENSE_KERNEL_NODES = 32
 
 # How far the weights may sum from 1.
 WEIGHT_SUM_ATOL = 1e-10
+
+# Largest |phi| entry accepted from JSON input.  The moments and both
+# kernels are homogeneous of degree 4 in phi, with sums below 10^3 max|phi|^4,
+# which stays inside the float range up to here.
+MAX_PHI = 1e75
 
 
 class MeasuredSpace:
@@ -93,6 +101,29 @@ class MeasuredSpace:
             return self._index[label]
         except KeyError:
             raise ValueError(f"unknown node label {label!r}") from None
+
+
+def node_set_from_json(doc) -> tuple:
+    """(MeasuredSpace, phi) from {"weights": [w_k], "phi": [[phi_1, phi_2], ...]}.
+
+    weights is a list of JSON numbers and phi holds one row of two JSON
+    numbers per weight, each finite and at most MAX_PHI in magnitude; a
+    bool is not a number.  Anything else raises ValueError naming the field.
+    """
+    try:
+        weights, phi = doc["weights"], doc["phi"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"input must carry 'weights' and 'phi': {exc}") from exc
+    weights = number_array(weights, "weights")
+    if weights.ndim != 1:
+        raise ValueError(f"weights must be a list of numbers, got shape {weights.shape}")
+    space = MeasuredSpace(weights)
+    phi = number_array(phi, "phi")
+    if phi.shape != (len(space), 2):
+        raise ValueError(f"phi must have {len(space)} rows of 2 entries, got shape {phi.shape}")
+    if not np.all(np.abs(phi) <= MAX_PHI):
+        raise ValueError(f"phi entries must be finite and at most {MAX_PHI:g} in magnitude")
+    return space, phi
 
 
 class CenteredWaveFunction(NamedTuple):

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .json_input import number_array
+
 __all__ = [
     "standard_symplectic_matrix",
     "LagrangianTriple",
@@ -122,12 +124,13 @@ class SignatureResult:
         return self.n_plus - self.n_minus
 
     def to_json_dict(self) -> dict:
+        """Counts, signature and eigenvalues; nested lists over the batch axes of a stack."""
         return {
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "n_zero": self.n_zero,
-            "signature": self.signature,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "n_plus": np.asarray(self.n_plus).tolist(),
+            "n_minus": np.asarray(self.n_minus).tolist(),
+            "n_zero": np.asarray(self.n_zero).tolist(),
+            "signature": np.asarray(self.signature).tolist(),
+            "eigenvalues": self.eigenvalues.tolist(),
         }
 
 
@@ -214,19 +217,12 @@ def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _basis(doc, key: str, n: int) -> np.ndarray:
-    # Rows of unequal length leave lists among the entries, rejected here.
-    entries = np.asarray(doc[key], dtype=object)
-    for entry in entries.flat:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValueError(f"{key} entries must be JSON numbers, got {entry!r}")
+    entries = number_array(doc[key], f"{key} basis")
     if entries.shape != (2 * n, n):
         raise ValueError(
             f"{key} must have {2 * n} rows of {n} entries, got shape {entries.shape}"
         )
-    try:
-        return entries.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} basis entries must be finite") from None
+    return entries
 
 
 def lagrangian_triple_from_json(doc) -> LagrangianTriple:

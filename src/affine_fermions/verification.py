@@ -35,6 +35,12 @@ __all__ = [
     "CheckRecord",
     "Report",
     "run_verify",
+    # the predicates the subcommands share
+    "collapse_gap",
+    "morphism_gap",
+    "rho_basis_max",
+    "moment_gaps",
+    "span_residual",
 ]
 
 DEFAULT_SEED = 1729
@@ -91,6 +97,10 @@ class Report:
         record = CheckRecord(name, bool(passed), float(measured), float(tolerance), detail)
         self.checks.append(record)
         return record
+
+    def add_within(self, name, measured, tolerance, detail) -> CheckRecord:
+        """A record that passes when measured <= tolerance; NaN fails."""
+        return self.add(name, measured <= tolerance, measured, tolerance, detail)
 
     @property
     def ok(self) -> bool:
@@ -185,14 +195,58 @@ def _complex_batch(rng, n, count, dim=2):
     return np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 1, 0)
 
 
+# One function per invariant that a subcommand also checks.  `verify` calls
+# it on its drawn batch and the subcommand on the user's single input, and
+# both compare the result with the same DEFAULT_TOLERANCES key.
+
+
+def collapse_gap(a, b, c):
+    """(`_rel` gap, collapsed scalar, det(b-a, c-a)) for one triple or a batch."""
+    scalar = collapse(a, b, c)
+    direct = affine_forms.affine_det(np.stack([a, b, c], axis=-2))
+    return _rel(scalar, direct), scalar, direct
+
+
+def morphism_gap(a, b, c, sigma) -> float:
+    """`_rel` gap of collapse(sigma a, sigma b, sigma c) to det(sigma) collapse(a, b, c)."""
+    # _cmul keeps the bits of the scalar product det(sigma) * collapse.
+    expected = _cmul(np.linalg.det(sigma), collapse(a, b, c))
+    return _rel(collapse_with_morphism(a, b, c, sigma), expected)
+
+
+def rho_basis_max() -> float:
+    """Largest |rho_trace_AC| over the four computational-basis pairs."""
+    b, bp = np.array(list(itertools.product(BASIS_2D, repeat=2))).transpose(1, 0, 2)
+    return float(_abs(rho_trace_AC(b, bp)).max())
+
+
+def moment_gaps(phi, space):
+    """(|<Psi>| / scale^3, `_rel` gap of <Psi^2> to 6 det G, <Psi^2>, det G).
+
+    G is the centred Gram matrix and scale is max(1, largest |phi| entry).
+    """
+    scale = max(1.0, float(np.abs(phi).max()))
+    one = abs(slater.one_point(phi, space)) / scale**3
+    two = slater.two_point(phi, space)
+    gram_det = float(np.linalg.det(slater.centered_gram(phi, space)))
+    return one, _rel(two, 6.0 * gram_det), two, gram_det
+
+
+def span_residual(dim: int, basis) -> float:
+    """Distance of the unit affine-determinant coefficients on C^dim from the span of `basis`.
+
+    The projection is t - B^T ((B t) / sum_j B_ij^2), exact for an orthogonal basis.
+    """
+    target = np.real(affine_forms.affine_det_form(dim).coeffs).reshape(-1)
+    target = target / np.linalg.norm(target)
+    rows = np.array([np.real(form.coeffs).reshape(-1) for form in basis])
+    return float(np.linalg.norm(target - rows.T @ ((rows @ target) / np.sum(rows**2, axis=1))))
+
+
 def _check_collapse(report: Report, rng, tol) -> None:
-    a, b, c = _complex_batch(rng, 1000, 3)
-    direct = affine_forms.affine_det(np.stack([a, b, c], axis=1))
-    worst = _rel(collapse(a, b, c), direct)
-    report.add(
+    report.add_within(
         "collapse_pipeline_equals_affine_det",
-        worst <= tol["collapse_pipeline"],
-        worst,
+        collapse_gap(*_complex_batch(rng, 1000, 3))[0],
         tol["collapse_pipeline"],
         "embed -> wedge tensor -> reindex -> partial trace -> sum matches "
         "det(b-a, c-a) on 1000 random complex triples",
@@ -218,11 +272,8 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
     residual = np.abs(got - factor * direction).max(axis=-1)
     residual = residual / np.maximum(1.0, _abs(factor[..., 0]))
     worst = float(residual.max())
-    report.add(
-        "tr1_degenerate_directions",
-        worst <= tol["tr1_directions"],
-        worst,
-        tol["tr1_directions"],
+    report.add_within(
+        "tr1_degenerate_directions", worst, tol["tr1_directions"],
         "repeated-argument triples give the wedge-scalar factor times "
         "(0,1,-1), (1,-1,0), (1,0,-1) for patterns (a,a,c), (a,b,b), (a,b,a)",
     )
@@ -241,28 +292,16 @@ def _check_morphism(report: Report, rng, tol) -> None:
     draws = rng.standard_normal((500, 20))
     a, b, c = np.moveaxis((draws[:, 0:6] + 1j * draws[:, 6:12]).reshape(500, 3, 2), 1, 0)
     sigma = (draws[:, 12:16] + 1j * draws[:, 16:20]).reshape(500, 2, 2)
-    lhs = collapse_with_morphism(a, b, c, sigma)
-    # _cmul keeps the bits of the scalar product det(sigma) * collapse.
-    rhs = _cmul(np.linalg.det(sigma), collapse(a, b, c))
-    worst = _rel(lhs, rhs)
-    report.add(
-        "morphism_covariance",
-        worst <= tol["morphism_covariance"],
-        worst,
-        tol["morphism_covariance"],
+    report.add_within(
+        "morphism_covariance", morphism_gap(a, b, c, sigma), tol["morphism_covariance"],
         "applying a 2x2 map to all three states multiplies the collapsed "
         "scalar by its determinant (500 random cases)",
     )
 
 
 def _check_rho_traces(report: Report, rng, tol) -> None:
-    b, bp = np.array(list(itertools.product(BASIS_2D, repeat=2))).transpose(1, 0, 2)
-    worst_basis = float(_abs(rho_trace_AC(b, bp)).max())
-    report.add(
-        "rho_trace_ac_basis_zero",
-        worst_basis <= tol["rho_basis"],
-        worst_basis,
-        tol["rho_basis"],
+    report.add_within(
+        "rho_trace_ac_basis_zero", rho_basis_max(), tol["rho_basis"],
         "the doubly-traced kernel vanishes on all four computational-basis pairs",
     )
 
@@ -271,11 +310,8 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
     # _cmul keeps the bits of the scalar complex product.
     closed = _cmul(2.0 * (b[:, 0] + b[:, 1] - 1.0), bp[:, 0] + bp[:, 1] - 1.0)
     worst_closed = _rel(summed, closed)
-    report.add(
-        "rho_trace_ac_closed_form",
-        worst_closed <= tol["rho_closed_form"],
-        worst_closed,
-        tol["rho_closed_form"],
+    report.add_within(
+        "rho_trace_ac_closed_form", worst_closed, tol["rho_closed_form"],
         "the four-term basis sum equals 2 (b1+b2-1)(b'1+b'2-1), which is "
         "nonzero for generic continuous arguments",
     )
@@ -306,11 +342,8 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         signs = np.array([perm_sign(perm) for perm in perms])
         # perms[0] is the identity, so dets[0] is the unpermuted determinant
         worst = max(worst, _rel(dets, signs * dets[0]))
-    report.add(
-        "affine_det_antisymmetry",
-        worst <= tol["affine_antisymmetry"],
-        worst,
-        tol["affine_antisymmetry"],
+    report.add_within(
+        "affine_det_antisymmetry", worst, tol["affine_antisymmetry"],
         "exhaustive sign covariance under all (d+1)! argument permutations, d = 2, 3, 4",
     )
 
@@ -323,11 +356,8 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         shift = draws[:, 2 * k : 2 * k + d] + 1j * draws[:, 2 * k + d :]
         shifted, unshifted = affine_forms.affine_det(np.stack([pts + shift[:, None], pts]))
         worst = max(worst, _rel(shifted, unshifted))
-    report.add(
-        "affine_det_translation_invariance",
-        worst <= tol["translation_invariance"],
-        worst,
-        tol["translation_invariance"],
+    report.add_within(
+        "affine_det_translation_invariance", worst, tol["translation_invariance"],
         "adding a fixed vector to every point leaves the affine determinant unchanged",
     )
 
@@ -337,11 +367,8 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         c[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
     )
     worst = _rel(affine_forms.affine_det(np.stack([a, b, c], axis=1)), expanded)
-    report.add(
-        "affine_det_coordinate_expansion",
-        worst <= tol["coordinate_expansion"],
-        worst,
-        tol["coordinate_expansion"],
+    report.add_within(
+        "affine_det_coordinate_expansion", worst, tol["coordinate_expansion"],
         "d = 2 closed form (xB-xA)(yC-yA) - (xC-xA)(yB-yA)",
     )
 
@@ -350,11 +377,8 @@ def _check_generator(report: Report, rng, tol) -> None:
     anti = affine_forms.antisymmetrize_generator(affine_forms.determinant_generator(3, 4))
     target = affine_forms.affine_det_form(3)
     diff = float(np.abs(anti.coeffs + 6.0 * target.coeffs).max())
-    report.add(
-        "generator_antisymmetrization",
-        diff <= tol["generator_coefficients"],
-        diff,
-        tol["generator_coefficients"],
+    report.add_within(
+        "generator_antisymmetrization", diff, tol["generator_coefficients"],
         "antisymmetrizing det of the first three of four arguments over S_4 "
         "gives -6 times the affine determinant, coefficient by coefficient",
     )
@@ -363,18 +387,13 @@ def _check_generator(report: Report, rng, tol) -> None:
 def _check_nullspace(report: Report, rng, tol) -> None:
     expected = {2: 1, 1: 0, 0: 0}
     mismatches = 0
-    span_residual = math.inf
+    residual = math.inf
     for degree, dim in expected.items():
         result = affine_forms.conjecture_nullspace(2, 3, degree)
         if result.dimension != dim:
             mismatches += 1
         if degree == 2 and result.dimension == 1:
-            target = np.real(affine_forms.affine_det_form(2).coeffs).reshape(-1)
-            target = target / np.linalg.norm(target)
-            basis = np.real(result.basis[0].coeffs).reshape(-1)
-            span_residual = float(
-                np.linalg.norm(target - (target @ basis) * basis / (basis @ basis))
-            )
+            residual = span_residual(2, result.basis)
     report.add(
         "nullspace_dimensions_d2_m3",
         mismatches == 0,
@@ -383,11 +402,8 @@ def _check_nullspace(report: Report, rng, tol) -> None:
         "antisymmetric multi-affine forms in 3 arguments on C^2: dimension 1 "
         "in the degree-2 sector, 0 in degrees 1 and 0 (count of mismatches)",
     )
-    report.add(
-        "nullspace_contains_affine_det",
-        span_residual <= tol["span_residual"],
-        span_residual,
-        tol["span_residual"],
+    report.add_within(
+        "nullspace_contains_affine_det", residual, tol["span_residual"],
         "projection residual of the affine determinant coefficients onto the "
         "degree-2 nullspace basis",
     )
@@ -455,39 +471,27 @@ def _random_space_and_wavefunction(rng, max_nodes=12):
 
 
 def _check_moments(report: Report, rng, tol) -> None:
-    one, two, gram = np.zeros((3, 50))
+    one, two = np.zeros((2, 50))
     for i in range(50):
         space, phi = _random_space_and_wavefunction(rng)
-        scale = max(1.0, float(np.abs(phi).max()))
-        one[i] = abs(slater.one_point(phi, space)) / scale**3
-        two[i] = slater.two_point(phi, space)
-        gram[i] = 6.0 * float(np.linalg.det(slater.centered_gram(phi, space)))
+        one[i], two[i], _, _ = moment_gaps(phi, space)
     worst_one = float(one.max())
-    worst_two = _rel(two, gram)
-    report.add(
-        "one_point_vanishes",
-        worst_one <= tol["one_point"],
-        worst_one,
-        tol["one_point"],
+    worst_two = float(two.max())
+    report.add_within(
+        "one_point_vanishes", worst_one, tol["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
         "(50 random spaces, scaled by the cubed component bound)",
     )
-    report.add(
-        "two_point_gram_identity",
-        worst_two <= tol["two_point"],
-        worst_two,
-        tol["two_point"],
+    report.add_within(
+        "two_point_gram_identity", worst_two, tol["two_point"],
         "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
     )
 
     space, phi = _random_space_and_wavefunction(rng)
     reduced = slater.reduce_centered(phi, space)
     unit = abs(slater.two_point(reduced, space) / 6.0 - 1.0)
-    report.add(
-        "two_point_orthonormal_unit",
-        unit <= tol["two_point"],
-        unit,
-        tol["two_point"],
+    report.add_within(
+        "two_point_orthonormal_unit", unit, tol["two_point"],
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
@@ -501,11 +505,8 @@ def _check_moments(report: Report, rng, tol) -> None:
             m_table += np.transpose(raw, perm)
         sides[:, i] = slater.symmetric_m_identity(phi, space, m_table)
     worst_m = _rel(*sides)
-    report.add(
-        "symmetric_m_identity",
-        worst_m <= tol["m_identity"],
-        worst_m,
-        tol["m_identity"],
+    report.add_within(
+        "symmetric_m_identity", worst_m, tol["m_identity"],
         "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",
     )
 
@@ -519,11 +520,8 @@ def _check_kernels(report: Report, rng, tol) -> None:
     expansion = slater.gamma2_pair_expansion(phi, space)
     scale = max(1.0, float(np.abs(expansion).max()))
     diff = float(np.abs(g2 - expansion).max()) / scale
-    report.add(
-        "gamma2_expansion_match",
-        diff <= tol["gamma2_expansion"],
-        diff,
-        tol["gamma2_expansion"],
+    report.add_within(
+        "gamma2_expansion_match", diff, tol["gamma2_expansion"],
         "order-2 kernel equals its closed-form expansion (difference products "
         "plus wedge product term) entrywise for centered orthonormal input, K = 6",
     )
@@ -536,11 +534,8 @@ def _check_kernels(report: Report, rng, tol) -> None:
     g1 = slater.gamma1(phi, space)
     g1_sym = float(np.abs(g1 - g1.T).max())
     worst_sym = max(sym, anti_primed, anti_unprimed, g1_sym) / big_scale
-    report.add(
-        "kernel_symmetries",
-        worst_sym <= tol["kernel_symmetry"],
-        worst_sym,
-        tol["kernel_symmetry"],
+    report.add_within(
+        "kernel_symmetries", worst_sym, tol["kernel_symmetry"],
         "order-2 kernel is symmetric as a matrix and antisymmetric within "
         "each node pair; order-1 kernel is symmetric",
     )
@@ -557,11 +552,8 @@ def _check_kernels(report: Report, rng, tol) -> None:
 
     orbital = phi @ phi.T
     diff1 = float(np.abs(g1 - orbital).max()) / max(1.0, float(np.abs(orbital).max()))
-    report.add(
-        "gamma1_orbital_sum",
-        diff1 <= tol["gamma1_orbital"],
-        diff1,
-        tol["gamma1_orbital"],
+    report.add_within(
+        "gamma1_orbital_sum", diff1, tol["gamma1_orbital"],
         "normalized order-1 kernel equals the orbital sum over both "
         "components for centered orthonormal input",
     )
@@ -595,11 +587,8 @@ def _check_spin(report: Report, rng, tol) -> None:
         abs(spin.s_squared_expectation(e000) - 15.0),
         abs(spin.s_squared_expectation(doublet) - 3.0),
     )
-    report.add(
-        "s_squared_expectations",
-        worst <= tol["spin_values"],
-        worst,
-        tol["spin_values"],
+    report.add_within(
+        "s_squared_expectations", worst, tol["spin_values"],
         "double Pauli sum gives 15 on |000> (s = 3/2) and 3 on the doublet "
         "(|010> - |100>)/sqrt(2) (s = 1/2); both equal 4 s (s+1)",
     )

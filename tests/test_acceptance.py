@@ -5,17 +5,24 @@ Case <id> runs suite <id> once with seed 100 + id, prints one
 `ACCEPTANCE <id>: PASS|FAIL` line per record (visible with
 `pytest -s tests/test_acceptance.py`) and then asserts.  The planted-defect
 table breaks one library function per row and requires the named record to
-fail, so no suite can pass vacuously.
+fail, so no suite can pass vacuously.  A second table plants the same kind
+of defect under `collapse-demo`, `slater` and `conjecture`, which check the
+same invariants with `verify`'s own predicates and tolerances.
 """
 
 import dataclasses
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affine_fermions import affine_forms, run_verify, slater, spin, symplectic, verification
+from affine_fermions.cli import main
 from affine_fermions.verification import _CHECKS, DEFAULT_TOLERANCES, Report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TIME_LIMITS = {1: 1.0, 5: 5.0, 9: 10.0}
 
@@ -121,3 +128,61 @@ def test_planted_defect_fails_its_record(monkeypatch, idx, module, name, defect,
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
     failed = [r.name for r in run_suite(idx, _CHECKS[idx - 1]).checks if not r.passed]
     assert record in failed, f"{name} defect left {record} passing; failed: {failed}"
+
+
+SUBCOMMANDS = {
+    "collapse-demo": ["collapse-demo", "--seed", "5"],
+    "slater": ["slater", "--input", "demos/data/slater_orthonormal.json"],
+    "conjecture": ["conjecture"],
+}
+
+# (module, function, defect, subcommand, record that must fail)
+SUBCOMMAND_DEFECTS = [
+    (verification, "collapse", scaled(1 + 1e-8), "collapse-demo", "pipeline_matches_affine_det"),
+    (verification, "collapse_with_morphism", scaled(1 + 1e-8), "collapse-demo", "morphism_covariance"),
+    (verification, "rho_trace_AC", shifted(1e-9), "collapse-demo", "rho_trace_ac_basis_zero"),
+    (slater, "one_point", shifted(1e-8), "slater", "one_point"),
+    (slater, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
+    (affine_forms, "affine_det_form", on_result(bump_constant), "conjecture", "affine_det_in_span"),
+]
+
+# subcommand record -> (its DEFAULT_TOLERANCES key, the `verify` record with the same predicate)
+SHARED_RECORDS = {
+    "pipeline_matches_affine_det": ("collapse_pipeline", "collapse_pipeline_equals_affine_det"),
+    "morphism_covariance": ("morphism_covariance", "morphism_covariance"),
+    "rho_trace_ac_basis_zero": ("rho_basis", "rho_trace_ac_basis_zero"),
+    "one_point": ("one_point", "one_point_vanishes"),
+    "two_point_vs_gram": ("two_point", "two_point_gram_identity"),
+    "affine_det_in_span": ("span_residual", "nullspace_contains_affine_det"),
+}
+
+
+def run_subcommand(command, capsysbinary):
+    status = main(SUBCOMMANDS[command])
+    return status, json.loads(capsysbinary.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "module, name, defect, command, record", SUBCOMMAND_DEFECTS, ids=[row[-1] for row in SUBCOMMAND_DEFECTS]
+)
+def test_planted_defect_fails_its_subcommand_record(monkeypatch, capsysbinary, module, name, defect, command, record):
+    monkeypatch.chdir(ROOT)  # input paths are relative to the repository root
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    status, report = run_subcommand(command, capsysbinary)
+    failed = [r["name"] for r in report["checks"] if r["status"] == "fail"]
+    assert status == 1 and record in failed, f"{name} defect left {command} {record} passing; failed: {failed}"
+
+
+def test_subcommand_tolerances_are_verify_tolerances(monkeypatch, capsysbinary):
+    monkeypatch.chdir(ROOT)
+    verify = {r.name: r.tolerance for r in run_verify().checks}
+    seen = set()
+    for command in SUBCOMMANDS:
+        status, report = run_subcommand(command, capsysbinary)
+        assert status == 0
+        for r in report["checks"]:
+            if r["name"] in SHARED_RECORDS:
+                key, verify_record = SHARED_RECORDS[r["name"]]
+                assert r["tolerance"] == DEFAULT_TOLERANCES[key] == verify[verify_record], (command, r["name"])
+                seen.add(r["name"])
+    assert seen == set(SHARED_RECORDS)

@@ -71,8 +71,8 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # (numpy 2.4, x86-64 with FMA), so another platform may need its own digests.
 REPORT_DIGESTS = {
     ("verify", "--seed", "1729"): "9567c6ac7615c84d9a24f91e29a488a1d40d809046dc12b026a09a2095e56258",
-    ("collapse-demo", "--seed", "5"): "b26eb6fa165625b2980eda94715d02d81fe18bd144c05a7c56bd3ab4ab939169",
-    ("conjecture",): "f3973a6d55bb32e69d685c69a6255303d53be5484d89ba53a39ba45b94dc5ee3",
+    ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
+    ("conjecture",): "98586a7d3ede05f0974f3da9f8f55f832046f342342e336143706bf0e7809da5",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "e194add0dee55f7fa0da0edf8303e0a6f671342f3734763ae856c8b20be1fe49",
 }
@@ -84,12 +84,12 @@ EXPORT_DIGESTS = {
     "json": {
         "gamma1.json": "94bee986a41d518db58c380165f70c32b34c1c20b83cce87fc64eb7cb62e708a",
         "gamma2.json": "3d0d40fd90a7bb703bbf8ba145f104d3e471276dd312ae44e0cd43f57ce9fc3a",
-        "report.json": "ba407c8ad7dffce4e83ecadb2a97db532943e091ad14b40540477b9270cdb7d4",
+        "report.json": "1be4963c8432baf993f01dfedc0ef76374da9fb710a3e727dc6d06aab3ddcd09",
     },
     "csv": {
         "gamma1.csv": "0e67bf887cde546c54e734a7ee44927ce829da477f33e123e1934bcfb0435271",
         "gamma2.csv": "f37d88658d029626ce231f8382d4d7272fb36680148096be7c3a2fe9e8931948",
-        "report.json": "ca2d0c52bc1d8cb24e55856c8d6ffcb6f9863b5435f333d626456f1987e39a84",
+        "report.json": "e20b3809369dfb553877911b2fec4f522b7c9a2be580c69ef71b90d29a3dd8aa",
     },
 }
 
@@ -285,6 +285,57 @@ def test_slater_rejects_missing_fields(tmp_path, capsys):
     path.write_text(json.dumps({"weights": [0.5, 0.5]}))
     status, _, _ = run(["slater", "--input", str(path)], capsys)
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("weights", {"a": 1}),
+        ("weights", [True, 0.5]),
+        ("weights", ["0.5", 0.5]),
+        ("weights", 1.0),
+        ("phi", [[1e103, 0.0], [0.0, 1.0]]),
+        ("phi", [[math.nan, 0.0], [0.0, 1.0]]),
+        ("phi", [[10**400, 0], [0, 1]]),
+        ("phi", [["1", 0.0], [0.0, 1.0]]),
+        ("phi", [[True, 0.0], [0.0, 1.0]]),
+        ("phi", [[1.0], [0.0, 1.0]]),
+        ("phi", [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
+        ("phi", {"x": 1}),
+    ],
+    ids=[
+        "weights-object", "weights-bool", "weights-string", "weights-scalar", "phi-1e103", "phi-nan",
+        "phi-huge-integer", "phi-string", "phi-bool", "phi-ragged", "phi-three-components", "phi-object",
+    ],
+)
+def test_slater_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    doc = {"weights": [0.5, 0.5], "phi": [[0.0, 1.0], [1.0, 0.0]], field: value}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(["slater", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+def test_slater_phi_magnitude_cap(tmp_path, capsys, accepted):
+    scale = slater.MAX_PHI if accepted else np.nextafter(slater.MAX_PHI, np.inf)
+    angles = [2 * math.pi * i / 6 for i in range(6)]
+    doc = {"weights": [1.0 / 6] * 6, "phi": [[scale * math.cos(t), scale * math.sin(t)] for t in angles]}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    status, out, err = run(["slater", "--input", str(path), "--out", str(out_dir), "--format", "csv"], capsys)
+    if not accepted:
+        assert status == 2
+        assert err.strip().splitlines() == ["error: phi entries must be finite and at most 1e+75 in magnitude"]
+        return
+    assert status == 0
+    assert all(math.isfinite(c["measured"]) for c in json.loads(out)["checks"])
+    for name in ("gamma1.csv", "gamma2.csv"):
+        assert np.isfinite(np.loadtxt(out_dir / name, delimiter=",")).all()
 
 
 # ------------------------------------------------------------ JSON writer

@@ -285,6 +285,17 @@ def test_unbatched_index_returns_ints():
     assert (stacked.signature == result.signature).all()
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_stacked_result_serializes_as_nested_single_results(shape):
+    bases = moved_bases(2, shape, seed=5, repeat=True)
+    doc = kashiwara_index(LagrangianTriple(*bases)).to_json_dict()
+    flat = [b.reshape(-1, 4, 2) for b in bases]
+    singles = [kashiwara_index(LagrangianTriple(*(b[i] for b in flat))).to_json_dict() for i in range(len(flat[0]))]
+    for key, value in doc.items():
+        assert np.array(value).reshape(len(singles), -1).tolist() == [np.ravel(s[key]).tolist() for s in singles]
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def plant_non_finite(basis):
     basis[1, 0] = np.nan
 
