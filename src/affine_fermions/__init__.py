@@ -39,7 +39,6 @@ from .symplectic import (
     symplectic_exp,
 )
 from .slater import (
-    CenteredWaveFunction,
     Gamma2Factors,
     MeasuredSpace,
     center,
@@ -49,7 +48,6 @@ from .slater import (
     gamma2_factors,
     gamma2_pair_expansion,
     one_point,
-    order1_kernel,
     psi,
     reduce_centered,
     symmetric_m_identity,

@@ -83,7 +83,8 @@ def cmd_slater(args) -> int:
 
     space, phi = slater.node_set_from_json(json.loads(Path(args.input).read_text()))
     report = Report(command="slater", seed=DEFAULT_SEED)
-    one, cross, two, gram_det = moment_gaps(phi, space)
+    factors = slater.gamma2_factors(phi, space)
+    one, cross, two, gram_det = moment_gaps(phi, factors)
     report.add_within(
         "one_point", one, tol["one_point"],
         "triple-weighted mean of the wave function",
@@ -104,8 +105,8 @@ def cmd_slater(args) -> int:
     if args.out:
         # The dense gamma2 is the export's real cost; it raises above its cap
         # before anything is written.
-        g2 = slater.gamma2(phi, space)
-        g1 = slater.gamma1(phi, space)
+        g2 = factors.dense()
+        g1 = factors.gamma1()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = args.format or "json"

@@ -1,15 +1,13 @@
 """Affine Slater determinants over a finite weighted node set.
 
 A measured space is a finite set of nodes x_k with positive weights w_k
-summing to 1; a wave function assigns d real components to each node.  The
-wave function of d+1 particles is the affine determinant of the component
-vectors,
+summing to 1; a wave function assigns d = 2 real components to each node.
+The wave function of three particles is the affine determinant
 
-    Psi(x_0, ..., x_d) = det(phi(x_1) - phi(x_0), ..., phi(x_d) - phi(x_0)),
+    Psi(x_0, x_1, x_2) = det(phi(x_1) - phi(x_0), phi(x_2) - phi(x_0)),
 
-and integrals are exact weighted sums over nodes.  The moment and kernel
-routines are restricted to d = 2.  There Psi(a, x1, x2) = det(x1 - a, x2 - a)
-is affine in each node, so it factors through three coordinates:
+and integrals are exact weighted sums over nodes.  Psi(a, x1, x2) is
+affine in each node, so it factors through three coordinates:
 
     Psi(a, x1, x2) = F(x1, x2) . (1, a),
     F(x1, x2) = [x1 ^ x2, (x1 - x2)_2, -(x1 - x2)_1],
@@ -19,6 +17,9 @@ moment matrix M = sum_a w_a (1, a)(1, a)^T and the pair moment
 N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
 is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
 (1, mean).  The K x K x K tensor of Psi values is never built.
+
+`gamma2_factors(phi, space)` validates phi, centres it and forms M, once;
+every other function here reads its (values, M).
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -35,7 +36,6 @@ from .json_input import number_array
 
 __all__ = [
     "MeasuredSpace",
-    "CenteredWaveFunction",
     "center",
     "centered_gram",
     "reduce_centered",
@@ -43,7 +43,6 @@ __all__ = [
     "one_point",
     "two_point",
     "symmetric_m_identity",
-    "order1_kernel",
     "gamma1",
     "gamma2",
     "Gamma2Factors",
@@ -68,9 +67,12 @@ MAX_PHI = 1e75
 
 
 class MeasuredSpace:
-    """Finite weighted node set (x_k, w_k) with w_k > 0 and sum w_k = 1."""
+    """Finite weighted node set (x_k, w_k) with w_k > 0 and sum w_k = 1.
 
-    def __init__(self, weights, labels=None):
+    Nodes are the indices 0..K-1.
+    """
+
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need at least two weighted nodes")
@@ -82,12 +84,6 @@ class MeasuredSpace:
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         self.weights = w
-        self.labels = tuple(range(w.size)) if labels is None else tuple(labels)
-        if len(self.labels) != w.size:
-            raise ValueError("labels and weights differ in length")
-        self._index = {label: k for k, label in enumerate(self.labels)}
-        if len(self._index) != w.size:
-            raise ValueError("node labels must be distinct")
 
     @classmethod
     def uniform(cls, k: int) -> "MeasuredSpace":
@@ -95,12 +91,6 @@ class MeasuredSpace:
 
     def __len__(self) -> int:
         return self.weights.size
-
-    def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown node label {label!r}") from None
 
 
 def node_set_from_json(doc) -> tuple:
@@ -126,61 +116,13 @@ def node_set_from_json(doc) -> tuple:
     return space, phi
 
 
-class CenteredWaveFunction(NamedTuple):
-    """Wave function values with weighted means removed, plus those means."""
-
-    values: np.ndarray  # (K, d)
-    means: np.ndarray  # (d,)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
-def _as_wavefunction(phi, space: MeasuredSpace) -> np.ndarray:
-    values = np.asarray(phi, dtype=float)
-    if values.ndim != 2 or values.shape[0] != len(space):
-        raise ValueError(
-            f"wave function must be a {len(space)} x d real matrix, "
-            f"got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("wave function values must be finite")
-    return values
-
-
-def center(phi, space: MeasuredSpace) -> CenteredWaveFunction:
-    """Subtract the weighted mean from each component."""
-    values = _as_wavefunction(phi, space)
-    means = space.weights @ values
-    return CenteredWaveFunction(values - means, means)
-
-
-def centered_gram(phi, space: MeasuredSpace) -> np.ndarray:
-    """Gram matrix <phi~_i phi~_j> of the centered components."""
-    tilde = center(phi, space).values
-    return tilde.T @ (space.weights[:, None] * tilde)
-
-
-def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
-    """Center the components and whiten them to an identity Gram matrix."""
-    tilde = center(phi, space).values
-    gram = tilde.T @ (space.weights[:, None] * tilde)
-    evals, evecs = np.linalg.eigh(gram)
-    if evals.min() <= 0:
-        raise ValueError("components are linearly dependent; cannot reduce")
-    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-    return tilde @ inv_sqrt
-
-
-def psi(phi, space: MeasuredSpace, nodes) -> float:
-    """Affine Slater determinant at d+1 node labels."""
-    values = _as_wavefunction(phi, space)
-    d = values.shape[1]
-    nodes = tuple(nodes)
-    if len(nodes) != d + 1:
-        raise ValueError(f"need {d + 1} node labels, got {len(nodes)}")
-    idx = [space.index(label) for label in nodes]
-    return float(np.real(affine_det(values[idx])))
+def _node_indices(nodes, k: int) -> list:
+    """`nodes` as a list of indices, each checked to lie in 0..k-1."""
+    nodes = list(nodes)
+    for node in nodes:
+        if not (isinstance(node, (int, np.integer)) and 0 <= node < k):
+            raise ValueError(f"node {node!r} is not an index in 0..{k - 1}")
+    return nodes
 
 
 def _psi_tensor(values: np.ndarray) -> np.ndarray:
@@ -211,57 +153,149 @@ def _lift(values: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(len(values)), values])
 
 
-def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M = sum_a w_a (1, a)(1, a)^T, the 3x3 moment matrix of the nodes."""
-    lifted = _lift(values)
-    return lifted.T @ (weights[:, None] * lifted)
+class Gamma2Factors(NamedTuple):
+    """The centred components of a node set and their moment matrix M.
 
-
-def _pair_moments(m: np.ndarray) -> np.ndarray:
-    """N = sum_{x1, x2} w w F(x1, x2)^T F(x1, x2) = 2 adj(M).
-
-    Each entry of N is a sum of products of one first or second moment of x1
-    and one of x2, which are the entries of M; collected, they are twice the
-    cofactors of M.  Built from the upper triangle of M, so N is exactly
-    symmetric.
+    M = sum_a w_a (1, a)(1, a)^T over the centred nodes a, so M[1:, 1:] is
+    the centred Gram matrix G.  Every moment and kernel of the module is
+    read from these O(K) numbers: <Psi>, <Psi^2> = <M, N>, det G, gamma1 =
+    f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
+    builds the K^2 x K^2 gamma2, up to MAX_DENSE_KERNEL_NODES nodes.
     """
-    (a, b, c), (_, d, e), (_, _, f) = m.tolist()
-    return 2.0 * np.array(
-        [
-            [d * f - e * e, c * e - b * f, b * e - c * d],
-            [c * e - b * f, a * f - c * c, b * c - a * e],
-            [b * e - c * d, b * c - a * e, a * d - b * b],
-        ]
-    )
+
+    values: np.ndarray  # (K, 2) centred components
+    moments: np.ndarray  # (3, 3) M
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The centred Gram matrix <phi~_i phi~_j>, M[1:, 1:]."""
+        return self.moments[1:, 1:]
+
+    def pair_moments(self) -> np.ndarray:
+        """N = sum_{x1, x2} w w F(x1, x2)^T F(x1, x2) = 2 adj(M).
+
+        Each entry of N is a sum of products of one first or second moment
+        of x1 and one of x2, which are the entries of M; collected, they are
+        twice the cofactors of M.  Built from the upper triangle of M, so N
+        is exactly symmetric.
+        """
+        (a, b, c), (_, d, e), (_, _, f) = self.moments.tolist()
+        return 2.0 * np.array(
+            [
+                [d * f - e * e, c * e - b * f, b * e - c * d],
+                [c * e - b * f, a * f - c * c, b * c - a * e],
+                [b * e - c * d, b * c - a * e, a * d - b * b],
+            ]
+        )
+
+    def one_point(self) -> float:
+        """Triple-weighted mean of Psi; vanishes by antisymmetry.
+
+        <Psi> = sum_{x1, x2} w w F(x1, x2) . sum_a w_a (1, a).  F is affine
+        in each node, so its mean is F at the mean node, whose wedge and
+        difference both vanish.
+        """
+        mean = self.moments[0, 1:]
+        return float(_pair_rows(mean, mean) @ self.moments[0])
+
+    def two_point(self) -> float:
+        """Triple-weighted mean of Psi^2, <M, N>.
+
+        Equals 6 det G; in particular 6 when the components are centred and
+        orthonormal.
+        """
+        return float(np.sum(self.moments * self.pair_moments()))
+
+    def gamma1(self) -> np.ndarray:
+        """Normalized order-1 density kernel, Gamma/2 - det G.
+
+        Gamma(x', x) = sum over (x_0, x_2) of w w Psi(x_0, x, x_2)
+        Psi(x_0, x', x_2).  Psi(x_0, x, x_2) = F(x_2, x_0) . (1, x), so
+        Gamma = f N f^T with f = (1, phi): a symmetric K x K matrix of rank
+        at most 3, built in O(K^2).  For centred orthonormal components
+        gamma1 equals the orbital sum sum_j phi~_j(x') phi~_j(x).
+        """
+        lifted = _lift(self.values)
+        gram_det = float(np.linalg.det(self.gram))
+        return lifted @ self.pair_moments() @ lifted.T / 2.0 - gram_det
+
+    def entry(self, x1p, x2p, x1, x2) -> float:
+        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices."""
+        nodes = self.values[_node_indices((x1p, x2p, x1, x2), len(self.values))]
+        primed, unprimed = _pair_rows(nodes[[0, 2]], nodes[[1, 3]])
+        return float(primed @ self.moments @ unprimed)
+
+    def dense(self) -> np.ndarray:
+        """gamma2 as the K^2 x K^2 matrix with row-major pair indexing."""
+        k = len(self.values)
+        if k > MAX_DENSE_KERNEL_NODES:
+            raise ValueError(
+                f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
+                f"dense kernel and its export are capped at "
+                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
+                f"beyond that"
+            )
+        rows = _pair_rows(self.values[:, None, :], self.values[None, :, :])
+        rows = rows.reshape(k * k, 3)
+        return rows @ self.moments @ rows.T
 
 
-def _centered_two_components(phi, space: MeasuredSpace) -> np.ndarray:
-    values = center(phi, space).values
-    if values.shape[1] != 2:
-        raise ValueError("this operation is implemented for d = 2 components")
-    return values
+def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
+    """Validate phi, centre it and form M, in O(K) work and memory.
+
+    The only place that does any of the three: every other function of the
+    module reads its result.
+    """
+    values = np.asarray(phi, dtype=float)
+    if values.shape != (len(space), 2):
+        raise ValueError(
+            f"wave function must be a {len(space)} x 2 real matrix (d = 2 "
+            f"components), got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("wave function values must be finite")
+    values = values - space.weights @ values
+    lifted = _lift(values)
+    return Gamma2Factors(values, lifted.T @ (space.weights[:, None] * lifted))
+
+
+def center(phi, space: MeasuredSpace) -> np.ndarray:
+    """phi with the weighted mean of each component subtracted."""
+    return gamma2_factors(phi, space).values
+
+
+def centered_gram(phi, space: MeasuredSpace) -> np.ndarray:
+    """Gram matrix <phi~_i phi~_j> of the centred components."""
+    return gamma2_factors(phi, space).gram
+
+
+def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
+    """Centre the components and whiten them to an identity Gram matrix."""
+    factors = gamma2_factors(phi, space)
+    evals, evecs = np.linalg.eigh(factors.gram)
+    if evals.min() <= 0:
+        raise ValueError("components are linearly dependent; cannot reduce")
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
+    return factors.values @ inv_sqrt
+
+
+def psi(phi, space: MeasuredSpace, nodes) -> float:
+    """Affine Slater determinant at three node indices."""
+    values = gamma2_factors(phi, space).values
+    nodes = _node_indices(nodes, len(space))
+    if len(nodes) != 3:
+        raise ValueError(f"need 3 node indices, got {len(nodes)}")
+    return float(np.real(affine_det(values[nodes])))
 
 
 def one_point(phi, space: MeasuredSpace) -> float:
-    """Triple-weighted mean of Psi; vanishes by antisymmetry.
-
-    <Psi> = sum_{x1, x2} w w F(x1, x2) . sum_a w_a (1, a).  F is affine in
-    each node, so its mean is F at the mean node, whose wedge and difference
-    both vanish.
-    """
-    m = _moments(_centered_two_components(phi, space), space.weights)
-    mean = m[0, 1:]
-    return float(_pair_rows(mean, mean) @ m[0])
+    """Triple-weighted mean of Psi (`Gamma2Factors.one_point`)."""
+    return gamma2_factors(phi, space).one_point()
 
 
 def two_point(phi, space: MeasuredSpace) -> float:
-    """Triple-weighted mean of Psi^2, <M, N> in O(K) work.
-
-    Equals 6 det(centered Gram); in particular 6 when the components are
-    centered and orthonormal.
-    """
-    m = _moments(_centered_two_components(phi, space), space.weights)
-    return float(np.sum(m * _pair_moments(m)))
+    """Triple-weighted mean of Psi^2, 6 det G, in O(K) work (`Gamma2Factors.two_point`)."""
+    return gamma2_factors(phi, space).two_point()
 
 
 def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
@@ -277,7 +311,7 @@ def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
     five permuted entries, to 1e-12 relative to the entry; an asymmetric or
     non-finite table is rejected.
     """
-    values = _centered_two_components(phi, space)
+    values = center(phi, space)
     k = len(space)
     m = np.asarray(m_table, dtype=float)
     if m.shape != (k, k, k):
@@ -306,66 +340,9 @@ def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
     return float(lhs), float(rhs)
 
 
-def order1_kernel(phi, space: MeasuredSpace) -> np.ndarray:
-    """Unnormalized order-1 kernel by double integration.
-
-    Gamma(x', x) = sum over (x_0, x_2) of w w Psi(x_0, x, x_2) Psi(x_0, x', x_2),
-    computed with centered components.  Psi(x_0, x, x_2) = F(x_2, x_0) .
-    (1, x), so Gamma = f N f^T with f = (1, phi): a symmetric K x K matrix
-    of rank at most 3, built in O(K^2).
-    """
-    values = _centered_two_components(phi, space)
-    lifted = _lift(values)
-    return lifted @ _pair_moments(_moments(values, space.weights)) @ lifted.T
-
-
 def gamma1(phi, space: MeasuredSpace) -> np.ndarray:
-    """Normalized order-1 density kernel, Gamma/2 - det(centered Gram).
-
-    For centered orthonormal components this equals the orbital sum
-    sum_j phi~_j(x') phi~_j(x).
-    """
-    gram_det = float(np.linalg.det(centered_gram(phi, space)))
-    return order1_kernel(phi, space) / 2.0 - gram_det
-
-
-class Gamma2Factors(NamedTuple):
-    """The order-2 kernel as its rank-3 factors, gamma2 = F M F^T.
-
-    Holds O(K) numbers: the centered components and M.  `entry` costs O(1);
-    `dense` builds the K^2 x K^2 matrix, up to MAX_DENSE_KERNEL_NODES nodes.
-    """
-
-    space: MeasuredSpace
-    values: np.ndarray  # (K, 2) centered components
-    moments: np.ndarray  # (3, 3) M
-
-    def entry(self, x1p, x2p, x1, x2) -> float:
-        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node labels."""
-        idx = [self.space.index(label) for label in (x1p, x2p, x1, x2)]
-        nodes = self.values[idx]
-        primed, unprimed = _pair_rows(nodes[[0, 2]], nodes[[1, 3]])
-        return float(primed @ self.moments @ unprimed)
-
-    def dense(self) -> np.ndarray:
-        """The K^2 x K^2 matrix with row-major pair indexing."""
-        k = len(self.space)
-        if k > MAX_DENSE_KERNEL_NODES:
-            raise ValueError(
-                f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
-                f"dense kernel and its export are capped at "
-                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
-                f"beyond that"
-            )
-        rows = _pair_rows(self.values[:, None, :], self.values[None, :, :])
-        rows = rows.reshape(k * k, 3)
-        return rows @ self.moments @ rows.T
-
-
-def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
-    """Rank-3 factors of the order-2 kernel in O(K) work and memory."""
-    values = _centered_two_components(phi, space)
-    return Gamma2Factors(space, values, _moments(values, space.weights))
+    """Normalized order-1 density kernel (`Gamma2Factors.gamma1`)."""
+    return gamma2_factors(phi, space).gamma1()
 
 
 def gamma2(phi, space: MeasuredSpace) -> np.ndarray:
@@ -389,7 +366,7 @@ def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:
     where W is the pairwise wedge scalar.  Valid when the centered Gram
     matrix is the identity.  Dense, so capped at MAX_DENSE_KERNEL_NODES nodes.
     """
-    values = _centered_two_components(phi, space)
+    values = center(phi, space)
     k = len(space)
     if k > MAX_DENSE_KERNEL_NODES:
         raise ValueError(

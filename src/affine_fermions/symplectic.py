@@ -35,7 +35,8 @@ __all__ = [
     "lagrangian_triple_from_json",
 ]
 
-# Largest |omega(col_i, col_j)| accepted within one Lagrangian basis.
+# Largest |omega(col_i, col_j)| accepted within one Lagrangian basis, with
+# each column scaled by a power of two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
 
 # Taylor terms of exp(X) for a 1-norm of X at most 1: the first term left
@@ -60,10 +61,13 @@ class LagrangianTriple:
 
     The bases may share leading batch axes, (..., 2n, n), for a stack of
     triples.  Construction validates that every basis is finite, has full
-    column rank and that omega vanishes on each subspace (|omega(col_i,
-    col_j)| <= LAGRANGIAN_ATOL for all column pairs within one basis).  The
-    first offending triple in C order is reported with its subspace, column
-    pair and residual, and, in a stack, with its sample index.
+    column rank and that omega vanishes on each subspace: |omega(col_i,
+    col_j)| <= LAGRANGIAN_ATOL for all column pairs within one basis, after
+    each column is divided by the power of two 2^e_i that brings its largest
+    |entry| into [0.5, 1).  The division is exact, so the test is the same
+    at every scale and entries near 1e300 do not overflow.  The first
+    offending triple in C order is reported with its subspace, column pair
+    and scaled residual, and, in a stack, with its sample index.
     """
 
     def __init__(self, l1, l2, l3):
@@ -79,7 +83,9 @@ class LagrangianTriple:
         # Zeros stand in for a non-finite basis, which fails its first check.
         safe = np.where(finite[..., None, None], stacked, 0.0)
         rank = np.linalg.matrix_rank(safe)
-        gram = _transpose(safe) @ standard_symplectic_matrix(n) @ safe
+        _, exponents = np.frexp(np.abs(safe).max(axis=-2, keepdims=True))
+        unit = np.ldexp(safe, -exponents)
+        gram = _transpose(unit) @ standard_symplectic_matrix(n) @ unit
         gram = gram.reshape(finite.shape + (n * n,))
         worst = np.argmax(np.abs(gram), axis=-1)
         residual = np.take_along_axis(gram, worst[..., None], axis=-1)[..., 0]
@@ -96,8 +102,8 @@ class LagrangianTriple:
             else:
                 i, j = divmod(int(worst[at]), n)
                 message = (
-                    f"L{which + 1} is not Lagrangian: omega(col {i}, col {j}) = "
-                    f"{residual[at]:g} exceeds {LAGRANGIAN_ATOL:g}"
+                    f"L{which + 1} is not Lagrangian: omega(col {i}, col {j}) / "
+                    f"(2^e_{i} 2^e_{j}) = {residual[at]:g} exceeds {LAGRANGIAN_ATOL:g}"
                 )
             if sample:
                 message += f" (sample {', '.join(str(k) for k in sample)})"

@@ -220,16 +220,22 @@ def rho_basis_max() -> float:
     return float(_abs(rho_trace_AC(b, bp)).max())
 
 
-def moment_gaps(phi, space):
-    """(|<Psi>| / scale^3, `_rel` gap of <Psi^2> to 6 det G, <Psi^2>, det G).
+def moment_gaps(phi, factors):
+    """(|<Psi>| / scale^3, gap of <Psi^2> to 6 det G, <Psi^2>, det G).
 
-    G is the centred Gram matrix and scale is max(1, largest |phi| entry).
+    `factors` is `slater.gamma2_factors(phi, space)`, G its centred Gram
+    matrix and scale is max(1, largest |phi| entry).  <Psi^2> is the sum
+    <M, N>, so its gap |<Psi^2> - 6 det G| is measured against the size of
+    that sum, sum |M o N|: a sum that is exactly 0 gives 0 and passes,
+    however large phi is.
     """
     scale = max(1.0, float(np.abs(phi).max()))
-    one = abs(slater.one_point(phi, space)) / scale**3
-    two = slater.two_point(phi, space)
-    gram_det = float(np.linalg.det(slater.centered_gram(phi, space)))
-    return one, _rel(two, 6.0 * gram_det), two, gram_det
+    one = abs(factors.one_point()) / scale**3
+    two = factors.two_point()
+    gram_det = float(np.linalg.det(factors.gram))
+    gap = abs(two - 6.0 * gram_det)
+    size = np.abs(factors.moments * factors.pair_moments()).sum()
+    return one, float(gap / size) if gap else 0.0, two, gram_det
 
 
 def span_residual(dim: int, basis) -> float:
@@ -474,7 +480,7 @@ def _check_moments(report: Report, rng, tol) -> None:
     one, two = np.zeros((2, 50))
     for i in range(50):
         space, phi = _random_space_and_wavefunction(rng)
-        one[i], two[i], _, _ = moment_gaps(phi, space)
+        one[i], two[i], _, _ = moment_gaps(phi, slater.gamma2_factors(phi, space))
     worst_one = float(one.max())
     worst_two = float(two.max())
     report.add_within(

@@ -20,6 +20,7 @@ import pytest
 
 from affine_fermions import affine_forms, run_verify, slater, spin, symplectic, verification
 from affine_fermions.cli import main
+from affine_fermions.slater import Gamma2Factors
 from affine_fermions.verification import _CHECKS, DEFAULT_TOLERANCES, Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,9 +114,9 @@ DEFECTS = [
     (8, symplectic, "symplectic_exp",
      lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
      "kashiwara_invariance"),
-    (9, slater, "one_point", shifted(1e-8), "one_point_vanishes"),
-    (9, slater, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
-    (9, slater, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
+    (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),
+    (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
+    (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
     (10, slater, "gamma2", shifted(1e-6), "gamma2_expansion_match"),
     (10, slater, "gamma2", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
     (10, slater, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
@@ -141,8 +142,8 @@ SUBCOMMAND_DEFECTS = [
     (verification, "collapse", scaled(1 + 1e-8), "collapse-demo", "pipeline_matches_affine_det"),
     (verification, "collapse_with_morphism", scaled(1 + 1e-8), "collapse-demo", "morphism_covariance"),
     (verification, "rho_trace_AC", shifted(1e-9), "collapse-demo", "rho_trace_ac_basis_zero"),
-    (slater, "one_point", shifted(1e-8), "slater", "one_point"),
-    (slater, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
+    (Gamma2Factors, "one_point", shifted(1e-8), "slater", "one_point"),
+    (Gamma2Factors, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
     (affine_forms, "affine_det_form", on_result(bump_constant), "conjecture", "affine_det_in_span"),
 ]
 

@@ -70,11 +70,13 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # last bits of the measured values come from numpy's floating-point kernels
 # (numpy 2.4, x86-64 with FMA), so another platform may need its own digests.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "9567c6ac7615c84d9a24f91e29a488a1d40d809046dc12b026a09a2095e56258",
+    ("verify", "--seed", "1729"): "66bdfe89a088aedbea2c525a30182b94b9b6d4e38668dcc92354171389423d1a",
     ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
     ("conjecture",): "98586a7d3ede05f0974f3da9f8f55f832046f342342e336143706bf0e7809da5",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "e194add0dee55f7fa0da0edf8303e0a6f671342f3734763ae856c8b20be1fe49",
+    ("slater", "--input", "demos/data/slater_orthonormal.json"):
+        "579a9a7af4bacb7e9b8a53392e50fc32d5aeebe9d042a4180c569887fba2b2c8",
 }
 
 
@@ -84,12 +86,12 @@ EXPORT_DIGESTS = {
     "json": {
         "gamma1.json": "94bee986a41d518db58c380165f70c32b34c1c20b83cce87fc64eb7cb62e708a",
         "gamma2.json": "3d0d40fd90a7bb703bbf8ba145f104d3e471276dd312ae44e0cd43f57ce9fc3a",
-        "report.json": "1be4963c8432baf993f01dfedc0ef76374da9fb710a3e727dc6d06aab3ddcd09",
+        "report.json": "f609c9bff3d6ce7a7a35180a160ae5d9925c125a18d5d3664edbb9e758d26547",
     },
     "csv": {
         "gamma1.csv": "0e67bf887cde546c54e734a7ee44927ce829da477f33e123e1934bcfb0435271",
         "gamma2.csv": "f37d88658d029626ce231f8382d4d7272fb36680148096be7c3a2fe9e8931948",
-        "report.json": "e20b3809369dfb553877911b2fec4f522b7c9a2be580c69ef71b90d29a3dd8aa",
+        "report.json": "4958ecfda80a6562fc7c4939077d47d749cbdc636355caa9cfeb3586a35a2c28",
     },
 }
 
@@ -225,6 +227,33 @@ def test_slater_export_flags_need_out(capsys, monkeypatch, flags, name):
     assert status == 2
     assert out == ""
     assert err.strip().splitlines() == [f"error: {name} applies only with --out"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--out", "OUT"]], ids=["report", "export"])
+def test_slater_centres_once_per_run(flags, tmp_path, capsys, monkeypatch):
+    calls = []
+    build = slater.gamma2_factors
+    monkeypatch.setattr(slater, "gamma2_factors", lambda *args: calls.append(1) or build(*args))
+    path = orthonormal_input(tmp_path / "input.json")
+    flags = [str(tmp_path / "out") if flag == "OUT" else flag for flag in flags]
+    assert run(["slater", "--input", str(path), *flags], capsys)[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+def test_slater_collinear_nodes_pass_at_every_scale(scale, tmp_path, capsys):
+    # det Gram is exactly 0 on a line, so both sides of two_point_vs_gram are
+    # rounding noise; it is judged against the size of the sum <M, N>.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        weights = rng.random(k) + 0.1
+        line = rng.standard_normal(2) + rng.standard_normal(k)[:, None] * rng.standard_normal(2)
+        doc = {"weights": (weights / weights.sum()).tolist(), "phi": (scale * line).tolist()}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        status, out, _ = run(["slater", "--input", str(path)], capsys)
+        assert status == 0, (seed, [c for c in json.loads(out)["checks"] if c["status"] == "fail"])
 
 
 def test_slater_constant_wavefunction_zero_kernels(tmp_path, capsys):

@@ -73,6 +73,20 @@ def test_triple_error_reports_pair_and_residual():
         LagrangianTriple(really_bad, good, good)
 
 
+SCALES = [1e-300, 1e-200, 1e-5, 1.0, 1e5, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_isotropy_is_judged_at_every_scale(scale):
+    # A valid n = 2 triple moved by symplectic_exp.  At scale 1e5 the rounding
+    # residual omega(col 0, col 0) alone is ~6e-6, far above 1e-10 unscaled.
+    s = symplectic_exp(np.random.default_rng(0).standard_normal((4, 4)))
+    LagrangianTriple(*(scale * s @ b for b in plane_bases(2)))
+    really_bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"L1 is not Lagrangian: omega\(col 0, col 1\)"):
+        LagrangianTriple(scale * really_bad, *plane_bases(2)[:2])
+
+
 def test_kashiwara_q_hand_example():
     # Q(s, t, r) = st - tr - rs on the axes triple
     q = kashiwara_q(axes_triple())
