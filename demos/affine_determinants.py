@@ -56,7 +56,11 @@ print(f"  d=3: antisymmetrized det of first three args = "
 print("\nnullspace of the antisymmetry constraints, d = 2, three arguments")
 for degree in (2, 1, 0):
     result = conjecture_nullspace(2, 3, degree)
-    print(f"  homogeneity {degree}: dimension {result.dimension}")
+    print(f"  homogeneity {degree}: dimension {result.dimension}, tuples {result.tuples.tolist()}")
+result = conjecture_nullspace(2, 3, 2)
+dev = np.abs(result.form(0).coeffs - result.value * affine_det_form(2).coeffs).max()
+print(f"  the form of tuple (0, 1, 2) is the affine determinant / sqrt(3!) "
+      f"(max dev {dev:.1e})")
 result = conjecture_nullspace(2, 4, 2)
 print(f"  four arguments, homogeneity 2: dimension {result.dimension} "
       "(no antisymmetric form survives an extra argument)")

@@ -34,7 +34,6 @@ from .symplectic import (
     kashiwara_index,
     kashiwara_q,
     lagrangian_triple_from_json,
-    random_symplectic,
     standard_symplectic_matrix,
     symplectic_exp,
 )

@@ -35,8 +35,8 @@ __all__ = [
 
 MAX_GENERATOR_ARITY = 6
 MAX_LAPLACE_DIM = 6
-# Coefficient entries of a whole nullspace basis: dimension x (d+1)^m.
-MAX_BASIS_ENTRIES = 10**7
+# Integers in a nullspace answer, dimension x m: what is built and written.
+MAX_NULLSPACE_INTEGERS = 10**6
 # Singular values below this times the largest count as zero in
 # is_affinely_dependent.
 AFFINE_RANK_REL_TOL = 1e-10
@@ -202,13 +202,29 @@ def antisymmetrize_generator(generator: MultiAffineForm) -> MultiAffineForm:
 
 @dataclass(frozen=True)
 class NullspaceResult:
-    """Antisymmetric forms found in one homogeneity sector."""
+    """Antisymmetric forms of one homogeneity sector, as index tuples.
+
+    Form i is value * sign(sigma) on each ordering sigma of tuples[i] and 0
+    elsewhere.  tuples is an int array (dimension, arity) of strictly
+    increasing rows in lexicographic order.
+    """
 
     dim: int
     arity: int
     homogeneity: int
-    dimension: int
-    basis: tuple  # of MultiAffineForm
+    tuples: np.ndarray = field(repr=False)
+    value: float
+
+    @property
+    def dimension(self) -> int:
+        return len(self.tuples)
+
+    def form(self, i: int) -> MultiAffineForm:
+        """Form i as a dense MultiAffineForm of (dim+1)^arity coefficients."""
+        perms, signs = map(np.array, zip(*signed_permutations(self.arity)))
+        coeffs = np.zeros((self.dim + 1,) * self.arity, dtype=complex)
+        coeffs[tuple(self.tuples[i][perms].T)] = signs * self.value
+        return MultiAffineForm(self.dim, self.arity, coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,9 +232,8 @@ class NullspaceResult:
             "arity": self.arity,
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
-            "basis": [
-                np.real(f.coeffs).reshape(-1).tolist() for f in self.basis
-            ],
+            "basis": self.tuples.tolist(),
+            "value": self.value,
         }
 
 
@@ -230,8 +245,8 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
     index tuples, so the constant index 0 appears at most once: degree m has
     one form per m-subset of 1..d, degree m-1 one per (0,) + (m-1)-subset,
     other degrees none.  Each form is +-1/sqrt(m!) on the orderings of its
-    tuple, + on the increasing one; tuples come in lexicographic order.  A
-    basis of more than MAX_BASIS_ENTRIES coefficients is rejected unbuilt.
+    tuple, + on the increasing one.  An answer of more than
+    MAX_NULLSPACE_INTEGERS tuple entries (dimension x m) is rejected unbuilt.
     """
     if d < 1:
         raise ValueError(f"dim must be at least 1, got {d}")
@@ -239,31 +254,19 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
         raise ValueError(f"arity must be at least 2, got {m}")
     if not 0 <= homogeneity <= m:
         raise ValueError(f"degree must be between 0 and the arity {m}, got {homogeneity}")
+    # 1/sqrt(m!), rounded once while m! is a float (170! is the last) and from lgamma past it.
+    value = 1 / math.sqrt(math.factorial(m)) if m <= 170 else math.exp(-math.lgamma(m + 1) / 2)
     if homogeneity < m - 1 or homogeneity > d:
-        return NullspaceResult(d, m, homogeneity, 0, ())
-    # Each form has (d+1)^m >= 2^m entries, so past this arity the cap is
-    # exceeded without computing a huge dimension.
-    if m >= MAX_BASIS_ENTRIES.bit_length():
-        raise ValueError(f"a {d + 1}^{m}-entry coefficient table exceeds the cap of {MAX_BASIS_ENTRIES}")
-    dimension, table = math.comb(d, homogeneity), (d + 1) ** m
-    if dimension * table > MAX_BASIS_ENTRIES:
-        raise ValueError(
-            f"{dimension} forms of {table} coefficients are {dimension * table} "
-            f"basis entries, which exceeds the cap of {MAX_BASIS_ENTRIES}"
-        )
-
-    tuples = combinations(range(1, d + 1), homogeneity)
-    if homogeneity == m - 1:
-        tuples = ((0,) + t for t in tuples)
-    orderings = signed_permutations(m)
-    perms = np.array([perm for perm, _ in orderings])
-    values = np.array([sign for _, sign in orderings]) / math.sqrt(math.factorial(m))
-    basis = []
-    for t in tuples:
-        coeffs = np.zeros((d + 1,) * m, dtype=complex)
-        coeffs[tuple(np.array(t)[perms].T)] = values
-        basis.append(MultiAffineForm(d, m, coeffs))
-    return NullspaceResult(d, m, homogeneity, dimension, tuple(basis))
+        return NullspaceResult(d, m, homogeneity, np.zeros((0, m), dtype=int), value)
+    # C(d, k) >= 2^k, so m 2^k integers over the cap are refused before math.comb runs.
+    k = min(homogeneity, d - homogeneity)
+    cap = MAX_NULLSPACE_INTEGERS
+    if k >= cap.bit_length() or m << k > cap or m * math.comb(d, k) > cap:
+        raise ValueError(f"C({d}, {homogeneity}) tuples of {m} indices exceed the cap of {cap} integers")
+    subsets = combinations(range(1, d + 1), homogeneity)
+    dimension = math.comb(d, k)
+    tuples = np.pad(np.fromiter(subsets, (int, homogeneity), dimension), ((0, 0), (m - homogeneity, 0)))
+    return NullspaceResult(d, m, homogeneity, tuples, value)
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,12 @@ def cmd_conjecture(args) -> int:
         f"antisymmetric multi-affine forms on C^{args.dim} in {args.arity} "
         f"arguments, homogeneity {args.degree}",
     )
-    if args.arity == args.dim + 1 and args.degree == args.dim and result.dimension > 0:
+    d, m, cap = args.dim, args.arity, affine_forms.MAX_NULLSPACE_INTEGERS
+    # The span check builds dense (d+1)^m >= 2^m tables; it runs while one fits the same cap.
+    if m == d + 1 and args.degree == d and m < cap.bit_length() and (d + 1) ** m <= cap:
         report.add_within(
             "affine_det_in_span",
-            span_residual(args.dim, result.basis),
+            span_residual(result),
             DEFAULT_TOLERANCES["span_residual"],
             "projection residual of the affine determinant coefficients onto "
             "the computed basis",

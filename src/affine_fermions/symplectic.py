@@ -31,13 +31,16 @@ __all__ = [
     "kashiwara_q",
     "kashiwara_index",
     "symplectic_exp",
-    "random_symplectic",
     "lagrangian_triple_from_json",
 ]
 
 # Largest |omega(col_i, col_j)| accepted within one Lagrangian basis, with
 # each column scaled by a power of two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
+
+# Largest |entry| accepted in a JSON basis.  Q's entries are sums of n
+# products of two entries, so its eigenvalues stay finite (5e302 at n = 1000).
+MAX_BASIS_ENTRY = 1e150
 
 # Taylor terms of exp(X) for a 1-norm of X at most 1: the first term left
 # out is below 1/19! < 1e-17.
@@ -217,17 +220,15 @@ def symplectic_exp(m) -> np.ndarray:
     return _expm(j @ ((m + _transpose(m)) / 2.0))
 
 
-def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A random symplectic matrix, exp(J M) for a random symmetric M."""
-    return symplectic_exp(rng.standard_normal((2 * n, 2 * n)))
-
-
 def _basis(doc, key: str, n: int) -> np.ndarray:
     entries = number_array(doc[key], f"{key} basis")
     if entries.shape != (2 * n, n):
         raise ValueError(
             f"{key} must have {2 * n} rows of {n} entries, got shape {entries.shape}"
         )
+    # NaN and inf are left to LagrangianTriple, which names them non-finite.
+    if np.any(np.isfinite(entries) & (np.abs(entries) > MAX_BASIS_ENTRY)):
+        raise ValueError(f"{key} basis entries must be at most {MAX_BASIS_ENTRY:g} in magnitude")
     return entries
 
 

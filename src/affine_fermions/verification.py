@@ -238,14 +238,14 @@ def moment_gaps(phi, factors):
     return one, float(gap / size) if gap else 0.0, two, gram_det
 
 
-def span_residual(dim: int, basis) -> float:
-    """Distance of the unit affine-determinant coefficients on C^dim from the span of `basis`.
+def span_residual(result) -> float:
+    """Distance of the unit affine-determinant coefficients on C^dim from the span of a NullspaceResult.
 
     The projection is t - B^T ((B t) / sum_j B_ij^2), exact for an orthogonal basis.
     """
-    target = np.real(affine_forms.affine_det_form(dim).coeffs).reshape(-1)
+    target = np.real(affine_forms.affine_det_form(result.dim).coeffs).reshape(-1)
     target = target / np.linalg.norm(target)
-    rows = np.array([np.real(form.coeffs).reshape(-1) for form in basis])
+    rows = np.array([np.real(result.form(i).coeffs).reshape(-1) for i in range(result.dimension)])
     return float(np.linalg.norm(target - rows.T @ ((rows @ target) / np.sum(rows**2, axis=1))))
 
 
@@ -391,15 +391,9 @@ def _check_generator(report: Report, rng, tol) -> None:
 
 
 def _check_nullspace(report: Report, rng, tol) -> None:
-    expected = {2: 1, 1: 0, 0: 0}
-    mismatches = 0
-    residual = math.inf
-    for degree, dim in expected.items():
-        result = affine_forms.conjecture_nullspace(2, 3, degree)
-        if result.dimension != dim:
-            mismatches += 1
-        if degree == 2 and result.dimension == 1:
-            residual = span_residual(2, result.basis)
+    results = {degree: affine_forms.conjecture_nullspace(2, 3, degree) for degree in (2, 1, 0)}
+    mismatches = sum(results[degree].dimension != want for degree, want in {2: 1, 1: 0, 0: 0}.items())
+    residual = span_residual(results[2]) if results[2].dimension == 1 else math.inf
     report.add(
         "nullspace_dimensions_d2_m3",
         mismatches == 0,

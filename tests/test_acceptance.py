@@ -89,6 +89,16 @@ def bump_constant(form):
     return affine_forms.MultiAffineForm(form.dim, form.arity, coeffs)
 
 
+def duplicate_tuple(result):
+    return dataclasses.replace(result, tuples=np.vstack([result.tuples, result.tuples[:1]]))
+
+
+def wrong_tuple(result):
+    tuples = result.tuples.copy()
+    tuples[0, -1] -= 1  # (0, 1, 2) -> (0, 1, 1): support disjoint from the affine determinant's
+    return dataclasses.replace(result, tuples=tuples)
+
+
 def mirror_inertia(result):
     return dataclasses.replace(result, n_plus=result.n_minus, n_minus=result.n_plus)
 
@@ -106,8 +116,7 @@ DEFECTS = [
      "affine_det_translation_invariance"),
     (5, affine_forms, "affine_det", scaled(1 + 1e-8), "affine_det_coordinate_expansion"),
     (6, affine_forms, "antisymmetrize_generator", on_result(bump_constant), "generator_antisymmetrization"),
-    (7, affine_forms, "conjecture_nullspace",
-     on_result(lambda r: dataclasses.replace(r, dimension=r.dimension + 1)), "nullspace_dimensions_d2_m3"),
+    (7, affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "nullspace_dimensions_d2_m3"),
     (7, affine_forms, "affine_det_form", on_result(bump_constant), "nullspace_contains_affine_det"),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
     # diag(I, -I) reverses omega, so every signature flips
@@ -145,7 +154,15 @@ SUBCOMMAND_DEFECTS = [
     (Gamma2Factors, "one_point", shifted(1e-8), "slater", "one_point"),
     (Gamma2Factors, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
     (affine_forms, "affine_det_form", on_result(bump_constant), "conjecture", "affine_det_in_span"),
+    (affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "conjecture", "affine_det_in_span"),
 ]
+
+
+def row_ids(rows):
+    """Each row's record; a later row on the same record adds the function it plants in."""
+    records = [row[-1] for row in rows]
+    return [r if records.index(r) == i else f"{r}-{rows[i][1]}" for i, r in enumerate(records)]
+
 
 # subcommand record -> (its DEFAULT_TOLERANCES key, the `verify` record with the same predicate)
 SHARED_RECORDS = {
@@ -164,7 +181,7 @@ def run_subcommand(command, capsysbinary):
 
 
 @pytest.mark.parametrize(
-    "module, name, defect, command, record", SUBCOMMAND_DEFECTS, ids=[row[-1] for row in SUBCOMMAND_DEFECTS]
+    "module, name, defect, command, record", SUBCOMMAND_DEFECTS, ids=row_ids(SUBCOMMAND_DEFECTS)
 )
 def test_planted_defect_fails_its_subcommand_record(monkeypatch, capsysbinary, module, name, defect, command, record):
     monkeypatch.chdir(ROOT)  # input paths are relative to the repository root

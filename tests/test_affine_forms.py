@@ -17,7 +17,7 @@ from affine_fermions import (
     nondegeneracy_probe,
     perm_sign,
 )
-from affine_fermions.affine_forms import MAX_BASIS_ENTRIES
+from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS
 
 
 def random_points(rng, m, d):
@@ -272,22 +272,31 @@ def test_nullspace_four_arguments_degree_two_empty():
 
 def test_nullspace_basis_members_are_antisymmetric():
     rng = np.random.default_rng(10)
-    result = conjecture_nullspace(2, 3, 2)
-    form = result.basis[0]
+    form = conjecture_nullspace(2, 3, 2).form(0)
     pts = random_points(rng, 3, 2)
     swapped = pts[[1, 0, 2]]
     assert form(swapped) == pytest.approx(-form(pts))
 
 
 def test_nullspace_size_cap():
-    # 126 forms of 10^5 coefficients: over the cap on the basis entries
-    with pytest.raises(ValueError, match="12600000 basis entries, which exceeds"):
-        conjecture_nullspace(9, 5, 5)
+    # the cap is on the dimension x m integers of the answer, not on a (d+1)^m table
+    assert MAX_NULLSPACE_INTEGERS == 10**6
+    for d, m, p, integers in [(60, 6, 6, 300_383_160), (1001, 2, 2, 1_001_000), (500_001, 2, 1, 1_000_002)]:
+        assert m * math.comb(d, p) == integers
+        with pytest.raises(ValueError, match=rf"C\({d}, {p}\) tuples of {m} indices exceed the cap of 1000000 integers"):
+            conjecture_nullspace(d, m, p)
+    # answered: 126 tuples of 5 (its 10^5-entry tables were over the old cap), and exactly at the cap
+    for d, m, p in [(9, 5, 5), (500_000, 2, 1)]:
+        assert conjecture_nullspace(d, m, p).tuples.shape == (math.comb(d, p), m)
 
 
-def test_nullspace_huge_arity_is_rejected_before_counting():
-    # C(10^9, 10^9 - 1) forms of (10^9 + 1)^(10^9) entries: never computed
-    with pytest.raises(ValueError, match=r"1000000001\^1000000000-entry coefficient table exceeds"):
+def test_nullspace_huge_arity_is_rejected_before_counting(monkeypatch):
+    # C(10^9, 10^9 - 1) tuples of 10^9 indices: 10^9 x 2^1 integers already exceed the cap
+    def count(*args):
+        raise AssertionError("math.comb ran")
+
+    monkeypatch.setattr(math, "comb", count)
+    with pytest.raises(ValueError, match=r"C\(1000000000, 999999999\) tuples of 1000000000 indices exceed the cap"):
         conjecture_nullspace(10**9, 10**9, 10**9 - 1)
 
 
@@ -295,14 +304,35 @@ def test_nullspace_empty_sector_has_no_size_limit():
     # degree 3 of 6 arguments is empty, whatever the 10^6-entry table
     result = conjecture_nullspace(9, 6, 3)
     assert result.dimension == 0
-    assert result.basis == ()
+    assert result.tuples.shape == (0, 6)
+    # an arity of 10^9 computes no factorial
+    assert conjecture_nullspace(2, 10**9, 0).dimension == 0
+
+
+def test_nullspace_value_past_the_float_factorials():
+    # 201! is beyond the float range; 1/sqrt(201!) ~ 7.9e-189 is not
+    result = conjecture_nullspace(200, 201, 200)
+    assert result.tuples.tolist() == [list(range(201))]
+    assert math.isclose(math.log(result.value), -math.lgamma(202) / 2, rel_tol=1e-14)
+    assert conjecture_nullspace(3, 3, 3).value == 1 / math.sqrt(6)
 
 
 def test_nullspace_report_serializes():
     doc = conjecture_nullspace(2, 3, 2).to_json_dict()
     assert doc["dimension"] == 1
     assert "singular_values" not in doc
-    assert len(doc["basis"]) == 1
+    assert doc["basis"] == [[0, 1, 2]]
+    assert doc["value"] == 1 / math.sqrt(6)
+
+
+@pytest.mark.parametrize("d, m, p, dimension", [(10, 6, 6, 210), (12, 4, 4, 495), (10, 6, 5, 252), (66, 2, 2, 2145)])
+def test_nullspace_answers_sectors_past_the_dense_cap(d, m, p, dimension):
+    # each was refused while the cap was on dimension x (d+1)^m table entries
+    tuples = conjecture_nullspace(d, m, p).tuples
+    assert tuples.shape == (dimension, m)
+    assert np.all(np.diff(tuples, axis=1) > 0)  # strictly increasing rows
+    assert tuples.tolist() == sorted(tuples.tolist())  # in lexicographic order
+    assert np.all((tuples[:, 0] == 0) == (p == m - 1)) and tuples.max() <= d
 
 
 def svd_nullspace(d, m, homogeneity, rel_tol=1e-8):
@@ -336,8 +366,9 @@ def svd_nullspace(d, m, homogeneity, rel_tol=1e-8):
 
 
 def exact_basis(d, m, p):
+    result = conjecture_nullspace(d, m, p)
     return np.array(
-        [np.real(f.coeffs).reshape(-1) for f in conjecture_nullspace(d, m, p).basis]
+        [np.real(result.form(i).coeffs).reshape(-1) for i in range(result.dimension)]
     ).reshape(-1, (d + 1) ** m)
 
 
@@ -366,12 +397,8 @@ def test_nullspace_dimensions_are_binomial():
         for m in range(2, 7):
             for p in range(m + 1):
                 want = math.comb(d, p) if p in (m - 1, m) else 0
-                if want * (d + 1) ** m > MAX_BASIS_ENTRIES:
-                    with pytest.raises(ValueError, match="exceeds"):
-                        conjecture_nullspace(d, m, p)
-                    continue
                 result = conjecture_nullspace(d, m, p)
-                assert result.dimension == len(result.basis) == want, (d, m, p)
+                assert result.dimension == want and result.tuples.shape == (want, m), (d, m, p)
 
 
 @pytest.mark.parametrize("d, m, p", [(4, 2, 2), (2, 3, 2), (3, 3, 2), (3, 4, 3), (4, 4, 3), (5, 5, 5), (6, 6, 6)])
@@ -380,8 +407,9 @@ def test_nullspace_basis_is_exact(d, m, p):
     unit = 1 / math.sqrt(math.factorial(m))
     result = conjecture_nullspace(d, m, p)
     assert result.dimension > 0
+    forms = [result.form(i) for i in range(result.dimension)]
     increasing = []
-    for form in result.basis:
+    for form in forms:
         coeffs = form.coeffs
         assert np.all((coeffs == unit) | (coeffs == -unit) | (coeffs == 0))
         assert np.count_nonzero(coeffs) == math.factorial(m)
@@ -392,8 +420,9 @@ def test_nullspace_basis_is_exact(d, m, p):
         ordered = [idx for idx in zip(*np.nonzero(coeffs)) if list(idx) == sorted(idx)]
         assert len(ordered) == 1 and coeffs[ordered[0]] == unit
         increasing.append(ordered[0])
-    assert increasing == sorted(increasing)
-    supports = sum(np.abs(f.coeffs) > 0 for f in result.basis)
+    assert increasing == sorted(increasing) == [tuple(t) for t in result.tuples.tolist()]
+    assert result.value == unit
+    supports = sum(np.abs(f.coeffs) > 0 for f in forms)
     assert supports.max() == 1  # disjoint supports
 
 

@@ -72,7 +72,7 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 REPORT_DIGESTS = {
     ("verify", "--seed", "1729"): "66bdfe89a088aedbea2c525a30182b94b9b6d4e38668dcc92354171389423d1a",
     ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
-    ("conjecture",): "98586a7d3ede05f0974f3da9f8f55f832046f342342e336143706bf0e7809da5",
+    ("conjecture",): "630b2716eb30b2ebab5c654b0e62498be426aa1d3118caaaba6c614e587cb035",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "e194add0dee55f7fa0da0edf8303e0a6f671342f3734763ae856c8b20be1fe49",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
@@ -482,6 +482,8 @@ def test_conjecture_degree_two(capsys):
     assert status == 0
     doc = json.loads(out)
     assert doc["nullspace"]["dimension"] == 1
+    assert doc["nullspace"]["basis"] == [[0, 1, 2]]
+    assert doc["nullspace"]["value"] == 1 / math.sqrt(6)
     span = next(c for c in doc["checks"] if c["name"] == "affine_det_in_span")
     assert span["status"] == "pass"
     assert span["measured"] < 1e-8
@@ -505,10 +507,36 @@ def test_conjecture_four_arguments(capsys):
 
 
 def test_conjecture_size_overflow(capsys):
-    status, out, err = run(["conjecture", "--dim", "9", "--arity", "5", "--degree", "5"], capsys)
+    # C(60, 6) tuples of 6 indices: 3.0e8 integers
+    status, out, err = run(["conjecture", "--dim", "60", "--arity", "6", "--degree", "6"], capsys)
     assert status == 2
     assert out == ""
-    assert "exceeds" in err and "12600000" in err
+    assert err.strip().splitlines() == ["error: C(60, 6) tuples of 6 indices exceed the cap of 1000000 integers"]
+
+
+@pytest.mark.parametrize(
+    "dim, arity, degree, dimension", [(66, 2, 2, 2145), (10, 6, 6, 210), (12, 4, 4, 495), (9, 5, 5, 126)]
+)
+def test_conjecture_writes_index_tuples(capsysbinary, dim, arity, degree, dimension):
+    # each sector was refused or written as dense tables while the cap was on (d+1)^m
+    status = main(["conjecture", "--dim", str(dim), "--arity", str(arity), "--degree", str(degree)])
+    out = capsysbinary.readouterr().out
+    assert status == 0
+    assert len(out) < 100_000
+    nullspace = json.loads(out)["nullspace"]
+    assert nullspace["dimension"] == len(nullspace["basis"]) == dimension
+    assert all(len(t) == arity and t == sorted(set(t)) for t in nullspace["basis"])
+    assert nullspace["value"] == 1 / math.sqrt(math.factorial(arity))
+
+
+def test_conjecture_span_check_runs_while_the_dense_tables_fit(capsys):
+    # (d+1)^(d+1) coefficients: 7^7 fits the cap of 10^6, 8^8 does not
+    for dim, checked in [(6, True), (7, False)]:
+        status, out, _ = run(["conjecture", "--dim", str(dim), "--arity", str(dim + 1), "--degree", str(dim)], capsys)
+        doc = json.loads(out)
+        assert status == 0
+        assert doc["nullspace"]["basis"] == [list(range(dim + 1))]
+        assert any(c["name"] == "affine_det_in_span" for c in doc["checks"]) == checked
 
 
 def test_conjecture_empty_sector_with_large_table(capsys):
@@ -611,6 +639,22 @@ def test_kashiwara_rejects_mistyped_fields(tmp_path, capsys, field, value):
     assert out == ""
     [line] = err.strip().splitlines()
     assert line.startswith(f"error: {field} ")
+
+
+def test_kashiwara_rejects_entries_above_the_magnitude_cap(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "L1": [[1e200], [0]], "L2": [[0], [1e200]], "L3": [[1e200], [1e200]]}))
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: L1 basis entries must be at most 1e+150 in magnitude"]
+    # at the cap the eigenvalues of Q, entries up to 1e300, stay finite
+    path.write_text(json.dumps({"n": 1, "L1": [[1e150], [0]], "L2": [[0], [1e150]], "L3": [[1e150], [1e150]]}))
+    status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
+    index = json.loads(out)["index"]
+    assert status == 0
+    assert index["signature"] == -1
+    assert all(math.isfinite(v) and abs(v) >= 1e299 for v in index["eigenvalues"])
 
 
 def test_kashiwara_accepts_integer_entries(tmp_path, capsys):
