@@ -18,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .exterior import signed_permutations
+from .json_io import Rows
 
 __all__ = [
     "affine_det",
@@ -25,6 +26,7 @@ __all__ = [
     "laplace_expand",
     "MultiAffineForm",
     "affine_det_form",
+    "dense_table_fits",
     "determinant_generator",
     "antisymmetrize_generator",
     "NullspaceResult",
@@ -36,6 +38,7 @@ __all__ = [
 MAX_GENERATOR_ARITY = 6
 MAX_LAPLACE_DIM = 6
 # Integers in a nullspace answer, dimension x m: what is built and written.
+# Also the most coefficients a dense (d+1)^m form table may have.
 MAX_NULLSPACE_INTEGERS = 10**6
 # Singular values below this times the largest count as zero in
 # is_affinely_dependent.
@@ -148,6 +151,23 @@ class MultiAffineForm:
         return complex(value)
 
 
+def dense_table_fits(d: int, m: int) -> bool:
+    """Whether a dense (d+1)^m coefficient table is within MAX_NULLSPACE_INTEGERS."""
+    cap = MAX_NULLSPACE_INTEGERS
+    # (d+1)^m >= 2^m, so m at or past the cap's bit length is refused before the power.
+    return m < cap.bit_length() and (d + 1) ** m <= cap
+
+
+def _zero_table(d: int, m: int) -> np.ndarray:
+    """A complex (d+1)^m table of zeros, refused above the cap before it is allocated."""
+    if not dense_table_fits(d, m):
+        raise ValueError(
+            f"a dense table of {d + 1}^{m} coefficients exceeds the cap of "
+            f"{MAX_NULLSPACE_INTEGERS}"
+        )
+    return np.zeros((d + 1,) * m, dtype=complex)
+
+
 def determinant_generator(d: int, arity: int) -> MultiAffineForm:
     """det of the first d arguments, as a multi-affine form of `arity` args.
 
@@ -156,7 +176,7 @@ def determinant_generator(d: int, arity: int) -> MultiAffineForm:
     """
     if arity < d:
         raise ValueError("arity must be at least the dimension")
-    coeffs = np.zeros((d + 1,) * arity, dtype=complex)
+    coeffs = _zero_table(d, arity)
     for perm, sign in signed_permutations(d):
         idx = tuple(perm[k] + 1 for k in range(d)) + (0,) * (arity - d)
         coeffs[idx] = sign
@@ -171,7 +191,7 @@ def affine_det_form(d: int) -> MultiAffineForm:
     of the corresponding monomial.  All coefficients are exactly +-1.
     """
     arity = d + 1
-    coeffs = np.zeros((d + 1,) * arity, dtype=complex)
+    coeffs = _zero_table(d, arity)
     for perm, sign in signed_permutations(d):
         base = [0] * arity
         for j in range(d):
@@ -221,8 +241,8 @@ class NullspaceResult:
 
     def form(self, i: int) -> MultiAffineForm:
         """Form i as a dense MultiAffineForm of (dim+1)^arity coefficients."""
+        coeffs = _zero_table(self.dim, self.arity)
         perms, signs = map(np.array, zip(*signed_permutations(self.arity)))
-        coeffs = np.zeros((self.dim + 1,) * self.arity, dtype=complex)
         coeffs[tuple(self.tuples[i][perms].T)] = signs * self.value
         return MultiAffineForm(self.dim, self.arity, coeffs)
 
@@ -232,7 +252,7 @@ class NullspaceResult:
             "arity": self.arity,
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
-            "basis": self.tuples.tolist(),
+            "basis": Rows(*self.tuples.T),
             "value": self.value,
         }
 

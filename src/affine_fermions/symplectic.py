@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .json_input import number_array
+from .json_io import number_array
 
 __all__ = [
     "standard_symplectic_matrix",

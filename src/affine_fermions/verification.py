@@ -9,7 +9,6 @@ out of the serialized form.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .collapse import (
     tr1,
 )
 from .exterior import perm_sign
+from .json_io import _json_text
 
 __all__ = [
     "DEFAULT_SEED",
@@ -123,56 +123,6 @@ class Report:
     def to_json_bytes(self, **sections) -> bytes:
         """The report as sorted, indented JSON, with `sections` as extra top-level keys."""
         return (_json_text({**self.to_json_dict(), **sections}) + "\n").encode("utf-8")
-
-
-# The C encoder; it spells floats, NaN and Infinity as json.dumps does with an indent.
-_ENCODE = json.JSONEncoder().encode
-_NUMBERS = {int, float}  # exact types: a bool is not a number here
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for str keys.
-
-    json.dumps with an indent runs the pure-Python encoder on every element.
-    Here a list of numbers, or of non-empty number lists, goes to the C
-    encoder in one call and is indented by `str.replace`; the type checks
-    run in `set(map(type, ...))`, not in a per-element loop.
-    """
-    kind = type(obj)
-    if kind is str:
-        return _ENCODE(obj)
-    if kind is int or kind is float and math.isfinite(obj):
-        return repr(obj)  # json's spelling of a finite number, without the encoder's set-up
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not set(map(type, obj)) <= {str}:
-            raise TypeError("JSON object keys must be str")
-        items = ",\n".join(f"{inner}{_ENCODE(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
-        return f"{{\n{items}\n{indent}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        types = set(map(type, obj))
-        if types <= _NUMBERS:
-            body = _ENCODE(obj)[1:-1].replace(", ", ",\n" + inner)
-            return f"[\n{inner}{body}\n{indent}]"
-        if (
-            types <= {list, tuple}
-            and all(obj)
-            and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS
-        ):
-            deeper = inner + "  "
-            body = (
-                _ENCODE(obj)[2:-2]
-                .replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
-                .replace(", ", ",\n" + deeper)
-            )
-            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
-        items = ",\n".join(inner + _json_text(item, inner) for item in obj)
-        return f"[\n{items}\n{indent}]"
-    return _ENCODE(obj)
 
 
 def _abs(z):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from affine_fermions import (
     nondegeneracy_probe,
     perm_sign,
 )
-from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS
+from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, dense_table_fits
+from affine_fermions.json_io import _json_text
 
 
 def random_points(rng, m, d):
@@ -210,6 +212,28 @@ def test_affine_det_form_matches_affine_det():
             assert form(pts) == pytest.approx(affine_det(pts))
 
 
+class NoPower(int):
+    """A dimension that fails the test once (d + 1) ** m is about to be computed."""
+
+    def __add__(self, other):
+        raise AssertionError("(d + 1) ** m was computed")
+
+
+def test_dense_form_builders_refuse_tables_past_the_cap():
+    # (d+1)^m coefficients against the cap of 10^6: 7^7 and 2^19 fit, 8^8 and 2^20 do not
+    assert dense_table_fits(6, 7) and dense_table_fits(1, 19)
+    assert not dense_table_fits(7, 8) and not dense_table_fits(1, 20)
+    assert not dense_table_fits(NoPower(10**100), 10**9)  # refused before the power
+    assert affine_det_form(6).coeffs.shape == (7,) * 7
+    with pytest.raises(ValueError, match=r"^a dense table of 8\^8 coefficients exceeds the cap of 1000000$"):
+        affine_det_form(7)
+    for result in (conjecture_nullspace(7, 8, 7), conjecture_nullspace(200, 201, 200)):
+        with pytest.raises(ValueError, match=rf"^a dense table of {result.dim + 1}\^{result.arity} coefficients"):
+            result.form(0)
+    with pytest.raises(ValueError, match=r"8\^8 coefficients"):
+        determinant_generator(7, 8)
+
+
 def test_determinant_generator_evaluates_det():
     rng = np.random.default_rng(7)
     gen = determinant_generator(3, 4)
@@ -318,7 +342,7 @@ def test_nullspace_value_past_the_float_factorials():
 
 
 def test_nullspace_report_serializes():
-    doc = conjecture_nullspace(2, 3, 2).to_json_dict()
+    doc = json.loads(_json_text(conjecture_nullspace(2, 3, 2).to_json_dict()))
     assert doc["dimension"] == 1
     assert "singular_values" not in doc
     assert doc["basis"] == [[0, 1, 2]]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from affine_fermions import slater
 from affine_fermions.cli import _write_kernel, main
+from affine_fermions.json_io import Rows
 from affine_fermions.verification import _json_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -414,6 +415,57 @@ json_values = st.recursive(
 @example([{"a": [1.5, math.inf]}, [], {}, ["], [", ", "]])
 def test_json_text_matches_indented_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# Repeated values, -0.0 beside 0.0, NaN of either sign, infinities and the
+# smallest subnormal in one column: a writer that shares one spelling between
+# entries must tell every one of these apart that json does.
+float_pool = [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0, 0.1]
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def number_columns(draw):
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values = st.one_of(st.sampled_from([0, 1, -1, 7]), int64s)
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            values = st.one_of(st.sampled_from(float_pool), st.floats())
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float))
+    return columns
+
+
+@settings(max_examples=200)
+@given(number_columns())
+@example([np.array([0.0, -0.0, math.nan, -math.nan, 0.0, -0.0, 5e-324])])
+@example([np.array([], dtype=np.int64), np.array([])])
+@example([np.array([2**63 - 1]), np.array([-math.inf])])
+@example([np.arange(-20000, 20000, dtype=np.int16), np.arange(40000, dtype=np.float32) / 3])
+def test_rows_match_indented_dumps_of_the_row_lists(columns):
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    assert _json_text(Rows(*columns)) == json.dumps(rows, sort_keys=True, indent=2)
+    nested = {"outer": {"rows": Rows(*columns), "after": [1.5]}, "z": 0}
+    want = {"outer": {"rows": rows, "after": [1.5]}, "z": 0}
+    assert _json_text(nested) == json.dumps(want, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "columns, error",
+    [
+        ((), ValueError),
+        ((np.zeros(2), np.zeros(3)), ValueError),
+        ((np.zeros((2, 2)),), ValueError),
+        ((np.array([True]),), TypeError),
+        ((np.array(["1"]),), TypeError),
+        ((np.array([2**64 - 1], dtype=np.uint64),), TypeError),
+    ],
+)
+def test_rows_reject_columns_that_are_not_equal_length_numbers(columns, error):
+    with pytest.raises(error):
+        Rows(*columns)
 
 
 def test_json_text_rejects_non_str_keys():
