@@ -45,7 +45,9 @@ from .slater import (
     gamma1,
     gamma2,
     gamma2_factors,
+    gamma2_factors_stack,
     gamma2_pair_expansion,
+    m_identity_sides,
     one_point,
     psi,
     reduce_centered,

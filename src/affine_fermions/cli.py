@@ -12,6 +12,7 @@ byte-identical output; wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .json_io import Rows, _json_text
+from .json_io import Rows, _json_text, read_json
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_max, span_residual
 
@@ -82,10 +83,10 @@ def cmd_slater(args) -> int:
     if overrides:
         raise ValueError(f"unknown tolerance names: {sorted(overrides)}")
 
-    space, phi = slater.node_set_from_json(json.loads(Path(args.input).read_text()))
+    space, phi = slater.node_set_from_json(read_json(args.input))
     report = Report(command="slater", seed=DEFAULT_SEED)
     factors = slater.gamma2_factors(phi, space)
-    one, cross, two, gram_det = moment_gaps(phi, factors)
+    one, cross, two, gram_det = map(float, moment_gaps(phi, factors))
     report.add_within(
         "one_point", one, tol["one_point"],
         "triple-weighted mean of the wave function",
@@ -154,8 +155,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_kashiwara(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
-    triple = symplectic.lagrangian_triple_from_json(doc)
+    triple = symplectic.lagrangian_triple_from_json(read_json(args.input))
     result = symplectic.kashiwara_index(triple)
     report = Report(command="kashiwara", seed=DEFAULT_SEED)
     report.add(
@@ -196,7 +196,9 @@ def cmd_collapse_demo(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="affine-fermions",
         description="Verification suites and computations for affine "
@@ -238,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         status = args.func(args)

@@ -5,10 +5,25 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["number_array", "Rows"]
+__all__ = ["number_array", "read_json", "Rows"]
+
+
+def read_json(path) -> object:
+    """The JSON document in the file at `path`.
+
+    A document nested past the interpreter's recursion limit raises
+    ValueError naming `path`; a malformed one raises json.JSONDecodeError,
+    and an unreadable file OSError.
+    """
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def number_array(value, field: str) -> np.ndarray:
@@ -20,8 +35,8 @@ def number_array(value, field: str) -> np.ndarray:
     """
     entries = np.asarray(value, dtype=object)
     # The exact types first, without a Python loop; then the first entry that fails.
-    if not set(map(type, entries.flat)) <= {int, float}:
-        for entry in entries.flat:
+    if not set(map(type, entries.ravel())) <= {int, float}:
+        for entry in entries.ravel():
             if isinstance(entry, list):  # the array stops at rows that differ
                 raise ValueError(f"{field} must be a rectangular list of numbers")
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):

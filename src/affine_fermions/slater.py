@@ -19,7 +19,9 @@ is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
 (1, mean).  The K x K x K tensor of Psi values is never built.
 
 `gamma2_factors(phi, space)` validates phi, centres it and forms M, once;
-every other function here reads its (values, M).
+every other function here reads its (values, M).  `gamma2_factors_stack`
+does the same for a batch of node sets of any sizes, one array call per
+node count, and gives each set the bits of its own `gamma2_factors`.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -47,6 +49,8 @@ __all__ = [
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
+    "gamma2_factors_stack",
+    "m_identity_sides",
     "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
     "MAX_PHI",
@@ -76,13 +80,7 @@ class MeasuredSpace:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need at least two weighted nodes")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+        _check_weights(w)
         self.weights = w
 
     @classmethod
@@ -91,6 +89,22 @@ class MeasuredSpace:
 
     def __len__(self) -> int:
         return self.weights.size
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """The weight rules, for one row of K weights or a stack (..., K) of them.
+
+    Finite, positive, and each row summing to 1 within WEIGHT_SUM_ATOL; the
+    first rule that fails raises, naming the first bad row's sum.
+    """
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w <= 0).any():
+        raise ValueError("weights must be positive")
+    totals = w.sum(axis=-1)
+    bad = np.abs(totals - 1.0) > WEIGHT_SUM_ATOL
+    if bad.any():
+        raise ValueError(f"weights must sum to 1, got {float(totals[bad].flat[0])!r}")
 
 
 def node_set_from_json(doc) -> tuple:
@@ -133,8 +147,9 @@ def _psi_tensor(values: np.ndarray) -> np.ndarray:
 
 
 def _wedge_matrix(values: np.ndarray) -> np.ndarray:
-    """Pairwise wedge scalars W[p, q] = phi_1(p) phi_2(q) - phi_2(p) phi_1(q)."""
-    return np.outer(values[:, 0], values[:, 1]) - np.outer(values[:, 1], values[:, 0])
+    """Pairwise wedge scalars W[p, q] = phi_1(p) phi_2(q) - phi_2(p) phi_1(q), (..., K, K)."""
+    first, second = values[..., 0], values[..., 1]
+    return first[..., :, None] * second[..., None, :] - second[..., :, None] * first[..., None, :]
 
 
 def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -149,8 +164,8 @@ def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def _lift(values: np.ndarray) -> np.ndarray:
-    """Affine coordinates (1, phi) of every node, K x 3."""
-    return np.column_stack([np.ones(len(values)), values])
+    """Affine coordinates (1, phi) of every node, (..., K, 3)."""
+    return np.concatenate([np.ones(values.shape[:-1] + (1,)), values], axis=-1)
 
 
 class Gamma2Factors(NamedTuple):
@@ -161,15 +176,19 @@ class Gamma2Factors(NamedTuple):
     read from these O(K) numbers: <Psi>, <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
     builds the K^2 x K^2 gamma2, up to MAX_DENSE_KERNEL_NODES nodes.
+
+    `gram`, `pair_moments`, `one_point` and `two_point` also take a stack
+    from `gamma2_factors_stack`, values (B, K, 2) and moments (B, 3, 3),
+    and answer per node set; the kernels take one node set.
     """
 
-    values: np.ndarray  # (K, 2) centred components
-    moments: np.ndarray  # (3, 3) M
+    values: np.ndarray  # (..., K, 2) centred components
+    moments: np.ndarray  # (..., 3, 3) M
 
     @property
     def gram(self) -> np.ndarray:
         """The centred Gram matrix <phi~_i phi~_j>, M[1:, 1:]."""
-        return self.moments[1:, 1:]
+        return self.moments[..., 1:, 1:]
 
     def pair_moments(self) -> np.ndarray:
         """N = sum_{x1, x2} w w F(x1, x2)^T F(x1, x2) = 2 adj(M).
@@ -179,32 +198,30 @@ class Gamma2Factors(NamedTuple):
         twice the cofactors of M.  Built from the upper triangle of M, so N
         is exactly symmetric.
         """
-        (a, b, c), (_, d, e), (_, _, f) = self.moments.tolist()
-        return 2.0 * np.array(
-            [
-                [d * f - e * e, c * e - b * f, b * e - c * d],
-                [c * e - b * f, a * f - c * c, b * c - a * e],
-                [b * e - c * d, b * c - a * e, a * d - b * b],
-            ]
-        )
+        m = self.moments
+        a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+        d, e, f = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
+        n01, n02, n12 = c * e - b * f, b * e - c * d, b * c - a * e
+        cofactors = [d * f - e * e, n01, n02, n01, a * f - c * c, n12, n02, n12, a * d - b * b]
+        return 2.0 * np.stack(cofactors, axis=-1).reshape(m.shape)
 
-    def one_point(self) -> float:
+    def one_point(self) -> np.ndarray:
         """Triple-weighted mean of Psi; vanishes by antisymmetry.
 
         <Psi> = sum_{x1, x2} w w F(x1, x2) . sum_a w_a (1, a).  F is affine
         in each node, so its mean is F at the mean node, whose wedge and
         difference both vanish.
         """
-        mean = self.moments[0, 1:]
-        return float(_pair_rows(mean, mean) @ self.moments[0])
+        mean = self.moments[..., 0, 1:]
+        return (_pair_rows(mean, mean)[..., None, :] @ self.moments[..., 0, :, None])[..., 0, 0]
 
-    def two_point(self) -> float:
+    def two_point(self) -> np.ndarray:
         """Triple-weighted mean of Psi^2, <M, N>.
 
         Equals 6 det G; in particular 6 when the components are centred and
         orthonormal.
         """
-        return float(np.sum(self.moments * self.pair_moments()))
+        return np.sum(self.moments * self.pair_moments(), axis=(-2, -1))
 
     def gamma1(self) -> np.ndarray:
         """Normalized order-1 density kernel, Gamma/2 - det G.
@@ -240,11 +257,25 @@ class Gamma2Factors(NamedTuple):
         return rows @ self.moments @ rows.T
 
 
+def _factors(weights: np.ndarray, values: np.ndarray) -> Gamma2Factors:
+    """Check phi finite, centre it and form M, for node sets of one size.
+
+    weights (..., K) and phi values (..., K, 2) with the same leading axes.  Each
+    set gets the same BLAS calls, on the same K, as it would alone, so a
+    stack of one size reproduces every set's single-call bits.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("wave function values must be finite")
+    values = values - weights[..., None, :] @ values
+    lifted = _lift(values)
+    return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted))
+
+
 def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
     """Validate phi, centre it and form M, in O(K) work and memory.
 
-    The only place that does any of the three: every other function of the
-    module reads its result.
+    The only place that does any of the three for one node set: every other
+    function of the module reads its result.
     """
     values = np.asarray(phi, dtype=float)
     if values.shape != (len(space), 2):
@@ -252,11 +283,38 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
             f"wave function must be a {len(space)} x 2 real matrix (d = 2 "
             f"components), got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("wave function values must be finite")
-    values = values - space.weights @ values
-    lifted = _lift(values)
-    return Gamma2Factors(values, lifted.T @ (space.weights[:, None] * lifted))
+    return _factors(space.weights, values)
+
+
+def gamma2_factors_stack(sizes, weights, phi) -> Gamma2Factors:
+    """`gamma2_factors` of B node sets of any sizes, one array call per size.
+
+    Node set b is weights[b, :sizes[b]] with phi[b, :sizes[b]]; weights is
+    (B, K) and phi (B, K, 2) for the largest size K, and entries past a
+    set's size are not read.  Each set's weights are checked by
+    MeasuredSpace's rules and messages.  The result holds values (B, K, 2),
+    zero past each set's size, and moments (B, 3, 3), each row with the
+    bits of that set's own `gamma2_factors`.
+    """
+    sizes = np.asarray(sizes)
+    weights = np.asarray(weights, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    count, k_max = weights.shape
+    if sizes.shape != (count,) or phi.shape != (count, k_max, 2):
+        raise ValueError(
+            f"need sizes (B,), weights (B, K) and phi (B, K, 2), got shapes "
+            f"{sizes.shape}, {weights.shape} and {phi.shape}"
+        )
+    if count and not (sizes.min() >= 2 and sizes.max() <= k_max):
+        raise ValueError(f"need at least two weighted nodes and at most {k_max} per set")
+    values = np.zeros_like(phi)
+    moments = np.empty((count, 3, 3))
+    for k in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == k)
+        w = weights[rows, :k]
+        _check_weights(w)
+        values[rows, :k], moments[rows] = _factors(w, phi[rows, :k])
+    return Gamma2Factors(values, moments)
 
 
 def center(phi, space: MeasuredSpace) -> np.ndarray:
@@ -290,12 +348,12 @@ def psi(phi, space: MeasuredSpace, nodes) -> float:
 
 def one_point(phi, space: MeasuredSpace) -> float:
     """Triple-weighted mean of Psi (`Gamma2Factors.one_point`)."""
-    return gamma2_factors(phi, space).one_point()
+    return float(gamma2_factors(phi, space).one_point())
 
 
 def two_point(phi, space: MeasuredSpace) -> float:
     """Triple-weighted mean of Psi^2, 6 det G, in O(K) work (`Gamma2Factors.two_point`)."""
-    return gamma2_factors(phi, space).two_point()
+    return float(gamma2_factors(phi, space).two_point())
 
 
 def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
@@ -307,37 +365,50 @@ def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
         lhs = 3 sum w^3 ab M (ab + bc + ca)
         rhs =   sum w^3 (ab + bc + ca) M (ab + bc + ca)
 
-    are equal.  Returns (lhs, rhs).  Every entry of M is compared with its
-    five permuted entries, to 1e-12 relative to the entry; an asymmetric or
-    non-finite table is rejected.
+    are equal.  Returns (lhs, rhs); `m_identity_sides` checks and sums.
     """
     values = center(phi, space)
     k = len(space)
     m = np.asarray(m_table, dtype=float)
     if m.shape != (k, k, k):
         raise ValueError(f"M must be a {k}x{k}x{k} table, got shape {m.shape}")
+    lhs, rhs = m_identity_sides(values, space.weights, m)
+    return float(lhs), float(rhs)
 
+
+def m_identity_sides(values, weights, m_table):
+    """(lhs, rhs) of `symmetric_m_identity` for centred values, one set or a stack.
+
+    values (..., K, 2), weights (..., K) and tables (..., K, K, K) share
+    their leading axes; a stack may pad smaller sets with zero weights and
+    zero table entries, which add exactly 0 to both sides.  Every entry of
+    a table is compared with its five permuted entries, to 1e-12 relative
+    to the entry; an asymmetric or non-finite table is rejected, naming it.
+    """
+    m = np.asarray(m_table, dtype=float)
     bound = 1e-12 * np.maximum(1.0, np.abs(m))
     bad = np.zeros(m.shape, dtype=bool)
     # One transpose at a time holds a few copies of M, not fifteen.  Written
     # as `not <=` so that NaN, and inf against inf, count as asymmetric.
+    n = m.ndim - 3  # leading axes
     with np.errstate(invalid="ignore"):
         for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            bad |= ~(np.abs(np.transpose(m, axes) - m) <= bound)
+            bad |= ~(np.abs(np.transpose(m, (*range(n), *(n + a for a in axes))) - m) <= bound)
     if bad.any():
-        i, j, l = np.argwhere(bad)[0]
-        raise ValueError(f"M is not symmetric at nodes ({i}, {j}, {l})")
+        *table, i, j, l = np.argwhere(bad)[0]
+        which = f" table {', '.join(map(str, table))}" if table else ""
+        raise ValueError(f"M{which} is not symmetric at nodes ({i}, {j}, {l})")
 
-    w = space.weights
+    w = weights
     wedge = _wedge_matrix(values)
     psi3 = (
-        wedge[:, :, None]
-        + wedge[None, :, :]
-        + np.transpose(wedge)[:, None, :]
+        wedge[..., :, :, None]
+        + wedge[..., None, :, :]
+        + np.swapaxes(wedge, -1, -2)[..., :, None, :]
     )  # W(x0,x1) + W(x1,x2) + W(x2,x0)
-    lhs = 3.0 * np.einsum("i,j,k,ij,ijk,ijk->", w, w, w, wedge, m, psi3)
-    rhs = np.einsum("i,j,k,ijk,ijk,ijk->", w, w, w, psi3, m, psi3)
-    return float(lhs), float(rhs)
+    lhs = 3.0 * np.einsum("...i,...j,...k,...ij,...ijk,...ijk->...", w, w, w, wedge, m, psi3)
+    rhs = np.einsum("...i,...j,...k,...ijk,...ijk,...ijk->...", w, w, w, psi3, m, psi3)
+    return lhs, rhs
 
 
 def gamma1(phi, space: MeasuredSpace) -> np.ndarray:

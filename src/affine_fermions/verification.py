@@ -26,7 +26,7 @@ from .collapse import (
     theta,
     tr1,
 )
-from .exterior import perm_sign
+from .exterior import signed_permutations
 from .json_io import _json_text
 
 __all__ = [
@@ -171,21 +171,25 @@ def rho_basis_max() -> float:
 
 
 def moment_gaps(phi, factors):
-    """(|<Psi>| / scale^3, gap of <Psi^2> to 6 det G, <Psi^2>, det G).
+    """(|<Psi>| / scale^3, gap of <Psi^2> to 6 det G, <Psi^2>, det G), as arrays.
 
     `factors` is `slater.gamma2_factors(phi, space)`, G its centred Gram
     matrix and scale is max(1, largest |phi| entry).  <Psi^2> is the sum
     <M, N>, so its gap |<Psi^2> - 6 det G| is measured against the size of
     that sum, sum |M o N|: a sum that is exactly 0 gives 0 and passes,
-    however large phi is.
+    however large phi is.  For a stack from `slater.gamma2_factors_stack`,
+    phi is (B, K, 2), zero-padded like its weights, and each value has
+    shape (B,).
     """
-    scale = max(1.0, float(np.abs(phi).max()))
-    one = abs(factors.one_point()) / scale**3
+    scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
+    one = np.abs(factors.one_point()) / scale**3
     two = factors.two_point()
-    gram_det = float(np.linalg.det(factors.gram))
-    gap = abs(two - 6.0 * gram_det)
-    size = np.abs(factors.moments * factors.pair_moments()).sum()
-    return one, float(gap / size) if gap else 0.0, two, gram_det
+    gram_det = np.linalg.det(factors.gram)
+    gap = np.abs(two - 6.0 * gram_det)
+    size = np.abs(factors.moments * factors.pair_moments()).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(gap != 0.0, gap / size, 0.0)
+    return one, cross, two, gram_det
 
 
 def span_residual(result) -> float:
@@ -293,9 +297,9 @@ def _check_affine_det(report: Report, rng, tol) -> None:
     for d in (2, 3, 4):
         pts = rng.standard_normal((2, d + 1, d))
         pts = pts[0] + 1j * pts[1]
-        perms = list(itertools.permutations(range(d + 1)))
-        dets = affine_forms.affine_det(pts[perms])
-        signs = np.array([perm_sign(perm) for perm in perms])
+        perms, signs = zip(*signed_permutations(d + 1))
+        dets = affine_forms.affine_det(pts[list(perms)])
+        signs = np.array(signs)
         # perms[0] is the identity, so dets[0] is the unpermuted determinant
         worst = max(worst, _rel(dets, signs * dets[0]))
     report.add_within(
@@ -411,20 +415,40 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
     )
 
 
-def _random_space_and_wavefunction(rng, max_nodes=12):
+def _random_node_set(rng, max_nodes=12):
+    """Weights and phi of 4..max_nodes nodes, drawn in that order."""
     k = int(rng.integers(4, max_nodes + 1))
     weights = rng.random(k) + 0.1
-    weights /= weights.sum()
-    space = slater.MeasuredSpace(weights)
-    phi = rng.standard_normal((k, 2))
-    return space, phi
+    return weights / weights.sum(), rng.standard_normal((k, 2))
+
+
+def _node_set_stack(rng, count, max_nodes, tables=False):
+    """count random node sets, zero-padded to max_nodes: (sizes, weights, phi, tables).
+
+    With `tables`, each set's draws are followed by a random symmetric
+    K x K x K weight table, the sum of a normal draw's six transposes.
+    """
+    sizes = np.zeros(count, dtype=int)
+    weights = np.zeros((count, max_nodes))
+    phi = np.zeros((count, max_nodes, 2))
+    raw = np.zeros((count, max_nodes, max_nodes, max_nodes)) if tables else None
+    for i in range(count):
+        w, p = _random_node_set(rng, max_nodes)
+        k = sizes[i] = len(w)
+        weights[i, :k], phi[i, :k] = w, p
+        if tables:
+            raw[i, :k, :k, :k] = rng.standard_normal((k, k, k))
+    m_tables = None
+    if tables:
+        m_tables = np.zeros_like(raw)
+        for perm in itertools.permutations((1, 2, 3)):
+            m_tables += np.transpose(raw, (0, *perm))
+    return sizes, weights, phi, m_tables
 
 
 def _check_moments(report: Report, rng, tol) -> None:
-    one, two = np.zeros((2, 50))
-    for i in range(50):
-        space, phi = _random_space_and_wavefunction(rng)
-        one[i], two[i], _, _ = moment_gaps(phi, slater.gamma2_factors(phi, space))
+    sizes, weights, phi, _ = _node_set_stack(rng, 50, 12)
+    one, two, _, _ = moment_gaps(phi, slater.gamma2_factors_stack(sizes, weights, phi))
     worst_one = float(one.max())
     worst_two = float(two.max())
     report.add_within(
@@ -437,7 +461,8 @@ def _check_moments(report: Report, rng, tol) -> None:
         "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
     )
 
-    space, phi = _random_space_and_wavefunction(rng)
+    weights, phi = _random_node_set(rng)
+    space = slater.MeasuredSpace(weights)
     reduced = slater.reduce_centered(phi, space)
     unit = abs(slater.two_point(reduced, space) / 6.0 - 1.0)
     report.add_within(
@@ -445,16 +470,9 @@ def _check_moments(report: Report, rng, tol) -> None:
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
-    sides = np.zeros((2, 20))
-    for i in range(20):
-        space, phi = _random_space_and_wavefunction(rng, max_nodes=8)
-        k = len(space)
-        raw = rng.standard_normal((k, k, k))
-        m_table = np.zeros_like(raw)
-        for perm in itertools.permutations(range(3)):
-            m_table += np.transpose(raw, perm)
-        sides[:, i] = slater.symmetric_m_identity(phi, space, m_table)
-    worst_m = _rel(*sides)
+    sizes, weights, phi, m_tables = _node_set_stack(rng, 20, 8, tables=True)
+    values = slater.gamma2_factors_stack(sizes, weights, phi).values
+    worst_m = _rel(*slater.m_identity_sides(values, weights, m_tables))
     report.add_within(
         "symmetric_m_identity", worst_m, tol["m_identity"],
         "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",

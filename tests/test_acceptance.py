@@ -111,7 +111,8 @@ DEFECTS = [
     (4, verification, "rho_trace_AC", shifted(1e-9), "rho_trace_ac_basis_zero"),
     (4, verification, "rho_trace_AC", scaled(1 + 1e-8), "rho_trace_ac_closed_form"),
     (4, verification, "rho_trace_A", scaled(0.0), "rho_trace_a_generic_nonzero"),
-    (5, verification, "perm_sign", lambda f: lambda perm: 1, "affine_det_antisymmetry"),
+    (5, verification, "signed_permutations", lambda f: lambda p: tuple((perm, 1) for perm, _ in f(p)),
+     "affine_det_antisymmetry"),
     (5, affine_forms, "affine_det", lambda f: lambda pts: f(pts) + 1e-8 * np.asarray(pts)[..., 0, 0],
      "affine_det_translation_invariance"),
     (5, affine_forms, "affine_det", scaled(1 + 1e-8), "affine_det_coordinate_expansion"),
@@ -126,6 +127,8 @@ DEFECTS = [
     (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
+    (9, slater, "m_identity_sides", on_result(lambda sides: (sides[0] * (1 + 1e-6), sides[1])),
+     "symmetric_m_identity"),
     (10, slater, "gamma2", shifted(1e-6), "gamma2_expansion_match"),
     (10, slater, "gamma2", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
     (10, slater, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),

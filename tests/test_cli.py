@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_fermions import slater
-from affine_fermions.cli import _write_kernel, main
+from affine_fermions.cli import _write_kernel, build_parser, main
 from affine_fermions.json_io import Rows
 from affine_fermions.verification import _json_text
 
@@ -35,6 +35,13 @@ def orthonormal_input(path, k=6):
     }
     path.write_text(json.dumps(doc))
     return path
+
+
+def nested(depth, leaf=1.0):
+    """`leaf` inside `depth` levels of one-element lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
 
 
 def axes_triple_input(path, order=("L1", "L2", "L3")):
@@ -332,10 +339,13 @@ def test_slater_rejects_missing_fields(tmp_path, capsys):
         ("phi", [[1.0], [0.0, 1.0]]),
         ("phi", [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
         ("phi", {"x": 1}),
+        ("weights", nested(40)),
+        ("phi", nested(70)),
     ],
     ids=[
         "weights-object", "weights-bool", "weights-string", "weights-scalar", "phi-1e103", "phi-nan",
         "phi-huge-integer", "phi-string", "phi-bool", "phi-ragged", "phi-three-components", "phi-object",
+        "weights-nested-40", "phi-nested-70",
     ],
 )
 def test_slater_rejects_mistyped_fields(tmp_path, capsys, field, value):
@@ -678,8 +688,13 @@ def test_kashiwara_rejects_non_finite_basis(tmp_path, capsys, slot, value):
         ("L3", [[True], [1.0]]),
         ("L1", [[10**400], [0.0]]),
         ("L1", [[1.0], [0.0, 1.0]]),
+        ("L1", nested(40)),
+        ("L2", nested(70)),
     ],
-    ids=["n-float", "n-bool", "n-string", "n-zero", "L2-string-entry", "L3-bool-entry", "L1-huge-integer", "L1-ragged"],
+    ids=[
+        "n-float", "n-bool", "n-string", "n-zero", "L2-string-entry", "L3-bool-entry", "L1-huge-integer", "L1-ragged",
+        "L1-nested-40", "L2-nested-70",
+    ],
 )
 def test_kashiwara_rejects_mistyped_fields(tmp_path, capsys, field, value):
     doc = json.loads(axes_triple_input(tmp_path / "triple.json").read_text())
@@ -725,6 +740,33 @@ def test_collapse_demo_runs_clean(capsys):
     assert status == 0
     doc = json.loads(out)
     assert doc["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("command", ["slater", "kashiwara"])
+def test_input_nested_past_the_recursion_limit_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    status, out, err = run([command, "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {path}: JSON nested too deeply to read"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsysbinary):
+    assert build_parser() is build_parser()
+    assert main(["verify", "--tol", "one_point=1"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["tolerances"]["one_point"] == 1.0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "x"])
+    assert exc.value.code == 2
+    capsysbinary.readouterr()
+    assert main(["verify"]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "affine_fermions.cli", "verify"], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert fresh.returncode == 0
+    assert capsysbinary.readouterr().out == fresh.stdout
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

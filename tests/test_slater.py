@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
@@ -13,7 +15,9 @@ from affine_fermions import (
     gamma1,
     gamma2,
     gamma2_factors,
+    gamma2_factors_stack,
     gamma2_pair_expansion,
+    m_identity_sides,
     one_point,
     psi,
     reduce_centered,
@@ -21,6 +25,7 @@ from affine_fermions import (
     two_point,
 )
 from affine_fermions.slater import _psi_tensor
+from affine_fermions.verification import moment_gaps
 
 
 def random_instance(rng, k=None, max_nodes=10):
@@ -462,3 +467,82 @@ def test_kernels_require_two_components():
     phi = np.ones((4, 3))
     with pytest.raises(ValueError, match="d = 2"):
         two_point(phi, space)
+
+
+# ------------------------------------------------------ stacked node sets
+
+
+def padded_stack(rng, sizes, tables=False):
+    """Random node sets of the given sizes, zero-padded to the largest."""
+    k_max = max(sizes)
+    weights, phi = np.zeros((len(sizes), k_max)), np.zeros((len(sizes), k_max, 2))
+    m = np.zeros((len(sizes), k_max, k_max, k_max))
+    for i, k in enumerate(sizes):
+        w = rng.random(k) + 0.1
+        weights[i, :k], phi[i, :k] = w / w.sum(), rng.standard_normal((k, 2))
+        if tables:
+            m[i, :k, :k, :k] = symmetrized_table(rng, k)
+    return np.array(sizes), weights, phi, m
+
+
+@given(sizes=st.lists(st.integers(4, 12), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_moments_equal_single_calls(sizes, seed):
+    sizes, weights, phi, _ = padded_stack(np.random.default_rng(seed), sizes)
+    stack = gamma2_factors_stack(sizes, weights, phi)
+    gaps = moment_gaps(phi, stack)
+    for i, k in enumerate(sizes):
+        single = gamma2_factors(phi[i, :k], MeasuredSpace(weights[i, :k]))
+        # each size is one array call over the same BLAS sizes, so the bits agree
+        assert np.array_equal(stack.values[i, :k], single.values)
+        assert not stack.values[i, k:].any()
+        assert np.array_equal(stack.moments[i], single.moments)
+        assert stack.one_point()[i] == single.one_point()
+        assert stack.two_point()[i] == single.two_point()
+        assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
+        assert [g[i] for g in gaps] == list(moment_gaps(phi[i, :k], single))
+
+
+@given(sizes=st.lists(st.integers(4, 8), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_m_identity_equals_single_calls(sizes, seed):
+    sizes, weights, phi, m = padded_stack(np.random.default_rng(seed), sizes, tables=True)
+    lhs, rhs = m_identity_sides(gamma2_factors_stack(sizes, weights, phi).values, weights, m)
+    for i, k in enumerate(sizes):
+        single = symmetric_m_identity(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
+        assert (lhs[i], rhs[i]) == single
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0.5, 0.6, 0.0], "weights must sum to 1, got 1.1"),
+        ([1.2, -0.2, 0.0], "weights must be positive"),
+        ([0.5, np.nan, 0.0], "weights must be finite"),
+    ],
+)
+def test_stacked_weights_follow_measured_space_rules(row, message):
+    sizes, weights, phi, _ = padded_stack(np.random.default_rng(40), [3, 2, 3])
+    weights[1] = row
+    with pytest.raises(ValueError, match=r"weights .*") as single:
+        MeasuredSpace(row[:2])
+    with pytest.raises(ValueError) as stacked:
+        gamma2_factors_stack(sizes, weights, phi)
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value).startswith(message)
+
+
+def test_stacked_sizes_must_fit_the_padding():
+    sizes, weights, phi, _ = padded_stack(np.random.default_rng(41), [4, 5])
+    with pytest.raises(ValueError, match="at least two weighted nodes and at most 5"):
+        gamma2_factors_stack([4, 6], weights, phi)
+    with pytest.raises(ValueError, match="at least two weighted nodes"):
+        gamma2_factors_stack([1, 5], weights, phi)
+    with pytest.raises(ValueError, match=r"sizes \(B,\)"):
+        gamma2_factors_stack(sizes, weights, phi[:, :4])
+
+
+def test_stacked_m_identity_names_the_asymmetric_table():
+    sizes, weights, phi, m = padded_stack(np.random.default_rng(42), [4, 5, 6], tables=True)
+    m[1, 0, 1, 2] += 1.0
+    values = gamma2_factors_stack(sizes, weights, phi).values
+    with pytest.raises(ValueError, match=r"M table 1 is not symmetric at nodes \(0, 1, 2\)"):
+        m_identity_sides(values, weights, m)
