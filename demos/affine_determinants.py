@@ -18,9 +18,6 @@ from affine_fermions import (
     antisymmetrize_generator,
     conjecture_nullspace,
     determinant_generator,
-    is_affinely_dependent,
-    laplace_expand,
-    nondegeneracy_probe,
 )
 
 rng = np.random.default_rng(11)
@@ -35,12 +32,22 @@ print(f"  after translating all    = {affine_det(pts + shift):.6f}")
 
 print("\ndegenerate configurations")
 line = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
+# dependent: the difference vectors x_i - x_0 have rank below the number of them
+dependent = np.linalg.matrix_rank(line[1:] - line[0]) < len(line) - 1
 print(f"  three collinear points: det = {affine_det(line):.1e}, "
-      f"dependent = {is_affinely_dependent(line)}")
+      f"dependent = {dependent}")
+
+
+def laplace(a):
+    """Determinant by recursive expansion along the first column."""
+    if len(a) == 1:
+        return complex(a[0, 0])
+    return sum((-1) ** i * a[i, 0] * laplace(np.delete(a, i, axis=0)[:, 1:]) for i in range(len(a)))
+
 
 print("\nLaplace expansion against LU elimination (5x5)")
 m = rng.standard_normal((5, 5))
-print(f"  recursive: {laplace_expand(m):.8f}")
+print(f"  recursive: {laplace(m):.8f}")
 print(f"  numpy:     {np.linalg.det(m):.8f}")
 
 print("\ngenerator antisymmetrization")
@@ -66,6 +73,21 @@ print(f"  four arguments, homogeneity 2: dimension {result.dimension} "
       "(no antisymmetric form survives an extra argument)")
 
 print("\nnon-degeneracy probe (falsifier) on the affine determinant, d = 2")
-report = nondegeneracy_probe(affine_det, 2, trials=1000, seed=3)
-print(f"  trials {report.trials}, counterexamples {len(report.counterexamples)}, "
-      f"passed = {report.passed}")
+# A trial draws x_1, x_2 off any (d-2)-dimensional affine subspace (distinct
+# points) and counts as a counterexample if none of 8 leading points x_0
+# gives a value above 1e-10 times the largest of 16 random values.
+probe = np.random.default_rng(3)
+
+
+def sample(*shape):
+    return probe.standard_normal(shape) + 1j * probe.standard_normal(shape)
+
+
+scale = np.abs(affine_det(sample(16, 3, 2))).max()
+tails = sample(1000, 2, 2)
+assert np.all(np.linalg.matrix_rank(tails[:, 1:] - tails[:, :1]) == 1)
+leads = sample(1000, 8, 1, 2)
+values = affine_det(np.concatenate([leads, np.broadcast_to(tails[:, None], (1000, 8, 2, 2))], axis=2))
+misses = int(np.sum(np.all(np.abs(values) <= 1e-10 * scale, axis=1)))
+print(f"  trials {len(tails)}, counterexamples {misses}, "
+      f"passed = {scale > 0 and misses == 0}")

@@ -4,15 +4,11 @@ from .exterior import perm_sign, signed_permutations
 from .affine_forms import (
     MultiAffineForm,
     NullspaceResult,
-    ProbeReport,
     affine_det,
     affine_det_form,
     antisymmetrize_generator,
     conjecture_nullspace,
     determinant_generator,
-    is_affinely_dependent,
-    laplace_expand,
-    nondegeneracy_probe,
 )
 from .collapse import (
     BASIS_2D,

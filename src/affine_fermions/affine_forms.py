@@ -4,9 +4,8 @@ The affine determinant of d+1 points in C^d is det(x_1 - x_0, ..., x_d - x_0);
 it is antisymmetric under all (d+1)! argument permutations and translation
 invariant.  The module also carries the machinery for exploring which other
 antisymmetric forms exist: a coefficient representation of multi-affine forms,
-antisymmetrization of generators over the full symmetric group, the exact
-basis of antisymmetric forms per homogeneity sector, a Monte Carlo
-non-degeneracy falsifier, and a Laplace determinant expansion.
+antisymmetrization of generators over the full symmetric group, and the exact
+basis of antisymmetric forms per homogeneity sector as index tuples.
 """
 
 from __future__ import annotations
@@ -22,38 +21,18 @@ from .json_io import Rows
 
 __all__ = [
     "affine_det",
-    "is_affinely_dependent",
-    "laplace_expand",
     "MultiAffineForm",
     "affine_det_form",
-    "dense_table_fits",
     "determinant_generator",
     "antisymmetrize_generator",
     "NullspaceResult",
     "conjecture_nullspace",
-    "ProbeReport",
-    "nondegeneracy_probe",
 ]
 
 MAX_GENERATOR_ARITY = 6
-MAX_LAPLACE_DIM = 6
 # Integers in a nullspace answer, dimension x m: what is built and written.
 # Also the most coefficients a dense (d+1)^m form table may have.
 MAX_NULLSPACE_INTEGERS = 10**6
-# Singular values below this times the largest count as zero in
-# is_affinely_dependent.
-AFFINE_RANK_REL_TOL = 1e-10
-# nondegeneracy_probe tries this many leading points per trial, and counts a
-# value as zero below PROBE_REL_TOL times the largest of 16 prescan values.
-PROBE_CANDIDATES = 8
-PROBE_REL_TOL = 1e-10
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim != 2:
-        raise ValueError("points must be a sequence of equal-length vectors")
-    return pts
 
 
 def affine_det(points):
@@ -71,49 +50,6 @@ def affine_det(points):
     # One batched np.linalg.det equals the per-matrix calls bit for bit.
     dets = np.linalg.det((pts[..., 1:, :] - pts[..., :1, :]).swapaxes(-1, -2))
     return complex(dets) if dets.ndim == 0 else dets
-
-
-def is_affinely_dependent(points) -> bool:
-    """Whether the affine span of the points has deficient dimension.
-
-    True iff the difference vectors x_i - x_0 have numerical rank below
-    min(m-1, d), decided by singular values under AFFINE_RANK_REL_TOL times
-    the largest.
-    """
-    pts = _as_points(points)
-    m, d = pts.shape
-    if m < 2:
-        return False
-    diffs = pts[1:] - pts[0]
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    if svals[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(svals > AFFINE_RANK_REL_TOL * svals[0]))
-    return rank < min(m - 1, d)
-
-
-def laplace_expand(matrix) -> complex:
-    """Determinant by recursive expansion along the first column."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n > MAX_LAPLACE_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_LAPLACE_DIM}")
-
-    def rec(sub: np.ndarray) -> complex:
-        k = sub.shape[0]
-        if k == 1:
-            return complex(sub[0, 0])
-        total = 0.0 + 0.0j
-        rows = np.arange(k)
-        for i in range(k):
-            minor = sub[rows != i, 1:]
-            total += (-1) ** i * sub[i, 0] * rec(minor)
-        return total
-
-    return rec(m)
 
 
 @dataclass(frozen=True)
@@ -138,7 +74,7 @@ class MultiAffineForm:
         object.__setattr__(self, "coeffs", c.astype(complex))
 
     def __call__(self, points) -> complex:
-        pts = _as_points(points)
+        pts = np.asarray(points, dtype=complex)
         if pts.shape != (self.arity, self.dim):
             raise ValueError(
                 f"need {self.arity} points of dimension {self.dim}, "
@@ -151,20 +87,12 @@ class MultiAffineForm:
         return complex(value)
 
 
-def dense_table_fits(d: int, m: int) -> bool:
-    """Whether a dense (d+1)^m coefficient table is within MAX_NULLSPACE_INTEGERS."""
+def _zero_table(d: int, m: int) -> np.ndarray:
+    """A complex (d+1)^m table of zeros, refused above MAX_NULLSPACE_INTEGERS before it is allocated."""
     cap = MAX_NULLSPACE_INTEGERS
     # (d+1)^m >= 2^m, so m at or past the cap's bit length is refused before the power.
-    return m < cap.bit_length() and (d + 1) ** m <= cap
-
-
-def _zero_table(d: int, m: int) -> np.ndarray:
-    """A complex (d+1)^m table of zeros, refused above the cap before it is allocated."""
-    if not dense_table_fits(d, m):
-        raise ValueError(
-            f"a dense table of {d + 1}^{m} coefficients exceeds the cap of "
-            f"{MAX_NULLSPACE_INTEGERS}"
-        )
+    if m >= cap.bit_length() or (d + 1) ** m > cap:
+        raise ValueError(f"a dense table of {d + 1}^{m} coefficients exceeds the cap of {cap}")
     return np.zeros((d + 1,) * m, dtype=complex)
 
 
@@ -287,59 +215,3 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
     dimension = math.comb(d, k)
     tuples = np.pad(np.fromiter(subsets, (int, homogeneity), dimension), ((0, 0), (m - homogeneity, 0)))
     return NullspaceResult(d, m, homogeneity, tuples, value)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of a Monte Carlo non-degeneracy probe.
-
-    A falsifier, not a prover: `counterexamples` holds sampled argument
-    tuples that are not confined to a (d-2)-dimensional affine subspace yet
-    make the form vanish for every sampled leading point.  `identically_zero`
-    is set when the form vanished on every pre-scan configuration.
-    """
-
-    dim: int
-    trials: int
-    counterexamples: tuple
-    identically_zero: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.identically_zero and not self.counterexamples
-
-
-def nondegeneracy_probe(form, d: int, trials: int = 1000, seed: int = 0) -> ProbeReport:
-    """Search for violations of non-degeneracy of a (d+1)-argument form.
-
-    For each trial, samples points x_1..x_d that do not fit in a
-    (d-2)-dimensional affine subspace, then looks for a leading point x_0
-    with form(x_0, x_1, ..., x_d) != 0 among PROBE_CANDIDATES samples.  Tuples
-    where every candidate gives zero are reported as counterexamples.
-    """
-    rng = np.random.default_rng(seed)
-
-    def sample(count):
-        return rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-
-    prescan = [abs(form(sample(d + 1))) for _ in range(16)]
-    scale = max(prescan)
-    if scale == 0.0:
-        return ProbeReport(d, 0, (), True)
-    threshold = PROBE_REL_TOL * scale
-
-    counterexamples = []
-    for _ in range(trials):
-        tail = sample(d)
-        while is_affinely_dependent(tail):
-            tail = sample(d)
-        hit = False
-        for _ in range(PROBE_CANDIDATES):
-            x0 = sample(1)
-            config = np.vstack([x0, tail])
-            if abs(form(config)) > threshold:
-                hit = True
-                break
-        if not hit:
-            counterexamples.append(tail)
-    return ProbeReport(d, trials, tuple(counterexamples), False)

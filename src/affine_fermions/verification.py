@@ -195,12 +195,10 @@ def moment_gaps(phi, factors):
 def span_residual(result) -> float:
     """Distance of the unit affine-determinant coefficients on C^dim from the span of a NullspaceResult.
 
-    The projection is t - B^T ((B t) / sum_j B_ij^2), exact for an orthogonal basis.
+    Those coefficients are the sign pattern of the one tuple (0, 1, ..., dim), and the basis forms
+    have disjoint supports, so the distance is |1 - c| for the c rows equal to that tuple.
     """
-    target = np.real(affine_forms.affine_det_form(result.dim).coeffs).reshape(-1)
-    target = target / np.linalg.norm(target)
-    rows = np.array([np.real(result.form(i).coeffs).reshape(-1) for i in range(result.dimension)])
-    return float(np.linalg.norm(target - rows.T @ ((rows @ target) / np.sum(rows**2, axis=1))))
+    return float(abs(1 - np.all(result.tuples == np.arange(result.dim + 1), axis=1).sum()))
 
 
 def _check_collapse(report: Report, rng, tol) -> None:

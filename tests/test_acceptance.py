@@ -95,12 +95,18 @@ def duplicate_tuple(result):
 
 def wrong_tuple(result):
     tuples = result.tuples.copy()
-    tuples[0, -1] -= 1  # (0, 1, 2) -> (0, 1, 1): support disjoint from the affine determinant's
+    tuples[:1, -1] -= 1  # (0, 1, 2) -> (0, 1, 1): support disjoint from the affine determinant's
     return dataclasses.replace(result, tuples=tuples)
 
 
 def mirror_inertia(result):
     return dataclasses.replace(result, n_plus=result.n_minus, n_minus=result.n_plus)
+
+
+def row_ids(rows, name_at):
+    """Each row's record; a later row on the same record adds the function it plants in, row[name_at]."""
+    records = [row[-1] for row in rows]
+    return [r if records.index(r) == i else f"{r}-{rows[i][name_at]}" for i, r in enumerate(records)]
 
 
 # (suite id, module, function, defect, record that must fail)
@@ -117,8 +123,9 @@ DEFECTS = [
      "affine_det_translation_invariance"),
     (5, affine_forms, "affine_det", scaled(1 + 1e-8), "affine_det_coordinate_expansion"),
     (6, affine_forms, "antisymmetrize_generator", on_result(bump_constant), "generator_antisymmetrization"),
+    (6, affine_forms, "affine_det_form", on_result(bump_constant), "generator_antisymmetrization"),
     (7, affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "nullspace_dimensions_d2_m3"),
-    (7, affine_forms, "affine_det_form", on_result(bump_constant), "nullspace_contains_affine_det"),
+    (7, affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "nullspace_contains_affine_det"),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
     # diag(I, -I) reverses omega, so every signature flips
     (8, symplectic, "symplectic_exp",
@@ -136,7 +143,7 @@ DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("idx, module, name, defect, record", DEFECTS, ids=[row[-1] for row in DEFECTS])
+@pytest.mark.parametrize("idx, module, name, defect, record", DEFECTS, ids=row_ids(DEFECTS, 2))
 def test_planted_defect_fails_its_record(monkeypatch, idx, module, name, defect, record):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
     failed = [r.name for r in run_suite(idx, _CHECKS[idx - 1]).checks if not r.passed]
@@ -156,15 +163,9 @@ SUBCOMMAND_DEFECTS = [
     (verification, "rho_trace_AC", shifted(1e-9), "collapse-demo", "rho_trace_ac_basis_zero"),
     (Gamma2Factors, "one_point", shifted(1e-8), "slater", "one_point"),
     (Gamma2Factors, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
-    (affine_forms, "affine_det_form", on_result(bump_constant), "conjecture", "affine_det_in_span"),
+    (affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "conjecture", "affine_det_in_span"),
     (affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "conjecture", "affine_det_in_span"),
 ]
-
-
-def row_ids(rows):
-    """Each row's record; a later row on the same record adds the function it plants in."""
-    records = [row[-1] for row in rows]
-    return [r if records.index(r) == i else f"{r}-{rows[i][1]}" for i, r in enumerate(records)]
 
 
 # subcommand record -> (its DEFAULT_TOLERANCES key, the `verify` record with the same predicate)
@@ -184,7 +185,7 @@ def run_subcommand(command, capsysbinary):
 
 
 @pytest.mark.parametrize(
-    "module, name, defect, command, record", SUBCOMMAND_DEFECTS, ids=row_ids(SUBCOMMAND_DEFECTS)
+    "module, name, defect, command, record", SUBCOMMAND_DEFECTS, ids=row_ids(SUBCOMMAND_DEFECTS, 1)
 )
 def test_planted_defect_fails_its_subcommand_record(monkeypatch, capsysbinary, module, name, defect, command, record):
     monkeypatch.chdir(ROOT)  # input paths are relative to the repository root

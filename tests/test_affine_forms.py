@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -13,13 +14,11 @@ from affine_fermions import (
     antisymmetrize_generator,
     conjecture_nullspace,
     determinant_generator,
-    is_affinely_dependent,
-    laplace_expand,
-    nondegeneracy_probe,
     perm_sign,
 )
-from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, dense_table_fits
+from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, _zero_table
 from affine_fermions.json_io import _json_text
+from affine_fermions.verification import span_residual
 
 
 def random_points(rng, m, d):
@@ -74,70 +73,24 @@ def test_affine_det_translation_invariant():
         assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
 
+def affinely_dependent(pts):
+    """Whether the difference vectors x_i - x_0 of d+1 points in C^d have rank below d."""
+    return np.linalg.matrix_rank(pts[1:] - pts[0]) < pts.shape[1]
+
+
 def test_affine_det_zero_iff_dependent():
     rng = np.random.default_rng(2)
     for d in (2, 3):
         for _ in range(20):
             pts = random_points(rng, d + 1, d)
             assert abs(affine_det(pts)) > 1e-10
-            assert not is_affinely_dependent(pts)
+            assert not affinely_dependent(pts)
             # squash onto a hyperplane through the first point
             normal = rng.standard_normal(d)
             normal /= np.linalg.norm(normal)
             flat = pts - np.outer((pts - pts[0]) @ normal, normal)
             assert abs(affine_det(flat)) <= 1e-9 * max(1.0, np.abs(flat).max() ** d)
-            assert is_affinely_dependent(flat)
-
-
-# ------------------------------------------------- is_affinely_dependent
-
-
-def test_dependence_collinear_points():
-    assert is_affinely_dependent([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-
-
-def test_dependence_simplex_is_independent():
-    assert not is_affinely_dependent([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def test_dependence_random_points_on_a_line():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        base = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        ts = rng.standard_normal(3)
-        pts = np.array([base + t * direction for t in ts])
-        assert is_affinely_dependent(pts)
-
-
-def test_dependence_single_point():
-    assert not is_affinely_dependent([[1.0, 1.0]])
-
-
-# ---------------------------------------------------------- laplace_expand
-
-
-def test_laplace_identity():
-    assert laplace_expand(np.eye(4)) == pytest.approx(1.0)
-
-
-def test_laplace_two_by_two_columns():
-    m = np.column_stack([[1.0, 2.0], [3.0, 4.0]])
-    assert laplace_expand(m) == pytest.approx(-2.0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_laplace_matches_elimination(n):
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        want = np.linalg.det(m)
-        assert abs(laplace_expand(m) - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_laplace_dimension_cap():
-    with pytest.raises(ValueError):
-        laplace_expand(np.eye(7))
+            assert affinely_dependent(flat)
 
 
 # --------------------------------------------------------- MultiAffineForm
@@ -216,14 +169,20 @@ class NoPower(int):
     """A dimension that fails the test once (d + 1) ** m is about to be computed."""
 
     def __add__(self, other):
+        return NoPower(int(self) + other)
+
+    def __pow__(self, other):
         raise AssertionError("(d + 1) ** m was computed")
 
 
 def test_dense_form_builders_refuse_tables_past_the_cap():
     # (d+1)^m coefficients against the cap of 10^6: 7^7 and 2^19 fit, 8^8 and 2^20 do not
-    assert dense_table_fits(6, 7) and dense_table_fits(1, 19)
-    assert not dense_table_fits(7, 8) and not dense_table_fits(1, 20)
-    assert not dense_table_fits(NoPower(10**100), 10**9)  # refused before the power
+    assert _zero_table(6, 7).shape == (7,) * 7 and _zero_table(1, 19).shape == (2,) * 19
+    for d, m in [(7, 8), (1, 20)]:
+        with pytest.raises(ValueError, match=rf"^a dense table of {d + 1}\^{m} coefficients exceeds the cap of 1000000$"):
+            _zero_table(d, m)
+    with pytest.raises(ValueError, match=r"\^1000000000 coefficients"):
+        _zero_table(NoPower(10**100), 10**9)  # refused before the power
     assert affine_det_form(6).coeffs.shape == (7,) * 7
     with pytest.raises(ValueError, match=r"^a dense table of 8\^8 coefficients exceeds the cap of 1000000$"):
         affine_det_form(7)
@@ -450,30 +409,43 @@ def test_nullspace_basis_is_exact(d, m, p):
     assert supports.max() == 1  # disjoint supports
 
 
-# ------------------------------------------------------ nondegeneracy_probe
+@pytest.mark.parametrize("d", range(1, 7))
+def test_affine_det_form_is_the_sign_pattern_of_its_tuple(d):
+    # the span check's premise: the affine determinant's table is +-1 with the
+    # sign of the permutation on the orderings of (0, 1, ..., d), 0 elsewhere
+    pattern = np.zeros((d + 1,) * (d + 1))
+    for perm in itertools.permutations(range(d + 1)):
+        pattern[perm] = perm_sign(perm)
+    assert np.array_equal(np.sign(conjecture_nullspace(d, d + 1, d).form(0).coeffs), pattern)
+    assert np.array_equal(affine_det_form(d).coeffs, pattern)
 
 
-def test_probe_affine_det_clean():
-    report = nondegeneracy_probe(affine_det, 2, trials=1000, seed=1)
-    assert report.passed
-    assert report.trials == 1000
-    assert not report.counterexamples
+# ------------------------------------------------------------ span_residual
 
 
-def test_probe_flags_zero_form():
-    report = nondegeneracy_probe(lambda pts: 0.0, 2, trials=100, seed=2)
-    assert report.identically_zero
-    assert not report.passed
-    assert report.trials == 0
+def dense_span_residual(result):
+    """Oracle: project the unit affine-determinant table onto the dense basis tables.
+
+    The projection is t - B^T ((B t) / sum_j B_ij^2), exact for an orthogonal basis.
+    """
+    target = np.real(affine_det_form(result.dim).coeffs).reshape(-1)
+    target = target / np.linalg.norm(target)
+    rows = np.array([np.real(result.form(i).coeffs).reshape(-1) for i in range(result.dimension)])
+    return float(np.linalg.norm(target - rows.T @ ((rows @ target) / np.sum(rows**2, axis=1))))
 
 
-def test_probe_runs_on_vandermonde():
-    # x-coordinate Vandermonde in three arguments; the probe only reports
-    # what it sampled, it cannot settle the form's status
-    def vandermonde(pts):
-        x = [p[0] for p in pts]
-        return (x[1] - x[0]) * (x[2] - x[0]) * (x[2] - x[1])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_span_residual_matches_dense_projection(d):
+    result = conjecture_nullspace(d, d + 1, d)
+    assert span_residual(result) == 0.0
+    assert abs(span_residual(result) - dense_span_residual(result)) <= 1e-14
 
-    report = nondegeneracy_probe(vandermonde, 2, trials=200, seed=3)
-    assert report.trials == 200
-    assert isinstance(report.passed, bool)
+
+def test_span_residual_matches_dense_projection_on_planted_defects():
+    result = conjecture_nullspace(2, 3, 2)
+    wrong = result.tuples.copy()
+    wrong[0, -1] -= 1  # (0, 1, 2) -> (0, 1, 1): support disjoint from the affine determinant's
+    duplicate = np.vstack([result.tuples, result.tuples[:1]])
+    for tuples in (wrong, duplicate):
+        planted = dataclasses.replace(result, tuples=tuples)
+        assert span_residual(planted) == dense_span_residual(planted) == 1.0
