@@ -13,16 +13,15 @@ import numpy as np
 
 from affine_fermions import (
     MeasuredSpace,
-    centered_gram,
+    affine_det,
     exchange_operator,
     gamma1,
     gamma2,
+    gamma2_factors,
     gamma2_pair_expansion,
-    one_point,
-    psi,
+    m_identity_sides,
     reduce_centered,
     s_squared_expectation,
-    symmetric_m_identity,
     two_point,
 )
 
@@ -33,13 +32,14 @@ space = MeasuredSpace(w / w.sum())
 phi = rng.standard_normal((K, 2))
 
 print(f"measured space with {K} nodes, weights {np.round(space.weights, 3)}")
-print(f"psi at nodes (0, 1, 2) = {psi(phi, space, (0, 1, 2)):.4f}")
-print(f"psi at nodes (1, 0, 2) = {psi(phi, space, (1, 0, 2)):.4f}  (sign flip)")
+factors = gamma2_factors(phi, space)
+print(f"psi at nodes (0, 1, 2) = {affine_det(factors.values[[0, 1, 2]]).real:.4f}")
+print(f"psi at nodes (1, 0, 2) = {affine_det(factors.values[[1, 0, 2]]).real:.4f}  (sign flip)")
 
 print("\nmoment identities for the raw wave function")
-print(f"  <Psi>   = {one_point(phi, space):.2e}  (vanishes by antisymmetry)")
-print(f"  <Psi^2> = {two_point(phi, space):.6f}")
-print(f"  6 det G = {6 * np.linalg.det(centered_gram(phi, space)):.6f}")
+print(f"  <Psi>   = {factors.one_point():.2e}  (vanishes by antisymmetry)")
+print(f"  <Psi^2> = {factors.two_point():.6f}")
+print(f"  6 det G = {6 * np.linalg.det(factors.gram):.6f}")
 
 reduced = reduce_centered(phi, space)
 print("\nafter centering and whitening (identity Gram):")
@@ -49,7 +49,7 @@ table = np.zeros((K, K, K))
 raw = rng.standard_normal((K, K, K))
 for perm in itertools.permutations(range(3)):
     table += np.transpose(raw, perm)
-lhs, rhs = symmetric_m_identity(reduced, space, table)
+lhs, rhs = m_identity_sides(gamma2_factors(reduced, space).values, space.weights, table)
 print(f"\nsymmetric-weight overlap identity: lhs = {lhs:.6f}, rhs = {rhs:.6f}")
 
 g1 = gamma1(reduced, space)

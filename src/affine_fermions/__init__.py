@@ -36,18 +36,13 @@ from .symplectic import (
 from .slater import (
     Gamma2Factors,
     MeasuredSpace,
-    center,
-    centered_gram,
     gamma1,
     gamma2,
     gamma2_factors,
     gamma2_factors_stack,
     gamma2_pair_expansion,
     m_identity_sides,
-    one_point,
-    psi,
     reduce_centered,
-    symmetric_m_identity,
     two_point,
 )
 from .spin import PAULI, exchange_operator, s_squared_expectation, s_squared_matrix

@@ -194,6 +194,17 @@ def cmd_collapse_demo(args) -> int:
     return 0 if report.ok else 1
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators only from non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; each parse returns a fresh Namespace."""
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run all invariant checks")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify)
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kashiwara)
 
     p = sub.add_parser("collapse-demo", help="seeded walk through the collapse pipeline")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_collapse_demo)
 

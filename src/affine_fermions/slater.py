@@ -18,10 +18,12 @@ N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
 is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
 (1, mean).  The K x K x K tensor of Psi values is never built.
 
-`gamma2_factors(phi, space)` validates phi, centres it and forms M, once;
-every other function here reads its (values, M).  `gamma2_factors_stack`
-does the same for a batch of node sets of any sizes, one array call per
-node count, and gives each set the bits of its own `gamma2_factors`.
+`gamma2_factors(phi, space)` is the one front door: it validates phi,
+centres it and forms M, and every moment and kernel is a method of its
+result, which the few `(phi, space)` functions left read too.
+`gamma2_factors_stack` does the same for a batch of node sets of any sizes,
+one array call per node count, giving each set the bits of its own
+`gamma2_factors`.  `m_identity_sides` takes centred values.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -33,18 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affine_forms import affine_det
 from .json_io import number_array
 
 __all__ = [
     "MeasuredSpace",
-    "center",
-    "centered_gram",
     "reduce_centered",
-    "psi",
-    "one_point",
     "two_point",
-    "symmetric_m_identity",
     "gamma1",
     "gamma2",
     "Gamma2Factors",
@@ -128,15 +124,6 @@ def node_set_from_json(doc) -> tuple:
     if not np.all(np.abs(phi) <= MAX_PHI):
         raise ValueError(f"phi entries must be finite and at most {MAX_PHI:g} in magnitude")
     return space, phi
-
-
-def _node_indices(nodes, k: int) -> list:
-    """`nodes` as a list of indices, each checked to lie in 0..k-1."""
-    nodes = list(nodes)
-    for node in nodes:
-        if not (isinstance(node, (int, np.integer)) and 0 <= node < k):
-            raise ValueError(f"node {node!r} is not an index in 0..{k - 1}")
-    return nodes
 
 
 def _psi_tensor(values: np.ndarray) -> np.ndarray:
@@ -237,9 +224,12 @@ class Gamma2Factors(NamedTuple):
         return lifted @ self.pair_moments() @ lifted.T / 2.0 - gram_det
 
     def entry(self, x1p, x2p, x1, x2) -> float:
-        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices."""
-        nodes = self.values[_node_indices((x1p, x2p, x1, x2), len(self.values))]
-        primed, unprimed = _pair_rows(nodes[[0, 2]], nodes[[1, 3]])
+        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices, each checked to lie in 0..K-1."""
+        k = len(self.values)
+        for node in (x1p, x2p, x1, x2):
+            if not (isinstance(node, (int, np.integer)) and 0 <= node < k):
+                raise ValueError(f"node {node!r} is not an index in 0..{k - 1}")
+        primed, unprimed = _pair_rows(self.values[[x1p, x1]], self.values[[x2p, x2]])
         return float(primed @ self.moments @ unprimed)
 
     def dense(self) -> np.ndarray:
@@ -317,16 +307,6 @@ def gamma2_factors_stack(sizes, weights, phi) -> Gamma2Factors:
     return Gamma2Factors(values, moments)
 
 
-def center(phi, space: MeasuredSpace) -> np.ndarray:
-    """phi with the weighted mean of each component subtracted."""
-    return gamma2_factors(phi, space).values
-
-
-def centered_gram(phi, space: MeasuredSpace) -> np.ndarray:
-    """Gram matrix <phi~_i phi~_j> of the centred components."""
-    return gamma2_factors(phi, space).gram
-
-
 def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
     """Centre the components and whiten them to an identity Gram matrix."""
     factors = gamma2_factors(phi, space)
@@ -337,60 +317,38 @@ def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
     return factors.values @ inv_sqrt
 
 
-def psi(phi, space: MeasuredSpace, nodes) -> float:
-    """Affine Slater determinant at three node indices."""
-    values = gamma2_factors(phi, space).values
-    nodes = _node_indices(nodes, len(space))
-    if len(nodes) != 3:
-        raise ValueError(f"need 3 node indices, got {len(nodes)}")
-    return float(np.real(affine_det(values[nodes])))
-
-
-def one_point(phi, space: MeasuredSpace) -> float:
-    """Triple-weighted mean of Psi (`Gamma2Factors.one_point`)."""
-    return float(gamma2_factors(phi, space).one_point())
-
-
 def two_point(phi, space: MeasuredSpace) -> float:
     """Triple-weighted mean of Psi^2, 6 det G, in O(K) work (`Gamma2Factors.two_point`)."""
     return float(gamma2_factors(phi, space).two_point())
 
 
-def symmetric_m_identity(phi, space: MeasuredSpace, m_table):
-    """Both sides of the symmetric-weight overlap identity.
-
-    For a function M symmetric in its three node arguments, with centered
-    components and wedge scalars ab = W(x_0, x_1) etc.,
-
-        lhs = 3 sum w^3 ab M (ab + bc + ca)
-        rhs =   sum w^3 (ab + bc + ca) M (ab + bc + ca)
-
-    are equal.  Returns (lhs, rhs); `m_identity_sides` checks and sums.
-    """
-    values = center(phi, space)
-    k = len(space)
-    m = np.asarray(m_table, dtype=float)
-    if m.shape != (k, k, k):
-        raise ValueError(f"M must be a {k}x{k}x{k} table, got shape {m.shape}")
-    lhs, rhs = m_identity_sides(values, space.weights, m)
-    return float(lhs), float(rhs)
-
-
 def m_identity_sides(values, weights, m_table):
-    """(lhs, rhs) of `symmetric_m_identity` for centred values, one set or a stack.
+    """Both sides of the symmetric-weight overlap identity, one set or a stack.
 
-    values (..., K, 2), weights (..., K) and tables (..., K, K, K) share
-    their leading axes; a stack may pad smaller sets with zero weights and
-    zero table entries, which add exactly 0 to both sides.  Every entry of
-    a table is compared with its five permuted entries, to 1e-12 relative
-    to the entry; an asymmetric or non-finite table is rejected, naming it.
+    For a table M symmetric in its three node arguments, centred values and
+    wedge scalars ab = W(x_0, x_1) etc., lhs = 3 sum w^3 ab M (ab + bc + ca)
+    equals rhs = sum w^3 (ab + bc + ca) M (ab + bc + ca).  values (..., K, 2),
+    weights (..., K) and tables (..., K, K, K) must share their leading axes,
+    or a ValueError names the shapes; a stack may pad smaller sets with zero
+    weights and zero table entries, which add exactly 0 to both sides.  Every
+    entry of a table is compared with its five permuted entries, to 1e-12
+    relative to the entry; an asymmetric or non-finite table is rejected,
+    naming it.
     """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     m = np.asarray(m_table, dtype=float)
+    lead, k = values.shape[:-2], values.shape[-2:-1]
+    if values.shape[-1:] != (2,) or weights.shape != lead + k or m.shape != lead + 3 * k:
+        raise ValueError(
+            "need values (..., K, 2), weights (..., K) and tables (..., K, K, K) with the same "
+            f"leading axes, got shapes {values.shape}, {weights.shape} and {m.shape}"
+        )
     bound = 1e-12 * np.maximum(1.0, np.abs(m))
     bad = np.zeros(m.shape, dtype=bool)
     # One transpose at a time holds a few copies of M, not fifteen.  Written
     # as `not <=` so that NaN, and inf against inf, count as asymmetric.
-    n = m.ndim - 3  # leading axes
+    n = len(lead)
     with np.errstate(invalid="ignore"):
         for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             bad |= ~(np.abs(np.transpose(m, (*range(n), *(n + a for a in axes))) - m) <= bound)
@@ -437,7 +395,7 @@ def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:
     where W is the pairwise wedge scalar.  Valid when the centered Gram
     matrix is the identity.  Dense, so capped at MAX_DENSE_KERNEL_NODES nodes.
     """
-    values = center(phi, space)
+    values = gamma2_factors(phi, space).values
     k = len(space)
     if k > MAX_DENSE_KERNEL_NODES:
         raise ValueError(

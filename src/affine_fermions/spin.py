@@ -35,38 +35,23 @@ def exchange_operator() -> np.ndarray:
     return out / 2.0
 
 
-def _single_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    factors = [np.eye(2, dtype=complex)] * n_sites
-    factors[site] = op
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def s_squared_matrix(n_sites: int = 3) -> np.ndarray:
-    """sum_{i,j} sigma_i . sigma_j over all ordered site pairs, i = j included."""
-    dim = 2**n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    singles = [
-        [_single_site(sigma, site, n_sites) for sigma in PAULI]
-        for site in range(n_sites)
-    ]
-    for i in range(n_sites):
-        for j in range(n_sites):
-            for alpha in range(3):
-                out += singles[i][alpha] @ singles[j][alpha]
-    return out
-
-
 @functools.cache
-def _s_squared_3() -> np.ndarray:
-    """s_squared_matrix(3), built once and read-only, since every caller shares it.
+def s_squared_matrix() -> np.ndarray:
+    """sum_{i,j} sigma_i . sigma_j over all ordered pairs of the three sites, i = j included.
 
-    Built on first use, not at import: its complex matmuls would add about
-    0.4 MB of resident memory to every command, also those that never read S^2.
+    That is sum_alpha S_alpha^2, S_alpha summing sigma_alpha over the sites.
+    Built once, read-only, on first use: at import it would add about 0.4 MB
+    of resident memory to every command, also those that never read S^2.
     """
-    out = s_squared_matrix(3)
+    eye = np.eye(2, dtype=complex)
+    out = np.zeros((8, 8), dtype=complex)
+    for sigma in PAULI:
+        total = (  # S_alpha
+            np.kron(np.kron(sigma, eye), eye)
+            + np.kron(np.kron(eye, sigma), eye)
+            + np.kron(np.kron(eye, eye), sigma)
+        )
+        out += total @ total
     out.flags.writeable = False
     return out
 
@@ -79,4 +64,4 @@ def s_squared_expectation(state) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state must be normalized, got norm {norm!r}")
-    return float(np.real(np.conj(psi) @ _s_squared_3() @ psi))
+    return float(np.real(np.conj(psi) @ s_squared_matrix() @ psi))

@@ -17,7 +17,6 @@ own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,13 +232,10 @@ def _basis(doc, key: str, n: int) -> np.ndarray:
 
 
 def lagrangian_triple_from_json(doc) -> LagrangianTriple:
-    """Build a triple from {"n": int, "L1": rows, "L2": rows, "L3": rows}.
+    """Build a triple from the parsed document {"n": int, "L1": rows, "L2": rows, "L3": rows}.
 
     n is an integer >= 1, and each Lk is a list of 2n rows with n numbers.
-    Accepts a parsed document or a JSON string.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
     try:
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affine_fermions import slater
@@ -770,6 +770,18 @@ def test_parser_is_built_once_and_keeps_no_state(capsysbinary):
     assert capsysbinary.readouterr().out == fresh.stdout
 
 
+@pytest.mark.parametrize("command, seed", [("verify", "-1"), ("collapse-demo", "-5")])
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"affine-fermions {command}: error: argument --seed: must be a non-negative integer, got {seed}"
+    )
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -821,3 +833,101 @@ assert not loaded, loaded
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------------------------- fuzz
+
+JUNK = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0]),
+    st.sampled_from([None, True, False, "", "1.0", 10**400, -(10**400), 0, -1, 2**63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([[], [[]], [1.0, [2.0]], [[1.0], [2.0, 3.0]], {}, {"n": 1}, [None]]),
+)
+DEMO_DOCS = {
+    "slater": json.loads((ROOT / "demos/data/slater_orthonormal.json").read_text()),
+    "kashiwara": json.loads((ROOT / "demos/data/lagrangian_axes.json").read_text()),
+}
+
+
+def mutate(data, node, root=True):
+    """`node` with one value somewhere inside it replaced by junk, or one entry dropped.
+
+    The document itself is replaced one time in ten; a value deeper down
+    is replaced or descended into with even odds.
+    """
+    descend = data.draw(st.integers(0, 9)) > 0 if root else data.draw(st.booleans())
+    if isinstance(node, (dict, list)) and node and descend:
+        node = dict(node) if isinstance(node, dict) else list(node)
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if data.draw(st.integers(0, 3)) == 0:
+            del node[key]  # a missing field, a short row or a ragged table
+        else:
+            node[key] = mutate(data, node[key], root=False)
+        return node
+    return data.draw(JUNK)
+
+
+def fuzz_argv(data, tmp_path):
+    """A command line built from the demo documents and flags, each possibly bad."""
+    command = data.draw(st.sampled_from(["slater", "kashiwara", "conjecture", "verify", "collapse-demo"]))
+    argv = [command]
+    if command in DEMO_DOCS:
+        doc = DEMO_DOCS[command]
+        if command == "slater" and data.draw(st.booleans()):
+            k = data.draw(st.sampled_from([1, 2]))
+            doc = {"weights": [1.0 / k] * k, "phi": doc["phi"][:k]}
+        for _ in range(data.draw(st.integers(0, 3))):
+            doc = mutate(data, doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--input", str(path)]
+    if command == "conjecture":
+        for flag in ("--dim", "--arity", "--degree"):
+            if data.draw(st.booleans()):
+                argv += [flag, str(data.draw(st.integers(-3, 7)))]
+    if command in ("verify", "collapse-demo") and data.draw(st.booleans()):
+        argv += ["--seed", data.draw(st.sampled_from(["0", "1729", "-1", "x", "2.5", str(2**64)]))]
+    if command in ("verify", "slater") and data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(["two_point", "one_point", "kernel_export_min", "nonsense"]))
+        argv += ["--tol", f"{name}={data.draw(st.sampled_from(['0', '1e-3', '-1', 'nan', 'inf', 'x']))}"]
+    out = data.draw(st.sampled_from([None, "fresh", "under_file"]))
+    if out == "fresh":
+        argv += ["--out", str(tmp_path / f"out-{command}")]  # a directory for slater, a file otherwise
+    elif out == "under_file":
+        argv += ["--out", str(tmp_path / "plain_file" / "sub")]
+    if command == "slater" and data.draw(st.booleans()):
+        argv += ["--format", data.draw(st.sampled_from(["json", "csv", "xml"]))]
+    return argv
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_cli_fuzz_answers_or_names_the_error(data, tmp_path, capsys):
+    (tmp_path / "plain_file").write_text("a regular file, not a directory")
+    argv = fuzz_argv(data, tmp_path)
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse
+        captured = capsys.readouterr()
+        assert exc.code == 2, argv
+        assert captured.err.startswith("usage: "), (argv, captured.err)
+        return
+    captured = capsys.readouterr()
+    if status == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, (argv, captured.err)
+        return
+    assert status in (0, 1), argv
+    if "--out" not in argv:
+        text = captured.out
+    elif argv[0] == "slater":
+        text = (Path(argv[argv.index("--out") + 1]) / "report.json").read_text()
+    else:
+        text = Path(argv[argv.index("--out") + 1]).read_text()
+    report = json.loads(text)
+    assert report["command"] == argv[0]
+    assert status == int(report["summary"]["failed"] > 0), argv

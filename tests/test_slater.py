@@ -10,18 +10,13 @@ from numpy.testing import assert_allclose
 from affine_fermions import (
     MeasuredSpace,
     affine_det,
-    center,
-    centered_gram,
     gamma1,
     gamma2,
     gamma2_factors,
     gamma2_factors_stack,
     gamma2_pair_expansion,
     m_identity_sides,
-    one_point,
-    psi,
     reduce_centered,
-    symmetric_m_identity,
     two_point,
 )
 from affine_fermions.slater import _psi_tensor
@@ -54,6 +49,15 @@ def triple_mean_oracle(phi, space, power):
         w[a] * w[b] * w[c] * psi_oracle(values, (a, b, c)) ** power
         for a, b, c in itertools.product(range(k), repeat=3)
     )
+
+
+def centered(phi, space):
+    return gamma2_factors(phi, space).values
+
+
+def m_sides(phi, space, m):
+    """Both sides of the symmetric-M identity for one node set."""
+    return m_identity_sides(centered(phi, space), space.weights, m)
 
 
 def symmetrized_table(rng, k):
@@ -96,27 +100,27 @@ def test_space_uniform():
 def test_center_constant_becomes_zero():
     space = MeasuredSpace.uniform(4)
     phi = np.full((4, 2), 3.7)
-    assert_allclose(center(phi, space), np.zeros((4, 2)))
+    assert_allclose(centered(phi, space), np.zeros((4, 2)))
 
 
 def test_center_idempotent():
     rng = np.random.default_rng(0)
     space, phi = random_instance(rng)
-    once = center(phi, space)
-    assert_allclose(center(once, space), once)
+    once = centered(phi, space)
+    assert_allclose(centered(once, space), once)
 
 
 def test_center_two_node_example():
     space = MeasuredSpace([0.5, 0.5])
     phi = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert_allclose(center(phi, space), [[-1.0, 0.0], [1.0, 0.0]])
+    assert_allclose(centered(phi, space), [[-1.0, 0.0], [1.0, 0.0]])
 
 
 def test_center_mean_zero_invariant():
     rng = np.random.default_rng(1)
     for _ in range(10):
         space, phi = random_instance(rng)
-        tilde = center(phi, space)
+        tilde = centered(phi, space)
         norms = np.maximum(1.0, np.abs(phi).max(axis=0))
         assert np.all(np.abs(space.weights @ tilde) <= 1e-12 * norms)
 
@@ -124,7 +128,7 @@ def test_center_mean_zero_invariant():
 def test_center_returns_an_array():
     rng = np.random.default_rng(2)
     space, phi = random_instance(rng)
-    tilde = center(phi, space)
+    tilde = centered(phi, space)
     assert type(tilde) is np.ndarray
     assert_allclose(tilde, phi - space.weights @ phi)
 
@@ -133,7 +137,7 @@ def test_reduce_centered_gives_identity_gram():
     rng = np.random.default_rng(3)
     space, phi = random_instance(rng)
     reduced = reduce_centered(phi, space)
-    assert_allclose(centered_gram(reduced, space), np.eye(2), atol=1e-12)
+    assert_allclose(gamma2_factors(reduced, space).gram, np.eye(2), atol=1e-12)
     assert np.abs(space.weights @ reduced).max() <= 1e-12
 
 
@@ -152,20 +156,20 @@ def test_reduce_centered_rejects_dependent_components():
 def test_psi_repeated_node_vanishes():
     rng = np.random.default_rng(4)
     space, phi = random_instance(rng)
-    assert psi(phi, space, (0, 0, 1)) == pytest.approx(0.0)
+    assert _psi_tensor(phi)[0, 0, 1] == 0.0
 
 
 def test_psi_unit_simplex():
     space = MeasuredSpace.uniform(3)
     phi = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert psi(phi, space, (0, 1, 2)) == pytest.approx(1.0)
+    assert _psi_tensor(phi)[0, 1, 2] == pytest.approx(1.0)
 
 
 def test_psi_unknown_label():
     rng = np.random.default_rng(5)
     space, phi = random_instance(rng)
     with pytest.raises(ValueError):
-        psi(phi, space, (0, 1, len(space)))
+        gamma2_factors(phi, space).entry(0, 1, len(space), 2)
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 1.0, "a"])
@@ -173,35 +177,28 @@ def test_nodes_outside_the_index_range_are_rejected(bad):
     rng = np.random.default_rng(5)
     space, phi = random_instance(rng, k=6)
     with pytest.raises(ValueError, match="not an index in 0..5"):
-        psi(phi, space, (0, 1, bad))
-    with pytest.raises(ValueError, match="not an index in 0..5"):
         gamma2_factors(phi, space).entry(0, 1, bad, 2)
-
-
-def test_psi_needs_three_nodes():
-    space, phi = random_instance(np.random.default_rng(5), k=6)
-    with pytest.raises(ValueError, match="need 3 node indices, got 2"):
-        psi(phi, space, (0, 1))
 
 
 def test_psi_antisymmetric_in_labels():
     rng = np.random.default_rng(6)
     space, phi = random_instance(rng)
-    base = psi(phi, space, (0, 1, 2))
+    tensor = _psi_tensor(phi)
+    base = tensor[0, 1, 2]
     signs = {
         (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1,
     }
     for perm, sign in signs.items():
-        assert psi(phi, space, perm) == pytest.approx(sign * base)
+        assert tensor[perm] == pytest.approx(sign * base)
 
 
 def test_psi_invariant_under_centering():
     rng = np.random.default_rng(7)
     space, phi = random_instance(rng)
-    tilde = center(phi, space)
+    tilde = centered(phi, space)
     for nodes in ((0, 1, 2), (1, 3, 2)):
-        assert psi(tilde, space, nodes) == pytest.approx(psi(phi, space, nodes))
+        assert _psi_tensor(tilde)[nodes] == pytest.approx(_psi_tensor(phi)[nodes])
 
 
 # ----------------------------------------------------------- n-point sums
@@ -211,7 +208,7 @@ def test_one_point_two_nodes_exact_zero():
     rng = np.random.default_rng(8)
     space = MeasuredSpace([0.3, 0.7])
     phi = rng.standard_normal((2, 2))
-    assert one_point(phi, space) == 0.0
+    assert gamma2_factors(phi, space).one_point() == 0.0
 
 
 def test_two_point_degenerate_components():
@@ -227,7 +224,8 @@ def test_moments_match_brute_force_oracle(k):
     space, phi = random_instance(rng, k=k)
     phi = 3.0 * phi + 1.5  # off-centre, so centering matters
     scale = max(1.0, np.abs(phi).max())
-    assert abs(one_point(phi, space) - triple_mean_oracle(phi, space, 1)) <= 1e-10 * scale**3
+    one = gamma2_factors(phi, space).one_point()
+    assert abs(one - triple_mean_oracle(phi, space, 1)) <= 1e-10 * scale**3
     want = triple_mean_oracle(phi, space, 2)
     assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -243,9 +241,10 @@ def test_psi_tensor_reference_matches_oracle():
 def test_moments_invariant_under_centering():
     rng = np.random.default_rng(13)
     space, phi = random_instance(rng)
-    tilde = center(phi, space)
+    tilde = centered(phi, space)
     scale = max(1.0, np.abs(phi).max())
-    assert abs(one_point(tilde, space) - one_point(phi, space)) <= 1e-10 * scale**3
+    one = gamma2_factors(phi, space).one_point()
+    assert abs(gamma2_factors(tilde, space).one_point() - one) <= 1e-10 * scale**3
     assert two_point(tilde, space) == pytest.approx(two_point(phi, space))
 
 
@@ -256,7 +255,7 @@ def test_m_identity_constant_weight():
     rng = np.random.default_rng(15)
     space, phi = random_instance(rng, k=7)
     k = len(space)
-    lhs, rhs = symmetric_m_identity(phi, space, np.ones((k, k, k)))
+    lhs, rhs = m_sides(phi, space, np.ones((k, k, k)))
     want = two_point(phi, space)
     assert lhs == pytest.approx(want)
     assert rhs == pytest.approx(want)
@@ -268,7 +267,7 @@ def test_m_identity_separable_weight():
     k = len(space)
     f = rng.standard_normal(k)
     m = f[:, None, None] + f[None, :, None] + f[None, None, :]
-    lhs, rhs = symmetric_m_identity(phi, space, m)
+    lhs, rhs = m_sides(phi, space, m)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
@@ -277,7 +276,7 @@ def test_m_identity_random_symmetric_tables():
     for _ in range(20):
         space, phi = random_instance(rng, max_nodes=8)
         m = symmetrized_table(rng, len(space))
-        lhs, rhs = symmetric_m_identity(phi, space, m)
+        lhs, rhs = m_sides(phi, space, m)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -287,7 +286,7 @@ def test_m_identity_rejects_asymmetric_table():
     m = np.zeros((5, 5, 5))
     m[0, 1, 2] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        symmetric_m_identity(phi, space, m)
+        m_sides(phi, space, m)
 
 
 def test_m_identity_rejects_one_perturbed_entry_anywhere():
@@ -300,7 +299,29 @@ def test_m_identity_rejects_one_perturbed_entry_anywhere():
         bumped = m.copy()
         bumped[i, j, l] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            symmetric_m_identity(phi, space, bumped)
+            m_sides(phi, space, bumped)
+
+
+@pytest.mark.parametrize(
+    "values, weights, table",
+    [
+        ((5, 2), (5,), (1, 1, 1)),  # a constant table would broadcast
+        ((5, 2), (1,), (5, 5, 5)),  # one weight would broadcast
+        ((5, 2), (4,), (5, 5, 5)),
+        ((5, 3), (5,), (5, 5, 5)),
+        ((5,), (5,), (5, 5, 5)),
+        ((2, 5, 2), (5,), (2, 5, 5, 5)),
+        ((2, 5, 2), (2, 5), (5, 5, 5)),
+        ((5, 2), (5,), (5, 5)),
+    ],
+)
+def test_m_identity_rejects_mismatched_shapes(values, weights, table):
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(values)
+    weights = np.full(weights, 0.2)
+    with pytest.raises(ValueError, match="same leading axes") as info:
+        m_identity_sides(values, weights, np.ones(table))
+    assert str(info.value).endswith(f"got shapes {values.shape}, {weights.shape} and {table}")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -311,14 +332,14 @@ def test_m_identity_rejects_non_finite_table(value):
     for perm in itertools.permutations((0, 1, 2)):
         m[perm] = value
     with pytest.raises(ValueError, match="symmetric"):
-        symmetric_m_identity(phi, space, m)
+        m_sides(phi, space, m)
 
 
 # -------------------------------------------------------- density kernels
 
 
 def order1_kernel_oracle(phi, space):
-    values = center(phi, space)
+    values = centered(phi, space)
     k = len(space)
     w = space.weights
     out = np.zeros((k, k))
@@ -338,7 +359,7 @@ def order1_kernel_oracle(phi, space):
 
 
 def gamma2_oracle(phi, space):
-    values = center(phi, space)
+    values = centered(phi, space)
     k = len(space)
     w = space.weights
     out = np.zeros((k * k, k * k))
@@ -354,7 +375,7 @@ def test_gamma1_matches_generic_oracle():
     rng = np.random.default_rng(32)
     space, phi = random_instance(rng, k=9)
     phi = 2.0 * phi - 0.7
-    want = order1_kernel_oracle(phi, space) / 2.0 - np.linalg.det(centered_gram(phi, space))
+    want = order1_kernel_oracle(phi, space) / 2.0 - np.linalg.det(gamma2_factors(phi, space).gram)
     got = gamma1(phi, space)
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -370,7 +391,7 @@ def test_gamma1_degenerate_second_component():
     rng = np.random.default_rng(22)
     space, phi = random_instance(rng, k=5)
     phi[:, 1] = 0.0
-    assert np.linalg.det(centered_gram(phi, space)) == pytest.approx(0.0)
+    assert np.linalg.det(gamma2_factors(phi, space).gram) == pytest.approx(0.0)
     got = gamma1(phi, space)
     want = order1_kernel_oracle(phi, space) / 2.0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -450,7 +471,7 @@ def test_gamma2_entries_match_generic_oracle():
 def test_gamma2_entry_beyond_dense_cap_matches_oracle():
     rng = np.random.default_rng(31)
     space, phi = random_instance(rng, k=40)
-    values = center(phi, space)
+    values = centered(phi, space)
     w = space.weights
     factors = gamma2_factors(phi, space)
     for ip, jp, i, j in ((0, 39, 17, 5), (38, 1, 1, 38), (12, 12, 3, 4), (7, 30, 30, 7)):
@@ -507,7 +528,7 @@ def test_stacked_m_identity_equals_single_calls(sizes, seed):
     sizes, weights, phi, m = padded_stack(np.random.default_rng(seed), sizes, tables=True)
     lhs, rhs = m_identity_sides(gamma2_factors_stack(sizes, weights, phi).values, weights, m)
     for i, k in enumerate(sizes):
-        single = symmetric_m_identity(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
+        single = m_sides(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
         assert (lhs[i], rhs[i]) == single
 
 

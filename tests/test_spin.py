@@ -47,8 +47,11 @@ def test_exchange_equals_swap_matrix():
 
 
 def test_s_squared_matrix_hermitian():
-    m = s_squared_matrix(3)
+    m = s_squared_matrix()
     assert_allclose(m, m.conj().T)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.0
 
 
 def test_s_squared_all_up():

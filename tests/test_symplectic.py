@@ -166,8 +166,10 @@ def test_json_round_trip():
         "L2": [[0.0], [1.0]],
         "L3": [[1.0], [1.0]],
     }
-    triple = lagrangian_triple_from_json(json.dumps(doc))
+    triple = lagrangian_triple_from_json(json.loads(json.dumps(doc)))
     assert kashiwara_index(triple).signature == -1
+    with pytest.raises(ValueError, match="malformed"):
+        lagrangian_triple_from_json(json.dumps(doc))
 
 
 def test_json_malformed_documents_rejected():
