@@ -8,7 +8,7 @@ triple; its signature classifies the triple up to symplectic moves.
 
 import numpy as np
 
-from affine_fermions import kashiwara_index, kashiwara_q, symplectic_exp
+from affine_fermions import kashiwara_index, kashiwara_q, symplectic_shear
 from affine_fermions.symplectic import LagrangianTriple
 
 axes = LagrangianTriple([[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]])
@@ -39,7 +39,7 @@ print(f"  base signature: {kashiwara_index(planes).signature}")
 rng = np.random.default_rng(2)
 signatures = set()
 for _ in range(10):
-    s = symplectic_exp(rng.standard_normal((4, 4)))
+    s = symplectic_shear(rng.standard_normal((4, 4)))
     moved = LagrangianTriple(*(s @ b for b in planes.bases))
     signatures.add(kashiwara_index(moved).signature)
 print(f"  after 10 random symplectic maps: signatures seen = {sorted(signatures)}")

@@ -31,7 +31,7 @@ from .symplectic import (
     kashiwara_q,
     lagrangian_triple_from_json,
     standard_symplectic_matrix,
-    symplectic_exp,
+    symplectic_shear,
 )
 from .slater import (
     Gamma2Factors,

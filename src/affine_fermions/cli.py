@@ -154,7 +154,7 @@ def cmd_conjecture(args) -> int:
 
 def cmd_kashiwara(args) -> int:
     triple = symplectic.lagrangian_triple_from_json(read_json(args.input))
-    result = symplectic.kashiwara_index(triple)
+    result = symplectic.kashiwara_index(triple, zero_tol=DEFAULT_TOLERANCES["kashiwara_zero"])
     report = Report(command="kashiwara", seed=DEFAULT_SEED)
     report.add(
         "signature",

@@ -29,7 +29,7 @@ __all__ = [
     "SignatureResult",
     "kashiwara_q",
     "kashiwara_index",
-    "symplectic_exp",
+    "symplectic_shear",
     "lagrangian_triple_from_json",
 ]
 
@@ -40,10 +40,6 @@ LAGRANGIAN_ATOL = 1e-10
 # Largest |entry| accepted in a JSON basis.  Q's entries are sums of n
 # products of two entries, so its eigenvalues stay finite (5e302 at n = 1000).
 MAX_BASIS_ENTRY = 1e150
-
-# Taylor terms of exp(X) for a 1-norm of X at most 1: the first term left
-# out is below 1/19! < 1e-17.
-_EXPM_TERMS = 18
 
 
 def standard_symplectic_matrix(n: int) -> np.ndarray:
@@ -190,33 +186,19 @@ def kashiwara_index(
     return SignatureResult(n_plus, n_minus, n_zero, eigenvalues)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) over the last two axes, by scaling and squaring a Taylor sum.
+def symplectic_shear(m) -> np.ndarray:
+    """Symplectic matrices [[I + A C, A], [C, I]], A and C the diagonal n x n blocks of m's symmetric part.
 
-    Each matrix is scaled by 2^-s, with s the least power of two that brings
-    its 1-norm to at most 1, summed to _EXPM_TERMS terms by Horner's rule and
-    squared s times, so a matrix in a stack gets the same bits as on its own.
-    """
-    _, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
-    squarings = np.maximum(exponent, 0)
-    x = a * np.ldexp(1.0, -squarings)[..., None, None]
-    eye = np.eye(a.shape[-1])
-    result = eye + x / _EXPM_TERMS
-    for k in range(_EXPM_TERMS - 1, 0, -1):
-        result = eye + (x @ result) / k
-    for step in range(squarings.max(initial=0)):
-        result = np.where((squarings > step)[..., None, None], result @ result, result)
-    return result
-
-
-def symplectic_exp(m) -> np.ndarray:
-    """Symplectic matrices exp(J S), S the symmetric part of each 2n x 2n m.
-
-    m has shape (..., 2n, 2n); the result has the same shape.
+    Each is the product of the shears [[I, A], [0, I]] and [[I, 0], [C, I]],
+    which preserve omega because A and C are symmetric.  m has shape
+    (..., 2n, 2n); the result has the same shape.
     """
     m = np.asarray(m, dtype=float)
-    j = standard_symplectic_matrix(m.shape[-1] // 2)
-    return _expm(j @ ((m + _transpose(m)) / 2.0))
+    n = m.shape[-1] // 2
+    sym = (m + _transpose(m)) / 2.0
+    a, c = sym[..., :n, :n], sym[..., n:, n:]
+    eye = np.broadcast_to(np.eye(n), a.shape)
+    return np.block([[eye + a @ c, a], [c, eye]])
 
 
 def _basis(doc, key: str, n: int) -> np.ndarray:

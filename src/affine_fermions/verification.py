@@ -135,13 +135,13 @@ def _rel(a, b) -> float:
     return float(np.max(_abs(a - b) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))))
 
 
-def _complex_batch(rng, n, count, dim=2):
-    """count arrays of shape (n, dim) of complex normals.
+def _complex_batch(rng, n, count):
+    """count arrays of shape (n, 2) of complex normals.
 
     Sample i holds count vectors, drawn as all their real parts and then all
     their imaginary parts, one sample after another.
     """
-    draws = rng.standard_normal((n, 2, count, dim))
+    draws = rng.standard_normal((n, 2, count, 2))
     return np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 1, 0)
 
 
@@ -345,7 +345,6 @@ def _check_generator(report: Report, rng, tol) -> None:
 def _check_nullspace(report: Report, rng, tol) -> None:
     results = {degree: affine_forms.conjecture_nullspace(2, 3, degree) for degree in (2, 1, 0)}
     mismatches = sum(results[degree].dimension != want for degree, want in {2: 1, 1: 0, 0: 0}.items())
-    residual = span_residual(results[2]) if results[2].dimension == 1 else math.inf
     report.add(
         "nullspace_dimensions_d2_m3",
         mismatches == 0,
@@ -355,7 +354,7 @@ def _check_nullspace(report: Report, rng, tol) -> None:
         "in the degree-2 sector, 0 in degrees 1 and 0 (count of mismatches)",
     )
     report.add_within(
-        "nullspace_contains_affine_det", residual, tol["span_residual"],
+        "nullspace_contains_affine_det", span_residual(results[2]), tol["span_residual"],
         "projection residual of the affine determinant coefficients onto the "
         "degree-2 nullspace basis",
     )
@@ -396,7 +395,7 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
         base = symplectic.kashiwara_index(triple, zero_tol=tol["kashiwara_zero"]).signature
         # one row per sample: M's 4n^2 draws, then the three basis changes'
         draws = rng.standard_normal((20, 7 * n * n))
-        s = symplectic.symplectic_exp(draws[:, : 4 * n * n].reshape(20, 2 * n, 2 * n))
+        s = symplectic.symplectic_shear(draws[:, : 4 * n * n].reshape(20, 2 * n, 2 * n))
         changes = np.triu(draws[:, 4 * n * n :].reshape(20, 3, n, n)) + 2.0 * np.eye(n)
         moved = symplectic.LagrangianTriple(
             *(s @ b @ g for b, g in zip(triple.bases, changes.swapaxes(0, 1)))

@@ -128,7 +128,7 @@ DEFECTS = [
     (7, affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "nullspace_contains_affine_det"),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
     # diag(I, -I) reverses omega, so every signature flips
-    (8, symplectic, "symplectic_exp",
+    (8, symplectic, "symplectic_shear",
      lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
      "kashiwara_invariance"),
     (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from affine_fermions import slater
 from affine_fermions.cli import _write_kernel, build_parser, main
 from affine_fermions.json_io import Rows
-from affine_fermions.verification import _json_text
+from affine_fermions.verification import DEFAULT_TOLERANCES, _json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -635,6 +635,15 @@ def test_kashiwara_axes_example(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["index"]["signature"] == -1
     assert doc["index"]["n_zero"] == 0
+
+
+def test_kashiwara_decides_inertia_with_the_table_cut(tmp_path, capsys, monkeypatch):
+    # A cut above 1 counts every eigenvalue as zero, so the table value is the one read.
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "kashiwara_zero", 2.0)
+    path = axes_triple_input(tmp_path / "triple.json")
+    status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 0
+    assert json.loads(out)["index"]["n_zero"] == 3
 
 
 def test_kashiwara_permuted_triple_flips(tmp_path, capsys):

@@ -458,3 +458,28 @@ def test_collapse_identity_exact_certificate():
     got = collapse(pts[:, 0], pts[:, 1], pts[:, 2])
     assert len(got) == 56
     assert np.count_nonzero(got != affine_det(pts)) == 0
+
+
+# 0, 1 and i as Gaussian integers (re, im)
+GAUSSIAN_GRID = ((0, 0), (1, 0), (0, 1))
+
+
+def gaussian_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def test_morphism_covariance_exact_certificate():
+    # Both sides are polynomials of degree <= 2 in each of the ten coordinates
+    # of a, b, c and sigma; equal on the grid {0, 1, i}^10, they are equal
+    # everywhere (Alon 1999, Lemma 2.1).  Gaussian integers this small keep
+    # every value exact, and det sigma is formed in Python ints.
+    values = [complex(*v) for v in GAUSSIAN_GRID]
+    states = np.array(list(itertools.product(values, repeat=6))).reshape(-1, 3, 2)
+    a, b, c = states[:, 0], states[:, 1], states[:, 2]
+    base = collapse(a, b, c)
+    for p, q, r, t in itertools.product(GAUSSIAN_GRID, repeat=4):
+        det = np.subtract(gaussian_mul(p, t), gaussian_mul(q, r))
+        sigma = np.array([[complex(*p), complex(*q)], [complex(*r), complex(*t)]])
+        got = collapse_with_morphism(a, b, c, sigma)
+        assert len(got) == 729
+        assert np.array_equal(got, complex(*det) * base), (p, q, r, t)

@@ -13,7 +13,7 @@ from affine_fermions import (
     kashiwara_q,
     lagrangian_triple_from_json,
     standard_symplectic_matrix,
-    symplectic_exp,
+    symplectic_shear,
 )
 
 
@@ -77,9 +77,9 @@ SCALES = [1e-300, 1e-200, 1e-5, 1.0, 1e5, 1e200, 1e300]
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_isotropy_is_judged_at_every_scale(scale):
-    # A valid n = 2 triple moved by symplectic_exp.  At scale 1e5 the rounding
-    # residual omega(col 0, col 0) alone is ~6e-6, far above 1e-10 unscaled.
-    s = symplectic_exp(np.random.default_rng(0).standard_normal((4, 4)))
+    # A valid n = 2 triple moved by symplectic_shear.  At scale 1e5 the rounding
+    # residual of omega within a basis reaches ~8e-7, far above 1e-10 unscaled.
+    s = symplectic_shear(np.random.default_rng(0).standard_normal((4, 4)))
     LagrangianTriple(*(scale * s @ b for b in plane_bases(2)))
     really_bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match=r"L1 is not Lagrangian: omega\(col 0, col 1\)"):
@@ -143,7 +143,7 @@ def test_kashiwara_index_invariance(n):
     triple = axes_triple() if n == 1 else plane_triple()
     base = kashiwara_index(triple).signature
     for _ in range(20):
-        s = symplectic_exp(rng.standard_normal((2 * n, 2 * n)))
+        s = symplectic_shear(rng.standard_normal((2 * n, 2 * n)))
         changes = [
             np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n) for _ in range(3)
         ]
@@ -154,7 +154,7 @@ def test_kashiwara_index_invariance(n):
 def test_random_symplectic_preserves_form():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
-        s = symplectic_exp(rng.standard_normal((2 * n, 2 * n)))
+        s = symplectic_shear(rng.standard_normal((2 * n, 2 * n)))
         j = standard_symplectic_matrix(n)
         assert_allclose(s.T @ j @ s, j, atol=1e-10)
 
@@ -196,51 +196,36 @@ def test_kashiwara_index_ill_conditioned_basis_change():
     )
 
 
-# ----------------------------------------------------------- exponential
+# ---------------------------------------------------------------- shears
 
 
-def hamiltonian_draws(n, norms, seed):
-    """Draws m whose exponents J (m + m^T) / 2 have the given 1-norms."""
-    m = np.random.default_rng(seed).standard_normal((len(norms), 2 * n, 2 * n))
-    h = standard_symplectic_matrix(n) @ ((m + m.swapaxes(-1, -2)) / 2.0)
-    m *= (np.asarray(norms) / np.abs(h).sum(axis=-2).max(axis=-1))[:, None, None]
-    return m, standard_symplectic_matrix(n) @ ((m + m.swapaxes(-1, -2)) / 2.0)
+def test_symplectic_shear_stack_equals_single_calls():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        scales = np.exp(rng.uniform(-5.0, 5.0, (9, 1, 1)))
+        m = scales * rng.standard_normal((9, 2 * n, 2 * n))
+        s = symplectic_shear(m)
+        assert np.array_equal(s, np.stack([symplectic_shear(x) for x in m]))
 
 
-def relative_error(got, want):
-    return np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
-
-
-# Norms just below a power of two leave the Taylor sum a 1-norm near 1, its
-# worst case: with 12 terms the error there is ~1e-11.
-NORMS = np.array([0.01, 0.1, 0.5, 0.999, 1.999, 3.999, 7.999, 15.99, 20.0])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_symplectic_exp_matches_scipy(n):
-    # scipy's expm is itself up to ~3e-12 away from a 30-digit exponential
-    # at norm 20 (the mpmath test below), so it bounds the difference at 1e-11.
-    expm = pytest.importorskip("scipy.linalg").expm
-    m, h = hamiltonian_draws(n, NORMS, seed=n)
-    got = symplectic_exp(m)
-    want = np.stack([expm(x) for x in h])
-    assert relative_error(got, want).max() <= 1e-11
-    assert relative_error(got[NORMS <= 1.0], want[NORMS <= 1.0]).max() <= 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_symplectic_exp_matches_high_precision_exponential(n):
-    mp = pytest.importorskip("mpmath")
-    m, h = hamiltonian_draws(n, NORMS, seed=10 + n)
-    with mp.workdps(30):
-        want = np.array([np.array(mp.expm(mp.matrix(x.tolist())).tolist(), dtype=float) for x in h])
-    assert relative_error(symplectic_exp(m), want).max() <= 1e-13
-
-
-def test_symplectic_exp_stack_equals_single_calls():
-    m, _ = hamiltonian_draws(2, NORMS, seed=7)
-    s = symplectic_exp(m)
-    assert np.array_equal(s, np.stack([symplectic_exp(x) for x in m]))
+def test_symplectic_shear_exact_certificate():
+    # On integer symmetric blocks every entry below is a small integer or half
+    # integer, so float arithmetic is exact: s^T J s equals J, and Q of the
+    # moved triple in the bases s b_k g_k is G^T Q_0 G, G = diag(g_1, g_2, g_3).
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        upper = rng.integers(-4, 5, (30, 2 * n, 2 * n))
+        m = np.triu(upper) + np.triu(upper, 1).swapaxes(-1, -2)
+        s = symplectic_shear(m)
+        j = standard_symplectic_matrix(n)
+        assert np.array_equal(s.swapaxes(-1, -2) @ j @ s, np.broadcast_to(j, s.shape))
+        changes = np.triu(rng.integers(-4, 5, (3, 30, n, n))) + 5 * np.eye(n)
+        moved = LagrangianTriple(*(s @ b @ g for b, g in zip(plane_bases(n), changes)))
+        g = np.zeros((30, 3 * n, 3 * n))
+        for k in range(3):
+            g[:, k * n : (k + 1) * n, k * n : (k + 1) * n] = changes[k]
+        q0 = kashiwara_q(LagrangianTriple(*plane_bases(n)))
+        assert np.array_equal(kashiwara_q(moved), g.swapaxes(-1, -2) @ q0 @ g)
 
 
 # --------------------------------------------------------- stacked triples
@@ -254,7 +239,7 @@ def plane_bases(n):
 def moved_bases(n, shape, seed, repeat=False):
     """Random symplectic images of the standard triple, in random bases."""
     rng = np.random.default_rng(seed)
-    s = symplectic_exp(rng.standard_normal(shape + (2 * n, 2 * n)))
+    s = symplectic_shear(rng.standard_normal(shape + (2 * n, 2 * n)))
     changes = np.triu(rng.standard_normal((3,) + shape + (n, n))) + 2.0 * np.eye(n)
     bases = [s @ b @ g for b, g in zip(plane_bases(n), changes)]
     if repeat:  # L3 spans L1, so Q has zero eigenvalues
