@@ -114,23 +114,11 @@ def determinant_generator(d: int, arity: int) -> MultiAffineForm:
 def affine_det_form(d: int) -> MultiAffineForm:
     """Coefficient table of the affine determinant on d+1 points in C^d.
 
-    Built by direct multilinear expansion: the no-substitution term gives
-    det(x_1..x_d), and substituting x_0 into column j contributes the minus
-    of the corresponding monomial.  All coefficients are exactly +-1.
+    It is the sign pattern of the one index tuple (0, 1, ..., d): the
+    multilinear expansion of det(x_1 - x_0, ..., x_d - x_0) puts sign(sigma)
+    on each ordering sigma of that tuple.  All coefficients are exactly +-1.
     """
-    arity = d + 1
-    coeffs = _zero_table(d, arity)
-    for perm, sign in signed_permutations(d):
-        base = [0] * arity
-        for j in range(d):
-            base[j + 1] = perm[j] + 1
-        coeffs[tuple(base)] += sign
-        for j in range(d):
-            idx = list(base)
-            idx[0] = perm[j] + 1
-            idx[j + 1] = 0
-            coeffs[tuple(idx)] -= sign
-    return MultiAffineForm(d, arity, coeffs)
+    return NullspaceResult(d, d + 1, d, np.arange(d + 1)[None], 1.0).form(0)
 
 
 def antisymmetrize_generator(generator: MultiAffineForm) -> MultiAffineForm:

@@ -24,7 +24,7 @@ import numpy as np
 from . import affine_forms, slater, symplectic
 from .json_io import Rows, _json_text, read_json
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
-from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_max, span_residual
+from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_values, span_residual
 
 KERNEL_EXPORT_MIN = 1e-12
 
@@ -187,7 +187,7 @@ def cmd_collapse_demo(args) -> int:
     )
 
     report.add_within(
-        "rho_trace_ac_basis_zero", rho_basis_max(), tol["rho_basis"],
+        "rho_trace_ac_basis_zero", rho_basis_values(), tol["rho_basis"],
         "doubly-traced kernel vanishes on computational-basis pairs",
     )
     _emit_report(report, args.out)

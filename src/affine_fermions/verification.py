@@ -38,7 +38,7 @@ __all__ = [
     # the predicates the subcommands share
     "collapse_gap",
     "morphism_gap",
-    "rho_basis_max",
+    "rho_basis_values",
     "moment_gaps",
     "span_residual",
 ]
@@ -99,8 +99,16 @@ class Report:
         return record
 
     def add_within(self, name, measured, tolerance, detail) -> CheckRecord:
-        """A record that passes when measured <= tolerance; NaN fails."""
-        return self.add(name, measured <= tolerance, measured, tolerance, detail)
+        """A record of the largest of `measured`'s gaps, passing when it is <= tolerance.
+
+        `measured` is one gap, an array of per-sample gaps, or a list of such
+        arrays of different shapes.  The maximum propagates NaN, so a NaN in
+        any part fails.
+        """
+        if isinstance(measured, list):
+            measured = [np.max(part) for part in measured]
+        worst = float(np.max(measured))
+        return self.add(name, worst <= tolerance, worst, tolerance, detail)
 
     @property
     def ok(self) -> bool:
@@ -130,9 +138,9 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _rel(a, b) -> float:
-    """|a - b| scaled by the larger magnitude, floored at 1; the worst entry of a batch."""
-    return float(np.max(_abs(a - b) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))))
+def _rel(a, b):
+    """|a - b| scaled by the larger magnitude, floored at 1, entry by entry."""
+    return _abs(a - b) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))
 
 
 def _complex_batch(rng, n, count):
@@ -157,17 +165,17 @@ def collapse_gap(a, b, c):
     return _rel(scalar, direct), scalar, direct
 
 
-def morphism_gap(a, b, c, sigma) -> float:
+def morphism_gap(a, b, c, sigma):
     """`_rel` gap of collapse(sigma a, sigma b, sigma c) to det(sigma) collapse(a, b, c)."""
     # _cmul keeps the bits of the scalar product det(sigma) * collapse.
     expected = _cmul(np.linalg.det(sigma), collapse(a, b, c))
     return _rel(collapse_with_morphism(a, b, c, sigma), expected)
 
 
-def rho_basis_max() -> float:
-    """Largest |rho_trace_AC| over the four computational-basis pairs."""
+def rho_basis_values():
+    """|rho_trace_AC| on the four computational-basis pairs."""
     b, bp = np.array(list(itertools.product(BASIS_2D, repeat=2))).transpose(1, 0, 2)
-    return float(_abs(rho_trace_AC(b, bp)).max())
+    return _abs(rho_trace_AC(b, bp))
 
 
 def moment_gaps(phi, factors):
@@ -228,19 +236,13 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
     direction = np.array([u, w, v])
     got = tr1(theta(lambda_tensor(*args)))
     residual = np.abs(got - factor * direction).max(axis=-1)
-    residual = residual / np.maximum(1.0, _abs(factor[..., 0]))
-    worst = float(residual.max())
     report.add_within(
-        "tr1_degenerate_directions", worst, tol["tr1_directions"],
+        "tr1_degenerate_directions", residual / np.maximum(1.0, _abs(factor[..., 0])), tol["tr1_directions"],
         "repeated-argument triples give the wedge-scalar factor times "
         "(0,1,-1), (1,-1,0), (1,0,-1) for patterns (a,a,c), (a,b,b), (a,b,a)",
     )
-    w_residual = float(np.abs(w - (v - u)).max())
-    report.add(
-        "tr1_w_equals_v_minus_u",
-        w_residual == 0.0,
-        w_residual,
-        0.0,
+    report.add_within(
+        "tr1_w_equals_v_minus_u", np.abs(w - (v - u)), 0.0,
         "the three degenerate directions satisfy (1,-1,0) = (1,0,-1) - (0,1,-1) exactly",
     )
 
@@ -259,7 +261,7 @@ def _check_morphism(report: Report, rng, tol) -> None:
 
 def _check_rho_traces(report: Report, rng, tol) -> None:
     report.add_within(
-        "rho_trace_ac_basis_zero", rho_basis_max(), tol["rho_basis"],
+        "rho_trace_ac_basis_zero", rho_basis_values(), tol["rho_basis"],
         "the doubly-traced kernel vanishes on all four computational-basis pairs",
     )
 
@@ -267,9 +269,8 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
     summed = rho_trace_AC(b, bp)
     # _cmul keeps the bits of the scalar complex product.
     closed = _cmul(2.0 * (b[:, 0] + b[:, 1] - 1.0), bp[:, 0] + bp[:, 1] - 1.0)
-    worst_closed = _rel(summed, closed)
     report.add_within(
-        "rho_trace_ac_closed_form", worst_closed, tol["rho_closed_form"],
+        "rho_trace_ac_closed_form", _rel(summed, closed), tol["rho_closed_form"],
         "the four-term basis sum equals 2 (b1+b2-1)(b'1+b'2-1), which is "
         "nonzero for generic continuous arguments",
     )
@@ -291,7 +292,7 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
 
 
 def _check_affine_det(report: Report, rng, tol) -> None:
-    worst = 0.0
+    gaps = []
     for d in (2, 3, 4):
         pts = rng.standard_normal((2, d + 1, d))
         pts = pts[0] + 1j * pts[1]
@@ -299,13 +300,13 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         dets = affine_forms.affine_det(pts[list(perms)])
         signs = np.array(signs)
         # perms[0] is the identity, so dets[0] is the unpermuted determinant
-        worst = max(worst, _rel(dets, signs * dets[0]))
+        gaps.append(_rel(dets, signs * dets[0]))
     report.add_within(
-        "affine_det_antisymmetry", worst, tol["affine_antisymmetry"],
+        "affine_det_antisymmetry", gaps, tol["affine_antisymmetry"],
         "exhaustive sign covariance under all (d+1)! argument permutations, d = 2, 3, 4",
     )
 
-    worst = 0.0
+    gaps = []
     for d in (2, 3, 4):
         k = (d + 1) * d
         # one row per sample: the points' real and imaginary parts, then the shift's
@@ -313,20 +314,18 @@ def _check_affine_det(report: Report, rng, tol) -> None:
         pts = (draws[:, :k] + 1j * draws[:, k : 2 * k]).reshape(20, d + 1, d)
         shift = draws[:, 2 * k : 2 * k + d] + 1j * draws[:, 2 * k + d :]
         shifted, unshifted = affine_forms.affine_det(np.stack([pts + shift[:, None], pts]))
-        worst = max(worst, _rel(shifted, unshifted))
+        gaps.append(_rel(shifted, unshifted))
     report.add_within(
-        "affine_det_translation_invariance", worst, tol["translation_invariance"],
+        "affine_det_translation_invariance", gaps, tol["translation_invariance"],
         "adding a fixed vector to every point leaves the affine determinant unchanged",
     )
 
     a, b, c = _complex_batch(rng, 100, 3)
-    # _cmul keeps the bits of the scalar complex products.
-    expanded = _cmul(b[:, 0] - a[:, 0], c[:, 1] - a[:, 1]) - _cmul(
-        c[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    )
-    worst = _rel(affine_forms.affine_det(np.stack([a, b, c], axis=1)), expanded)
+    expanded = _wedge2(b - a, c - a)
     report.add_within(
-        "affine_det_coordinate_expansion", worst, tol["coordinate_expansion"],
+        "affine_det_coordinate_expansion",
+        _rel(affine_forms.affine_det(np.stack([a, b, c], axis=1)), expanded),
+        tol["coordinate_expansion"],
         "d = 2 closed form (xB-xA)(yC-yA) - (xC-xA)(yB-yA)",
     )
 
@@ -334,9 +333,10 @@ def _check_affine_det(report: Report, rng, tol) -> None:
 def _check_generator(report: Report, rng, tol) -> None:
     anti = affine_forms.antisymmetrize_generator(affine_forms.determinant_generator(3, 4))
     target = affine_forms.affine_det_form(3)
-    diff = float(np.abs(anti.coeffs + 6.0 * target.coeffs).max())
     report.add_within(
-        "generator_antisymmetrization", diff, tol["generator_coefficients"],
+        "generator_antisymmetrization",
+        np.abs(anti.coeffs + 6.0 * target.coeffs),
+        tol["generator_coefficients"],
         "antisymmetrizing det of the first three of four arguments over S_4 "
         "gives -6 times the affine determinant, coefficient by coefficient",
     )
@@ -345,11 +345,8 @@ def _check_generator(report: Report, rng, tol) -> None:
 def _check_nullspace(report: Report, rng, tol) -> None:
     results = {degree: affine_forms.conjecture_nullspace(2, 3, degree) for degree in (2, 1, 0)}
     mismatches = sum(results[degree].dimension != want for degree, want in {2: 1, 1: 0, 0: 0}.items())
-    report.add(
-        "nullspace_dimensions_d2_m3",
-        mismatches == 0,
-        float(mismatches),
-        0.0,
+    report.add_within(
+        "nullspace_dimensions_d2_m3", mismatches, 0.0,
         "antisymmetric multi-affine forms in 3 arguments on C^2: dimension 1 "
         "in the degree-2 sector, 0 in degrees 1 and 0 (count of mismatches)",
     )
@@ -402,11 +399,8 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
         )
         got = symplectic.kashiwara_index(moved, zero_tol=tol["kashiwara_zero"]).signature
         drift += int(np.count_nonzero(got != base))
-    report.add(
-        "kashiwara_invariance",
-        drift == 0,
-        float(drift),
-        0.0,
+    report.add_within(
+        "kashiwara_invariance", drift, 0.0,
         "signature unchanged by 20 random symplectic transformations with "
         "random basis changes, n = 1 and 2 (count of violations)",
     )
@@ -446,15 +440,13 @@ def _node_set_stack(rng, count, max_nodes, tables=False):
 def _check_moments(report: Report, rng, tol) -> None:
     sizes, weights, phi, _ = _node_set_stack(rng, 50, 12)
     one, two, _, _ = moment_gaps(phi, slater.gamma2_factors_stack(sizes, weights, phi))
-    worst_one = float(one.max())
-    worst_two = float(two.max())
     report.add_within(
-        "one_point_vanishes", worst_one, tol["one_point"],
+        "one_point_vanishes", one, tol["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
         "(50 random spaces, scaled by the cubed component bound)",
     )
     report.add_within(
-        "two_point_gram_identity", worst_two, tol["two_point"],
+        "two_point_gram_identity", two, tol["two_point"],
         "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
     )
 
@@ -469,9 +461,8 @@ def _check_moments(report: Report, rng, tol) -> None:
 
     sizes, weights, phi, m_tables = _node_set_stack(rng, 20, 8, tables=True)
     values = slater.gamma2_factors_stack(sizes, weights, phi).values
-    worst_m = _rel(*slater.m_identity_sides(values, weights, m_tables))
     report.add_within(
-        "symmetric_m_identity", worst_m, tol["m_identity"],
+        "symmetric_m_identity", _rel(*slater.m_identity_sides(values, weights, m_tables)), tol["m_identity"],
         "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",
     )
 
@@ -484,23 +475,23 @@ def _check_kernels(report: Report, rng, tol) -> None:
     g2 = slater.gamma2(phi, space)
     expansion = slater.gamma2_pair_expansion(phi, space)
     scale = max(1.0, float(np.abs(expansion).max()))
-    diff = float(np.abs(g2 - expansion).max()) / scale
     report.add_within(
-        "gamma2_expansion_match", diff, tol["gamma2_expansion"],
+        "gamma2_expansion_match", np.abs(g2 - expansion) / scale, tol["gamma2_expansion"],
         "order-2 kernel equals its closed-form expansion (difference products "
         "plus wedge product term) entrywise for centered orthonormal input, K = 6",
     )
 
     big_scale = max(1.0, float(np.abs(g2).max()))
-    sym = float(np.abs(g2 - g2.T).max())
     four = g2.reshape(k, k, k, k)
-    anti_primed = float(np.abs(four + np.transpose(four, (1, 0, 2, 3))).max())
-    anti_unprimed = float(np.abs(four + np.transpose(four, (0, 1, 3, 2))).max())
     g1 = slater.gamma1(phi, space)
-    g1_sym = float(np.abs(g1 - g1.T).max())
-    worst_sym = max(sym, anti_primed, anti_unprimed, g1_sym) / big_scale
+    parts = [
+        g2 - g2.T,
+        four + np.transpose(four, (1, 0, 2, 3)),
+        four + np.transpose(four, (0, 1, 3, 2)),
+        g1 - g1.T,
+    ]
     report.add_within(
-        "kernel_symmetries", worst_sym, tol["kernel_symmetry"],
+        "kernel_symmetries", [np.abs(part) / big_scale for part in parts], tol["kernel_symmetry"],
         "order-2 kernel is symmetric as a matrix and antisymmetric within "
         "each node pair; order-1 kernel is symmetric",
     )
@@ -516,9 +507,10 @@ def _check_kernels(report: Report, rng, tol) -> None:
     )
 
     orbital = phi @ phi.T
-    diff1 = float(np.abs(g1 - orbital).max()) / max(1.0, float(np.abs(orbital).max()))
     report.add_within(
-        "gamma1_orbital_sum", diff1, tol["gamma1_orbital"],
+        "gamma1_orbital_sum",
+        np.abs(g1 - orbital) / max(1.0, float(np.abs(orbital).max())),
+        tol["gamma1_orbital"],
         "normalized order-1 kernel equals the orbital sum over both "
         "components for centered orthonormal input",
     )
@@ -526,20 +518,10 @@ def _check_kernels(report: Report, rng, tol) -> None:
 
 def _check_spin(report: Report, rng, tol) -> None:
     p = spin.exchange_operator()
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            ket = np.zeros(4)
-            ket[2 * i + j] = 1.0
-            swapped = np.zeros(4)
-            swapped[2 * j + i] = 1.0
-            worst = max(worst, float(np.abs(p @ ket - swapped).max()))
-    worst = max(worst, float(np.abs(p @ p - np.eye(4)).max()))
-    report.add(
-        "exchange_operator_swap",
-        worst == 0.0,
-        worst,
-        0.0,
+    # column 2i + j of the swap is the basis state |ji>
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    report.add_within(
+        "exchange_operator_swap", [np.abs(p - swap), np.abs(p @ p - np.eye(4))], 0.0,
         "P|ij> = |ji> on all four basis states and P^2 = Id, exactly",
     )
 
@@ -548,12 +530,12 @@ def _check_spin(report: Report, rng, tol) -> None:
     doublet = np.zeros(8)
     doublet[2] = 1.0 / math.sqrt(2.0)  # |010>
     doublet[4] = -1.0 / math.sqrt(2.0)  # |100>
-    worst = max(
+    deviations = [
         abs(spin.s_squared_expectation(e000) - 15.0),
         abs(spin.s_squared_expectation(doublet) - 3.0),
-    )
+    ]
     report.add_within(
-        "s_squared_expectations", worst, tol["spin_values"],
+        "s_squared_expectations", deviations, tol["spin_values"],
         "double Pauli sum gives 15 on |000> (s = 3/2) and 3 on the doublet "
         "(|010> - |100>)/sqrt(2) (s = 1/2); both equal 4 s (s+1)",
     )

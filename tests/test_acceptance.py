@@ -89,6 +89,21 @@ def bump_constant(form):
     return affine_forms.MultiAffineForm(form.dim, form.arity, coeffs)
 
 
+def nan_at(index):
+    """Set one entry of the result, a copy, to NaN."""
+
+    def change(value):
+        value = np.array(value)
+        value[index] = np.nan
+        return value
+
+    return on_result(change)
+
+
+def nan_past_dim_2(f):
+    return lambda points: f(points) * (np.nan if np.shape(points)[-1] >= 3 else 1.0)
+
+
 def duplicate_tuple(result):
     return dataclasses.replace(result, tuples=np.vstack([result.tuples, result.tuples[:1]]))
 
@@ -122,6 +137,9 @@ DEFECTS = [
     (5, affine_forms, "affine_det", lambda f: lambda pts: f(pts) + 1e-8 * np.asarray(pts)[..., 0, 0],
      "affine_det_translation_invariance"),
     (5, affine_forms, "affine_det", scaled(1 + 1e-8), "affine_det_coordinate_expansion"),
+    # NaN for d = 3 and 4 only: the record must read the gaps of every d, not only the first
+    (5, affine_forms, "affine_det", nan_past_dim_2, "affine_det_antisymmetry"),
+    (5, affine_forms, "affine_det", nan_past_dim_2, "affine_det_translation_invariance"),
     (6, affine_forms, "antisymmetrize_generator", on_result(bump_constant), "generator_antisymmetrization"),
     (6, affine_forms, "affine_det_form", on_result(bump_constant), "generator_antisymmetrization"),
     (7, affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "nullspace_dimensions_d2_m3"),
@@ -139,8 +157,26 @@ DEFECTS = [
     (10, slater, "gamma2", shifted(1e-6), "gamma2_expansion_match"),
     (10, slater, "gamma2", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
     (10, slater, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
+    (10, slater, "gamma1", nan_at((0, 1)), "kernel_symmetries"),
     (11, spin, "s_squared_expectation", shifted(1e-9), "s_squared_expectations"),
+    (11, spin, "exchange_operator", nan_at((3, 3)), "exchange_operator_swap"),
+    # the doublet is the second of the two states the record reads
+    (11, spin, "s_squared_expectation",
+     lambda f: lambda state: np.nan if np.count_nonzero(state) > 1 else f(state), "s_squared_expectations"),
 ]
+
+
+def test_add_within_records_the_nan_propagating_max_of_its_parts():
+    report = Report(command="verify", seed=0)
+    ragged = [np.array([1e-13, 2e-13]), np.array([[3e-13], [np.nan]])]
+    assert not report.add_within("ragged", ragged, 1.0, "").passed
+    zeros = report.add_within("zeros", [np.zeros(3), -0.0, np.array([[0.0, -0.0]])], 0.0, "")
+    assert zeros.passed and zeros.measured == 0.0
+    assert report.add_within("negative_zero", -0.0, 0.0, "").passed
+    for measured in (5e-13, np.array([1e-13, 5e-13]), [np.array([[1e-13], [5e-13]]), 2e-13]):
+        record = report.add_within("worst", measured, 5e-13, "")
+        assert record.passed and type(record.measured) is float and record.measured == 5e-13
+    assert not report.add_within("over", [0.0, np.array([6e-13])], 5e-13, "").passed
 
 
 @pytest.mark.parametrize("idx, module, name, defect, record", DEFECTS, ids=row_ids(DEFECTS, 2))
