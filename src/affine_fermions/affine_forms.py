@@ -168,7 +168,8 @@ class NullspaceResult:
             "arity": self.arity,
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
-            "basis": Rows(*self.tuples.T),
+            # an empty basis is [] at any arity, without one empty column per argument
+            "basis": Rows(*self.tuples.T) if self.dimension else [],
             "value": self.value,
         }
 

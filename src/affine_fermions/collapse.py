@@ -19,7 +19,7 @@ the same arithmetic, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,14 +82,6 @@ def _bound(residual, scale, error, message: str) -> None:
         raise error(message.format(np.reshape(residual, -1)[worst]))
 
 
-def _blocks_scale(x_blocks, y_blocks):
-    """max(1, |X'|max, |Y'|max) per row."""
-    return np.maximum(
-        1.0,
-        np.maximum(np.abs(x_blocks).max(axis=(-2, -1)), np.abs(y_blocks).max(axis=(-2, -1))),
-    )
-
-
 def _unbatched(z):
     """A Python complex for a single input; the array over the batch otherwise."""
     return complex(z) if np.ndim(z) == 0 else z
@@ -119,12 +111,14 @@ class ThetaBlocks:
     """Reindexed form of Lambda: three X' blocks and three Y' blocks in C^6.
 
     Block k carries zeros in its structural slots (4-5 for block 1, 2-3 for
-    block 2, 0-1 for block 3).  A batch carries leading axes in front of the
-    (3, 6) block axes.
+    block 2, 0-1 for block 3), which `theta` reads from Lambda's 2x2
+    diagonal block k.  A batch carries leading axes in front of the (3, 6)
+    block axes; `scale` holds max(1, |X'|max, |Y'|max) per row.
     """
 
     x_blocks: np.ndarray  # shape (..., 3, 6)
     y_blocks: np.ndarray  # shape (..., 3, 6)
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, blocks in (("x", self.x_blocks), ("y", self.y_blocks)):
@@ -135,12 +129,13 @@ class ThetaBlocks:
             _require_finite(blocks, f"{name}_blocks")
         if np.shape(self.x_blocks) != np.shape(self.y_blocks):
             raise ValueError("x_blocks and y_blocks must have the same shape")
-        scale = _blocks_scale(self.x_blocks, self.y_blocks)
+        peaks = [np.abs(blocks).max(axis=(-2, -1)) for blocks in (self.x_blocks, self.y_blocks)]
+        object.__setattr__(self, "scale", np.maximum(1.0, np.maximum(*peaks)))
         for blocks in (self.x_blocks, self.y_blocks):
             for k, slots in enumerate(_ZERO_SLOTS):
                 bad = np.abs(blocks[..., k, list(slots)]).max(axis=-1)
                 _bound(
-                    bad, scale, ValueError,
+                    bad, self.scale, ValueError,
                     f"block {k + 1} must vanish in slots {slots}; got residual {{:g}}",
                 )
 
@@ -189,7 +184,9 @@ def theta(lam: np.ndarray) -> ThetaBlocks:
     Entry-for-entry bijection: block k, slot s reads Lambda[2k + s//6, col]
     minus its transpose partner, i.e. twice the upper value.  Only defined
     for matrices with the Lambda structure (antisymmetric, vanishing 2x2
-    diagonal blocks).  lam has shape (6, 6), or (..., 6, 6) for a batch.
+    diagonal blocks); the blocks' zero slots are those diagonal blocks, so
+    `ThetaBlocks` rejects a nonzero one.  lam has shape (6, 6), or
+    (..., 6, 6) for a batch.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape[-2:] != (6, 6):
@@ -198,13 +195,6 @@ def theta(lam: np.ndarray) -> ThetaBlocks:
     scale = np.maximum(1.0, np.abs(lam).max(axis=(-2, -1)))
     skew = np.abs(lam + np.swapaxes(lam, -1, -2)).max(axis=(-2, -1))
     _bound(skew, scale, ValueError, "matrix is not antisymmetric (residual {:g})")
-    for k in range(3):
-        diag = np.abs(lam[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).max(axis=(-2, -1))
-        _bound(
-            diag, scale, ValueError,
-            f"diagonal block {k} is nonzero (residual {{:g}}); "
-            "not the tensor of an embedded triple",
-        )
     x = lam[..., _THETA_ROWS, _THETA_COLS] - lam[..., _THETA_COLS, _THETA_ROWS]
     y = lam[..., _THETA_ROWS + 1, _THETA_COLS] - lam[..., _THETA_COLS, _THETA_ROWS + 1]
     return ThetaBlocks(x_blocks=x, y_blocks=y)
@@ -222,19 +212,18 @@ def tr1(tb: ThetaBlocks) -> np.ndarray:
     """
     x_sum = tb.x_blocks.sum(axis=-2)
     y_sum = tb.y_blocks.sum(axis=-2)
-    scale = _blocks_scale(tb.x_blocks, tb.y_blocks)
     dead = np.maximum(
         np.abs(x_sum[..., [0, 2, 4]]).max(axis=-1), np.abs(y_sum[..., [1, 3, 5]]).max(axis=-1)
     )
     _bound(
-        dead, scale, ConsistencyError,
+        dead, tb.scale, ConsistencyError,
         "dead slots of the block traces did not cancel (residual {:g})",
     )
     x_live = x_sum[..., [1, 3, 5]]
     y_live = y_sum[..., [0, 2, 4]]
     mismatch = np.abs(y_live + x_live).max(axis=-1)
     _bound(
-        mismatch, scale, ConsistencyError,
+        mismatch, tb.scale, ConsistencyError,
         "Y-block trace is not the negative of the X-block trace (residual {:g})",
     )
     return x_live

@@ -81,7 +81,8 @@ class MeasuredSpace:
 
     @classmethod
     def uniform(cls, k: int) -> "MeasuredSpace":
-        return cls(np.full(k, 1.0 / k))
+        # k < 2 gives fewer than two weights, which __init__ rejects
+        return cls(np.full(max(k, 0), 1.0 / max(k, 1)))
 
     def __len__(self) -> int:
         return self.weights.size

@@ -358,47 +358,39 @@ def _check_nullspace(report: Report, rng, tol) -> None:
 
 
 def _check_kashiwara(report: Report, rng, tol) -> None:
-    axes = symplectic.LagrangianTriple([[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]])
-    sig = symplectic.kashiwara_index(axes, zero_tol=tol["kashiwara_zero"]).signature
-    report.add(
-        "kashiwara_example_signature",
-        sig == -1,
-        float(sig),
-        -1.0,
-        "(x-axis, y-axis, diagonal) in R^2 has signature -1 under the "
-        "(p, q)-block form convention",
-    )
-
-    swapped = symplectic.LagrangianTriple(axes.bases[1], axes.bases[0], axes.bases[2])
-    sig_swapped = symplectic.kashiwara_index(swapped, zero_tol=tol["kashiwara_zero"]).signature
-    report.add(
-        "kashiwara_odd_permutation_flip",
-        sig_swapped == 1,
-        float(sig_swapped),
-        1.0,
-        "swapping the first two subspaces negates the signature",
-    )
-
-    triples = {
-        1: axes,
-        2: symplectic.LagrangianTriple(
-            np.vstack([np.eye(2), np.zeros((2, 2))]),
-            np.vstack([np.zeros((2, 2)), np.eye(2)]),
-            np.vstack([np.eye(2), np.eye(2)]),
-        ),
-    }
+    axes = ([[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]])
+    coordinates = (np.vstack([np.eye(2), np.zeros((2, 2))]), np.vstack([np.zeros((2, 2)), np.eye(2)]),
+                   np.vstack([np.eye(2), np.eye(2)]))
+    fixed = {1: [axes, (axes[1], axes[0], axes[2])], 2: [coordinates]}
     drift = 0
-    for n, triple in triples.items():
-        base = symplectic.kashiwara_index(triple, zero_tol=tol["kashiwara_zero"]).signature
+    for n, triples in fixed.items():
+        bases = np.array(triples, dtype=float)  # (triple, subspace, 2n, n)
         # one row per sample: M's 4n^2 draws, then the three basis changes'
         draws = rng.standard_normal((20, 7 * n * n))
         s = symplectic.symplectic_shear(draws[:, : 4 * n * n].reshape(20, 2 * n, 2 * n))
         changes = np.triu(draws[:, 4 * n * n :].reshape(20, 3, n, n)) + 2.0 * np.eye(n)
-        moved = symplectic.LagrangianTriple(
-            *(s @ b @ g for b, g in zip(triple.bases, changes.swapaxes(0, 1)))
-        )
-        got = symplectic.kashiwara_index(moved, zero_tol=tol["kashiwara_zero"]).signature
-        drift += int(np.count_nonzero(got != base))
+        # one stack: the fixed triples, then 20 moved copies of the first, each compared with it
+        moved = s[:, None] @ bases[0] @ changes
+        stack = symplectic.LagrangianTriple(*np.concatenate([bases, moved]).swapaxes(0, 1))
+        sig = symplectic.kashiwara_index(stack, zero_tol=tol["kashiwara_zero"]).signature
+        drift += int(np.count_nonzero(sig[len(triples) :] != sig[0]))
+        if n == 1:
+            example, flipped = sig[:2]
+    report.add(
+        "kashiwara_example_signature",
+        example == -1,
+        float(example),
+        -1.0,
+        "(x-axis, y-axis, diagonal) in R^2 has signature -1 under the "
+        "(p, q)-block form convention",
+    )
+    report.add(
+        "kashiwara_odd_permutation_flip",
+        flipped == 1,
+        float(flipped),
+        1.0,
+        "swapping the first two subspaces negates the signature",
+    )
     report.add_within(
         "kashiwara_invariance", drift, 0.0,
         "signature unchanged by 20 random symplectic transformations with "

@@ -292,6 +292,12 @@ def test_nullspace_empty_sector_has_no_size_limit():
     assert conjecture_nullspace(2, 10**9, 0).dimension == 0
 
 
+def test_empty_sector_serializes_its_basis_as_an_empty_list():
+    # one empty column per argument would cost memory in proportion to the arity
+    doc = conjecture_nullspace(2, 5, 0).to_json_dict()
+    assert doc["basis"] == [] and doc["dimension"] == 0
+
+
 def test_nullspace_value_past_the_float_factorials():
     # 201! is beyond the float range; 1/sqrt(201!) ~ 7.9e-189 is not
     result = conjecture_nullspace(200, 201, 200)

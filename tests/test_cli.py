@@ -608,6 +608,13 @@ def test_conjecture_empty_sector_with_large_table(capsys):
     assert json.loads(out)["nullspace"]["dimension"] == 0
 
 
+def test_conjecture_empty_sector_at_huge_arity(capsys):
+    # the empty basis is written without a column per argument
+    status, out, _ = run(["conjecture", "--dim", "2", "--arity", "1000000000", "--degree", "0"], capsys)
+    assert status == 0
+    assert json.loads(out)["nullspace"]["dimension"] == 0
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ def test_theta_rejects_nonzero_diagonal_blocks():
     m[0, 1], m[1, 0] = 1.0, -1.0  # antisymmetric but inside a diagonal block
     with pytest.raises(ValueError):
         theta(m)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_theta_names_the_block_of_a_nonzero_diagonal_block(k):
+    # Lambda's diagonal block k is exactly zero; plant an antisymmetric pair inside it.
+    lam = lambda_tensor(*random_triple(np.random.default_rng(30 + k)))
+    lam[2 * k, 2 * k + 1] += 1.0
+    lam[2 * k + 1, 2 * k] -= 1.0
+    slots = ((4, 5), (2, 3), (0, 1))[k]
+    message = f"block {k + 1} must vanish in slots {slots}; got residual 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        theta(lam)
 
 
 def test_theta_blocks_support_validated():

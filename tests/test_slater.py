@@ -94,6 +94,12 @@ def test_space_uniform():
     assert space.weights.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_space_uniform_needs_two_nodes(k):
+    with pytest.raises(ValueError, match="^need at least two weighted nodes$"):
+        MeasuredSpace.uniform(k)
+
+
 # ------------------------------------------------------------- centering
 
 
