@@ -62,6 +62,6 @@ def s_squared_expectation(state) -> float:
     if psi.shape != (8,):
         raise ValueError(f"need 8 amplitudes for three qubits, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # `not <=`, so that a NaN norm is rejected too
         raise ValueError(f"state must be normalized, got norm {norm!r}")
     return float(np.real(np.conj(psi) @ s_squared_matrix() @ psi))

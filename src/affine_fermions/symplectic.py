@@ -170,8 +170,10 @@ def kashiwara_index(
     eigenvalues with magnitude below zero_tol times the largest magnitude
     count as zero; signature = n_plus - n_minus.  The reported eigenvalues
     are those of kashiwara_q, in the provided bases.  A stack of triples
-    takes one QR and one eigvalsh call.
+    takes one QR and one eigvalsh call.  zero_tol must be finite and >= 0.
     """
+    if not 0.0 <= zero_tol < np.inf:
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     provided = np.stack(triple.bases)
     # per subspace: the orthonormal basis, then the provided one
     pairs = np.stack([np.linalg.qr(provided).Q, provided], axis=1)

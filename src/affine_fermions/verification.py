@@ -143,14 +143,10 @@ def _rel(a, b):
     return _abs(a - b) / np.maximum(np.maximum(1.0, _abs(a)), _abs(b))
 
 
-def _complex_batch(rng, n, count):
-    """count arrays of shape (n, 2) of complex normals.
-
-    Sample i holds count vectors, drawn as all their real parts and then all
-    their imaginary parts, one sample after another.
-    """
-    draws = rng.standard_normal((n, 2, count, 2))
-    return np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 1, 0)
+def _complex_normal(rng, shape):
+    """Complex normals of `shape`: all real parts are drawn, then all imaginary parts."""
+    parts = rng.standard_normal((2, *shape))
+    return parts[0] + 1j * parts[1]
 
 
 # One function per invariant that a subcommand also checks.  `verify` calls
@@ -212,7 +208,7 @@ def span_residual(result) -> float:
 def _check_collapse(report: Report, rng, tol) -> None:
     report.add_within(
         "collapse_pipeline_equals_affine_det",
-        collapse_gap(*_complex_batch(rng, 1000, 3))[0],
+        collapse_gap(*_complex_normal(rng, (3, 1000, 2)))[0],
         tol["collapse_pipeline"],
         "embed -> wedge tensor -> reindex -> partial trace -> sum matches "
         "det(b-a, c-a) on 1000 random complex triples",
@@ -228,7 +224,7 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
     u = np.array([0.0, 1.0, -1.0])
     v = np.array([1.0, 0.0, -1.0])
     w = np.array([1.0, -1.0, 0.0])
-    a, b, c = _complex_batch(rng, 100, 3)
+    a, b, c = _complex_normal(rng, (3, 100, 2))
     # axis 1 runs over the patterns (a,a,c), (a,b,b), (a,b,a); args holds their
     # first, second and third states
     args = [np.stack(triple, axis=1) for triple in ((a, a, a), (a, b, b), (c, b, a))]
@@ -248,10 +244,8 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
 
 
 def _check_morphism(report: Report, rng, tol) -> None:
-    # one row per case: the states' real and imaginary parts, then sigma's
-    draws = rng.standard_normal((500, 20))
-    a, b, c = np.moveaxis((draws[:, 0:6] + 1j * draws[:, 6:12]).reshape(500, 3, 2), 1, 0)
-    sigma = (draws[:, 12:16] + 1j * draws[:, 16:20]).reshape(500, 2, 2)
+    a, b, c = _complex_normal(rng, (3, 500, 2))
+    sigma = _complex_normal(rng, (500, 2, 2))
     report.add_within(
         "morphism_covariance", morphism_gap(a, b, c, sigma), tol["morphism_covariance"],
         "applying a 2x2 map to all three states multiplies the collapsed "
@@ -265,7 +259,7 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
         "the doubly-traced kernel vanishes on all four computational-basis pairs",
     )
 
-    b, bp = _complex_batch(rng, 100, 2)
+    b, bp = _complex_normal(rng, (2, 100, 2))
     summed = rho_trace_AC(b, bp)
     # _cmul keeps the bits of the scalar complex product.
     closed = _cmul(2.0 * (b[:, 0] + b[:, 1] - 1.0), bp[:, 0] + bp[:, 1] - 1.0)
@@ -275,7 +269,7 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
         "nonzero for generic continuous arguments",
     )
 
-    b, c, bp, cp = _complex_batch(rng, 100, 4)
+    b, c, bp, cp = _complex_normal(rng, (4, 100, 2))
     nonzero = int(np.count_nonzero(_abs(rho_trace_A(b, c, bp, cp)) > 1e-12))
     b, c, bp, cp = np.array(list(itertools.product(BASIS_2D, repeat=4))).transpose(1, 0, 2)
     basis_matrix_max = float(_abs(rho_trace_A(b, c, bp, cp)).max())
@@ -294,8 +288,7 @@ def _check_rho_traces(report: Report, rng, tol) -> None:
 def _check_affine_det(report: Report, rng, tol) -> None:
     gaps = []
     for d in (2, 3, 4):
-        pts = rng.standard_normal((2, d + 1, d))
-        pts = pts[0] + 1j * pts[1]
+        pts = _complex_normal(rng, (d + 1, d))
         perms, signs = zip(*signed_permutations(d + 1))
         dets = affine_forms.affine_det(pts[list(perms)])
         signs = np.array(signs)
@@ -308,19 +301,16 @@ def _check_affine_det(report: Report, rng, tol) -> None:
 
     gaps = []
     for d in (2, 3, 4):
-        k = (d + 1) * d
-        # one row per sample: the points' real and imaginary parts, then the shift's
-        draws = rng.standard_normal((20, 2 * k + 2 * d))
-        pts = (draws[:, :k] + 1j * draws[:, k : 2 * k]).reshape(20, d + 1, d)
-        shift = draws[:, 2 * k : 2 * k + d] + 1j * draws[:, 2 * k + d :]
-        shifted, unshifted = affine_forms.affine_det(np.stack([pts + shift[:, None], pts]))
+        pts = _complex_normal(rng, (20, d + 1, d))
+        shift = _complex_normal(rng, (20, 1, d))
+        shifted, unshifted = affine_forms.affine_det(np.stack([pts + shift, pts]))
         gaps.append(_rel(shifted, unshifted))
     report.add_within(
         "affine_det_translation_invariance", gaps, tol["translation_invariance"],
         "adding a fixed vector to every point leaves the affine determinant unchanged",
     )
 
-    a, b, c = _complex_batch(rng, 100, 3)
+    a, b, c = _complex_normal(rng, (3, 100, 2))
     expanded = _wedge2(b - a, c - a)
     report.add_within(
         "affine_det_coordinate_expansion",
@@ -365,10 +355,10 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
     drift = 0
     for n, triples in fixed.items():
         bases = np.array(triples, dtype=float)  # (triple, subspace, 2n, n)
-        # one row per sample: M's 4n^2 draws, then the three basis changes'
-        draws = rng.standard_normal((20, 7 * n * n))
-        s = symplectic.symplectic_shear(draws[:, : 4 * n * n].reshape(20, 2 * n, 2 * n))
-        changes = np.triu(draws[:, 4 * n * n :].reshape(20, 3, n, n)) + 2.0 * np.eye(n)
+        s = symplectic.symplectic_shear(rng.standard_normal((20, 2 * n, 2 * n)))
+        changes = np.triu(rng.standard_normal((20, 3, n, n))) + 2.0 * np.eye(n)
+        # columns scaled by 1e-3..1e3: without its QR step the index misjudges which eigenvalues are 0
+        changes *= 10.0 ** rng.uniform(-3, 3, (20, 3, 1, n))
         # one stack: the fixed triples, then 20 moved copies of the first, each compared with it
         moved = s[:, None] @ bases[0] @ changes
         stack = symplectic.LagrangianTriple(*np.concatenate([bases, moved]).swapaxes(0, 1))
@@ -398,39 +388,17 @@ def _check_kashiwara(report: Report, rng, tol) -> None:
     )
 
 
-def _random_node_set(rng, max_nodes=12):
-    """Weights and phi of 4..max_nodes nodes, drawn in that order."""
-    k = int(rng.integers(4, max_nodes + 1))
-    weights = rng.random(k) + 0.1
-    return weights / weights.sum(), rng.standard_normal((k, 2))
-
-
-def _node_set_stack(rng, count, max_nodes, tables=False):
-    """count random node sets, zero-padded to max_nodes: (sizes, weights, phi, tables).
-
-    With `tables`, each set's draws are followed by a random symmetric
-    K x K x K weight table, the sum of a normal draw's six transposes.
-    """
-    sizes = np.zeros(count, dtype=int)
-    weights = np.zeros((count, max_nodes))
-    phi = np.zeros((count, max_nodes, 2))
-    raw = np.zeros((count, max_nodes, max_nodes, max_nodes)) if tables else None
-    for i in range(count):
-        w, p = _random_node_set(rng, max_nodes)
-        k = sizes[i] = len(w)
-        weights[i, :k], phi[i, :k] = w, p
-        if tables:
-            raw[i, :k, :k, :k] = rng.standard_normal((k, k, k))
-    m_tables = None
-    if tables:
-        m_tables = np.zeros_like(raw)
-        for perm in itertools.permutations((1, 2, 3)):
-            m_tables += np.transpose(raw, (0, *perm))
-    return sizes, weights, phi, m_tables
+def _node_sets(rng, count, max_nodes):
+    """Sizes, weights and phi of count sets of 4..max_nodes nodes, zero-padded to max_nodes."""
+    sizes = rng.integers(4, max_nodes + 1, count)
+    present = np.arange(max_nodes) < sizes[:, None]
+    weights = np.where(present, rng.random((count, max_nodes)) + 0.1, 0.0)
+    phi = np.where(present[..., None], rng.standard_normal((count, max_nodes, 2)), 0.0)
+    return sizes, weights / weights.sum(axis=1, keepdims=True), phi
 
 
 def _check_moments(report: Report, rng, tol) -> None:
-    sizes, weights, phi, _ = _node_set_stack(rng, 50, 12)
+    sizes, weights, phi = _node_sets(rng, 50, 12)
     one, two, _, _ = moment_gaps(phi, slater.gamma2_factors_stack(sizes, weights, phi))
     report.add_within(
         "one_point_vanishes", one, tol["one_point"],
@@ -442,17 +410,19 @@ def _check_moments(report: Report, rng, tol) -> None:
         "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
     )
 
-    weights, phi = _random_node_set(rng)
-    space = slater.MeasuredSpace(weights)
-    reduced = slater.reduce_centered(phi, space)
+    space = slater.MeasuredSpace(weights[0, : sizes[0]])
+    reduced = slater.reduce_centered(phi[0, : sizes[0]], space)
     unit = abs(slater.two_point(reduced, space) / 6.0 - 1.0)
     report.add_within(
         "two_point_orthonormal_unit", unit, tol["two_point"],
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
-    sizes, weights, phi, m_tables = _node_set_stack(rng, 20, 8, tables=True)
+    sizes, weights, phi = _node_sets(rng, 20, 8)
     values = slater.gamma2_factors_stack(sizes, weights, phi).values
+    # symmetric tables, unmasked: past each set's nodes the weights are 0, and every entry is weighted
+    raw = rng.standard_normal((20, 8, 8, 8))
+    m_tables = sum(np.transpose(raw, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
     report.add_within(
         "symmetric_m_identity", _rel(*slater.m_identity_sides(values, weights, m_tables)), tol["m_identity"],
         "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",

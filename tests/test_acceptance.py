@@ -149,6 +149,9 @@ DEFECTS = [
     (8, symplectic, "symplectic_shear",
      lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
      "kashiwara_invariance"),
+    # Q = the provided bases: the index decides inertia without orthonormalizing them
+    (8, np.linalg, "qr", lambda f: lambda a, *args, **kwargs: f(a, *args, **kwargs)._replace(Q=a),
+     "kashiwara_invariance"),
     (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),

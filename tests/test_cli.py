@@ -78,7 +78,7 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # last bits of the measured values come from numpy's floating-point kernels
 # (numpy 2.4, x86-64 with FMA), so another platform may need its own digests.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "66bdfe89a088aedbea2c525a30182b94b9b6d4e38668dcc92354171389423d1a",
+    ("verify", "--seed", "1729"): "fe1f19a7508a922d70a2d99a17f59897091c1fad4ef5516a5e935806dc3e6c85",
     ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
     ("conjecture",): "630b2716eb30b2ebab5c654b0e62498be426aa1d3118caaaba6c614e587cb035",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):

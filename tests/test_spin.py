@@ -70,6 +70,15 @@ def test_s_squared_rejects_unnormalized():
         s_squared_expectation(np.ones(8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+def test_s_squared_rejects_non_finite_amplitudes(bad):
+    # a NaN norm compares False with any bound, so it must not slip through as normalized
+    state = three_qubit_basis("000").astype(complex)
+    state[3] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        s_squared_expectation(state)
+
+
 def test_affine_det_amplitudes_over_basis_points_vanish():
     # Psi(a, b, c) with a, b, c drawn from the two basis vectors always
     # repeats a point, so the would-be amplitude vector is identically zero

@@ -12,6 +12,7 @@ from affine_fermions import (
     kashiwara_index,
     kashiwara_q,
     lagrangian_triple_from_json,
+    run_verify,
     standard_symplectic_matrix,
     symplectic_shear,
 )
@@ -130,6 +131,17 @@ def test_kashiwara_index_odd_permutations_negate():
         sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
         permuted = LagrangianTriple(*(t.bases[i] for i in perm))
         assert kashiwara_index(permuted).signature == sign * base
+
+
+@pytest.mark.parametrize("zero_tol", [-1.0, np.nan, np.inf])
+def test_kashiwara_index_rejects_a_negative_or_non_finite_zero_tol(zero_tol):
+    # unchecked, -1.0 would give n_zero = -2, and NaN would count every eigenvalue as zero (signature 0)
+    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+        kashiwara_index(axes_triple(), zero_tol=zero_tol)
+    # verify's tolerances reach the index unparsed
+    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+        run_verify(tolerances={"kashiwara_zero": zero_tol})
+    assert kashiwara_index(axes_triple(), zero_tol=0.0).signature == -1
 
 
 def test_kashiwara_index_repeated_subspace_degenerates():
