@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .json_io import Rows, _json_text, read_json
+from .json_io import Rows, _json_pieces, read_json
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_values, span_residual
 
@@ -61,7 +61,9 @@ def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) ->
         rows, cols = np.nonzero(np.abs(matrix) > threshold)
         entries = Rows(rows, cols, matrix[rows, cols])
         doc = {"shape": list(matrix.shape), "threshold": threshold, "entries": entries}
-        path.write_text(_json_text(doc) + "\n")
+        with path.open("w") as file:
+            file.writelines(_json_pieces(doc))
+            file.write("\n")
 
 
 def cmd_verify(args) -> int:

@@ -48,107 +48,168 @@ def number_array(value, field: str) -> np.ndarray:
 
 
 class Rows:
-    """Rows of numbers held as columns: written as the list `zip(*columns)`.
+    """Rows of numbers held as columns: written as the list of row lists.
 
-    Each column is a 1-d int or float array, all of one length, taken as
-    int64 or float64; one that does not cast safely (uint64) raises
-    TypeError.  `_json_text` writes a Rows value exactly as json writes the
-    list of row lists, without building those lists.
+    Each positional argument is a 1-d int or float column.  `block`, a 2-d
+    int or float array, gives the leading entries of every row at once, so a
+    wide row is one array and not one column per entry.  All have one length
+    and are taken as int64 or float64; one that does not cast safely (uint64)
+    raises TypeError.  `_json_pieces` writes a Rows value exactly as json
+    writes the list of row lists, without building those lists.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("parts",)
 
-    def __init__(self, *columns):
+    def __init__(self, *columns, block=None):
         columns = [np.asarray(c) for c in columns]
-        if not columns or any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
-            raise ValueError("Rows needs one or more 1-d columns of one length")
-        if any(c.dtype.kind not in "iuf" for c in columns):
+        if any(c.ndim != 1 for c in columns):
+            raise ValueError("Rows columns must be 1-d")
+        parts = [c[:, None] for c in columns]
+        if block is not None:
+            block = np.asarray(block)
+            if block.ndim != 2 or not block.shape[1]:
+                raise ValueError("a Rows block must be 2-d, with one or more columns")
+            parts.insert(0, block)
+        if not parts or any(len(p) != len(parts[0]) for p in parts):
+            raise ValueError("Rows needs one or more columns of one length")
+        if any(p.dtype.kind not in "iuf" for p in parts):
             raise TypeError("Rows columns must hold ints or floats")
-        # A float's bits then view as an int64, and an int's offset from the column's least cannot wrap.
-        self.columns = tuple(
-            c.astype(float if c.dtype.kind == "f" else np.int64, casting="safe", copy=False) for c in columns
+        # A float's bits then view as an int64, and an int's offset from the part's least cannot wrap.
+        self.parts = tuple(
+            p.astype(float if p.dtype.kind == "f" else np.int64, casting="safe", copy=False) for p in parts
         )
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.parts[0])
 
 
 # The C encoder; it spells floats, NaN and Infinity as json.dumps does with an indent.
 _ENCODE = json.JSONEncoder().encode
 _NUMBERS = {int, float}  # exact types: a bool is not a number here
+# A Rows value is spelled into a reused table of _BLOCK_ROWS rows at a time and
+# joined _PIECE_SLOTS cells and separators at a time: a piece of kernel entries
+# (three cells, about 70 characters a row) is then a whole block of about 70 KB,
+# below glibc's default 128 KiB mmap threshold, and a wide row comes in pieces too.
+_BLOCK_ROWS = 1024
+_PIECE_SLOTS = 8192
 
 
-def _cells(column: np.ndarray) -> np.ndarray:
-    """json's text of each entry of a non-empty column, as an object array.
+def _spelled(part: np.ndarray) -> tuple:
+    """json's text of each entry of a non-empty 2-d part, spelled once per distinct int or float magnitude.
 
-    Each distinct entry is spelled once and its entries share that str.
-    Floats are told apart by bit pattern, since by value -0.0 would take
-    0.0's text and NaN would not equal itself, and spelled in one encoder
-    call.  An int is spelled by int.__repr__, as json spells it; a column no
-    shorter than its range is spelled over the range, without a sort.
+    Returns (texts, index, offset, negative): entry [r, c] is "-" if
+    negative[r, c] is 1, then texts[index[r, c] - offset].  A float is
+    spelled by its magnitude, so the two signs of a value share one str.
+    Magnitudes are told apart by bit pattern, since NaN does not equal
+    itself, and spelled in one encoder call.
+    The sign is the sign bit of any float but NaN, so -0.0, -Infinity and
+    -5e-324 keep it and NaN of either sign is NaN, as json spells them.  An
+    int is spelled by int.__repr__, sign and all, as json spells it, and
+    `negative` is None; a part no smaller than its range is spelled over the
+    range, without a sort.
     """
-    if column.dtype.kind == "f":
-        _, first, index = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-        texts = _ENCODE(column[first].tolist())[1:-1].split(", ")
+    if part.dtype.kind == "f":
+        distinct, index = np.unique(np.abs(part).view(np.int64), return_inverse=True)
+        texts = _ENCODE(distinct.view(float).tolist())[1:-1].split(", ")
+        negative = (np.signbit(part) & ~np.isnan(part)).view(np.int8)
+        return np.array(texts, dtype=object), index.reshape(part.shape), 0, negative
+    low, high = int(part.min()), int(part.max())
+    if high - low < part.size:
+        texts, index, offset = range(low, high + 1), part, low
     else:
-        low, high = int(column.min()), int(column.max())
-        if high - low < len(column):
-            distinct, index = range(low, high + 1), column - low
-        else:
-            distinct, index = np.unique(column, return_inverse=True)
-            distinct = distinct.tolist()
-        texts = list(map(int.__repr__, distinct))
-    return np.array(texts, dtype=object)[index]
+        texts, index = np.unique(part, return_inverse=True)
+        texts, index, offset = texts.tolist(), index.reshape(part.shape), 0
+    return np.array(list(map(int.__repr__, texts)), dtype=object), index, offset, None
 
 
-def _row_pieces(rows: Rows, inner: str, deeper: str) -> list:
-    """Each cell of `rows` followed by its separator, row after row, less the last separator.
+def _row_pieces(rows: Rows, indent: str):
+    """The text of a non-empty `rows` at `indent`, in pieces of at most _PIECE_SLOTS cells and separators.
 
-    The table is freed when this returns, before the caller joins the text.
+    Each block of rows is spelled into a reused table in which each cell
+    follows its separator, and a negative float's "-" ends that separator;
+    every separator slot holds one of four shared strs.  The table is joined
+    a piece at a time, and the closing brackets are the last piece.
     """
-    table = np.empty((len(rows), 2 * len(rows.columns)), dtype=object)
-    table[:, 1::2] = f",\n{deeper}"  # np.full would copy the str into every cell
-    table[:, -1] = f"\n{inner}],\n{inner}[\n{deeper}"
-    for j, column in enumerate(rows.columns):
-        table[:, 2 * j] = _cells(column)
-    return table.ravel()[:-1].tolist()
+    inner = indent + "  "
+    deeper = inner + "  "
+    opening = f"[\n{inner}[\n{deeper}"
+    # The separators within a row and between rows, each before a cell and before a negative cell.
+    within, between = (
+        np.array([text, text + "-"], dtype=object) for text in (f",\n{deeper}", f"\n{inner}],\n{inner}[\n{deeper}")
+    )
+    spelled = [_spelled(part) for part in rows.parts]
+    first_negative = spelled[0][3]
+    widths = [part.shape[1] for part in rows.parts]
+    table = np.empty((min(len(rows), _BLOCK_ROWS), 2 * sum(widths)), dtype=object)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = table[: len(rows) - start]
+        stop = start + len(block)
+        c = 0
+        for (texts, index, offset, negative), w in zip(spelled, widths):
+            block[:, 2 * c : 2 * (c + w) : 2] = within[0] if negative is None else within[negative[start:stop]]
+            block[:, 2 * c + 1 : 2 * (c + w) : 2] = texts[index[start:stop] - offset]
+            c += w
+        block[:, 0] = between[0] if first_negative is None else between[first_negative[start:stop, 0]]
+        if not start:  # the first row opens the list instead of closing a row
+            block[0, 0] = opening + block[0, 0].removeprefix(between[0])
+        slots = block.ravel()
+        for i in range(0, len(slots), _PIECE_SLOTS):
+            yield "".join(slots[i : i + _PIECE_SLOTS].tolist())
+    yield f"\n{inner}]\n{indent}]"
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for str keys.
+def _json_pieces(obj, indent: str = ""):
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte for str keys, as a stream of strs.
 
     A `Rows` value stands for its list of row lists.  json.dumps with an
     indent runs the pure-Python encoder on every element.  Here a list of
     numbers goes to the C encoder in one call and is indented by
-    `str.replace`; a `Rows` value is spelled column by column and joined in
-    one pass over a table of cells and separators.  Type checks run in
+    `str.replace`, and a `Rows` value comes in pieces, spelled a column or
+    block at a time and joined from a table (`_row_pieces`).  Type checks run in
     `set(map(type, ...))`, not in a per-element loop.
     """
     kind = type(obj)
     if kind is str:
-        return _ENCODE(obj)
+        yield _ENCODE(obj)
+        return
     if kind is int or kind is float and math.isfinite(obj):
-        return repr(obj)  # json's spelling of a finite number, without the encoder's set-up
+        yield repr(obj)  # json's spelling of a finite number, without the encoder's set-up
+        return
     inner = indent + "  "
     if kind is Rows:
-        if not len(obj):
-            return "[]"
-        deeper = inner + "  "
-        body = "".join(_row_pieces(obj, inner, deeper))
-        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
+        yield from _row_pieces(obj, indent) if len(obj) else ("[]",)
+        return
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         if not set(map(type, obj)) <= {str}:
             raise TypeError("JSON object keys must be str")
-        items = ",\n".join(f"{inner}{_ENCODE(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
-        return f"{{\n{items}\n{indent}}}"
+        opening = "{\n"
+        for key in sorted(obj):
+            yield f"{opening}{inner}{_ENCODE(key)}: "
+            yield from _json_pieces(obj[key], inner)
+            opening = ",\n"
+        yield f"\n{indent}}}"
+        return
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            yield "[]"
+            return
         if set(map(type, obj)) <= _NUMBERS:
             body = _ENCODE(obj)[1:-1].replace(", ", ",\n" + inner)
-            return f"[\n{inner}{body}\n{indent}]"
-        items = ",\n".join(inner + _json_text(item, inner) for item in obj)
-        return f"[\n{items}\n{indent}]"
-    return _ENCODE(obj)
+            yield f"[\n{inner}{body}\n{indent}]"
+            return
+        opening = "[\n"
+        for item in obj:
+            yield opening + inner
+            yield from _json_pieces(item, inner)
+            opening = ",\n"
+        yield f"\n{indent}]"
+        return
+    yield _ENCODE(obj)
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte for str keys: `_json_pieces` joined."""
+    return "".join(_json_pieces(obj))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affine_fermions import slater
-from affine_fermions.cli import _write_kernel, build_parser, main
-from affine_fermions.json_io import Rows
+from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
+from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, Rows
 from affine_fermions.verification import DEFAULT_TOLERANCES, _json_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -478,6 +479,77 @@ def test_rows_reject_columns_that_are_not_equal_length_numbers(columns, error):
         Rows(*columns)
 
 
+@st.composite
+def block_and_columns(draw):
+    """A same-kind 2-d block of 1-4 columns, and 0-2 columns of either kind, all of one length."""
+    n = draw(st.integers(0, 8))
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = st.one_of(st.sampled_from([0, 1, -1, 7]), int64s)
+        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=np.int64)
+    else:
+        values = st.one_of(st.sampled_from(float_pool), st.floats())
+        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=float)
+    columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        values = st.one_of(int64s, st.sampled_from(float_pool)) if draw(st.booleans()) else st.sampled_from(float_pool)
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+    return block.reshape(n, width), columns
+
+
+@settings(max_examples=200)
+@given(block_and_columns())
+@example((np.array([[0.0, -0.0], [math.nan, -math.nan], [-math.inf, 5e-324]]), [np.array([-1, 0, 2**63 - 1])]))
+@example((np.arange(6).reshape(3, 2) - 3, [np.array([-0.5, 0.5, -0.0])]))
+@example((np.zeros((0, 3), dtype=np.int64), [np.array([])]))
+def test_rows_with_a_block_match_indented_dumps(block_and_columns):
+    block, columns = block_and_columns
+    rows = [b + list(c) for b, c in zip(block.tolist(), zip(*(c.tolist() for c in columns)))] if columns else block.tolist()
+    assert _json_text(Rows(*columns, block=block)) == json.dumps(rows, sort_keys=True, indent=2)
+    nested = {"a": [Rows(*columns, block=block), {"b": -0.0}]}
+    assert _json_text(nested) == json.dumps({"a": [rows, {"b": -0.0}]}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS])
+def test_rows_match_indented_dumps_across_block_edges(n):
+    # each row's sign pattern differs from its neighbours', so a separator
+    # left over from the previous block in the reused table would show
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-5, 5, n)
+    floats = rng.choice(float_pool, n) * rng.choice([1.0, -1.0], n)
+    rows = [list(row) for row in zip(ints.tolist(), floats.tolist(), (-floats).tolist())]
+    assert _json_text(Rows(ints, floats, -floats)) == json.dumps(rows, sort_keys=True, indent=2)
+    signs = floats[:, None] * np.array([1.0, -1.0, 2.0])
+    assert _json_text(Rows(ints, block=signs)) == json.dumps(
+        [b + [i] for b, i in zip(signs.tolist(), ints.tolist())], sort_keys=True, indent=2
+    )
+
+
+@pytest.mark.parametrize("width", [_PIECE_SLOTS // 2 - 1, _PIECE_SLOTS // 2, _PIECE_SLOTS + 3])
+def test_rows_wider_than_a_piece_match_indented_dumps(width):
+    # rows whose cells and separators fill a piece exactly, or spill past one
+    block = np.arange(-width, 2 * width).reshape(3, width) * 7
+    floats = np.array([-0.25, 0.0, -0.0])
+    rows = [b + [f] for b, f in zip(block.tolist(), floats.tolist())]
+    assert _json_text(Rows(floats, block=block)) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "columns, block, error",
+    [
+        ((), np.zeros(3), ValueError),
+        ((), np.zeros((2, 0)), ValueError),
+        ((), np.zeros((2, 2, 2)), ValueError),
+        ((np.zeros(3),), np.zeros((2, 2)), ValueError),
+        ((), np.array([[True]]), TypeError),
+        ((np.zeros(1),), np.array([[2**64 - 1]], dtype=np.uint64), TypeError),
+    ],
+)
+def test_rows_reject_blocks_that_are_not_2d_numbers_of_the_columns_length(columns, block, error):
+    with pytest.raises(error):
+        Rows(*columns, block=block)
+
+
 def test_json_text_rejects_non_str_keys():
     with pytest.raises(TypeError):
         _json_text({1: 2})
@@ -534,6 +606,33 @@ def test_write_kernel_matches_parent(k, threshold, tmp_path):
 @pytest.mark.parametrize("threshold", THRESHOLDS)
 def test_write_kernel_planted_entries_match_parent(threshold, tmp_path):
     assert_kernel_matches_parent(planted_kernel(), threshold, tmp_path)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_write_kernel_signed_pairs_match_parent(threshold, tmp_path):
+    # each planted value beside its negation: the two share a magnitude's text
+    values = planted_kernel().ravel()
+    assert_kernel_matches_parent(np.stack([values, -values], axis=1).reshape(4, 8), threshold, tmp_path)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_write_kernel_all_negative_entries_match_parent(threshold, tmp_path):
+    # -0.0, -5e-324, -inf, NaN with its sign bit set and a whole negative gamma2
+    assert_kernel_matches_parent(-np.abs(planted_kernel()), threshold, tmp_path)
+    assert_kernel_matches_parent(-np.abs(random_kernels(3)["gamma2"]), threshold, tmp_path)
+
+
+def test_write_kernel_peak_memory_stays_below_twice_the_file(tmp_path):
+    # the text goes to the file in pieces: no whole copy of it is held
+    matrix = random_kernels(16)["gamma2"]
+    path = tmp_path / "gamma2.json"
+    tracemalloc.start()
+    try:
+        _write_kernel(matrix, path, "json", KERNEL_EXPORT_MIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 # ------------------------------------------------------------- conjecture
