@@ -169,7 +169,7 @@ class NullspaceResult:
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
             # an empty basis is [] at any arity, without one empty column per argument
-            "basis": Rows(block=self.tuples) if self.dimension else [],
+            "basis": Rows(self.tuples) if self.dimension else [],
             "value": self.value,
         }
 

@@ -12,6 +12,7 @@ byte-identical output; wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine_forms, slater, symplectic
-from .json_io import Rows, _json_pieces, read_json
+from .json_io import Rows, read_json, write_json
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_values, span_residual
 
@@ -46,11 +47,8 @@ def _parse_tolerances(pairs):
 
 
 def _emit_report(report: Report, out: str | None, **sections) -> None:
-    data = report.to_json_bytes(**sections)
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as file:
+        write_json({**report.to_json_dict(), **sections}, file)
 
 
 def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) -> None:
@@ -62,8 +60,7 @@ def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) ->
         entries = Rows(rows, cols, matrix[rows, cols])
         doc = {"shape": list(matrix.shape), "threshold": threshold, "entries": entries}
         with path.open("w") as file:
-            file.writelines(_json_pieces(doc))
-            file.write("\n")
+            write_json(doc, file)
 
 
 def cmd_verify(args) -> int:
@@ -74,11 +71,11 @@ def cmd_verify(args) -> int:
 
 def cmd_slater(args) -> int:
     overrides = _parse_tolerances(args.tol)
-    if not args.out:
-        if args.format is not None:
-            raise ValueError("--format applies only with --out")
-        if "kernel_export_min" in overrides:
-            raise ValueError("--tol kernel_export_min applies only with --out")
+    if args.format and not args.out:
+        raise ValueError("--format applies only with --out")
+    if "kernel_export_min" in overrides and (not args.out or args.format == "csv"):
+        # the threshold filters the entries of the JSON export; a CSV file holds every entry
+        raise ValueError(f"--tol kernel_export_min applies only {'to the JSON export' if args.out else 'with --out'}")
     threshold = overrides.pop("kernel_export_min", KERNEL_EXPORT_MIN)
     tol = dict(DEFAULT_TOLERANCES)
     tol["two_point"] = overrides.pop("two_point", tol["two_point"])
@@ -123,9 +120,8 @@ def cmd_slater(args) -> int:
             float(g2.shape[0]),
             f"gamma1.{ext} and gamma2.{ext} written",
         )
-        data = report.to_json_bytes()
-        (out_dir / "report.json").write_bytes(data)
-        sys.stdout.buffer.write(data)
+        with (out_dir / "report.json").open("w") as file:
+            write_json(report.to_json_dict(), file, sys.stdout)
     else:
         _emit_report(report, None)
     return 0 if report.ok else 1

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["number_array", "read_json", "Rows"]
+__all__ = ["number_array", "read_json", "Rows", "write_json"]
 
 
 def read_json(path) -> object:
@@ -50,30 +50,21 @@ def number_array(value, field: str) -> np.ndarray:
 class Rows:
     """Rows of numbers held as columns: written as the list of row lists.
 
-    Each positional argument is a 1-d int or float column.  `block`, a 2-d
-    int or float array, gives the leading entries of every row at once, so a
-    wide row is one array and not one column per entry.  All have one length
-    and are taken as int64 or float64; one that does not cast safely (uint64)
-    raises TypeError.  `_json_pieces` writes a Rows value exactly as json
-    writes the list of row lists, without building those lists.
+    Each part, in row order, is a 1-d int or float column or a 2-d block of
+    such columns, so a wide row is one array and not one column per entry.
+    All have one length and are taken as int64 or float64; one that does not
+    cast safely (uint64) raises TypeError.  `write_json` writes a Rows value
+    exactly as json writes the list of row lists, without building them.
     """
 
     __slots__ = ("parts",)
 
-    def __init__(self, *columns, block=None):
-        columns = [np.asarray(c) for c in columns]
-        if any(c.ndim != 1 for c in columns):
-            raise ValueError("Rows columns must be 1-d")
-        parts = [c[:, None] for c in columns]
-        if block is not None:
-            block = np.asarray(block)
-            if block.ndim != 2 or not block.shape[1]:
-                raise ValueError("a Rows block must be 2-d, with one or more columns")
-            parts.insert(0, block)
-        if not parts or any(len(p) != len(parts[0]) for p in parts):
-            raise ValueError("Rows needs one or more columns of one length")
+    def __init__(self, *parts):
+        parts = [p[:, None] if p.ndim == 1 else p for p in map(np.asarray, parts)]
+        if not parts or any(p.ndim != 2 or not p.shape[1] or len(p) != len(parts[0]) for p in parts):
+            raise ValueError("Rows needs one or more 1-d columns or 2-d blocks of columns, all of one length")
         if any(p.dtype.kind not in "iuf" for p in parts):
-            raise TypeError("Rows columns must hold ints or floats")
+            raise TypeError("Rows parts must hold ints or floats")
         # A float's bits then view as an int64, and an int's offset from the part's least cannot wrap.
         self.parts = tuple(
             p.astype(float if p.dtype.kind == "f" else np.int64, casting="safe", copy=False) for p in parts
@@ -92,6 +83,7 @@ _NUMBERS = {int, float}  # exact types: a bool is not a number here
 # below glibc's default 128 KiB mmap threshold, and a wide row comes in pieces too.
 _BLOCK_ROWS = 1024
 _PIECE_SLOTS = 8192
+_WRITE_CHARS = 1 << 16  # write_json gathers pieces to about this many characters a write
 
 
 def _spelled(part: np.ndarray) -> tuple:
@@ -210,6 +202,20 @@ def _json_pieces(obj, indent: str = ""):
     yield _ENCODE(obj)
 
 
-def _json_text(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte for str keys: `_json_pieces` joined."""
-    return "".join(_json_pieces(obj))
+def write_json(doc, *files) -> None:
+    """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline to each of `files`, open text files.
+
+    A `Rows` value stands for its list of row lists.  No whole copy of the
+    text is held: the pieces of `_json_pieces` are written in joins of about _WRITE_CHARS.
+    """
+    pending, size = [], 0
+    for piece in _json_pieces(doc):
+        pending.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            text, pending, size = "".join(pending), [], 0
+            for file in files:
+                file.write(text)
+    text = "".join(pending) + "\n"
+    for file in files:
+        file.write(text)

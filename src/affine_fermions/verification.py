@@ -27,7 +27,6 @@ from .collapse import (
     tr1,
 )
 from .exterior import signed_permutations
-from .json_io import _json_text
 
 __all__ = [
     "DEFAULT_SEED",
@@ -127,10 +126,6 @@ class Report:
                 "failed": failed,
             },
         }
-
-    def to_json_bytes(self, **sections) -> bytes:
-        """The report as sorted, indented JSON, with `sections` as extra top-level keys."""
-        return (_json_text({**self.to_json_dict(), **sections}) + "\n").encode("utf-8")
 
 
 def _abs(z):

@@ -11,6 +11,7 @@ same invariants with `verify`'s own predicates and tolerances.
 """
 
 import dataclasses
+import io
 import json
 import time
 from pathlib import Path
@@ -20,6 +21,7 @@ import pytest
 
 from affine_fermions import affine_forms, run_verify, slater, spin, symplectic, verification
 from affine_fermions.cli import main
+from affine_fermions.json_io import write_json
 from affine_fermions.slater import Gamma2Factors
 from affine_fermions.verification import _CHECKS, DEFAULT_TOLERANCES, Report
 
@@ -64,8 +66,10 @@ test_11_spin_operators = acceptance_case(11, "spin")
 
 
 def test_12_report_determinism():
-    first = run_verify(seed=2024).to_json_bytes()
-    second = run_verify(seed=2024).to_json_bytes()
+    first, second = io.StringIO(), io.StringIO()
+    write_json(run_verify(seed=2024).to_json_dict(), first)
+    write_json(run_verify(seed=2024).to_json_dict(), second)
+    first, second = first.getvalue().encode(), second.getvalue().encode()
     ok = first == second
     print(f"ACCEPTANCE 12 report-determinism: {'PASS' if ok else 'FAIL'} {len(first)} byte reports compared")
     assert ok, "12 report-determinism"

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from affine_fermions import (
     perm_sign,
 )
 from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, _zero_table
-from affine_fermions.json_io import _json_text
+from affine_fermions.json_io import write_json
 from affine_fermions.verification import span_residual
 
 
@@ -307,7 +308,9 @@ def test_nullspace_value_past_the_float_factorials():
 
 
 def test_nullspace_report_serializes():
-    doc = json.loads(_json_text(conjecture_nullspace(2, 3, 2).to_json_dict()))
+    file = io.StringIO()
+    write_json(conjecture_nullspace(2, 3, 2).to_json_dict(), file)
+    doc = json.loads(file.getvalue())
     assert doc["dimension"] == 1
     assert "singular_values" not in doc
     assert doc["basis"] == [[0, 1, 2]]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from affine_fermions import slater
 from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
-from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, Rows
-from affine_fermions.verification import DEFAULT_TOLERANCES, _json_text
+from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, _WRITE_CHARS, Rows, write_json
+from affine_fermions.verification import DEFAULT_TOLERANCES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -238,6 +239,18 @@ def test_slater_export_flags_need_out(capsys, monkeypatch, flags, name):
     assert err.strip().splitlines() == [f"error: {name} applies only with --out"]
 
 
+def test_slater_kernel_export_min_needs_the_json_export(tmp_path, capsys, monkeypatch):
+    # a CSV file holds every entry, so the threshold would be silently ignored
+    monkeypatch.chdir(ROOT)
+    out_dir = tmp_path / "out"
+    argv = ["slater", "--input", "demos/data/slater_orthonormal.json", "--out", str(out_dir), "--format", "csv"]
+    status, out, err = run([*argv, "--tol", "kernel_export_min=1e6"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: --tol kernel_export_min applies only to the JSON export"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags", [[], ["--out", "OUT"]], ids=["report", "export"])
 def test_slater_centres_once_per_run(flags, tmp_path, capsys, monkeypatch):
     calls = []
@@ -415,6 +428,17 @@ json_values = st.recursive(
 )
 
 
+def written(doc, *more_files) -> str:
+    """The text `write_json` writes for `doc`, into a StringIO and any `more_files`."""
+    file = io.StringIO()
+    write_json(doc, file, *more_files)
+    return file.getvalue()
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @settings(max_examples=200)
 @given(json_values)
 @example({})
@@ -425,7 +449,7 @@ json_values = st.recursive(
 @example({"entries": [[0, 1, -0.0], [1, 0, math.nan]], "shape": [2, 2]})
 @example([{"a": [1.5, math.inf]}, [], {}, ["], [", ", "]])
 def test_json_text_matches_indented_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert written(obj) == dumps(obj)
 
 
 # Repeated values, -0.0 beside 0.0, NaN of either sign, infinities and the
@@ -436,31 +460,44 @@ int64s = st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
-def number_columns(draw):
+def number_parts(draw):
+    """1-4 parts of one length in any order: 1-d columns and 2-d blocks of 1-3 columns, each of ints or of floats."""
     n = draw(st.integers(0, 12))
-    columns = []
+    parts = []
     for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.sampled_from([None, 1, 2, 3]))  # None: a 1-d column
+        size = n * (width or 1)
         if draw(st.booleans()):
             values = st.one_of(st.sampled_from([0, 1, -1, 7]), int64s)
-            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64))
+            part = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64)
         else:
             values = st.one_of(st.sampled_from(float_pool), st.floats())
-            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float))
-    return columns
+            part = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+        parts.append(part if width is None else part.reshape(n, width))
+    return parts
 
 
-@settings(max_examples=200)
-@given(number_columns())
+def row_lists(parts):
+    """The list of row lists that `Rows(*parts)` stands for."""
+    cells = [(p[:, None] if p.ndim == 1 else p).tolist() for p in parts]
+    return [[x for cell in row for x in cell] for row in zip(*cells)]
+
+
+@settings(max_examples=300)
+@given(number_parts())
 @example([np.array([0.0, -0.0, math.nan, -math.nan, 0.0, -0.0, 5e-324])])
 @example([np.array([], dtype=np.int64), np.array([])])
 @example([np.array([2**63 - 1]), np.array([-math.inf])])
 @example([np.arange(-20000, 20000, dtype=np.int16), np.arange(40000, dtype=np.float32) / 3])
-def test_rows_match_indented_dumps_of_the_row_lists(columns):
-    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
-    assert _json_text(Rows(*columns)) == json.dumps(rows, sort_keys=True, indent=2)
-    nested = {"outer": {"rows": Rows(*columns), "after": [1.5]}, "z": 0}
-    want = {"outer": {"rows": rows, "after": [1.5]}, "z": 0}
-    assert _json_text(nested) == json.dumps(want, sort_keys=True, indent=2)
+@example([np.array([[0.0, -0.0], [math.nan, -math.nan], [-math.inf, 5e-324]]), np.array([-1, 0, 2**63 - 1])])
+@example([np.arange(6).reshape(3, 2) - 3, np.array([-0.5, 0.5, -0.0])])
+@example([np.zeros((0, 3), dtype=np.int64), np.array([])])
+@example([np.array([-0.5, 0.5]), np.arange(4).reshape(2, 2) - 2, np.array([[-0.0], [1e300]])])
+def test_rows_match_indented_dumps_of_the_row_lists(parts):
+    rows = row_lists(parts)
+    assert written(Rows(*parts)) == dumps(rows)
+    nested = {"outer": {"rows": Rows(*parts), "after": [1.5]}, "z": [Rows(*parts), {"b": -0.0}]}
+    assert written(nested) == dumps({"outer": {"rows": rows, "after": [1.5]}, "z": [rows, {"b": -0.0}]})
 
 
 @pytest.mark.parametrize(
@@ -468,7 +505,7 @@ def test_rows_match_indented_dumps_of_the_row_lists(columns):
     [
         ((), ValueError),
         ((np.zeros(2), np.zeros(3)), ValueError),
-        ((np.zeros((2, 2)),), ValueError),
+        ((np.zeros(()), np.zeros(2)), ValueError),
         ((np.array([True]),), TypeError),
         ((np.array(["1"]),), TypeError),
         ((np.array([2**64 - 1], dtype=np.uint64),), TypeError),
@@ -479,37 +516,6 @@ def test_rows_reject_columns_that_are_not_equal_length_numbers(columns, error):
         Rows(*columns)
 
 
-@st.composite
-def block_and_columns(draw):
-    """A same-kind 2-d block of 1-4 columns, and 0-2 columns of either kind, all of one length."""
-    n = draw(st.integers(0, 8))
-    width = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        values = st.one_of(st.sampled_from([0, 1, -1, 7]), int64s)
-        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=np.int64)
-    else:
-        values = st.one_of(st.sampled_from(float_pool), st.floats())
-        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=float)
-    columns = []
-    for _ in range(draw(st.integers(0, 2))):
-        values = st.one_of(int64s, st.sampled_from(float_pool)) if draw(st.booleans()) else st.sampled_from(float_pool)
-        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
-    return block.reshape(n, width), columns
-
-
-@settings(max_examples=200)
-@given(block_and_columns())
-@example((np.array([[0.0, -0.0], [math.nan, -math.nan], [-math.inf, 5e-324]]), [np.array([-1, 0, 2**63 - 1])]))
-@example((np.arange(6).reshape(3, 2) - 3, [np.array([-0.5, 0.5, -0.0])]))
-@example((np.zeros((0, 3), dtype=np.int64), [np.array([])]))
-def test_rows_with_a_block_match_indented_dumps(block_and_columns):
-    block, columns = block_and_columns
-    rows = [b + list(c) for b, c in zip(block.tolist(), zip(*(c.tolist() for c in columns)))] if columns else block.tolist()
-    assert _json_text(Rows(*columns, block=block)) == json.dumps(rows, sort_keys=True, indent=2)
-    nested = {"a": [Rows(*columns, block=block), {"b": -0.0}]}
-    assert _json_text(nested) == json.dumps({"a": [rows, {"b": -0.0}]}, sort_keys=True, indent=2)
-
-
 @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS])
 def test_rows_match_indented_dumps_across_block_edges(n):
     # each row's sign pattern differs from its neighbours', so a separator
@@ -517,12 +523,9 @@ def test_rows_match_indented_dumps_across_block_edges(n):
     rng = np.random.default_rng(n)
     ints = rng.integers(-5, 5, n)
     floats = rng.choice(float_pool, n) * rng.choice([1.0, -1.0], n)
-    rows = [list(row) for row in zip(ints.tolist(), floats.tolist(), (-floats).tolist())]
-    assert _json_text(Rows(ints, floats, -floats)) == json.dumps(rows, sort_keys=True, indent=2)
+    assert written(Rows(ints, floats, -floats)) == dumps(row_lists([ints, floats, -floats]))
     signs = floats[:, None] * np.array([1.0, -1.0, 2.0])
-    assert _json_text(Rows(ints, block=signs)) == json.dumps(
-        [b + [i] for b, i in zip(signs.tolist(), ints.tolist())], sort_keys=True, indent=2
-    )
+    assert written(Rows(signs, ints)) == dumps(row_lists([signs, ints]))
 
 
 @pytest.mark.parametrize("width", [_PIECE_SLOTS // 2 - 1, _PIECE_SLOTS // 2, _PIECE_SLOTS + 3])
@@ -530,14 +533,13 @@ def test_rows_wider_than_a_piece_match_indented_dumps(width):
     # rows whose cells and separators fill a piece exactly, or spill past one
     block = np.arange(-width, 2 * width).reshape(3, width) * 7
     floats = np.array([-0.25, 0.0, -0.0])
-    rows = [b + [f] for b, f in zip(block.tolist(), floats.tolist())]
-    assert _json_text(Rows(floats, block=block)) == json.dumps(rows, sort_keys=True, indent=2)
+    assert written(Rows(block, floats)) == dumps(row_lists([block, floats]))
 
 
 @pytest.mark.parametrize(
     "columns, block, error",
     [
-        ((), np.zeros(3), ValueError),
+        ((np.zeros((2, 2)),), np.zeros(3), ValueError),
         ((), np.zeros((2, 0)), ValueError),
         ((), np.zeros((2, 2, 2)), ValueError),
         ((np.zeros(3),), np.zeros((2, 2)), ValueError),
@@ -547,12 +549,37 @@ def test_rows_wider_than_a_piece_match_indented_dumps(width):
 )
 def test_rows_reject_blocks_that_are_not_2d_numbers_of_the_columns_length(columns, block, error):
     with pytest.raises(error):
-        Rows(*columns, block=block)
+        Rows(block, *columns)
 
 
 def test_json_text_rejects_non_str_keys():
     with pytest.raises(TypeError):
-        _json_text({1: 2})
+        written({1: 2})
+
+
+class Writes(io.StringIO):
+    """A StringIO that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_write_json_gives_each_file_the_same_text_in_gathered_writes():
+    rng = np.random.default_rng(0)
+    ints = rng.integers(-(10**6), 10**6, 10 * _BLOCK_ROWS + 5)
+    floats = rng.standard_normal(len(ints))
+    doc = {"head": [1.5, "a"], "rows": Rows(ints, floats), "tail": {"z": None}}
+    first, second = Writes(), Writes()
+    write_json(doc, first, second)
+    assert first.getvalue() == second.getvalue() == dumps({**doc, "rows": row_lists([ints, floats])})
+    # every write but the last gathers pieces to at least _WRITE_CHARS characters
+    assert first.sizes == second.sizes and len(first.sizes) > 3
+    assert min(first.sizes[:-1]) >= _WRITE_CHARS and first.sizes[-1] <= _WRITE_CHARS
 
 
 def parent_write_kernel(matrix, path, threshold):
@@ -688,6 +715,17 @@ def test_conjecture_writes_index_tuples(capsysbinary, dim, arity, degree, dimens
     assert nullspace["dimension"] == len(nullspace["basis"]) == dimension
     assert all(len(t) == arity and t == sorted(set(t)) for t in nullspace["basis"])
     assert nullspace["value"] == 1 / math.sqrt(math.factorial(arity))
+
+
+def test_conjecture_report_larger_than_one_write(tmp_path, capsysbinary):
+    # C(200, 2) = 19900 basis rows, about 0.6 MB: the report goes out in many gathered writes
+    argv = ["conjecture", "--dim", "200", "--arity", "2", "--degree", "2"]
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(out) > 8 * _WRITE_CHARS
+    assert (tmp_path / "report.json").read_bytes() == out
+    assert out.decode() == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("dim", [6, 7, 8, 1000])
