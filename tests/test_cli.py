@@ -489,9 +489,6 @@ def row_lists(parts):
 @example([np.array([], dtype=np.int64), np.array([])])
 @example([np.array([2**63 - 1]), np.array([-math.inf])])
 @example([np.arange(-20000, 20000, dtype=np.int16), np.arange(40000, dtype=np.float32) / 3])
-@example([np.array([[0.0, -0.0], [math.nan, -math.nan], [-math.inf, 5e-324]]), np.array([-1, 0, 2**63 - 1])])
-@example([np.arange(6).reshape(3, 2) - 3, np.array([-0.5, 0.5, -0.0])])
-@example([np.zeros((0, 3), dtype=np.int64), np.array([])])
 @example([np.array([-0.5, 0.5]), np.arange(4).reshape(2, 2) - 2, np.array([[-0.0], [1e300]])])
 def test_rows_match_indented_dumps_of_the_row_lists(parts):
     rows = row_lists(parts)
@@ -499,6 +496,38 @@ def test_rows_match_indented_dumps_of_the_row_lists(parts):
     nested = {"outer": {"rows": Rows(*parts), "after": [1.5]}, "z": [Rows(*parts), {"b": -0.0}]}
     assert written(nested) == dumps({"outer": {"rows": rows, "after": [1.5]}, "z": [rows, {"b": -0.0}]})
 
+
+
+@st.composite
+def block_and_columns(draw):
+    """A same-kind 2-d block of 1-4 columns, and 0-2 columns of either kind, all of one length."""
+    n = draw(st.integers(0, 8))
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = st.one_of(st.sampled_from([0, 1, -1, 7]), int64s)
+        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=np.int64)
+    else:
+        values = st.one_of(st.sampled_from(float_pool), st.floats())
+        block = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)), dtype=float)
+    columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        values = st.one_of(int64s, st.sampled_from(float_pool)) if draw(st.booleans()) else st.sampled_from(float_pool)
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+    return block.reshape(n, width), columns
+
+
+@settings(max_examples=200)
+@given(block_and_columns())
+@example((np.array([[0.0, -0.0], [math.nan, -math.nan], [-math.inf, 5e-324]]), [np.array([-1, 0, 2**63 - 1])]))
+@example((np.arange(6).reshape(3, 2) - 3, [np.array([-0.5, 0.5, -0.0])]))
+@example((np.zeros((0, 3), dtype=np.int64), [np.array([])]))
+def test_rows_with_a_block_match_indented_dumps(block_and_columns):
+    # a block leading each row, its cells before those of the columns
+    block, columns = block_and_columns
+    rows = [b + list(c) for b, c in zip(block.tolist(), zip(*(c.tolist() for c in columns)))] if columns else block.tolist()
+    assert written(Rows(block, *columns)) == dumps(rows)
+    nested = {"a": [Rows(block, *columns), {"b": -0.0}]}
+    assert written(nested) == dumps({"a": [rows, {"b": -0.0}]})
 
 @pytest.mark.parametrize(
     "columns, error",
