@@ -39,7 +39,6 @@ from .slater import (
     gamma1,
     gamma2,
     gamma2_factors,
-    gamma2_factors_stack,
     gamma2_pair_expansion,
     m_identity_sides,
     reduce_centered,

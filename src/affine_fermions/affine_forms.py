@@ -202,5 +202,7 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
         raise ValueError(f"C({d}, {homogeneity}) tuples of {m} indices exceed the cap of {cap} integers")
     subsets = combinations(range(1, d + 1), homogeneity)
     dimension = math.comb(d, k)
-    tuples = np.pad(np.fromiter(subsets, (int, homogeneity), dimension), ((0, 0), (m - homogeneity, 0)))
+    # the increasing tuple puts the constant index 0 first, if at all
+    tuples = np.zeros((dimension, m), dtype=int)
+    tuples[:, m - homogeneity :] = np.fromiter(subsets, (int, homogeneity), dimension)
     return NullspaceResult(d, m, homogeneity, tuples, value)

@@ -53,8 +53,9 @@ _THETA_COLS = np.array([
 ])
 _THETA_ROWS = np.array([[0], [2], [4]])
 
-# Slots of each X'/Y' block that are structurally zero.
-_ZERO_SLOTS = ((4, 5), (2, 3), (0, 1))
+# Slots of each X'/Y' block that are structurally zero: those that read
+# Lambda's own 2x2 diagonal block, (4, 5), (2, 3) and (0, 1).
+_ZERO_SLOTS = [tuple(s for s, col in enumerate(cols) if col // 2 == k) for k, cols in enumerate(_THETA_COLS.tolist())]
 
 # Relative bound of every structural-zero and consistency check.
 _REL_TOL = 1e-12
@@ -131,13 +132,12 @@ class ThetaBlocks:
             raise ValueError("x_blocks and y_blocks must have the same shape")
         peaks = [np.abs(blocks).max(axis=(-2, -1)) for blocks in (self.x_blocks, self.y_blocks)]
         object.__setattr__(self, "scale", np.maximum(1.0, np.maximum(*peaks)))
-        for blocks in (self.x_blocks, self.y_blocks):
-            for k, slots in enumerate(_ZERO_SLOTS):
-                bad = np.abs(blocks[..., k, list(slots)]).max(axis=-1)
-                _bound(
-                    bad, self.scale, ValueError,
-                    f"block {k + 1} must vanish in slots {slots}; got residual {{:g}}",
-                )
+        for k, slots in enumerate(_ZERO_SLOTS):
+            zeros = np.concatenate([self.x_blocks[..., k, slots], self.y_blocks[..., k, slots]], axis=-1)
+            _bound(
+                np.abs(zeros).max(axis=-1), self.scale, ValueError,
+                f"block {k + 1} must vanish in slots {slots}; got residual {{:g}}",
+            )
 
 
 def _as_state(v, name: str) -> np.ndarray:
@@ -212,15 +212,13 @@ def tr1(tb: ThetaBlocks) -> np.ndarray:
     """
     x_sum = tb.x_blocks.sum(axis=-2)
     y_sum = tb.y_blocks.sum(axis=-2)
-    dead = np.maximum(
-        np.abs(x_sum[..., [0, 2, 4]]).max(axis=-1), np.abs(y_sum[..., [1, 3, 5]]).max(axis=-1)
-    )
+    dead = np.maximum(np.abs(x_sum[..., 0::2]).max(axis=-1), np.abs(y_sum[..., 1::2]).max(axis=-1))
     _bound(
         dead, tb.scale, ConsistencyError,
         "dead slots of the block traces did not cancel (residual {:g})",
     )
-    x_live = x_sum[..., [1, 3, 5]]
-    y_live = y_sum[..., [0, 2, 4]]
+    x_live = x_sum[..., 1::2]
+    y_live = y_sum[..., 0::2]
     mismatch = np.abs(y_live + x_live).max(axis=-1)
     _bound(
         mismatch, tb.scale, ConsistencyError,

@@ -20,10 +20,9 @@ is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
 centres it and forms M, and every moment and kernel is a method of its
-result, which the few `(phi, space)` functions left read too.
-`gamma2_factors_stack` does the same for a batch of node sets of any sizes,
-one array call per node count, giving each set the bits of its own
-`gamma2_factors`.  `m_identity_sides` takes centred values.
+result, which the few `(phi, space)` functions left read too.  A space and
+phi with leading axes are a stack of node sets of one size, each getting
+the bits of its own call.  `m_identity_sides` takes centred values.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -45,7 +44,6 @@ __all__ = [
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
-    "gamma2_factors_stack",
     "m_identity_sides",
     "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
@@ -69,14 +67,23 @@ MAX_PHI = 1e75
 class MeasuredSpace:
     """Finite weighted node set (x_k, w_k) with w_k > 0 and sum w_k = 1.
 
-    Nodes are the indices 0..K-1.
+    Nodes are the indices 0..K-1.  Weights (..., K) with leading axes are a
+    stack of node sets of one size K; the first rule that fails raises,
+    naming the first bad set's sum.
     """
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
+        if w.ndim == 0 or w.shape[-1] < 2:
             raise ValueError("need at least two weighted nodes")
-        _check_weights(w)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if (w <= 0).any():
+            raise ValueError("weights must be positive")
+        totals = w.sum(axis=-1)
+        bad = np.abs(totals - 1.0) > WEIGHT_SUM_ATOL
+        if bad.any():
+            raise ValueError(f"weights must sum to 1, got {float(totals[bad].flat[0])!r}")
         self.weights = w
 
     @classmethod
@@ -85,23 +92,7 @@ class MeasuredSpace:
         return cls(np.full(max(k, 0), 1.0 / max(k, 1)))
 
     def __len__(self) -> int:
-        return self.weights.size
-
-
-def _check_weights(w: np.ndarray) -> None:
-    """The weight rules, for one row of K weights or a stack (..., K) of them.
-
-    Finite, positive, and each row summing to 1 within WEIGHT_SUM_ATOL; the
-    first rule that fails raises, naming the first bad row's sum.
-    """
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w <= 0).any():
-        raise ValueError("weights must be positive")
-    totals = w.sum(axis=-1)
-    bad = np.abs(totals - 1.0) > WEIGHT_SUM_ATOL
-    if bad.any():
-        raise ValueError(f"weights must sum to 1, got {float(totals[bad].flat[0])!r}")
+        return self.weights.shape[-1]  # K nodes per set
 
 
 def node_set_from_json(doc) -> tuple:
@@ -165,9 +156,9 @@ class Gamma2Factors(NamedTuple):
     f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
     builds the K^2 x K^2 gamma2, up to MAX_DENSE_KERNEL_NODES nodes.
 
-    `gram`, `pair_moments`, `one_point` and `two_point` also take a stack
-    from `gamma2_factors_stack`, values (B, K, 2) and moments (B, 3, 3),
-    and answer per node set; the kernels take one node set.
+    A stack from `gamma2_factors`, values (..., K, 2) and moments
+    (..., 3, 3), is answered per node set by every method but `entry`,
+    which takes one node set.
     """
 
     values: np.ndarray  # (..., K, 2) centred components
@@ -221,11 +212,13 @@ class Gamma2Factors(NamedTuple):
         gamma1 equals the orbital sum sum_j phi~_j(x') phi~_j(x).
         """
         lifted = _lift(self.values)
-        gram_det = float(np.linalg.det(self.gram))
-        return lifted @ self.pair_moments() @ lifted.T / 2.0 - gram_det
+        gram_det = np.linalg.det(self.gram)[..., None, None]
+        return lifted @ self.pair_moments() @ np.swapaxes(lifted, -1, -2) / 2.0 - gram_det
 
     def entry(self, x1p, x2p, x1, x2) -> float:
         """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices, each checked to lie in 0..K-1."""
+        if self.values.ndim != 2:
+            raise ValueError(f"entry reads one node set, got values of shape {self.values.shape}")
         k = len(self.values)
         for node in (x1p, x2p, x1, x2):
             if not (isinstance(node, (int, np.integer)) and 0 <= node < k):
@@ -235,7 +228,7 @@ class Gamma2Factors(NamedTuple):
 
     def dense(self) -> np.ndarray:
         """gamma2 as the K^2 x K^2 matrix with row-major pair indexing."""
-        k = len(self.values)
+        k = self.values.shape[-2]
         if k > MAX_DENSE_KERNEL_NODES:
             raise ValueError(
                 f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
@@ -243,18 +236,26 @@ class Gamma2Factors(NamedTuple):
                 f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
                 f"beyond that"
             )
-        rows = _pair_rows(self.values[:, None, :], self.values[None, :, :])
-        rows = rows.reshape(k * k, 3)
-        return rows @ self.moments @ rows.T
+        rows = _pair_rows(self.values[..., :, None, :], self.values[..., None, :, :])
+        rows = rows.reshape(self.values.shape[:-2] + (k * k, 3))
+        return rows @ self.moments @ np.swapaxes(rows, -1, -2)
 
 
-def _factors(weights: np.ndarray, values: np.ndarray) -> Gamma2Factors:
-    """Check phi finite, centre it and form M, for node sets of one size.
+def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
+    """Validate phi, centre it and form M, in O(K) work and memory.
 
-    weights (..., K) and phi values (..., K, 2) with the same leading axes.  Each
-    set gets the same BLAS calls, on the same K, as it would alone, so a
-    stack of one size reproduces every set's single-call bits.
+    The only place that does any of the three: every other function of the
+    module reads its result.  For a stack of spaces, phi (..., K, 2) has the
+    weights' leading axes; each set gets the BLAS calls, on the same K, that
+    it gets alone, so every set keeps its single-call bits.
     """
+    weights = space.weights
+    values = np.asarray(phi, dtype=float)
+    if values.shape != weights.shape + (2,):
+        raise ValueError(
+            f"wave function must have shape {weights.shape + (2,)}, d = 2 real "
+            f"components per node, got shape {values.shape}"
+        )
     if not np.isfinite(values).all():
         raise ValueError("wave function values must be finite")
     values = values - weights[..., None, :] @ values
@@ -262,59 +263,14 @@ def _factors(weights: np.ndarray, values: np.ndarray) -> Gamma2Factors:
     return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted))
 
 
-def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
-    """Validate phi, centre it and form M, in O(K) work and memory.
-
-    The only place that does any of the three for one node set: every other
-    function of the module reads its result.
-    """
-    values = np.asarray(phi, dtype=float)
-    if values.shape != (len(space), 2):
-        raise ValueError(
-            f"wave function must be a {len(space)} x 2 real matrix (d = 2 "
-            f"components), got shape {values.shape}"
-        )
-    return _factors(space.weights, values)
-
-
-def gamma2_factors_stack(sizes, weights, phi) -> Gamma2Factors:
-    """`gamma2_factors` of B node sets of any sizes, one array call per size.
-
-    Node set b is weights[b, :sizes[b]] with phi[b, :sizes[b]]; weights is
-    (B, K) and phi (B, K, 2) for the largest size K, and entries past a
-    set's size are not read.  Each set's weights are checked by
-    MeasuredSpace's rules and messages.  The result holds values (B, K, 2),
-    zero past each set's size, and moments (B, 3, 3), each row with the
-    bits of that set's own `gamma2_factors`.
-    """
-    sizes = np.asarray(sizes)
-    weights = np.asarray(weights, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    count, k_max = weights.shape
-    if sizes.shape != (count,) or phi.shape != (count, k_max, 2):
-        raise ValueError(
-            f"need sizes (B,), weights (B, K) and phi (B, K, 2), got shapes "
-            f"{sizes.shape}, {weights.shape} and {phi.shape}"
-        )
-    if count and not (sizes.min() >= 2 and sizes.max() <= k_max):
-        raise ValueError(f"need at least two weighted nodes and at most {k_max} per set")
-    values = np.zeros_like(phi)
-    moments = np.empty((count, 3, 3))
-    for k in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == k)
-        w = weights[rows, :k]
-        _check_weights(w)
-        values[rows, :k], moments[rows] = _factors(w, phi[rows, :k])
-    return Gamma2Factors(values, moments)
-
-
 def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
-    """Centre the components and whiten them to an identity Gram matrix."""
+    """Centre the components and whiten them to an identity Gram matrix, per node set."""
     factors = gamma2_factors(phi, space)
     evals, evecs = np.linalg.eigh(factors.gram)
     if evals.min() <= 0:
         raise ValueError("components are linearly dependent; cannot reduce")
-    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
+    # scaling the columns equals the product with diag(evals^-1/2) bit for bit
+    inv_sqrt = evecs * evals[..., None, :] ** -0.5 @ np.swapaxes(evecs, -1, -2)
     return factors.values @ inv_sqrt
 
 

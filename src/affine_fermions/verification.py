@@ -176,9 +176,8 @@ def moment_gaps(phi, factors):
     matrix and scale is max(1, largest |phi| entry).  <Psi^2> is the sum
     <M, N>, so its gap |<Psi^2> - 6 det G| is measured against the size of
     that sum, sum |M o N|: a sum that is exactly 0 gives 0 and passes,
-    however large phi is.  For a stack from `slater.gamma2_factors_stack`,
-    phi is (B, K, 2), zero-padded like its weights, and each value has
-    shape (B,).
+    however large phi is.  For a stack of node sets, phi is (B, K, 2),
+    zero-padded like the factors' values, and each value has shape (B,).
     """
     scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     one = np.abs(factors.one_point()) / scale**3
@@ -392,9 +391,23 @@ def _node_sets(rng, count, max_nodes):
     return sizes, weights / weights.sum(axis=1, keepdims=True), phi
 
 
+def _padded_factors(sizes, weights, phi) -> slater.Gamma2Factors:
+    """`Gamma2Factors` of `_node_sets`' sets, values zero past each set's size.
+
+    One `gamma2_factors` call per node count keeps each set's single-call
+    bits; one matmul over the padded stack would not.
+    """
+    values, moments = np.zeros_like(phi), np.empty((len(sizes), 3, 3))
+    for k in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == k)
+        space = slater.MeasuredSpace(weights[rows, :k])
+        values[rows, :k], moments[rows] = slater.gamma2_factors(phi[rows, :k], space)
+    return slater.Gamma2Factors(values, moments)
+
+
 def _check_moments(report: Report, rng, tol) -> None:
     sizes, weights, phi = _node_sets(rng, 50, 12)
-    one, two, _, _ = moment_gaps(phi, slater.gamma2_factors_stack(sizes, weights, phi))
+    one, two, _, _ = moment_gaps(phi, _padded_factors(sizes, weights, phi))
     report.add_within(
         "one_point_vanishes", one, tol["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
@@ -407,14 +420,14 @@ def _check_moments(report: Report, rng, tol) -> None:
 
     space = slater.MeasuredSpace(weights[0, : sizes[0]])
     reduced = slater.reduce_centered(phi[0, : sizes[0]], space)
-    unit = abs(slater.two_point(reduced, space) / 6.0 - 1.0)
+    unit = abs(slater.gamma2_factors(reduced, space).two_point() / 6.0 - 1.0)
     report.add_within(
         "two_point_orthonormal_unit", unit, tol["two_point"],
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
     sizes, weights, phi = _node_sets(rng, 20, 8)
-    values = slater.gamma2_factors_stack(sizes, weights, phi).values
+    values = _padded_factors(sizes, weights, phi).values
     # symmetric tables, unmasked: past each set's nodes the weights are 0, and every entry is weighted
     raw = rng.standard_normal((20, 8, 8, 8))
     m_tables = sum(np.transpose(raw, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
@@ -429,7 +442,8 @@ def _check_kernels(report: Report, rng, tol) -> None:
     phi = slater.reduce_centered(rng.standard_normal((6, 2)), space)
     k = len(space)
 
-    g2 = slater.gamma2(phi, space)
+    factors = slater.gamma2_factors(phi, space)
+    g2 = factors.dense()
     expansion = slater.gamma2_pair_expansion(phi, space)
     scale = max(1.0, float(np.abs(expansion).max()))
     report.add_within(
@@ -440,7 +454,7 @@ def _check_kernels(report: Report, rng, tol) -> None:
 
     big_scale = max(1.0, float(np.abs(g2).max()))
     four = g2.reshape(k, k, k, k)
-    g1 = slater.gamma1(phi, space)
+    g1 = factors.gamma1()
     parts = [
         g2 - g2.T,
         four + np.transpose(four, (1, 0, 2, 3)),

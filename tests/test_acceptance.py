@@ -161,10 +161,10 @@ DEFECTS = [
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
     (9, slater, "m_identity_sides", on_result(lambda sides: (sides[0] * (1 + 1e-6), sides[1])),
      "symmetric_m_identity"),
-    (10, slater, "gamma2", shifted(1e-6), "gamma2_expansion_match"),
-    (10, slater, "gamma2", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
-    (10, slater, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
-    (10, slater, "gamma1", nan_at((0, 1)), "kernel_symmetries"),
+    (10, Gamma2Factors, "dense", shifted(1e-6), "gamma2_expansion_match"),
+    (10, Gamma2Factors, "dense", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
+    (10, Gamma2Factors, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
+    (10, Gamma2Factors, "gamma1", nan_at((0, 1)), "kernel_symmetries"),
     (11, spin, "s_squared_expectation", shifted(1e-9), "s_squared_expectations"),
     (11, spin, "exchange_operator", nan_at((3, 3)), "exchange_operator_swap"),
     # the doublet is the second of the two states the record reads

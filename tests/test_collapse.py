@@ -162,6 +162,19 @@ def test_theta_names_the_block_of_a_nonzero_diagonal_block(k):
         theta(lam)
 
 
+@pytest.mark.parametrize("part", ["x_blocks", "y_blocks"])
+@pytest.mark.parametrize("k, slot", [(k, slot) for k, slots in enumerate(((4, 5), (2, 3), (0, 1))) for slot in slots])
+def test_theta_blocks_name_the_block_of_each_structural_zero(part, k, slot):
+    # one nonzero in one of the 12 zero slots, in X' or in Y' alone
+    blocks = theta(lambda_tensor(*random_triple(np.random.default_rng(40 + k))))
+    planted = {"x_blocks": blocks.x_blocks.copy(), "y_blocks": blocks.y_blocks.copy()}
+    planted[part][k, slot] = 1.0
+    slots = ((4, 5), (2, 3), (0, 1))[k]
+    message = f"block {k + 1} must vanish in slots {slots}; got residual 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ThetaBlocks(**planted)
+
+
 def test_theta_blocks_support_validated():
     x = np.ones((3, 6))
     with pytest.raises(ValueError):

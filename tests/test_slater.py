@@ -13,14 +13,13 @@ from affine_fermions import (
     gamma1,
     gamma2,
     gamma2_factors,
-    gamma2_factors_stack,
     gamma2_pair_expansion,
     m_identity_sides,
     reduce_centered,
     two_point,
 )
 from affine_fermions.slater import _psi_tensor
-from affine_fermions.verification import moment_gaps
+from affine_fermions.verification import _padded_factors, moment_gaps
 
 
 def random_instance(rng, k=None, max_nodes=10):
@@ -512,27 +511,41 @@ def padded_stack(rng, sizes, tables=False):
     return np.array(sizes), weights, phi, m
 
 
-@given(sizes=st.lists(st.integers(4, 12), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
-def test_stacked_moments_equal_single_calls(sizes, seed):
-    sizes, weights, phi, _ = padded_stack(np.random.default_rng(seed), sizes)
-    stack = gamma2_factors_stack(sizes, weights, phi)
-    gaps = moment_gaps(phi, stack)
-    for i, k in enumerate(sizes):
-        single = gamma2_factors(phi[i, :k], MeasuredSpace(weights[i, :k]))
-        # each size is one array call over the same BLAS sizes, so the bits agree
-        assert np.array_equal(stack.values[i, :k], single.values)
-        assert not stack.values[i, k:].any()
+@given(count=st.integers(1, 8), k=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+def test_stacked_moments_equal_single_calls(count, k, seed):
+    _, weights, phi, _ = padded_stack(np.random.default_rng(seed), [k] * count)
+    stack = gamma2_factors(phi, MeasuredSpace(weights))
+    reduced = reduce_centered(phi, MeasuredSpace(weights))
+    for i in range(count):
+        single = gamma2_factors(phi[i], MeasuredSpace(weights[i]))
+        assert np.array_equal(reduced[i], reduce_centered(phi[i], MeasuredSpace(weights[i])))
+        # each set gets the BLAS calls of its own call, so the bits agree
+        assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
         assert stack.one_point()[i] == single.one_point()
         assert stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
+        assert np.array_equal(stack.gamma1()[i], single.gamma1())
+        assert np.array_equal(stack.dense()[i], single.dense())
+
+
+@given(sizes=st.lists(st.integers(4, 12), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_padded_factors_keep_each_sets_single_call_bits(sizes, seed):
+    sizes, weights, phi, _ = padded_stack(np.random.default_rng(seed), sizes)
+    stack = _padded_factors(sizes, weights, phi)
+    gaps = moment_gaps(phi, stack)
+    for i, k in enumerate(sizes):
+        single = gamma2_factors(phi[i, :k], MeasuredSpace(weights[i, :k]))
+        assert np.array_equal(stack.values[i, :k], single.values)
+        assert not stack.values[i, k:].any()
+        assert np.array_equal(stack.moments[i], single.moments)
         assert [g[i] for g in gaps] == list(moment_gaps(phi[i, :k], single))
 
 
 @given(sizes=st.lists(st.integers(4, 8), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
 def test_stacked_m_identity_equals_single_calls(sizes, seed):
     sizes, weights, phi, m = padded_stack(np.random.default_rng(seed), sizes, tables=True)
-    lhs, rhs = m_identity_sides(gamma2_factors_stack(sizes, weights, phi).values, weights, m)
+    lhs, rhs = m_identity_sides(_padded_factors(sizes, weights, phi).values, weights, m)
     for i, k in enumerate(sizes):
         single = m_sides(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
         assert (lhs[i], rhs[i]) == single
@@ -547,29 +560,34 @@ def test_stacked_m_identity_equals_single_calls(sizes, seed):
     ],
 )
 def test_stacked_weights_follow_measured_space_rules(row, message):
-    sizes, weights, phi, _ = padded_stack(np.random.default_rng(40), [3, 2, 3])
-    weights[1] = row
+    _, weights, _, _ = padded_stack(np.random.default_rng(40), [2] * 4)
+    # set 1 breaks its rule first; set 3 sums to 1.4, which comes later
+    weights[1], weights[3] = row[:2], [0.7, 0.7]
     with pytest.raises(ValueError, match=r"weights .*") as single:
         MeasuredSpace(row[:2])
     with pytest.raises(ValueError) as stacked:
-        gamma2_factors_stack(sizes, weights, phi)
+        MeasuredSpace(weights)
     assert str(stacked.value) == str(single.value)
     assert str(stacked.value).startswith(message)
 
 
-def test_stacked_sizes_must_fit_the_padding():
-    sizes, weights, phi, _ = padded_stack(np.random.default_rng(41), [4, 5])
-    with pytest.raises(ValueError, match="at least two weighted nodes and at most 5"):
-        gamma2_factors_stack([4, 6], weights, phi)
-    with pytest.raises(ValueError, match="at least two weighted nodes"):
-        gamma2_factors_stack([1, 5], weights, phi)
-    with pytest.raises(ValueError, match=r"sizes \(B,\)"):
-        gamma2_factors_stack(sizes, weights, phi[:, :4])
+def test_stacked_shapes_must_match():
+    _, weights, phi, _ = padded_stack(np.random.default_rng(41), [5, 5])
+    space = MeasuredSpace(weights)
+    assert len(space) == 5
+    with pytest.raises(ValueError, match="^need at least two weighted nodes$"):
+        MeasuredSpace(np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"must have shape \(2, 5, 2\), d = 2 .* got shape \(2, 4, 2\)"):
+        gamma2_factors(phi[:, :4], space)
+    with pytest.raises(ValueError, match=r"got shape \(5, 2\)"):
+        gamma2_factors(phi[0], space)
+    with pytest.raises(ValueError, match=r"entry reads one node set"):
+        gamma2_factors(phi, space).entry(0, 1, 2, 3)
 
 
 def test_stacked_m_identity_names_the_asymmetric_table():
     sizes, weights, phi, m = padded_stack(np.random.default_rng(42), [4, 5, 6], tables=True)
     m[1, 0, 1, 2] += 1.0
-    values = gamma2_factors_stack(sizes, weights, phi).values
+    values = _padded_factors(sizes, weights, phi).values
     with pytest.raises(ValueError, match=r"M table 1 is not symmetric at nodes \(0, 1, 2\)"):
         m_identity_sides(values, weights, m)
