@@ -15,14 +15,9 @@ from affine_fermions import (
     MeasuredSpace,
     affine_det,
     exchange_operator,
-    gamma1,
-    gamma2,
     gamma2_factors,
-    gamma2_pair_expansion,
     m_identity_sides,
-    reduce_centered,
     s_squared_expectation,
-    two_point,
 )
 
 K = 8
@@ -41,25 +36,26 @@ print(f"  <Psi>   = {factors.one_point():.2e}  (vanishes by antisymmetry)")
 print(f"  <Psi^2> = {factors.two_point():.6f}")
 print(f"  6 det G = {6 * np.linalg.det(factors.gram):.6f}")
 
-reduced = reduce_centered(phi, space)
+reduced = factors.whitened()
+whitened = gamma2_factors(reduced, space)
 print("\nafter centering and whitening (identity Gram):")
-print(f"  <Psi^2> / 6 = {two_point(reduced, space) / 6:.12f}")
+print(f"  <Psi^2> / 6 = {whitened.two_point() / 6:.12f}")
 
 table = np.zeros((K, K, K))
 raw = rng.standard_normal((K, K, K))
 for perm in itertools.permutations(range(3)):
     table += np.transpose(raw, perm)
-lhs, rhs = m_identity_sides(gamma2_factors(reduced, space).values, space.weights, table)
+lhs, rhs = m_identity_sides(whitened.values, space.weights, table)
 print(f"\nsymmetric-weight overlap identity: lhs = {lhs:.6f}, rhs = {rhs:.6f}")
 
-g1 = gamma1(reduced, space)
+g1 = whitened.gamma1()
 orbital = reduced @ reduced.T
 print("\norder-1 kernel vs orbital sum (centered orthonormal components):")
 print(f"  max deviation = {np.abs(g1 - orbital).max():.2e}")
 print(f"  weighted trace = {space.weights @ np.diag(g1):.6f}  (two orbitals)")
 
-g2 = gamma2(reduced, space)
-expansion = gamma2_pair_expansion(reduced, space)
+g2 = whitened.dense()
+expansion = whitened.pair_expansion()
 eigenvalues = np.linalg.eigvalsh(g2)
 print("\norder-2 kernel:")
 print(f"  matches closed-form expansion to {np.abs(g2 - expansion).max():.2e}")

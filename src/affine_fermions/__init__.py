@@ -39,9 +39,7 @@ from .slater import (
     gamma1,
     gamma2,
     gamma2_factors,
-    gamma2_pair_expansion,
     m_identity_sides,
-    reduce_centered,
     two_point,
 )
 from .spin import PAULI, exchange_operator, s_squared_expectation, s_squared_matrix

@@ -168,8 +168,7 @@ class NullspaceResult:
             "arity": self.arity,
             "homogeneity": self.homogeneity,
             "dimension": self.dimension,
-            # an empty basis is [] at any arity, without one empty column per argument
-            "basis": Rows(self.tuples) if self.dimension else [],
+            "basis": Rows(self.tuples),
             "value": self.value,
         }
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import affine_forms, slater, symplectic
 from .json_io import Rows, read_json, write_json
-from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, run_verify
+from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, _complex_normal, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_values, span_residual
 
 KERNEL_EXPORT_MIN = 1e-12
@@ -168,7 +168,7 @@ def cmd_kashiwara(args) -> int:
 
 def cmd_collapse_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
-    a, b, c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    a, b, c = _complex_normal(rng, (3, 2))
     report = Report(command="collapse-demo", seed=args.seed)
     tol = DEFAULT_TOLERANCES
 
@@ -178,7 +178,7 @@ def cmd_collapse_demo(args) -> int:
         f"collapsed scalar {scalar!r} against det(b-a, c-a) = {direct!r}",
     )
 
-    sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    sigma = _complex_normal(rng, (2, 2))
     report.add_within(
         "morphism_covariance", morphism_gap(a, b, c, sigma), tol["morphism_covariance"],
         "collapse after a random 2x2 morphism equals det(sigma) times the scalar",

@@ -19,10 +19,11 @@ is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
 (1, mean).  The K x K x K tensor of Psi values is never built.
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
-centres it and forms M, and every moment and kernel is a method of its
-result, which the few `(phi, space)` functions left read too.  A space and
-phi with leading axes are a stack of node sets of one size, each getting
-the bits of its own call.  `m_identity_sides` takes centred values.
+centres it and forms M, and every moment, kernel and whitening is a method
+of its result, which the `(phi, space)` wrappers `two_point`, `gamma1` and
+`gamma2` read too.  A space and phi with leading axes are a stack of node
+sets of one size, each getting the bits of its own call.
+`m_identity_sides` takes centred values.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -38,14 +39,12 @@ from .json_io import number_array
 
 __all__ = [
     "MeasuredSpace",
-    "reduce_centered",
     "two_point",
     "gamma1",
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
     "m_identity_sides",
-    "gamma2_pair_expansion",
     "MAX_DENSE_KERNEL_NODES",
     "MAX_PHI",
     "node_set_from_json",
@@ -125,10 +124,9 @@ def _psi_tensor(values: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ik->ijk", d1, d2) - np.einsum("ik,ij->ijk", d1, d2)
 
 
-def _wedge_matrix(values: np.ndarray) -> np.ndarray:
-    """Pairwise wedge scalars W[p, q] = phi_1(p) phi_2(q) - phi_2(p) phi_1(q), (..., K, K)."""
-    first, second = values[..., 0], values[..., 1]
-    return first[..., :, None] * second[..., None, :] - second[..., :, None] * first[..., None, :]
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u ^ v = u_1 v_2 - u_2 v_1 over the last axis of two broadcasting arrays."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -137,9 +135,8 @@ def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     `first` and `second` broadcast against each other and carry the two
     components on their last axis.  Equal nodes give an exactly zero row.
     """
-    wedge = first[..., 0] * second[..., 1] - first[..., 1] * second[..., 0]
     diff = first - second
-    return np.stack([wedge, diff[..., 1], -diff[..., 0]], axis=-1)
+    return np.stack([_wedge(first, second), diff[..., 1], -diff[..., 0]], axis=-1)
 
 
 def _lift(values: np.ndarray) -> np.ndarray:
@@ -154,7 +151,8 @@ class Gamma2Factors(NamedTuple):
     the centred Gram matrix G.  Every moment and kernel of the module is
     read from these O(K) numbers: <Psi>, <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
-    builds the K^2 x K^2 gamma2, up to MAX_DENSE_KERNEL_NODES nodes.
+    and `pair_expansion` build K^2 x K^2 matrices, up to
+    MAX_DENSE_KERNEL_NODES nodes.
 
     A stack from `gamma2_factors`, values (..., K, 2) and moments
     (..., 3, 3), is answered per node set by every method but `entry`,
@@ -226,8 +224,17 @@ class Gamma2Factors(NamedTuple):
         primed, unprimed = _pair_rows(self.values[[x1p, x1]], self.values[[x2p, x2]])
         return float(primed @ self.moments @ unprimed)
 
-    def dense(self) -> np.ndarray:
-        """gamma2 as the K^2 x K^2 matrix with row-major pair indexing."""
+    def whitened(self) -> np.ndarray:
+        """The centred components whitened to an identity Gram matrix, per node set."""
+        evals, evecs = np.linalg.eigh(self.gram)
+        if evals.min() <= 0:
+            raise ValueError("components are linearly dependent; cannot whiten")
+        # scaling the columns equals the product with diag(evals^-1/2) bit for bit
+        inv_sqrt = evecs * evals[..., None, :] ** -0.5 @ np.swapaxes(evecs, -1, -2)
+        return self.values @ inv_sqrt
+
+    def _dense_nodes(self) -> int:
+        """K, checked against the cap on the K^2 x K^2 matrices."""
         k = self.values.shape[-2]
         if k > MAX_DENSE_KERNEL_NODES:
             raise ValueError(
@@ -236,9 +243,38 @@ class Gamma2Factors(NamedTuple):
                 f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
                 f"beyond that"
             )
+        return k
+
+    def dense(self) -> np.ndarray:
+        """gamma2 as the K^2 x K^2 matrix with row-major pair indexing.
+
+        Entry ((x'_1, x'_2), (x_1, x_2)) = sum_a w_a Psi(a, x_1, x_2)
+        Psi(a, x'_1, x'_2) = F(x'_1, x'_2) M F(x_1, x_2)^T.  Symmetric as a
+        big matrix, antisymmetric under swapping within either pair, and
+        positive semidefinite of rank at most 3.
+        """
+        k = self._dense_nodes()
         rows = _pair_rows(self.values[..., :, None, :], self.values[..., None, :, :])
         rows = rows.reshape(self.values.shape[:-2] + (k * k, 3))
         return rows @ self.moments @ np.swapaxes(rows, -1, -2)
+
+    def pair_expansion(self) -> np.ndarray:
+        """Closed-form gamma2 for centred orthonormal components, per node set.
+
+        Entry ((x'_1, x'_2), (x_1, x_2)) =
+            sum_j (phi~_j(x_1) - phi~_j(x_2)) (phi~_j(x'_1) - phi~_j(x'_2))
+            + W(x_1, x_2) W(x'_1, x'_2)
+
+        with W(p, q) = phi~(p) ^ phi~(q).  Equals `dense` when the centred
+        Gram matrix is the identity, as after `whitened`.
+        """
+        k = self._dense_nodes()
+        first, second = self.values[..., :, None, :], self.values[..., None, :, :]
+        diff = first - second  # (..., K, K, 2)
+        wedge = _wedge(first, second)
+        affine_part = np.einsum("...ijm,...klm->...ijkl", diff, diff)
+        slater_part = np.einsum("...ij,...kl->...ijkl", wedge, wedge)
+        return (affine_part + slater_part).reshape(self.values.shape[:-2] + (k * k, k * k))
 
 
 def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
@@ -263,20 +299,9 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
     return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted))
 
 
-def reduce_centered(phi, space: MeasuredSpace) -> np.ndarray:
-    """Centre the components and whiten them to an identity Gram matrix, per node set."""
-    factors = gamma2_factors(phi, space)
-    evals, evecs = np.linalg.eigh(factors.gram)
-    if evals.min() <= 0:
-        raise ValueError("components are linearly dependent; cannot reduce")
-    # scaling the columns equals the product with diag(evals^-1/2) bit for bit
-    inv_sqrt = evecs * evals[..., None, :] ** -0.5 @ np.swapaxes(evecs, -1, -2)
-    return factors.values @ inv_sqrt
-
-
-def two_point(phi, space: MeasuredSpace) -> float:
+def two_point(phi, space: MeasuredSpace) -> np.ndarray:
     """Triple-weighted mean of Psi^2, 6 det G, in O(K) work (`Gamma2Factors.two_point`)."""
-    return float(gamma2_factors(phi, space).two_point())
+    return gamma2_factors(phi, space).two_point()
 
 
 def m_identity_sides(values, weights, m_table):
@@ -315,7 +340,7 @@ def m_identity_sides(values, weights, m_table):
         raise ValueError(f"M{which} is not symmetric at nodes ({i}, {j}, {l})")
 
     w = weights
-    wedge = _wedge_matrix(values)
+    wedge = _wedge(values[..., :, None, :], values[..., None, :, :])
     psi3 = (
         wedge[..., :, :, None]
         + wedge[..., None, :, :]
@@ -332,35 +357,6 @@ def gamma1(phi, space: MeasuredSpace) -> np.ndarray:
 
 
 def gamma2(phi, space: MeasuredSpace) -> np.ndarray:
-    """Order-2 density kernel as a K^2 x K^2 matrix, integrating over x_0 only.
-
-    Entry ((x'_1, x'_2), (x_1, x_2)) = sum_a w_a Psi(a, x_1, x_2)
-    Psi(a, x'_1, x'_2) = F(x'_1, x'_2) M F(x_1, x_2)^T with row-major pair
-    indexing.  Symmetric as a big matrix, antisymmetric under swapping
-    within either pair, and positive semidefinite of rank at most 3.
-    """
+    """Order-2 density kernel as a K^2 x K^2 matrix (`Gamma2Factors.dense`)."""
     return gamma2_factors(phi, space).dense()
 
-
-def gamma2_pair_expansion(phi, space: MeasuredSpace) -> np.ndarray:
-    """Closed-form order-2 kernel for centered orthonormal components.
-
-    Entry ((x'_1, x'_2), (x_1, x_2)) =
-        sum_j (phi~_j(x_1) - phi~_j(x_2)) (phi~_j(x'_1) - phi~_j(x'_2))
-        + W(x_1, x_2) W(x'_1, x'_2)
-
-    where W is the pairwise wedge scalar.  Valid when the centered Gram
-    matrix is the identity.  Dense, so capped at MAX_DENSE_KERNEL_NODES nodes.
-    """
-    values = gamma2_factors(phi, space).values
-    k = len(space)
-    if k > MAX_DENSE_KERNEL_NODES:
-        raise ValueError(
-            f"{k} nodes would materialize a {k * k} x {k * k} pair expansion; "
-            f"it is capped at {MAX_DENSE_KERNEL_NODES} nodes like the dense gamma2"
-        )
-    diff = values[:, None, :] - values[None, :, :]  # (K, K, 2)
-    affine_part = np.einsum("ijm,klm->ijkl", diff, diff)
-    wedge = _wedge_matrix(values)
-    slater_part = np.einsum("ij,kl->ijkl", wedge, wedge)
-    return (affine_part + slater_part).reshape(k * k, k * k)

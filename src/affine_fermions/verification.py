@@ -419,7 +419,7 @@ def _check_moments(report: Report, rng, tol) -> None:
     )
 
     space = slater.MeasuredSpace(weights[0, : sizes[0]])
-    reduced = slater.reduce_centered(phi[0, : sizes[0]], space)
+    reduced = slater.gamma2_factors(phi[0, : sizes[0]], space).whitened()
     unit = abs(slater.gamma2_factors(reduced, space).two_point() / 6.0 - 1.0)
     report.add_within(
         "two_point_orthonormal_unit", unit, tol["two_point"],
@@ -439,12 +439,12 @@ def _check_moments(report: Report, rng, tol) -> None:
 
 def _check_kernels(report: Report, rng, tol) -> None:
     space = slater.MeasuredSpace.uniform(6)
-    phi = slater.reduce_centered(rng.standard_normal((6, 2)), space)
+    phi = slater.gamma2_factors(rng.standard_normal((6, 2)), space).whitened()
     k = len(space)
 
     factors = slater.gamma2_factors(phi, space)
     g2 = factors.dense()
-    expansion = slater.gamma2_pair_expansion(phi, space)
+    expansion = factors.pair_expansion()
     scale = max(1.0, float(np.abs(expansion).max()))
     report.add_within(
         "gamma2_expansion_match", np.abs(g2 - expansion) / scale, tol["gamma2_expansion"],

@@ -628,7 +628,8 @@ def random_kernels(k):
     weights = rng.random(k) + 0.1
     space = slater.MeasuredSpace((weights / weights.sum()).tolist())
     phi = rng.standard_normal((k, 2))
-    return {"gamma1": slater.gamma1(phi, space), "gamma2": slater.gamma2(phi, space)}
+    factors = slater.gamma2_factors(phi, space)
+    return {"gamma1": factors.gamma1(), "gamma2": factors.dense()}
 
 
 def planted_kernel():

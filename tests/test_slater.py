@@ -13,9 +13,7 @@ from affine_fermions import (
     gamma1,
     gamma2,
     gamma2_factors,
-    gamma2_pair_expansion,
     m_identity_sides,
-    reduce_centered,
     two_point,
 )
 from affine_fermions.slater import _psi_tensor
@@ -31,7 +29,7 @@ def random_instance(rng, k=None, max_nodes=10):
 
 def orthonormal_instance(rng, k=6):
     space = MeasuredSpace.uniform(k)
-    return space, reduce_centered(rng.standard_normal((k, 2)), space)
+    return space, gamma2_factors(rng.standard_normal((k, 2)), space).whitened()
 
 
 def psi_oracle(values, idx):
@@ -138,21 +136,22 @@ def test_center_returns_an_array():
     assert_allclose(tilde, phi - space.weights @ phi)
 
 
-def test_reduce_centered_gives_identity_gram():
+def test_whitened_gives_identity_gram():
     rng = np.random.default_rng(3)
     space, phi = random_instance(rng)
-    reduced = reduce_centered(phi, space)
+    reduced = gamma2_factors(phi, space).whitened()
     assert_allclose(gamma2_factors(reduced, space).gram, np.eye(2), atol=1e-12)
     assert np.abs(space.weights @ reduced).max() <= 1e-12
 
 
-def test_reduce_centered_rejects_dependent_components():
+def test_whitened_rejects_dependent_components():
     space = MeasuredSpace.uniform(4)
     phi = np.ones((4, 2))
     phi[:, 0] = np.arange(4.0)
     phi[:, 1] = 2.0 * np.arange(4.0)
-    with pytest.raises(ValueError):
-        reduce_centered(phi, space)
+    factors = gamma2_factors(phi, space)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        factors.whitened()
 
 
 # ------------------------------------------------------------------- psi
@@ -456,10 +455,16 @@ def test_gamma2_dense_cap_and_entry_evaluator():
 
 
 def test_gamma2_pair_expansion_beyond_dense_cap_is_rejected():
-    space = MeasuredSpace.uniform(33)
-    phi = np.random.default_rng(30).standard_normal((33, 2))
-    with pytest.raises(ValueError, match="capped at 32 nodes"):
-        gamma2_pair_expansion(phi, space)
+    phi = np.random.default_rng(30).standard_normal((2, 33, 2))
+    messages = set()
+    # one set or a stack, pair expansion or dense gamma2: one cap, one message
+    for factors in (gamma2_factors(phi[0], MeasuredSpace.uniform(33)),
+                    gamma2_factors(phi, MeasuredSpace(np.full((2, 33), 1 / 33)))):
+        for kernel in (factors.pair_expansion, factors.dense):
+            with pytest.raises(ValueError, match="capped at 32 nodes") as info:
+                kernel()
+            messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_gamma2_entries_match_generic_oracle():
@@ -514,18 +519,23 @@ def padded_stack(rng, sizes, tables=False):
 @given(count=st.integers(1, 8), k=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
 def test_stacked_moments_equal_single_calls(count, k, seed):
     _, weights, phi, _ = padded_stack(np.random.default_rng(seed), [k] * count)
-    stack = gamma2_factors(phi, MeasuredSpace(weights))
-    reduced = reduce_centered(phi, MeasuredSpace(weights))
+    space = MeasuredSpace(weights)
+    stack = gamma2_factors(phi, space)
+    two, g1, g2 = two_point(phi, space), gamma1(phi, space), gamma2(phi, space)
+    whitened, expansion = stack.whitened(), stack.pair_expansion()
     for i in range(count):
         single = gamma2_factors(phi[i], MeasuredSpace(weights[i]))
-        assert np.array_equal(reduced[i], reduce_centered(phi[i], MeasuredSpace(weights[i])))
         # each set gets the BLAS calls of its own call, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
         assert stack.one_point()[i] == single.one_point()
-        assert stack.two_point()[i] == single.two_point()
+        assert two[i] == stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
+        assert np.array_equal(g1[i], single.gamma1())
         assert np.array_equal(stack.gamma1()[i], single.gamma1())
+        assert np.array_equal(g2[i], single.dense())
+        assert np.array_equal(whitened[i], single.whitened())
+        assert np.array_equal(expansion[i], single.pair_expansion())
         assert np.array_equal(stack.dense()[i], single.dense())
 
 
