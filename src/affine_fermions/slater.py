@@ -57,6 +57,11 @@ MAX_DENSE_KERNEL_NODES = 32
 # How far the weights may sum from 1.
 WEIGHT_SUM_ATOL = 1e-10
 
+# Smallest ratio of the centred Gram matrix's eigenvalues, smallest to
+# largest, at which `Gamma2Factors.whitened` takes the components as
+# independent.  Rounding leaves dependent components a ratio near 1e-16.
+WHITEN_RTOL = 1e-12
+
 # Largest |phi| entry accepted from JSON input.  The moments and both
 # kernels are homogeneous of degree 4 in phi, with sums below 10^3 max|phi|^4,
 # which stays inside the float range up to here.
@@ -225,10 +230,22 @@ class Gamma2Factors(NamedTuple):
         return float(primed @ self.moments @ unprimed)
 
     def whitened(self) -> np.ndarray:
-        """The centred components whitened to an identity Gram matrix, per node set."""
+        """The centred components whitened to an identity Gram matrix, per node set.
+
+        A set whose smallest Gram eigenvalue is at most WHITEN_RTOL times its
+        largest has dependent components; it is rejected, and the message
+        names that ratio (the first such set's, for a stack).
+        """
         evals, evecs = np.linalg.eigh(self.gram)
-        if evals.min() <= 0:
-            raise ValueError("components are linearly dependent; cannot whiten")
+        smallest, largest = evals[..., 0], evals[..., -1]
+        bad = ~(smallest > WHITEN_RTOL * largest)
+        if bad.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = float((smallest / largest)[bad].flat[0])
+            raise ValueError(
+                "components are linearly dependent; cannot whiten (smallest/largest "
+                f"Gram eigenvalue {ratio:.3g}, at most {WHITEN_RTOL:g})"
+            )
         # scaling the columns equals the product with diag(evals^-1/2) bit for bit
         inv_sqrt = evecs * evals[..., None, :] ** -0.5 @ np.swapaxes(evecs, -1, -2)
         return self.values @ inv_sqrt

@@ -141,7 +141,10 @@ def _rel(a, b):
 def _complex_normal(rng, shape):
     """Complex normals of `shape`: all real parts are drawn, then all imaginary parts."""
     parts = rng.standard_normal((2, *shape))
-    return parts[0] + 1j * parts[1]
+    out = np.empty(shape, dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 # One function per invariant that a subcommand also checks.  `verify` calls
@@ -222,7 +225,8 @@ def _check_tr1_directions(report: Report, rng, tol) -> None:
     # axis 1 runs over the patterns (a,a,c), (a,b,b), (a,b,a); args holds their
     # first, second and third states
     args = [np.stack(triple, axis=1) for triple in ((a, a, a), (a, b, b), (c, b, a))]
-    factor = np.stack([_wedge2(c, a), _wedge2(a, b), _wedge2(a, b)], axis=1)[..., None]
+    ab = _wedge2(a, b)
+    factor = np.stack([_wedge2(c, a), ab, ab], axis=1)[..., None]
     direction = np.array([u, w, v])
     got = tr1(theta(lambda_tensor(*args)))
     residual = np.abs(got - factor * direction).max(axis=-1)

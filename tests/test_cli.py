@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from affine_fermions import slater
 from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
 from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, _WRITE_CHARS, Rows, write_json
-from affine_fermions.verification import DEFAULT_TOLERANCES
+from affine_fermions.verification import DEFAULT_TOLERANCES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,6 +112,21 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
     assert main(list(argv)) == 0
     report = capsysbinary.readouterr().out
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
+# in seed order: a stage rewrite that moves one bit at any of these seeds
+# changes it.
+VERIFY_SEEDS_0_49_DIGEST = "472a068c81e17584f8f251e7b7ed73766c52d01e33621f28a0f2b1a48312196d"
+
+
+def test_verify_reports_for_seeds_0_to_49_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(50):
+        text = io.StringIO()
+        write_json(run_verify(seed).to_json_dict(), text)
+        digest.update(text.getvalue().encode("utf-8"))
+    assert digest.hexdigest() == VERIFY_SEEDS_0_49_DIGEST
 
 
 @pytest.mark.parametrize("fmt", EXPORT_DIGESTS)

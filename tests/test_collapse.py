@@ -222,6 +222,27 @@ def test_tr1_detects_inconsistent_blocks():
         tr1(bad)
 
 
+@pytest.mark.parametrize(
+    "sign, message", [(1.0, "not antisymmetric"), (-1.0, "block 1 must vanish")], ids=["skew", "diagonal_block"]
+)
+def test_residuals_above_1e12_are_bounded_by_the_row_scale(sign, message):
+    # Entries near 1e6 bound every residual at about 1e-6: a 1e-8 defect
+    # passes theta, ThetaBlocks and tr1, and a 1e-3 defect is rejected.  The
+    # defect is lam[0, 1] += d with lam[1, 0] += sign * d: a symmetric part,
+    # or an antisymmetric pair inside Lambda's first diagonal block.
+    lam = 1e6 * lambda_tensor(*random_triple(np.random.default_rng(8)))
+
+    def planted(d):
+        bad = lam.copy()
+        bad[0, 1] += d
+        bad[1, 0] += sign * d
+        return bad
+
+    tr1(theta(planted(1e-8)))
+    with pytest.raises(ValueError, match=message):
+        theta(planted(1e-3))
+
+
 # -------------------------------------------------------------- collapse
 
 
@@ -466,6 +487,66 @@ def test_batched_states_must_have_two_components(fn):
     _, b, c = random_triple_batch(np.random.default_rng(21), 5)
     with pytest.raises(ValueError, match=r"expected a vector in C\^2, got shape \(5, 3\)"):
         fn(np.zeros((5, 3)), b, c)
+
+
+# ------------------------------------------------- dense oracle of the stages
+
+ORACLE_THETA_COLS = np.array([(2, 3, 4, 5, 0, 1), (0, 1, 2, 3, 4, 5), (4, 5, 0, 1, 2, 3)])
+ORACLE_THETA_ROWS = np.array([[0], [2], [4]])
+
+
+def dense_lambda_tensor(a, b, c):
+    """Lambda as three dense 6x6 outer products of the embedded vectors, antisymmetrized."""
+    embedded = []
+    for block, v in enumerate(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (a, b, c)))):
+        w = np.zeros(v.shape[:-1] + (6,), dtype=complex)
+        w[..., 2 * block : 2 * block + 2] = v
+        embedded.append(w)
+    ea, eb, ec = embedded
+    raw = (
+        ea[..., :, None] * eb[..., None, :]
+        + eb[..., :, None] * ec[..., None, :]
+        + ec[..., :, None] * ea[..., None, :]
+    )
+    return (raw - np.swapaxes(raw, -1, -2)) / 2.0
+
+
+def gathered_theta(lam):
+    """X' and Y' read with fancy-index gathers of each entry and its transpose partner."""
+    rows, cols = ORACLE_THETA_ROWS, ORACLE_THETA_COLS
+    x = lam[..., rows, cols] - lam[..., cols, rows]
+    y = lam[..., rows + 1, cols] - lam[..., cols, rows + 1]
+    return x, y
+
+
+@st.composite
+def degenerate_triples(draw):
+    """(a, b, c), each (N, 2) complex, with zero, repeated and collinear rows among random ones."""
+    n = draw(st.integers(1, 24))
+    dtype, elements = draw(st.sampled_from(list(ENTRIES.values())))
+    parts = draw(arrays(dtype, (2, 3, n, 2), elements=elements)).astype(float)
+    a, b, c = parts[0] + 1j * parts[1]
+    kind = draw(arrays(np.int64, (n, 1), elements=st.integers(0, 4)))
+    t = draw(st.sampled_from([0.0, 1.0, -2.0, 0.5, 1e-9 + 0.5j]))
+    zero = kind == 1
+    a, b, c = (np.where(zero, 0.0, v) for v in (a, b, c))
+    b = np.where(kind == 2, a, b)  # (a, a, c)
+    c = np.where(kind == 3, b, c)  # (a, b, b)
+    c = np.where(kind == 4, a + t * (b - a), c)  # collinear
+    return a, b, c
+
+
+@given(degenerate_triples())
+def test_live_block_stages_equal_the_dense_oracle(states):
+    a, b, c = states
+    for args in ((a, b, c), (a[0], b[0], c[0]), (a[:, None], b[None], c[:, None])):
+        lam = lambda_tensor(*args)
+        want = dense_lambda_tensor(*args)
+        assert lam.shape == want.shape and np.array_equal(lam, want)
+        blocks = theta(lam)
+        x, y = gathered_theta(want)
+        assert np.array_equal(blocks.x_blocks, x) and np.array_equal(blocks.y_blocks, y)
+        assert np.array_equal(tr1(blocks), x.sum(axis=-2)[..., 1::2])
 
 
 def quadratic_probe_points():

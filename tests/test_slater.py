@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,30 @@ def test_whitened_rejects_dependent_components():
     phi[:, 1] = 2.0 * np.arange(4.0)
     factors = gamma2_factors(phi, space)
     with pytest.raises(ValueError, match="linearly dependent"):
+        factors.whitened()
+
+
+def test_whitened_rejects_proportional_components():
+    # phi = (x, 3x) has a singular centred Gram matrix, but eigh often leaves
+    # its smallest eigenvalue a tiny positive number rather than 0
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        k = int(rng.integers(3, 12))
+        w = rng.random(k) + 0.1
+        x = rng.standard_normal(k)
+        factors = gamma2_factors(np.stack([x, 3.0 * x], axis=1), MeasuredSpace(w / w.sum()))
+        with pytest.raises(ValueError, match=r"cannot whiten \(smallest/largest Gram eigenvalue \S+, at most 1e-12\)$"):
+            factors.whitened()
+
+
+def test_whitened_names_the_first_dependent_set_of_a_stack():
+    space = MeasuredSpace(np.full((3, 4), 0.25))
+    x = np.arange(4.0)
+    phi = np.stack([np.stack([x, x**2], axis=1), np.stack([x, 2.0 * x], axis=1), np.zeros((4, 2))])
+    factors = gamma2_factors(phi, space)
+    evals = np.linalg.eigh(factors.gram[1])[0]
+    message = f"smallest/largest Gram eigenvalue {evals[0] / evals[-1]:.3g}, at most 1e-12)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         factors.whitened()
 
 
