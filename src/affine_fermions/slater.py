@@ -219,12 +219,12 @@ class Gamma2Factors(NamedTuple):
         return lifted @ self.pair_moments() @ np.swapaxes(lifted, -1, -2) / 2.0 - gram_det
 
     def entry(self, x1p, x2p, x1, x2) -> float:
-        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices, each checked to lie in 0..K-1."""
+        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices: ints, not bools, in 0..K-1."""
         if self.values.ndim != 2:
             raise ValueError(f"entry reads one node set, got values of shape {self.values.shape}")
         k = len(self.values)
         for node in (x1p, x2p, x1, x2):
-            if not (isinstance(node, (int, np.integer)) and 0 <= node < k):
+            if isinstance(node, bool) or not (isinstance(node, (int, np.integer)) and 0 <= node < k):
                 raise ValueError(f"node {node!r} is not an index in 0..{k - 1}")
         primed, unprimed = _pair_rows(self.values[[x1p, x1]], self.values[[x2p, x2]])
         return float(primed @ self.moments @ unprimed)

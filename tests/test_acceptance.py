@@ -1,7 +1,9 @@
 """Acceptance checklist over the `verify` suites at their pinned tolerances.
 
 `verification._CHECKS` is the only definition of the paper's invariants.
-Case <id> runs suite <id> once with seed 100 + id, prints one
+Case <id> runs suite <id> once on the stream that `verify --seed 100+id`
+gives it (`verification._suite_rng`), so it checks the samples that
+command checks.  It prints one
 `ACCEPTANCE <id>: PASS|FAIL` line per record (visible with
 `pytest -s tests/test_acceptance.py`) and then asserts.  The planted-defect
 table breaks one library function per row and requires the named record to
@@ -11,6 +13,7 @@ same invariants with `verify`'s own predicates and tolerances.
 """
 
 import dataclasses
+import functools
 import io
 import json
 import time
@@ -18,22 +21,40 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affine_fermions import affine_forms, run_verify, slater, spin, symplectic, verification
 from affine_fermions.cli import main
 from affine_fermions.json_io import write_json
 from affine_fermions.slater import Gamma2Factors
-from affine_fermions.verification import _CHECKS, DEFAULT_TOLERANCES, Report
+from affine_fermions.verification import _CHECKS, DEFAULT_SEED, DEFAULT_TOLERANCES, Report
 
 ROOT = Path(__file__).resolve().parent.parent
 
 TIME_LIMITS = {1: 1.0, 5: 5.0, 9: 10.0}
 
 
-def run_suite(idx, check):
-    report = Report(command="verify", seed=100 + idx, tolerances=dict(DEFAULT_TOLERANCES))
-    check(report, np.random.default_rng(100 + idx), dict(DEFAULT_TOLERANCES))
+def run_alone(check, seed):
+    """Suite `check` alone, on the stream `verify --seed <seed>` gives it."""
+    report = Report(command="verify", seed=seed, tolerances=dict(DEFAULT_TOLERANCES))
+    check(report, verification._suite_rng(seed, check), dict(DEFAULT_TOLERANCES))
     return report
+
+
+def run_suite(idx, check):
+    return run_alone(check, 100 + idx)
+
+
+def record_text(records):
+    return json.dumps([r.to_json_dict() for r in records], sort_keys=True)
+
+
+def records_named(report, records):
+    """The records of `report` with the names of `records`, in their order."""
+    by_name = {r.name: r for r in report.checks}
+    assert len(by_name) == len(report.checks), "record names must be unique"
+    return [by_name[r.name] for r in records]
 
 
 def acceptance_case(idx, suite):
@@ -63,6 +84,48 @@ test_08_kashiwara_index = acceptance_case(8, "kashiwara")
 test_09_point_functions = acceptance_case(9, "moments")
 test_10_density_kernels = acceptance_case(10, "kernels")
 test_11_spin_operators = acceptance_case(11, "spin")
+
+
+@given(seed=st.integers(0, 2**64), idx=st.integers(0, len(_CHECKS) - 1))
+def test_a_suite_alone_writes_the_records_it_writes_inside_verify(seed, idx):
+    alone = run_alone(_CHECKS[idx], seed).checks
+    assert record_text(alone) == record_text(records_named(run_verify(seed), alone))
+
+
+@pytest.mark.parametrize("idx", range(len(_CHECKS)), ids=[check.__name__ for check in _CHECKS])
+def test_a_suite_that_draws_once_more_moves_no_other_suites_records(monkeypatch, idx):
+    check = _CHECKS[idx]
+
+    @functools.wraps(check)  # sets __wrapped__, so the suite keeps its stream
+    def draws_once_more(report, rng, tol):
+        rng.standard_normal()
+        check(report, rng, tol)
+
+    own = {r.name for r in run_alone(check, DEFAULT_SEED).checks}
+    before = run_verify(DEFAULT_SEED)
+    monkeypatch.setattr(verification, "_CHECKS", (*_CHECKS[:idx], draws_once_more, *_CHECKS[idx + 1 :]))
+    after = run_verify(DEFAULT_SEED)
+    others = [r for r in before.checks if r.name not in own]
+    assert len(others) < len(before.checks)
+    assert record_text(records_named(after, others)) == record_text(others)
+
+
+def traced(check):
+    """A wrapper like bench/tracing.py's: it sets `__wrapped__`, but not the suite's name."""
+
+    def wrapper(*args):
+        return check(*args)
+
+    wrapper.__wrapped__ = check
+    return wrapper
+
+
+def test_reordering_or_wrapping_the_suites_moves_no_record(monkeypatch):
+    before = run_verify(DEFAULT_SEED)
+    monkeypatch.setattr(verification, "_CHECKS", tuple(map(traced, _CHECKS[::-1])))
+    assert record_text(records_named(run_verify(DEFAULT_SEED), before.checks)) == record_text(before.checks)
+    # and no two suites share a stream
+    assert len({verification._suite_rng(DEFAULT_SEED, check).random() for check in _CHECKS}) == len(_CHECKS)
 
 
 def test_12_report_determinism():
@@ -132,6 +195,8 @@ def row_ids(rows, name_at):
 DEFECTS = [
     (1, verification, "collapse", scaled(1 + 1e-8), "collapse_pipeline_equals_affine_det"),
     (2, verification, "tr1", scaled(1 + 1e-8), "tr1_degenerate_directions"),
+    # an offset: a linear map of tr1's output, such as a scaling, keeps w = v - u
+    (2, verification, "tr1", shifted(1e-9), "tr1_w_equals_v_minus_u"),
     (3, verification, "collapse_with_morphism", scaled(1 + 1e-8), "morphism_covariance"),
     (4, verification, "rho_trace_AC", shifted(1e-9), "rho_trace_ac_basis_zero"),
     (4, verification, "rho_trace_AC", scaled(1 + 1e-8), "rho_trace_ac_closed_form"),

@@ -201,7 +201,7 @@ def test_psi_unknown_label():
         gamma2_factors(phi, space).entry(0, 1, len(space), 2)
 
 
-@pytest.mark.parametrize("bad", [-1, 6, 1.0, "a"])
+@pytest.mark.parametrize("bad", [-1, 6, 1.0, "a", True])
 def test_nodes_outside_the_index_range_are_rejected(bad):
     rng = np.random.default_rng(5)
     space, phi = random_instance(rng, k=6)
