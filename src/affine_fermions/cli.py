@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 import time
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         status = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

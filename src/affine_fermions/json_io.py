@@ -1,10 +1,10 @@
 """The JSON rules of the subcommands: the entry rule of the input documents,
-and the one writer of every JSON file they produce."""
+and the one writer of every JSON file they produce.  json's own encoder
+writes each document; the package writes only its `Rows` tables."""
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,8 @@ class Rows:
     such columns, so a wide row is one array and not one column per entry.
     All have one length and are taken as int64 or float64; one that does not
     cast safely (uint64) raises TypeError.  `write_json` writes a Rows value
-    exactly as json writes the list of row lists, without building them.
+    itself, exactly as json writes the list of row lists, without building
+    them or holding their whole text.
     """
 
     __slots__ = ("parts",)
@@ -76,7 +77,9 @@ class Rows:
 
 # The C encoder; it spells floats, NaN and Infinity as json.dumps does with an indent.
 _ENCODE = json.JSONEncoder().encode
-_NUMBERS = {int, float}  # exact types: a bool is not a number here
+# write_json's stand-in for a Rows value in json's text, and that text
+_MARK = "\0Rows"
+_MARK_TEXT = _ENCODE(_MARK)
 # A Rows value is spelled into a reused table of _BLOCK_ROWS rows at a time and
 # joined _PIECE_SLOTS cells and separators at a time: a piece of kernel entries
 # (three cells, about 70 characters a row) is then a whole block of about 70 KB,
@@ -150,66 +153,42 @@ def _row_pieces(rows: Rows, indent: str):
     yield f"\n{inner}]\n{indent}]"
 
 
-def _json_pieces(obj, indent: str = ""):
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte for str keys, as a stream of strs.
-
-    A `Rows` value stands for its list of row lists.  json.dumps with an
-    indent runs the pure-Python encoder on every element.  Here a list of
-    numbers goes to the C encoder in one call and is indented by
-    `str.replace`, and a `Rows` value comes in pieces, spelled a column or
-    block at a time and joined from a table (`_row_pieces`).  Type checks run in
-    `set(map(type, ...))`, not in a per-element loop.
-    """
-    kind = type(obj)
-    if kind is str:
-        yield _ENCODE(obj)
-        return
-    if kind is int or kind is float and math.isfinite(obj):
-        yield repr(obj)  # json's spelling of a finite number, without the encoder's set-up
-        return
-    inner = indent + "  "
-    if kind is Rows:
-        yield from _row_pieces(obj, indent) if len(obj) else ("[]",)
-        return
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        if not set(map(type, obj)) <= {str}:
-            raise TypeError("JSON object keys must be str")
-        opening = "{\n"
-        for key in sorted(obj):
-            yield f"{opening}{inner}{_ENCODE(key)}: "
-            yield from _json_pieces(obj[key], inner)
-            opening = ",\n"
-        yield f"\n{indent}}}"
-        return
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        if set(map(type, obj)) <= _NUMBERS:
-            body = _ENCODE(obj)[1:-1].replace(", ", ",\n" + inner)
-            yield f"[\n{inner}{body}\n{indent}]"
-            return
-        opening = "[\n"
-        for item in obj:
-            yield opening + inner
-            yield from _json_pieces(item, inner)
-            opening = ",\n"
-        yield f"\n{indent}]"
-        return
-    yield _ENCODE(obj)
-
-
 def write_json(doc, *files) -> None:
     """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline to each of `files`, open text files.
 
-    A `Rows` value stands for its list of row lists.  No whole copy of the
-    text is held: the pieces of `_json_pieces` are written in joins of about _WRITE_CHARS.
+    A `Rows` value stands for its list of row lists.  json's encoder writes
+    all the rest in one call, with each `Rows` value replaced by the str
+    _MARK.  Its text is split on _MARK_TEXT, and between two gaps go the
+    `_row_pieces` of the table at the leading spaces of the marker's line.
+    The gaps are held whole, a table's text never is, and the pieces are
+    written in joins of about _WRITE_CHARS.  A str in `doc` whose text holds
+    _MARK_TEXT raises ValueError, and a value json cannot encode TypeError,
+    before anything is written.
     """
+    tables = []
+
+    def hold(obj):
+        if type(obj) is not Rows:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return _MARK
+
+    gaps = json.JSONEncoder(sort_keys=True, indent=2, default=hold).encode(doc).split(_MARK_TEXT)
+    # json's pure-Python encoder leaves its closures, `hold` among them, in a
+    # reference cycle until the next collection: the cycle must not keep the tables.
+    held, tables = tables, None
+    if len(gaps) != len(held) + 1:
+        raise ValueError(f"a str in the document holds {_MARK_TEXT}, the stand-in for a Rows table")
+
+    def pieces():
+        for gap, rows in zip(gaps, held):
+            line = gap[gap.rfind("\n") + 1 :]  # the marker's line, up to the marker
+            yield gap
+            yield from _row_pieces(rows, line[: len(line) - len(line.lstrip(" "))]) if len(rows) else ("[]",)
+        yield gaps[-1]
+
     pending, size = [], 0
-    for piece in _json_pieces(doc):
+    for piece in pieces():
         pending.append(piece)
         size += len(piece)
         if size >= _WRITE_CHARS:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +465,8 @@ def dumps(doc) -> str:
 @example([[True, 1], [2, 3]])
 @example({"entries": [[0, 1, -0.0], [1, 0, math.nan]], "shape": [2, 2]})
 @example([{"a": [1.5, math.inf]}, [], {}, ["], [", ", "]])
+@example({1: 2.5, 3: None})
+@example(["x\0Rows", "\0Rows!", {"\0Rowsy": "\\0Rows"}])
 def test_json_text_matches_indented_dumps(obj):
     assert written(obj) == dumps(obj)
 
@@ -596,11 +600,6 @@ def test_rows_reject_blocks_that_are_not_2d_numbers_of_the_columns_length(column
         Rows(block, *columns)
 
 
-def test_json_text_rejects_non_str_keys():
-    with pytest.raises(TypeError):
-        written({1: 2})
-
-
 class Writes(io.StringIO):
     """A StringIO that keeps the length of each write."""
 
@@ -611,6 +610,56 @@ class Writes(io.StringIO):
     def write(self, text):
         self.sizes.append(len(text))
         return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda a, b, empty: a,
+        lambda a, b, empty: [1.5, "x", {"k": None}, [], a],
+        lambda a, b, empty: {"a": {"b": a, "c": [2]}, "d": 0},
+        lambda a, b, empty: {"first": a, "second": [{"z": -0.0}, b]},
+        lambda a, b, empty: {"empty": empty, "rows": [empty]},
+    ],
+    ids=["top_level", "last_of_a_list", "two_levels_deep", "two_tables", "empty"],
+)
+def test_rows_anywhere_in_a_doc_match_indented_dumps(place):
+    # each table is written at the leading spaces of the line json puts it on
+    ints, floats = np.arange(-2, 3), np.array([0.5, -0.0, math.nan, -1e300, 3.0])
+    block = np.arange(6).reshape(3, 2) - 3
+    a, b, empty = Rows(ints, floats), Rows(block), Rows(np.array([], dtype=np.int64))
+    lists = row_lists([ints, floats]), row_lists([block]), []
+    assert written(place(a, b, empty)) == dumps(place(*lists))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rows": Rows(np.arange(3)), "note": "\0Rows"},
+        {"note": '"\0Rows', "rows": Rows(np.arange(3))},
+        [{"\0Rows": 1}],
+        ["\0Rows"],
+    ],
+)
+def test_a_str_spelled_as_the_table_marker_is_rejected_before_any_write(doc):
+    file = Writes()
+    with pytest.raises(ValueError, match="Rows"):
+        write_json(doc, file)
+    assert file.getvalue() == "" and file.sizes == []
+
+
+def test_write_json_keeps_no_table_alive_once_it_returns():
+    # json's encoder leaves a reference cycle behind; a table it reaches would
+    # outlive the call until the next collection
+    column = np.arange(5.0)
+    alive = weakref.ref(column)
+    gc.disable()
+    try:
+        written({"rows": Rows(column)})
+        del column
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_write_json_gives_each_file_the_same_text_in_gathered_writes():
@@ -949,6 +998,16 @@ def test_input_nested_past_the_recursion_limit_is_usage_error(command, tmp_path,
     assert status == 2
     assert out == ""
     assert err.strip().splitlines() == [f"error: {path}: JSON nested too deeply to read"]
+
+
+@pytest.mark.parametrize("command", ["slater", "kashiwara"])
+def test_truncated_input_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"n": 1, "weights": [0.5,')
+    status, out, err = run([command, "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: Expecting value: line 1 column 26 (char 25)"]
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsysbinary):
