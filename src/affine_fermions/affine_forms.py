@@ -67,6 +67,8 @@ class MultiAffineForm:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.dim < 0 or self.arity < 0:
+            raise ValueError(f"dim and arity must be non-negative, got dim={self.dim}, arity={self.arity}")
         expected = (self.dim + 1,) * self.arity
         c = np.asarray(self.coeffs)
         if c.shape != expected:
@@ -102,6 +104,8 @@ def determinant_generator(d: int, arity: int) -> MultiAffineForm:
     The remaining arity - d arguments are spectators (the form is constant
     in them).
     """
+    if d < 0:
+        raise ValueError(f"dimension d must be non-negative, got {d}")
     if arity < d:
         raise ValueError("arity must be at least the dimension")
     coeffs = _zero_table(d, arity)
@@ -118,6 +122,8 @@ def affine_det_form(d: int) -> MultiAffineForm:
     multilinear expansion of det(x_1 - x_0, ..., x_d - x_0) puts sign(sigma)
     on each ordering sigma of that tuple.  All coefficients are exactly +-1.
     """
+    if d < 0:
+        raise ValueError(f"dimension d must be non-negative, got {d}")
     return NullspaceResult(d, d + 1, d, np.arange(d + 1)[None], 1.0).form(0)
 
 

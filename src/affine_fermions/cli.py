@@ -45,7 +45,7 @@ def _parse_tolerances(pairs):
     return overrides
 
 
-def _emit_report(report: Report, out: str | None, **sections) -> None:
+def _emit_report(report: Report, out: str | Path | None, **sections) -> None:
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as file:
         write_json({**report.to_json_dict(), **sections}, file)
 
@@ -119,10 +119,8 @@ def cmd_slater(args) -> int:
             float(g2.shape[0]),
             f"gamma1.{ext} and gamma2.{ext} written",
         )
-        with (out_dir / "report.json").open("w") as file:
-            write_json(report.to_json_dict(), file, sys.stdout)
-    else:
-        _emit_report(report, None)
+        _emit_report(report, out_dir / "report.json")
+    _emit_report(report, None)
     return 0 if report.ok else 1
 
 

@@ -33,6 +33,8 @@ def perm_sign(perm) -> int:
 @lru_cache(maxsize=None)
 def signed_permutations(p: int):
     """All of S_p as ((perm, sign), ...), in lexicographic order."""
+    if p < 0:
+        raise ValueError(f"degree p must be non-negative, got {p}")
     if p > MAX_ANTISYM_DEGREE:
         raise ValueError(f"degree {p} exceeds supported maximum {MAX_ANTISYM_DEGREE}")
     return tuple(

@@ -1,6 +1,7 @@
 """The JSON rules of the subcommands: the entry rule of the input documents,
 and the one writer of every JSON file they produce.  json's own encoder
-writes each document; the package writes only its `Rows` tables."""
+writes each document; the package writes only its `Rows` tables, a piece at
+a time, straight into the one open file."""
 
 from __future__ import annotations
 
@@ -86,7 +87,6 @@ _MARK_TEXT = _ENCODE(_MARK)
 # below glibc's default 128 KiB mmap threshold, and a wide row comes in pieces too.
 _BLOCK_ROWS = 1024
 _PIECE_SLOTS = 8192
-_WRITE_CHARS = 1 << 16  # write_json gathers pieces to about this many characters a write
 
 
 def _spelled(part: np.ndarray) -> tuple:
@@ -153,17 +153,17 @@ def _row_pieces(rows: Rows, indent: str):
     yield f"\n{inner}]\n{indent}]"
 
 
-def write_json(doc, *files) -> None:
-    """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline to each of `files`, open text files.
+def write_json(doc, file) -> None:
+    """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline to `file`, an open text file.
 
     A `Rows` value stands for its list of row lists.  json's encoder writes
     all the rest in one call, with each `Rows` value replaced by the str
     _MARK.  Its text is split on _MARK_TEXT, and between two gaps go the
     `_row_pieces` of the table at the leading spaces of the marker's line.
-    The gaps are held whole, a table's text never is, and the pieces are
-    written in joins of about _WRITE_CHARS.  A str in `doc` whose text holds
-    _MARK_TEXT raises ValueError, and a value json cannot encode TypeError,
-    before anything is written.
+    Each gap and each table piece is written as it is made: a document
+    without tables is one write, and a table's text is never held whole.
+    A str in `doc` whose text holds _MARK_TEXT raises ValueError, and a
+    value json cannot encode TypeError, before anything is written.
     """
     tables = []
 
@@ -179,22 +179,9 @@ def write_json(doc, *files) -> None:
     held, tables = tables, None
     if len(gaps) != len(held) + 1:
         raise ValueError(f"a str in the document holds {_MARK_TEXT}, the stand-in for a Rows table")
-
-    def pieces():
-        for gap, rows in zip(gaps, held):
-            line = gap[gap.rfind("\n") + 1 :]  # the marker's line, up to the marker
-            yield gap
-            yield from _row_pieces(rows, line[: len(line) - len(line.lstrip(" "))]) if len(rows) else ("[]",)
-        yield gaps[-1]
-
-    pending, size = [], 0
-    for piece in pieces():
-        pending.append(piece)
-        size += len(piece)
-        if size >= _WRITE_CHARS:
-            text, pending, size = "".join(pending), [], 0
-            for file in files:
-                file.write(text)
-    text = "".join(pending) + "\n"
-    for file in files:
-        file.write(text)
+    for gap, rows in zip(gaps, held):
+        file.write(gap)
+        line = gap[gap.rfind("\n") + 1 :]  # the marker's line, up to the marker
+        for piece in _row_pieces(rows, line[: len(line) - len(line.lstrip(" "))]) if len(rows) else ("[]",):
+            file.write(piece)
+    file.write(gaps[-1] + "\n")

@@ -16,6 +16,7 @@ from affine_fermions import (
     conjecture_nullspace,
     determinant_generator,
     perm_sign,
+    signed_permutations,
 )
 from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, _zero_table
 from affine_fermions.json_io import write_json
@@ -137,6 +138,29 @@ def test_form_compose_permutation():
 def test_form_shape_validation():
     with pytest.raises(ValueError):
         MultiAffineForm(2, 3, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: signed_permutations(-3), r"^degree p must be non-negative, got -3$"),
+        (lambda: affine_det_form(-1), r"^dimension d must be non-negative, got -1$"),
+        (lambda: determinant_generator(-1, 0), r"^dimension d must be non-negative, got -1$"),
+        (lambda: MultiAffineForm(-1, 0, 0.0), r"dim=-1"),
+        (lambda: MultiAffineForm(0, -1, 0.0), r"arity=-1"),
+    ],
+    ids=["signed_permutations", "affine_det_form", "determinant_generator", "form_dim", "form_arity"],
+)
+def test_negative_sizes_are_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_size_zero_forms_are_the_constant_one():
+    assert signed_permutations(0) == (((), 1),)
+    for form in (affine_det_form(0), determinant_generator(0, 0)):
+        assert form.coeffs.tolist() in ([1], 1)
+        assert form(np.zeros((form.arity, 0))) == 1
 
 
 def homogeneity_weights(d, m):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from affine_fermions import slater
 from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
-from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, _WRITE_CHARS, Rows, write_json
+from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, Rows, write_json
 from affine_fermions.verification import DEFAULT_TOLERANCES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -445,10 +445,10 @@ json_values = st.recursive(
 )
 
 
-def written(doc, *more_files) -> str:
-    """The text `write_json` writes for `doc`, into a StringIO and any `more_files`."""
+def written(doc) -> str:
+    """The text `write_json` writes for `doc`, into a StringIO."""
     file = io.StringIO()
-    write_json(doc, file, *more_files)
+    write_json(doc, file)
     return file.getvalue()
 
 
@@ -662,17 +662,27 @@ def test_write_json_keeps_no_table_alive_once_it_returns():
         gc.enable()
 
 
-def test_write_json_gives_each_file_the_same_text_in_gathered_writes():
+def test_write_json_writes_a_table_piece_by_piece():
+    # each gap and each table piece goes to the file as it is made: no write
+    # holds the table's whole text
     rng = np.random.default_rng(0)
     ints = rng.integers(-(10**6), 10**6, 10 * _BLOCK_ROWS + 5)
     floats = rng.standard_normal(len(ints))
     doc = {"head": [1.5, "a"], "rows": Rows(ints, floats), "tail": {"z": None}}
-    first, second = Writes(), Writes()
-    write_json(doc, first, second)
-    assert first.getvalue() == second.getvalue() == dumps({**doc, "rows": row_lists([ints, floats])})
-    # every write but the last gathers pieces to at least _WRITE_CHARS characters
-    assert first.sizes == second.sizes and len(first.sizes) > 3
-    assert min(first.sizes[:-1]) >= _WRITE_CHARS and first.sizes[-1] <= _WRITE_CHARS
+    file = Writes()
+    write_json(doc, file)
+    text = file.getvalue()
+    assert text == dumps({**doc, "rows": row_lists([ints, floats])})
+    assert len(file.sizes) > 10 and max(file.sizes) < len(text) / 5
+
+
+@pytest.mark.parametrize("value", [np.float32(1), {1, 2}], ids=["float32", "set"])
+@pytest.mark.parametrize("key", ["a", "z"], ids=["before_the_table", "after_the_table"])
+def test_a_value_json_cannot_encode_beside_a_table_is_rejected_before_any_write(key, value):
+    file = Writes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json({"rows": Rows(np.arange(3), np.array([0.5, -0.0, 2.0])), key: value}, file)
+    assert file.getvalue() == "" and file.sizes == []
 
 
 def parent_write_kernel(matrix, path, threshold):
@@ -812,12 +822,12 @@ def test_conjecture_writes_index_tuples(capsysbinary, dim, arity, degree, dimens
 
 
 def test_conjecture_report_larger_than_one_write(tmp_path, capsysbinary):
-    # C(200, 2) = 19900 basis rows, about 0.6 MB: the report goes out in many gathered writes
+    # C(200, 2) = 19900 basis rows, about 0.6 MB: the report goes out in many writes
     argv = ["conjecture", "--dim", "200", "--arity", "2", "--degree", "2"]
     assert main(argv) == 0
     out = capsysbinary.readouterr().out
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(out) > 8 * _WRITE_CHARS
+    assert len(out) > 524_288
     assert (tmp_path / "report.json").read_bytes() == out
     assert out.decode() == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
