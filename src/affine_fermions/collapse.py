@@ -12,14 +12,15 @@ applied to all three states, and the partial traces of the rank-1 state
 built from two copies of the affine determinant.
 
 All functions are pure; inputs are never mutated.  Each one also takes a
-batch: leading axes in front of its per-triple shape, checked and computed
-in one pass.  A single triple is the case without leading axes and gets
-the same arithmetic, bit for bit.  The pipeline stages store a batch with
-its leading axes last, so each numpy call runs along the whole batch; they
-return views in the documented (..., 6), (..., 6, 6) and (..., 3, 6) shapes.
-Lambda is built from its three live 2x2 blocks, and every structural check
-computes its scale only when a residual exceeds 1e-12, since no smaller
-residual can break a bound relative to max(1, ...).
+batch: leading axes in front of its per-triple shape.  A single triple is
+the case without leading axes and gets the same arithmetic, bit for bit.
+The pipeline stages store a batch with its leading axes last, so each numpy
+call runs along the whole batch; they return views in the documented
+(..., 6), (..., 6, 6) and (..., 3, 6) shapes.  `collapse` runs them on
+blocks of 256 rows, so a batch holds its output plus one block.  Lambda is
+built from its three live 2x2 blocks, and every structural check computes
+its scale only when a residual exceeds 1e-12 (no smaller one can break a
+bound relative to max(1, ...)).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ _LIVE_BLOCKS = ((0, 1), (1, 2), (2, 0))
 # Relative bound of every structural-zero and consistency check.
 _REL_TOL = 1e-12
 
+_BLOCK_ROWS = 256  # rows per block of `collapse`; Lambda and Theta take 1152 B a row
+
 
 class ConsistencyError(RuntimeError):
     """An internal invariant of the pipeline failed."""
@@ -86,7 +89,8 @@ def _bound(residual, scale, error, message: str, axes=-1) -> None:
     within 1e-12 meets any such bound, so it is called only when an entry
     exceeds that.  The message is formatted with the residual of the row that
     breaks its bound by the largest factor; `not <=` makes a NaN residual
-    break it too.
+    break it too.  The rows are the call's: `collapse` checks block by block,
+    so it names the worst row of the first block that fails.
     """
     if np.max(residual, initial=0.0) <= _REL_TOL:
         return
@@ -289,9 +293,10 @@ def collapse(a, b, c):
     The projection sums the three components of the partial trace (the
     rank-1 quotient map that kills the degenerate directions (0,1,-1) and
     (1,0,-1)); the result equals det(b-a, c-a).  Single states give a
-    Python complex; batched states an array over the leading axes.
+    Python complex; batched states an array over the leading axes, run
+    through the stages `_BLOCK_ROWS` rows of the flattened axes at a time.
     """
-    return _unbatched(tr1(theta(lambda_tensor(a, b, c))).sum(axis=-1))
+    return _collapse_blocks(a, b, c, None)
 
 
 def collapse_with_morphism(a, b, c, sigma):
@@ -304,12 +309,22 @@ def collapse_with_morphism(a, b, c, sigma):
     if sigma.shape[-2:] != (2, 2):
         raise ValueError(f"morphism must be 2x2, got shape {sigma.shape}")
     _require_finite(sigma, "sigma")
-    # matmul keeps the bits of the single (2, 2) @ (2,) product; einsum does not.
-    moved = [
-        (sigma @ _as_state(v, name)[..., None])[..., 0]
-        for v, name in ((a, "a"), (b, "b"), (c, "c"))
-    ]
-    return collapse(*moved)
+    return _collapse_blocks(a, b, c, sigma)
+
+
+def _collapse_blocks(a, b, c, sigma):
+    """collapse(sigma a, sigma b, sigma c), or collapse(a, b, c) if sigma is None, by row blocks."""
+    states = [_as_state(v, name) for v, name in ((a, "a"), (b, "b"), (c, "c"))]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in states), () if sigma is None else sigma.shape[:-2])
+    a, b, c = (np.broadcast_to(v, lead + (2,)).reshape(-1, 2) for v in states)
+    sigma = None if sigma is None else np.broadcast_to(sigma, lead + (2, 2)).reshape(-1, 2, 2)
+    out = np.empty(len(a), dtype=complex)
+    for start in range(0, len(out), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        # matmul keeps the bits of the single (2, 2) @ (2,) product; einsum does not.
+        block = [v[rows] if sigma is None else (sigma[rows] @ v[rows, :, None])[..., 0] for v in (a, b, c)]
+        out[rows] = tr1(theta(lambda_tensor(*block))).sum(axis=-1)
+    return _unbatched(out.reshape(lead))
 
 
 def _basis_sum(terms):

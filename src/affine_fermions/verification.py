@@ -200,9 +200,15 @@ def span_residual(result) -> float:
     """Distance of the unit affine-determinant coefficients on C^dim from the span of a NullspaceResult.
 
     Those coefficients are the sign pattern of the one tuple (0, 1, ..., dim), and the basis forms
-    have disjoint supports, so the distance is |1 - c| for the c rows equal to that tuple.
+    have disjoint supports, so the distance is |1 - c| for the c rows equal to that tuple.  The basis
+    is orthonormal only if `value` is 1/sqrt(m!) for arity m: a value more than 1e-12 (relative) off
+    that, taken from lgamma, makes the residual the value's relative error, if that is larger.
     """
-    return float(abs(1 - np.all(result.tuples == np.arange(result.dim + 1), axis=1).sum()))
+    distance = float(abs(1 - np.all(result.tuples == np.arange(result.dim + 1), axis=1).sum()))
+    unit = math.exp(-math.lgamma(result.arity + 1) / 2)  # 0.0 where 1/sqrt(m!) underflows, as `value` does
+    if math.isclose(result.value, unit, rel_tol=1e-12):
+        return distance
+    return max(distance, abs(result.value - unit) / unit if unit else 1.0)
 
 
 def _check_collapse(report: Report, rng, tol) -> None:

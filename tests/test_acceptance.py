@@ -181,14 +181,26 @@ def wrong_tuple(result):
     return dataclasses.replace(result, tuples=tuples)
 
 
+def value_times(factor):
+    """A defect that scales the value of every form of a NullspaceResult."""
+    defect = on_result(lambda result: dataclasses.replace(result, value=result.value * factor))
+    defect.__name__ = f"value_times_{factor:g}"
+    return defect
+
+
 def mirror_inertia(result):
     return dataclasses.replace(result, n_plus=result.n_minus, n_minus=result.n_plus)
 
 
 def row_ids(rows, name_at):
-    """Each row's record; a later row on the same record adds the function it plants in, row[name_at]."""
-    records = [row[-1] for row in rows]
-    return [r if records.index(r) == i else f"{r}-{rows[i][name_at]}" for i, r in enumerate(records)]
+    """Each row's record; a later row on the same record adds the function it plants in, row[name_at],
+    and one on the same record and function also adds its defect's name, row[name_at + 1]."""
+    ids = []
+    for row in rows:
+        record, name = row[-1], row[name_at]
+        candidates = (record, f"{record}-{name}", f"{record}-{name}-{row[name_at + 1].__name__}")
+        ids.append(next(i for i in candidates if i not in ids))
+    return ids
 
 
 # (suite id, module, function, defect, record that must fail)
@@ -213,6 +225,8 @@ DEFECTS = [
     (6, affine_forms, "affine_det_form", on_result(bump_constant), "generator_antisymmetrization"),
     (7, affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "nullspace_dimensions_d2_m3"),
     (7, affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "nullspace_contains_affine_det"),
+    # no form, forms of norm 2, and forms negative on their increasing tuple
+    *((7, affine_forms, "conjecture_nullspace", value_times(k), "nullspace_contains_affine_det") for k in (0, 2, -1)),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
     # diag(I, -I) reverses omega, so every signature flips
     (8, symplectic, "symplectic_shear",
@@ -273,6 +287,7 @@ SUBCOMMAND_DEFECTS = [
     (Gamma2Factors, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
     (affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "conjecture", "affine_det_in_span"),
     (affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "conjecture", "affine_det_in_span"),
+    *((affine_forms, "conjecture_nullspace", value_times(k), "conjecture", "affine_det_in_span") for k in (0, 2, -1)),
 ]
 
 

@@ -1,9 +1,10 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -22,6 +23,7 @@ from affine_fermions import (
     theta,
     tr1,
 )
+from affine_fermions.collapse import _BLOCK_ROWS as BLOCK
 
 
 def random_triple(rng):
@@ -487,6 +489,65 @@ def test_batched_states_must_have_two_components(fn):
     _, b, c = random_triple_batch(np.random.default_rng(21), 5)
     with pytest.raises(ValueError, match=r"expected a vector in C\^2, got shape \(5, 3\)"):
         fn(np.zeros((5, 3)), b, c)
+
+
+# ---------------------------------------------------------- collapse blocks
+
+# Leading shapes on either side of collapse's block edges, and 2-d ones: (3, 300) has block edges inside its rows.
+BLOCK_EDGE_SHAPES = [(0,), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,), (3, 300), (2, 0)]
+
+
+@pytest.mark.parametrize("lead", BLOCK_EDGE_SHAPES, ids=str)
+@pytest.mark.parametrize("case", ["batched", "single_a", "morphism"])
+@settings(max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_collapse_keeps_every_rows_bits_across_block_edges(case, lead, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.standard_normal((3, *lead, 2)) + 1j * rng.standard_normal((3, *lead, 2))
+    if case == "single_a":
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    fn, args = collapse, [a, b, c]
+    if case == "morphism":
+        sigma = rng.standard_normal((*lead, 2, 2)) + 1j * rng.standard_normal((*lead, 2, 2))
+        fn, args = collapse_with_morphism, [a, b, c, sigma]
+    got = fn(*args)
+    # each row alone: the arguments broadcast over `lead`, flattened, and zipped
+    flat = [np.broadcast_to(x, lead + core).reshape((-1, *core)) for x, core in zip(args, [(2,)] * 3 + [(2, 2)])]
+    want = np.array([fn(*row) for row in zip(*flat)], dtype=complex).reshape(lead)
+    assert got.dtype == want.dtype and got.shape == lead
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fn, name",
+    [(collapse, "a"), (collapse, "b"), (collapse, "c"), (collapse_with_morphism, "c"), (collapse_with_morphism, "sigma")],
+)
+def test_a_non_finite_row_past_the_first_block_names_its_argument(fn, name):
+    n = 2 * BLOCK + 3
+    a, b, c = random_triple_batch(np.random.default_rng(22), n)
+    args = {"a": a, "b": b, "c": c, "sigma": np.tile(np.eye(2, dtype=complex), (n, 1, 1))}
+    args[name][BLOCK + BLOCK // 2] = np.nan  # inside the second block
+    if fn is collapse:
+        del args["sigma"]
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        fn(**args)
+
+
+@pytest.mark.parametrize("fn", [collapse, collapse_with_morphism], ids=["collapse", "morphism"])
+def test_collapse_peak_memory_is_set_by_its_output(fn):
+    # 10^5 rows: the output is 1.5 MiB; one batch-sized Lambda and Theta would be 110 MiB
+    n = 10**5
+    rng = np.random.default_rng(23)
+    args = [*random_triple_batch(rng, n)]
+    if fn is collapse_with_morphism:
+        args.append(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------------- dense oracle of the stages
