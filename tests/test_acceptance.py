@@ -9,7 +9,8 @@ command checks.  It prints one
 table breaks one library function per row and requires the named record to
 fail, so no suite can pass vacuously.  A second table plants the same kind
 of defect under `collapse-demo`, `slater` and `conjecture`, which check the
-same invariants with `verify`'s own predicates and tolerances.
+same invariants with `verify`'s own predicates and tolerances.  Every
+record that `verify` or a subcommand writes has a row in one of the tables.
 """
 
 import dataclasses
@@ -213,6 +214,8 @@ DEFECTS = [
     (4, verification, "rho_trace_AC", shifted(1e-9), "rho_trace_ac_basis_zero"),
     (4, verification, "rho_trace_AC", scaled(1 + 1e-8), "rho_trace_ac_closed_form"),
     (4, verification, "rho_trace_A", scaled(0.0), "rho_trace_a_generic_nonzero"),
+    # an offset: the continuous count stays 100, but the basis-argument matrix is no longer zero
+    (4, verification, "rho_trace_A", shifted(1e-9), "rho_trace_a_generic_nonzero"),
     (5, verification, "signed_permutations", lambda f: lambda p: tuple((perm, 1) for perm, _ in f(p)),
      "affine_det_antisymmetry"),
     (5, affine_forms, "affine_det", lambda f: lambda pts: f(pts) + 1e-8 * np.asarray(pts)[..., 0, 0],
@@ -228,6 +231,7 @@ DEFECTS = [
     # no form, forms of norm 2, and forms negative on their increasing tuple
     *((7, affine_forms, "conjecture_nullspace", value_times(k), "nullspace_contains_affine_det") for k in (0, 2, -1)),
     (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_example_signature"),
+    (8, symplectic, "kashiwara_index", on_result(mirror_inertia), "kashiwara_odd_permutation_flip"),
     # diag(I, -I) reverses omega, so every signature flips
     (8, symplectic, "symplectic_shear",
      lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
@@ -276,6 +280,7 @@ SUBCOMMANDS = {
     "collapse-demo": ["collapse-demo", "--seed", "5"],
     "slater": ["slater", "--input", "demos/data/slater_orthonormal.json"],
     "conjecture": ["conjecture"],
+    "kashiwara": ["kashiwara", "--input", "demos/data/lagrangian_axes.json"],
 }
 
 # (module, function, defect, subcommand, record that must fail)
@@ -316,6 +321,15 @@ def test_planted_defect_fails_its_subcommand_record(monkeypatch, capsysbinary, m
     status, report = run_subcommand(command, capsysbinary)
     failed = [r["name"] for r in report["checks"] if r["status"] == "fail"]
     assert status == 1 and record in failed, f"{name} defect left {command} {record} passing; failed: {failed}"
+
+
+def test_every_record_has_a_planted_defect(monkeypatch, capsysbinary):
+    monkeypatch.chdir(ROOT)
+    assert {r.name for r in run_verify().checks} <= {row[-1] for row in DEFECTS}
+    planted = {row[-1] for row in SUBCOMMAND_DEFECTS}
+    for command in SUBCOMMANDS:
+        _, report = run_subcommand(command, capsysbinary)
+        assert {r["name"] for r in report["checks"]} <= planted, command
 
 
 def test_subcommand_tolerances_are_verify_tolerances(monkeypatch, capsysbinary):

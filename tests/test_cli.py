@@ -84,26 +84,27 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 REPORT_DIGESTS = {
     ("verify", "--seed", "1729"): "12ba0e80ffb0c3ff06116260584f258e97922dfa2136e44b6884ec2b2fd2981b",
     ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
-    ("conjecture",): "630b2716eb30b2ebab5c654b0e62498be426aa1d3118caaaba6c614e587cb035",
+    ("conjecture",): "d342a4ae30862648d58696787129a20af3858bb196d4e9600e7b300b4d9cd957",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
-        "e194add0dee55f7fa0da0edf8303e0a6f671342f3734763ae856c8b20be1fe49",
+        "93061ff04f017b1439c606acd9157065511322fc6057e93d4e87379c7d279a05",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
-        "579a9a7af4bacb7e9b8a53392e50fc32d5aeebe9d042a4180c569887fba2b2c8",
+        "2cb00574935fa0352b6b726401867878fdb8ee081dfff8758d0d72d13c4afc98",
 }
 
 
 # SHA-256 of the files `slater --input demos/data/slater_orthonormal.json
-# --out DIR` writes, in each export format, under the same rule.
+# --out DIR` writes, in each export format, under the same rule; report.json
+# is the report the command writes to stdout without --out.
 EXPORT_DIGESTS = {
     "json": {
         "gamma1.json": "94bee986a41d518db58c380165f70c32b34c1c20b83cce87fc64eb7cb62e708a",
         "gamma2.json": "3d0d40fd90a7bb703bbf8ba145f104d3e471276dd312ae44e0cd43f57ce9fc3a",
-        "report.json": "f609c9bff3d6ce7a7a35180a160ae5d9925c125a18d5d3664edbb9e758d26547",
+        "report.json": REPORT_DIGESTS[("slater", "--input", "demos/data/slater_orthonormal.json")],
     },
     "csv": {
         "gamma1.csv": "0e67bf887cde546c54e734a7ee44927ce829da477f33e123e1934bcfb0435271",
         "gamma2.csv": "f37d88658d029626ce231f8382d4d7272fb36680148096be7c3a2fe9e8931948",
-        "report.json": "4958ecfda80a6562fc7c4939077d47d749cbdc636355caa9cfeb3586a35a2c28",
+        "report.json": REPORT_DIGESTS[("slater", "--input", "demos/data/slater_orthonormal.json")],
     },
 }
 
@@ -832,15 +833,17 @@ def test_conjecture_report_larger_than_one_write(tmp_path, capsysbinary):
     assert out.decode() == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("dim", [6, 7, 8, 1000])
+@pytest.mark.parametrize("dim", [6, 7, 8, 299, 300, 313, 1000])
 def test_conjecture_span_check_runs_at_any_dim(capsys, dim):
-    # the record reads the one tuple (0, 1, ..., dim); no (dim+1)^(dim+1) table is built
+    # the record reads the one tuple (0, 1, ..., dim); no (dim+1)^(dim+1) table is built.
+    # From arity 301, 1/sqrt(arity!) is below the smallest normal double, so the record fails with 1.
     status, out, _ = run(["conjecture", "--dim", str(dim), "--arity", str(dim + 1), "--degree", str(dim)], capsys)
     doc = json.loads(out)
-    assert status == 0
+    fails = dim + 1 > 300
+    assert status == int(fails)
     assert doc["nullspace"]["basis"] == [list(range(dim + 1))]
     [record] = [c for c in doc["checks"] if c["name"] == "affine_det_in_span"]
-    assert record["status"] == "pass" and record["measured"] == 0.0
+    assert record["status"] == ("fail" if fails else "pass") and record["measured"] == float(fails)
 
 
 def test_conjecture_empty_sector_with_large_table(capsys):
