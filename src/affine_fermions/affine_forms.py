@@ -197,7 +197,10 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
     if not 0 <= homogeneity <= m:
         raise ValueError(f"degree must be between 0 and the arity {m}, got {homogeneity}")
     # 1/sqrt(m!), rounded once while m! is a float (170! is the last) and from lgamma past it.
-    value = 1 / math.sqrt(math.factorial(m)) if m <= 170 else math.exp(-math.lgamma(m + 1) / 2)
+    try:
+        value = 1 / math.sqrt(math.factorial(m)) if m <= 170 else math.exp(-math.lgamma(m + 1) / 2)
+    except OverflowError:  # lgamma(m + 1) is past the largest double from m of about 2.5e305
+        raise ValueError(f"arity {m} is too large: log(m!) overflows a double") from None
     if homogeneity < m - 1 or homogeneity > d:
         return NullspaceResult(d, m, homogeneity, np.zeros((0, m), dtype=int), value)
     # C(d, k) >= 2^k, so m 2^k integers over the cap are refused before math.comb runs.

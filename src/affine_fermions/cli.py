@@ -5,8 +5,9 @@ are JSON; dense kernels can additionally be exported as CSV.  Exit code 0
 means every check passed, 1 means at least one check failed, 2 means a
 usage or input error.
 
-Reports contain no timestamps or timing, so identical configurations give
-byte-identical output; wall time goes to stderr.
+Every tolerance is a constant (verification.DEFAULT_TOLERANCES), and
+reports contain no timestamps or timing, so a command, its seed and its
+input always give byte-identical output; wall time goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 import time
 from pathlib import Path
@@ -26,23 +26,8 @@ from .json_io import Rows, read_json, write_json
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, Report, _complex_normal, run_verify
 from .verification import collapse_gap, moment_gaps, morphism_gap, rho_basis_values, span_residual
 
+# the JSON kernel export lists only the entries of magnitude above this
 KERNEL_EXPORT_MIN = 1e-12
-
-
-def _parse_tolerances(pairs):
-    overrides = {}
-    for pair in pairs or ():
-        name, _, text = pair.partition("=")
-        if not _ or not name:
-            raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"--tol {name}: {text!r} is not a number") from None
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"--tol {name}={text} must be finite and non-negative")
-        overrides[name] = value
-    return overrides
 
 
 def _emit_report(report: Report, out: str | Path | None, **sections) -> None:
@@ -63,34 +48,24 @@ def _write_kernel(matrix: np.ndarray, path: Path, fmt: str, threshold: float) ->
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(seed=args.seed, tolerances=_parse_tolerances(args.tol))
+    report = run_verify(seed=args.seed)
     _emit_report(report, args.out)
     return 0 if report.ok else 1
 
 
 def cmd_slater(args) -> int:
-    overrides = _parse_tolerances(args.tol)
     if args.format and not args.out:
         raise ValueError("--format applies only with --out")
-    if "kernel_export_min" in overrides and (not args.out or args.format == "csv"):
-        # the threshold filters the entries of the JSON export; a CSV file holds every entry
-        raise ValueError(f"--tol kernel_export_min applies only {'to the JSON export' if args.out else 'with --out'}")
-    threshold = overrides.pop("kernel_export_min", KERNEL_EXPORT_MIN)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol["two_point"] = overrides.pop("two_point", tol["two_point"])
-    if overrides:
-        raise ValueError(f"unknown tolerance names: {sorted(overrides)}")
-
     space, phi = slater.node_set_from_json(read_json(args.input))
     report = Report(command="slater", seed=DEFAULT_SEED)
     factors = slater.gamma2_factors(phi, space)
     one, cross, two, gram_det = map(float, moment_gaps(phi, factors))
     report.add_within(
-        "one_point", one, tol["one_point"],
+        "one_point", one, DEFAULT_TOLERANCES["one_point"],
         "triple-weighted mean of the wave function",
     )
     report.add_within(
-        "two_point_vs_gram", cross, tol["two_point"],
+        "two_point_vs_gram", cross, DEFAULT_TOLERANCES["two_point"],
         f"mean of Psi^2 = {two!r} against 6 det(Gram) = {6.0 * gram_det!r}; "
         f"two_point/6 = {two / 6.0!r}",
     )
@@ -104,8 +79,8 @@ def cmd_slater(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = args.format or "json"
-        _write_kernel(g1, out_dir / f"gamma1.{ext}", ext, threshold)
-        _write_kernel(g2, out_dir / f"gamma2.{ext}", ext, threshold)
+        _write_kernel(g1, out_dir / f"gamma1.{ext}", ext, KERNEL_EXPORT_MIN)
+        _write_kernel(g2, out_dir / f"gamma2.{ext}", ext, KERNEL_EXPORT_MIN)
         _emit_report(report, out_dir / "report.json", moments=moments)
     _emit_report(report, None, moments=moments)
     return 0 if report.ok else 1
@@ -182,13 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all invariant checks")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("slater", help="moments and density kernels for a node-set input")
     p.add_argument("--input", required=True, metavar="PATH")
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--format", choices=("json", "csv"))  # json when --out is given
     p.set_defaults(func=cmd_slater)

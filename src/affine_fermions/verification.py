@@ -1,10 +1,10 @@
 """Seeded check suites over all library invariants, with JSON reports.
 
 Every check suite draws its random inputs from its own generator, seeded
-from the run's seed and the suite's name, so a (seed, tolerances) pair
-always produces byte-identical serialized reports, and no suite's samples
-depend on what another suite draws.  Volatile data such as wall time is
-deliberately kept out of the serialized form.
+from the run's seed and the suite's name, and every tolerance is a constant
+(DEFAULT_TOLERANCES), so a seed always produces byte-identical serialized
+reports, and no suite's samples depend on what another suite draws.
+Volatile data such as wall time is kept out of the serialized form.
 """
 
 from __future__ import annotations
@@ -555,15 +555,9 @@ def _suite_rng(seed: int, check):
     return np.random.default_rng([seed, zlib.crc32(inspect.unwrap(check).__name__.encode())])
 
 
-def run_verify(seed: int = DEFAULT_SEED, tolerances: dict | None = None) -> Report:
-    """Run every check suite, each on its own seeded generator; deterministic."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        tol.update(tolerances)
-    report = Report(command="verify", seed=seed, tolerances=tol)
+def run_verify(seed: int = DEFAULT_SEED) -> Report:
+    """Run every check suite at DEFAULT_TOLERANCES, each on its own seeded generator; deterministic."""
+    report = Report(command="verify", seed=seed, tolerances=DEFAULT_TOLERANCES)
     for check in _CHECKS:
-        check(report, _suite_rng(seed, check), tol)
+        check(report, _suite_rng(seed, check), DEFAULT_TOLERANCES)
     return report

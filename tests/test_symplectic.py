@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
+    DEFAULT_TOLERANCES,
     LagrangianTriple,
     kashiwara_index,
     kashiwara_q,
     lagrangian_triple_from_json,
-    run_verify,
     standard_symplectic_matrix,
     symplectic_shear,
 )
@@ -138,10 +139,13 @@ def test_kashiwara_index_rejects_a_negative_or_non_finite_zero_tol(zero_tol):
     # unchecked, -1.0 would give n_zero = -2, and NaN would count every eigenvalue as zero (signature 0)
     with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
         kashiwara_index(axes_triple(), zero_tol=zero_tol)
-    # verify's tolerances reach the index unparsed
-    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
-        run_verify(tolerances={"kashiwara_zero": zero_tol})
     assert kashiwara_index(axes_triple(), zero_tol=0.0).signature == -1
+
+
+def test_kashiwara_index_default_zero_tol_is_verify_tolerance():
+    # the demos call the index at its default, verify and kashiwara pass the table's value
+    default = inspect.signature(kashiwara_index).parameters["zero_tol"].default
+    assert default == DEFAULT_TOLERANCES["kashiwara_zero"]
 
 
 def test_kashiwara_index_repeated_subspace_degenerates():
