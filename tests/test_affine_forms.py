@@ -317,6 +317,18 @@ def test_nullspace_empty_sector_has_no_size_limit():
     assert conjecture_nullspace(2, 10**9, 0).dimension == 0
 
 
+@pytest.mark.parametrize("exponent, overflows", [(18, False), (306, True)])
+def test_nullspace_arity_where_log_factorial_overflows(exponent, overflows):
+    # 1/sqrt(10^18!) underflows to 0.0 but is answered; log(10^306!) ~ 7e308 is past the largest double
+    m = 10**exponent
+    if overflows:
+        with pytest.raises(ValueError, match=rf"arity {m} is too large: log\(m!\) overflows a double"):
+            conjecture_nullspace(2, m, 0)
+    else:
+        result = conjecture_nullspace(2, m, 0)
+        assert (result.dimension, result.value) == (0, 0.0)
+
+
 def test_empty_sector_serializes_its_basis_as_an_empty_list():
     # a block of no rows is [] at any arity, without one empty column per argument
     file = io.StringIO()

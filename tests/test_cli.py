@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affine_fermions import slater, verification
+from affine_fermions import cli, slater, verification
 from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
 from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, Rows, write_json
 from affine_fermions.verification import DEFAULT_TOLERANCES, run_verify
@@ -161,6 +163,49 @@ def test_verify_planted_collapse_defect_fails_at_the_fixed_tolerance(capsys, mon
     failing = [c for c in report["checks"] if c["status"] == "fail"]
     assert any(c["name"] == "collapse_pipeline_equals_affine_det" for c in failing)
     assert all(c["measured"] > c["tolerance"] for c in failing)
+
+
+def test_run_verify_takes_only_a_seed():
+    assert list(inspect.signature(run_verify).parameters) == ["seed"]
+    with pytest.raises(TypeError):
+        run_verify(tolerances={"collapse_pipeline": 1.0})
+
+
+def test_verify_report_header_is_the_fixed_table(capsys):
+    status, out, _ = run(["verify"], capsys)
+    assert status == 0
+    assert json.loads(out)["tolerances"] == DEFAULT_TOLERANCES
+
+
+SLATER_DEMO = ["slater", "--input", "demos/data/slater_orthonormal.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        SLATER_DEMO,
+        [*SLATER_DEMO, "--out", "OUT", "--format", "json"],
+        [*SLATER_DEMO, "--out", "OUT", "--format", "csv"],
+        ["conjecture"],
+        ["kashiwara", "--input", "demos/data/lagrangian_axes.json"],
+        ["collapse-demo"],
+    ],
+    ids=["verify", "slater", "slater-json", "slater-csv", "conjecture", "kashiwara", "collapse-demo"],
+)
+def test_no_command_writes_the_tolerance_table(argv, tmp_path, capsys, monkeypatch):
+    # a read-only view of DEFAULT_TOLERANCES raises on any write, and gives the same report
+    monkeypatch.chdir(ROOT)
+    expected = dict(DEFAULT_TOLERANCES)
+    before = run([a if a != "OUT" else str(tmp_path / "before") for a in argv], capsys)
+    frozen = types.MappingProxyType(dict(DEFAULT_TOLERANCES))
+    monkeypatch.setattr(verification, "DEFAULT_TOLERANCES", frozen)
+    monkeypatch.setattr(cli, "DEFAULT_TOLERANCES", frozen)
+    after = run([a if a != "OUT" else str(tmp_path / "after") for a in argv], capsys)
+    # stderr carries wall-clock timings, so the status and the report are compared
+    assert before[0] == 0
+    assert after[:2] == before[:2]
+    assert dict(frozen) == expected == DEFAULT_TOLERANCES
 
 
 @pytest.mark.parametrize("seed", [421, 620, 879])
