@@ -201,6 +201,8 @@ def conjecture_nullspace(d: int, m: int, homogeneity: int) -> NullspaceResult:
         value = 1 / math.sqrt(math.factorial(m)) if m <= 170 else math.exp(-math.lgamma(m + 1) / 2)
     except OverflowError:  # lgamma(m + 1) is past the largest double from m of about 2.5e305
         raise ValueError(f"arity {m} is too large: log(m!) overflows a double") from None
+    if m > np.iinfo(np.intp).max // np.dtype(int).itemsize:  # numpy's limit on a row of m ints
+        raise ValueError(f"arity {m} is too large: an index array cannot hold {m} columns")
     if homogeneity < m - 1 or homogeneity > d:
         return NullspaceResult(d, m, homogeneity, np.zeros((0, m), dtype=int), value)
     # C(d, k) >= 2^k, so m 2^k integers over the cap are refused before math.comb runs.

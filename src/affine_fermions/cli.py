@@ -5,9 +5,9 @@ are JSON; dense kernels can additionally be exported as CSV.  Exit code 0
 means every check passed, 1 means at least one check failed, 2 means a
 usage or input error.
 
-Every tolerance is a constant (verification.DEFAULT_TOLERANCES), and
-reports contain no timestamps or timing, so a command, its seed and its
-input always give byte-identical output; wall time goes to stderr.
+Every tolerance is a constant (verification.DEFAULT_TOLERANCES,
+symplectic.INERTIA_RTOL) and reports hold no timing, so a command, its
+seed and its input give byte-identical output; wall time goes to stderr.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def cmd_conjecture(args) -> int:
 
 def cmd_kashiwara(args) -> int:
     triple = symplectic.lagrangian_triple_from_json(read_json(args.input))
-    result = symplectic.kashiwara_index(triple, zero_tol=DEFAULT_TOLERANCES["kashiwara_zero"])
+    result = symplectic.kashiwara_index(triple)
     _emit_report(Report(command="kashiwara", seed=DEFAULT_SEED), args.out, index=result.to_json_dict())
     return 0
 
@@ -112,22 +112,21 @@ def cmd_collapse_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     a, b, c = _complex_normal(rng, (3, 2))
     report = Report(command="collapse-demo", seed=args.seed)
-    tol = DEFAULT_TOLERANCES
 
     residual, scalar, direct = collapse_gap(a, b, c)
     report.add_within(
-        "pipeline_matches_affine_det", residual, tol["collapse_pipeline"],
+        "pipeline_matches_affine_det", residual, DEFAULT_TOLERANCES["collapse_pipeline"],
         f"collapsed scalar {scalar!r} against det(b-a, c-a) = {direct!r}",
     )
 
     sigma = _complex_normal(rng, (2, 2))
     report.add_within(
-        "morphism_covariance", morphism_gap(a, b, c, sigma), tol["morphism_covariance"],
+        "morphism_covariance", morphism_gap(a, b, c, sigma), DEFAULT_TOLERANCES["morphism_covariance"],
         "collapse after a random 2x2 morphism equals det(sigma) times the scalar",
     )
 
     report.add_within(
-        "rho_trace_ac_basis_zero", rho_basis_values(), tol["rho_basis"],
+        "rho_trace_ac_basis_zero", rho_basis_values(), DEFAULT_TOLERANCES["rho_basis"],
         "doubly-traced kernel vanishes on computational-basis pairs",
     )
     _emit_report(report, args.out)

@@ -37,6 +37,8 @@ __all__ = [
 # each column scaled by a power of two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
 
+INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to the largest |eigenvalue|
+
 # Largest |entry| accepted in a JSON basis.  Q's entries are sums of n
 # products of two entries, so its eigenvalues stay finite (5e302 at n = 1000).
 MAX_BASIS_ENTRY = 1e150
@@ -158,28 +160,24 @@ def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
     return _cyclic_form(*triple.bases)
 
 
-def kashiwara_index(
-    triple: LagrangianTriple, zero_tol: float = 1e-8
-) -> SignatureResult:
+def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
     """Eigenvalue signs of the cyclic pairing form.
 
     The inertia is decided on QR-orthonormalized bases of the same
     subspaces.  That change of basis is a congruence, so by Sylvester's law
     it keeps the signature, and it keeps badly scaled or nearly parallel
     basis columns from pushing true eigenvalues below the zero cut.  There,
-    eigenvalues with magnitude below zero_tol times the largest magnitude
-    count as zero; signature = n_plus - n_minus.  The reported eigenvalues
-    are those of kashiwara_q, in the provided bases.  A stack of triples
-    takes one QR and one eigvalsh call.  zero_tol must be finite and >= 0.
+    eigenvalues with magnitude below INERTIA_RTOL times the largest
+    magnitude count as zero; signature = n_plus - n_minus.  The reported
+    eigenvalues are those of kashiwara_q, in the provided bases.  A stack of
+    triples takes one QR and one eigvalsh call.
     """
-    if not 0.0 <= zero_tol < np.inf:
-        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     provided = np.stack(triple.bases)
     # per subspace: the orthonormal basis, then the provided one
     pairs = np.stack([np.linalg.qr(provided).Q, provided], axis=1)
     decided, eigenvalues = np.linalg.eigvalsh(_cyclic_form(*pairs))
     top = np.abs(decided).max(axis=-1, keepdims=True)
-    cut = np.where(top > 0, zero_tol * top, 0.0)
+    cut = np.where(top > 0, INERTIA_RTOL * top, 0.0)
     n_plus = np.count_nonzero(decided > cut, axis=-1)
     n_minus = np.count_nonzero(decided < -cut, axis=-1)
     n_zero = decided.shape[-1] - n_plus - n_minus

@@ -38,8 +38,8 @@ TIME_LIMITS = {1: 1.0, 5: 5.0, 9: 10.0}
 
 def run_alone(check, seed):
     """Suite `check` alone, on the stream `verify --seed <seed>` gives it."""
-    report = Report(command="verify", seed=seed, tolerances=dict(DEFAULT_TOLERANCES))
-    check(report, verification._suite_rng(seed, check), dict(DEFAULT_TOLERANCES))
+    report = Report(command="verify", seed=seed)
+    check(report, verification._suite_rng(seed, check))
     return report
 
 
@@ -98,9 +98,9 @@ def test_a_suite_that_draws_once_more_moves_no_other_suites_records(monkeypatch,
     check = _CHECKS[idx]
 
     @functools.wraps(check)  # sets __wrapped__, so the suite keeps its stream
-    def draws_once_more(report, rng, tol):
+    def draws_once_more(report, rng):
         rng.standard_normal()
-        check(report, rng, tol)
+        check(report, rng)
 
     own = {r.name for r in run_alone(check, DEFAULT_SEED).checks}
     before = run_verify(DEFAULT_SEED)
@@ -345,3 +345,22 @@ def test_subcommand_tolerances_are_verify_tolerances(monkeypatch, capsysbinary):
                 assert r["tolerance"] == DEFAULT_TOLERANCES[key] == verify[verify_record], (command, r["name"])
                 seen.add(r["name"])
     assert seen == set(SHARED_RECORDS)
+
+
+# the section each command adds to the keys every report has
+OWN_SECTIONS = {
+    "verify": [],
+    "collapse-demo": [],
+    "slater": ["moments"],
+    "conjecture": ["nullspace"],
+    "kashiwara": ["index"],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", *SUBCOMMANDS])
+def test_a_report_holds_its_records_and_its_own_section_only(monkeypatch, capsysbinary, command):
+    # each record carries its own tolerance, so no report repeats the table in a header
+    monkeypatch.chdir(ROOT)
+    assert main(SUBCOMMANDS.get(command, [command])) == 0
+    report = json.loads(capsysbinary.readouterr().out)
+    assert set(report) == {"command", "seed", "checks", "summary", *OWN_SECTIONS[command]}

@@ -317,12 +317,21 @@ def test_nullspace_empty_sector_has_no_size_limit():
     assert conjecture_nullspace(2, 10**9, 0).dimension == 0
 
 
-@pytest.mark.parametrize("exponent, overflows", [(18, False), (306, True)])
-def test_nullspace_arity_where_log_factorial_overflows(exponent, overflows):
-    # 1/sqrt(10^18!) underflows to 0.0 but is answered; log(10^306!) ~ 7e308 is past the largest double
-    m = 10**exponent
-    if overflows:
-        with pytest.raises(ValueError, match=rf"arity {m} is too large: log\(m!\) overflows a double"):
+@pytest.mark.parametrize(
+    "m, reason",
+    [
+        (10**18, None),
+        (2**60 - 1, None),
+        (2**60, rf"an index array cannot hold {2**60} columns"),
+        (10**306, r"log\(m!\) overflows a double"),
+    ],
+    ids=["10^18", "2^60-1", "2^60", "10^306"],
+)
+def test_nullspace_arity_where_log_factorial_overflows(m, reason):
+    # 1/sqrt(10^18!) underflows to 0.0 but is answered, as is 2^60 - 1, the widest row of int64 that
+    # numpy can hold; log(10^306!) ~ 7e308 is past the largest double
+    if reason:
+        with pytest.raises(ValueError, match=rf"arity {m} is too large: {reason}"):
             conjecture_nullspace(2, m, 0)
     else:
         result = conjecture_nullspace(2, m, 0)

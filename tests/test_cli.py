@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affine_fermions import cli, slater, verification
+from affine_fermions import cli, slater, symplectic, verification
 from affine_fermions.cli import KERNEL_EXPORT_MIN, _write_kernel, build_parser, main
 from affine_fermions.json_io import _BLOCK_ROWS, _PIECE_SLOTS, Rows, write_json
 from affine_fermions.verification import DEFAULT_TOLERANCES, run_verify
@@ -84,13 +84,13 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # last bits of the measured values come from numpy's floating-point kernels
 # (numpy 2.4, x86-64 with FMA), so another platform may need its own digests.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "12ba0e80ffb0c3ff06116260584f258e97922dfa2136e44b6884ec2b2fd2981b",
-    ("collapse-demo", "--seed", "5"): "fa7d1a5be5c1d1c8bcc97c9b295e000316202269eee23c2fb422b827ccb0fd0d",
-    ("conjecture",): "d342a4ae30862648d58696787129a20af3858bb196d4e9600e7b300b4d9cd957",
+    ("verify", "--seed", "1729"): "903ff842667ff3115668aa12f398d0ebde89340f366e2006814458c498390518",
+    ("collapse-demo", "--seed", "5"): "68edbf6f72051fcd13338a559b85dc005ff8c52c5522043b6e3eb52e902decb3",
+    ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
-        "93061ff04f017b1439c606acd9157065511322fc6057e93d4e87379c7d279a05",
+        "ce754fc68973a354c70245fb79fec3ebc8de5f8499657d402bfac7808e285f8b",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
-        "2cb00574935fa0352b6b726401867878fdb8ee081dfff8758d0d72d13c4afc98",
+        "f110b89b8d2e5d95016c61a608ffa8ba659de064f8bc0d074356e989f0accb51",
 }
 
 
@@ -122,7 +122,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "ba0c31b4049d3c1ec179e4de911114a69ea2d91459206a4443a3694749b62759"
+VERIFY_SEEDS_0_49_DIGEST = "620ff1a3af4412f176861493ce78d247e00801f7f645f2d11cc44059a0281e52"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -169,12 +169,6 @@ def test_run_verify_takes_only_a_seed():
     assert list(inspect.signature(run_verify).parameters) == ["seed"]
     with pytest.raises(TypeError):
         run_verify(tolerances={"collapse_pipeline": 1.0})
-
-
-def test_verify_report_header_is_the_fixed_table(capsys):
-    status, out, _ = run(["verify"], capsys)
-    assert status == 0
-    assert json.loads(out)["tolerances"] == DEFAULT_TOLERANCES
 
 
 SLATER_DEMO = ["slater", "--input", "demos/data/slater_orthonormal.json"]
@@ -874,13 +868,22 @@ def test_conjecture_empty_sector_at_huge_arity(capsys):
     assert json.loads(out)["nullspace"]["dimension"] == 0
 
 
-@pytest.mark.parametrize("flags", [["--dim", "2", "--degree", "0"], ["--dim", str(10**400), "--degree", str(10**400)]])
-def test_conjecture_arity_past_the_double_range_is_usage_error(capsys, flags):
-    # log(m!) overflows a double from m of about 2.5e305; that arity is a usage error, not a failed check
-    status, out, err = run(["conjecture", *flags, "--arity", str(10**400)], capsys)
+@pytest.mark.parametrize(
+    "flags, arity, reason",
+    [
+        (["--dim", "2", "--degree", "0"], 10**400, "log(m!) overflows a double"),
+        (["--dim", str(10**400), "--degree", str(10**400)], 10**400, "log(m!) overflows a double"),
+        (["--dim", "2", "--degree", "0"], 2**60, f"an index array cannot hold {2**60} columns"),
+    ],
+    ids=["dim-2", "dim-10^400", "dim-2-arity-2^60"],
+)
+def test_conjecture_arity_past_the_double_range_is_usage_error(capsys, flags, arity, reason):
+    # log(m!) overflows a double from m of about 2.5e305, and numpy holds no row of 2^60 ints;
+    # either arity is a usage error, not a failed check
+    status, out, err = run(["conjecture", *flags, "--arity", str(arity)], capsys)
     assert status == 2
     assert out == ""
-    assert err.strip().splitlines() == [f"error: arity {10**400} is too large: log(m!) overflows a double"]
+    assert err.strip().splitlines() == [f"error: arity {arity} is too large: {reason}"]
 
 
 @pytest.mark.parametrize(
@@ -912,13 +915,17 @@ def test_kashiwara_axes_example(tmp_path, capsys):
     assert doc["index"]["n_zero"] == 0
 
 
-def test_kashiwara_decides_inertia_with_the_table_cut(tmp_path, capsys, monkeypatch):
-    # A cut above 1 counts every eigenvalue as zero, so the table value is the one read.
-    monkeypatch.setitem(DEFAULT_TOLERANCES, "kashiwara_zero", 2.0)
+def test_kashiwara_and_verify_decide_inertia_with_one_cut(tmp_path, capsys, monkeypatch):
+    # A cut above 1 counts every eigenvalue as zero, so both commands read the symplectic constant.
+    monkeypatch.setattr(symplectic, "INERTIA_RTOL", 2.0)
     path = axes_triple_input(tmp_path / "triple.json")
     status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
     assert status == 0
     assert json.loads(out)["index"]["n_zero"] == 3
+    status, out, _ = run(["verify"], capsys)
+    assert status == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert "kashiwara_example_signature" in failed
 
 
 def test_kashiwara_permuted_triple_flips(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import json
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
-    DEFAULT_TOLERANCES,
     LagrangianTriple,
     kashiwara_index,
     kashiwara_q,
@@ -132,20 +130,6 @@ def test_kashiwara_index_odd_permutations_negate():
         sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
         permuted = LagrangianTriple(*(t.bases[i] for i in perm))
         assert kashiwara_index(permuted).signature == sign * base
-
-
-@pytest.mark.parametrize("zero_tol", [-1.0, np.nan, np.inf])
-def test_kashiwara_index_rejects_a_negative_or_non_finite_zero_tol(zero_tol):
-    # unchecked, -1.0 would give n_zero = -2, and NaN would count every eigenvalue as zero (signature 0)
-    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
-        kashiwara_index(axes_triple(), zero_tol=zero_tol)
-    assert kashiwara_index(axes_triple(), zero_tol=0.0).signature == -1
-
-
-def test_kashiwara_index_default_zero_tol_is_verify_tolerance():
-    # the demos call the index at its default, verify and kashiwara pass the table's value
-    default = inspect.signature(kashiwara_index).parameters["zero_tol"].default
-    assert default == DEFAULT_TOLERANCES["kashiwara_zero"]
 
 
 def test_kashiwara_index_repeated_subspace_degenerates():
