@@ -3,7 +3,9 @@
 
 Q(x1, x2, x3) = omega(x1, x2) + omega(x2, x3) + omega(x3, x1) on
 L1 (+) L2 (+) L3 has the same pairwise-cyclic shape as the entangled
-triple; its signature classifies the triple up to symplectic moves.
+triple; its signature classifies the triple up to symplectic moves.  The
+index takes the eigenvalues of Q in orthonormal bases of the subspaces: a
+change of basis is a congruence, which keeps the signature.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ print("triple: x-axis, y-axis, diagonal in R^2")
 print("matrix of Q (basis coefficients s, t, r):")
 print(kashiwara_q(axes))
 result = kashiwara_index(axes)
-print(f"eigenvalues {np.round(result.eigenvalues, 4)}")
+print(f"eigenvalues in orthonormal bases {np.round(result.eigenvalues, 4)}")
 print(f"inertia (+, -, 0) = ({result.n_plus}, {result.n_minus}, {result.n_zero})")
 print(f"signature = {result.signature}")
 

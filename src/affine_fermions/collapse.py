@@ -234,23 +234,21 @@ def theta(lam: np.ndarray) -> ThetaBlocks:
     if lam.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {lam.shape}")
     m = _batch_last(lam, 2)
-    # X' reads the even rows of Lambda and Y' the odd rows.  Each part's
-    # buffer first holds its rows of Lambda + Lambda^T for the antisymmetry
+    # X' reads the even rows of Lambda and Y' the odd rows.  The buffer
+    # first holds those rows of Lambda + Lambda^T for the antisymmetry
     # check.  Exact zeros, the sums of a Lambda built by `lambda_tensor`,
     # pass it without magnitudes; a non-finite entry makes its own sum
-    # non-finite.  (Two buffers, not one: the first fits the memory that
-    # `embed`'s output frees, so a large batch grows the heap less.)
-    parts = [
-        np.add(m[p::2], m[:, p::2].swapaxes(0, 1), out=np.empty((3, 6) + m.shape[2:], dtype=complex))
-        for p in (0, 1)
-    ]
-    if parts[0].any() or parts[1].any():
-        skew = np.abs(np.concatenate(parts))
+    # non-finite.
+    parts = np.empty((2, 3, 6) + m.shape[2:], dtype=complex)
+    for p in (0, 1):
+        np.add(m[p::2], m[:, p::2].swapaxes(0, 1), out=parts[p])
+    if parts.any():
+        skew = np.abs(parts)
         if not np.isfinite(np.max(skew)):
             _require_finite(lam, "lam")
         _bound(
             skew, lambda: np.maximum(1.0, np.abs(lam).max(axis=(-2, -1))), ValueError,
-            "matrix is not antisymmetric (residual {:g})", axes=(0, 1),
+            "matrix is not antisymmetric (residual {:g})", axes=(0, 1, 2),
         )
     for p, part in enumerate(parts):
         for k, shift in enumerate(_THETA_SHIFTS):

@@ -39,8 +39,10 @@ LAGRANGIAN_ATOL = 1e-10
 
 INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to the largest |eigenvalue|
 
-# Largest |entry| accepted in a JSON basis.  Q's entries are sums of n
-# products of two entries, so its eigenvalues stay finite (5e302 at n = 1000).
+# Largest |entry| accepted in a JSON basis.  The index orthonormalizes the
+# bases, so its eigenvalues do not grow with the entries; the cap is for the
+# rank test of LagrangianTriple, whose singular values overflow near DBL_MAX
+# (entries of 1.7e308 report "rank 0 < 1").
 MAX_BASIS_ENTRY = 1e150
 
 
@@ -169,19 +171,16 @@ def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
     basis columns from pushing true eigenvalues below the zero cut.  There,
     eigenvalues with magnitude below INERTIA_RTOL times the largest
     magnitude count as zero; signature = n_plus - n_minus.  The reported
-    eigenvalues are those of kashiwara_q, in the provided bases.  A stack of
-    triples takes one QR and one eigvalsh call.
+    eigenvalues are the ones decided on, so they do not grow with the
+    provided bases.  A stack of triples takes one QR and one eigvalsh call.
     """
-    provided = np.stack(triple.bases)
-    # per subspace: the orthonormal basis, then the provided one
-    pairs = np.stack([np.linalg.qr(provided).Q, provided], axis=1)
-    decided, eigenvalues = np.linalg.eigvalsh(_cyclic_form(*pairs))
-    top = np.abs(decided).max(axis=-1, keepdims=True)
+    eigenvalues = np.linalg.eigvalsh(_cyclic_form(*np.linalg.qr(np.stack(triple.bases)).Q))
+    top = np.abs(eigenvalues).max(axis=-1, keepdims=True)
     cut = np.where(top > 0, INERTIA_RTOL * top, 0.0)
-    n_plus = np.count_nonzero(decided > cut, axis=-1)
-    n_minus = np.count_nonzero(decided < -cut, axis=-1)
-    n_zero = decided.shape[-1] - n_plus - n_minus
-    if decided.ndim == 1:
+    n_plus = np.count_nonzero(eigenvalues > cut, axis=-1)
+    n_minus = np.count_nonzero(eigenvalues < -cut, axis=-1)
+    n_zero = eigenvalues.shape[-1] - n_plus - n_minus
+    if eigenvalues.ndim == 1:
         n_plus, n_minus, n_zero = int(n_plus), int(n_minus), int(n_zero)
     return SignatureResult(n_plus, n_minus, n_zero, eigenvalues)
 

@@ -72,11 +72,16 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One record: it passes exactly when `measured <= tolerance`, so a NaN fails."""
+
     name: str
-    passed: bool
     measured: float
     tolerance: float
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.measured <= self.tolerance
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,16 +95,14 @@ class CheckRecord:
 
 @dataclass
 class Report:
-    """One command's records, serialized as `command`, `seed`, `checks` and `summary`."""
+    """One command's records, serialized as `command`, `seed`, `checks` and `summary`.
+
+    `add_within` is the one way to file a record.
+    """
 
     command: str
     seed: int
     checks: list = field(default_factory=list)
-
-    def add(self, name, passed, measured, tolerance, detail) -> CheckRecord:
-        record = CheckRecord(name, bool(passed), float(measured), float(tolerance), detail)
-        self.checks.append(record)
-        return record
 
     def add_within(self, name, measured, tolerance, detail) -> CheckRecord:
         """A record of the largest of `measured`'s gaps, passing when it is <= tolerance.
@@ -110,8 +113,9 @@ class Report:
         """
         if isinstance(measured, list):
             measured = [np.max(part) for part in measured]
-        worst = float(np.max(measured))
-        return self.add(name, worst <= tolerance, worst, tolerance, detail)
+        record = CheckRecord(name, float(np.max(measured)), float(tolerance), detail)
+        self.checks.append(record)
+        return record
 
     @property
     def ok(self) -> bool:
@@ -285,13 +289,10 @@ def _check_rho_traces(report: Report, rng) -> None:
     nonzero = int(np.count_nonzero(_abs(rho_trace_A(b, c, bp, cp)) > 1e-12))
     b, c, bp, cp = np.array(list(itertools.product(BASIS_2D, repeat=4))).transpose(1, 0, 2)
     basis_matrix_max = float(_abs(rho_trace_A(b, c, bp, cp)).max())
-    report.add(
-        "rho_trace_a_generic_nonzero",
-        nonzero >= 99 and basis_matrix_max == 0.0,
-        float(nonzero),
-        99.0,
+    report.add_within(
+        "rho_trace_a_generic_nonzero", [99 - nonzero, basis_matrix_max], 0.0,
         "singly-traced kernel is nonzero as a kernel on continuous arguments "
-        f"(count out of 100); on basis arguments the 16-entry matrix is "
+        f"({nonzero} of 100, at least 99 needed); on basis arguments the 16-entry matrix is "
         f"identically zero (max |entry| = {basis_matrix_max:g}) because two "
         "of the three points always coincide",
     )
@@ -378,20 +379,14 @@ def _check_kashiwara(report: Report, rng) -> None:
         drift += int(np.count_nonzero(sig[len(triples) :] != sig[0]))
         if n == 1:
             example, flipped = sig[:2]
-    report.add(
-        "kashiwara_example_signature",
-        example == -1,
-        float(example),
-        -1.0,
+    report.add_within(
+        "kashiwara_example_signature", abs(example + 1), 0.0,
         "(x-axis, y-axis, diagonal) in R^2 has signature -1 under the "
-        "(p, q)-block form convention",
+        f"(p, q)-block form convention (got {example})",
     )
-    report.add(
-        "kashiwara_odd_permutation_flip",
-        flipped == 1,
-        float(flipped),
-        1.0,
-        "swapping the first two subspaces negates the signature",
+    report.add_within(
+        "kashiwara_odd_permutation_flip", abs(flipped - 1), 0.0,
+        f"swapping the first two subspaces negates the signature to 1 (got {flipped})",
     )
     report.add_within(
         "kashiwara_invariance", drift, 0.0,
@@ -488,13 +483,10 @@ def _check_kernels(report: Report, rng) -> None:
     )
 
     min_eig = float(np.linalg.eigvalsh(g2).min())
-    report.add(
-        "gamma2_psd",
-        min_eig >= -DEFAULT_TOLERANCES["psd_floor"],
-        min_eig,
-        -DEFAULT_TOLERANCES["psd_floor"],
-        "order-2 kernel eigenvalues are nonnegative up to roundoff "
-        "(positive semidefinite; definiteness can fail on degenerate nodes)",
+    report.add_within(
+        "gamma2_psd", -min_eig, DEFAULT_TOLERANCES["psd_floor"],
+        "order-2 kernel eigenvalues are nonnegative up to roundoff (positive semidefinite; "
+        f"definiteness can fail on degenerate nodes); the smallest is {min_eig!r}",
     )
 
     orbital = phi @ phi.T

@@ -288,7 +288,6 @@ SUBCOMMAND_DEFECTS = [
     (verification, "collapse", scaled(1 + 1e-8), "collapse-demo", "pipeline_matches_affine_det"),
     (verification, "collapse_with_morphism", scaled(1 + 1e-8), "collapse-demo", "morphism_covariance"),
     (verification, "rho_trace_AC", shifted(1e-9), "collapse-demo", "rho_trace_ac_basis_zero"),
-    (Gamma2Factors, "one_point", shifted(1e-8), "slater", "one_point"),
     (Gamma2Factors, "two_point", scaled(1 + 1e-6), "slater", "two_point_vs_gram"),
     (affine_forms, "conjecture_nullspace", on_result(duplicate_tuple), "conjecture", "affine_det_in_span"),
     (affine_forms, "conjecture_nullspace", on_result(wrong_tuple), "conjecture", "affine_det_in_span"),
@@ -301,7 +300,6 @@ SHARED_RECORDS = {
     "pipeline_matches_affine_det": ("collapse_pipeline", "collapse_pipeline_equals_affine_det"),
     "morphism_covariance": ("morphism_covariance", "morphism_covariance"),
     "rho_trace_ac_basis_zero": ("rho_basis", "rho_trace_ac_basis_zero"),
-    "one_point": ("one_point", "one_point_vanishes"),
     "two_point_vs_gram": ("two_point", "two_point_gram_identity"),
     "affine_det_in_span": ("span_residual", "nullspace_contains_affine_det"),
 }
@@ -364,3 +362,16 @@ def test_a_report_holds_its_records_and_its_own_section_only(monkeypatch, capsys
     assert main(SUBCOMMANDS.get(command, [command])) == 0
     report = json.loads(capsysbinary.readouterr().out)
     assert set(report) == {"command", "seed", "checks", "summary", *OWN_SECTIONS[command]}
+
+
+@pytest.mark.parametrize("command", ["verify", *SUBCOMMANDS])
+def test_every_record_passes_exactly_when_measured_is_within_its_tolerance(monkeypatch, capsysbinary, command):
+    monkeypatch.chdir(ROOT)
+    if command == "verify":
+        reports = [run_verify(seed).to_json_dict() for seed in [*range(20), DEFAULT_SEED]]
+    else:
+        reports = [run_subcommand(command, capsysbinary)[1]]
+    for report in reports:
+        for r in report["checks"]:
+            assert r["tolerance"] >= 0, (report["seed"], r)
+            assert (r["status"] == "pass") == (r["measured"] <= r["tolerance"]), (report["seed"], r)

@@ -113,8 +113,8 @@ def test_kashiwara_index_axes_example():
     result = kashiwara_index(axes_triple())
     assert (result.n_plus, result.n_minus, result.n_zero) == (1, 2, 0)
     assert result.signature == -1
-    # eigenvalues proportional to (1, -1/2, -1/2)
-    assert_allclose(result.eigenvalues, [-0.5, -0.5, 1.0], atol=1e-12)
+    # the eigenvalues of Q in orthonormal bases: -1/2 and (1 -+ sqrt 5) / 4
+    assert_allclose(result.eigenvalues, [-0.5, (1 - 5**0.5) / 4, (1 + 5**0.5) / 4], atol=1e-12)
 
 
 def test_kashiwara_index_swap_flips_signature():
