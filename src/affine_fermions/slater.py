@@ -57,9 +57,9 @@ MAX_DENSE_KERNEL_NODES = 32
 # How far the weights may sum from 1.
 WEIGHT_SUM_ATOL = 1e-10
 
-# Smallest ratio of the centred Gram matrix's eigenvalues, smallest to
-# largest, at which `Gamma2Factors.whitened` takes the components as
-# independent.  Rounding leaves dependent components a ratio near 1e-16.
+# Largest det G / (tr G)^2 = l_min l_max / (l_min + l_max)^2 of the centred Gram
+# matrix at which `Gamma2Factors.whitened` rejects the components as dependent;
+# here it is l_min / l_max to 12 digits.  Rounding leaves dependent sets near 1e-16.
 WHITEN_RTOL = 1e-12
 
 # Largest |phi| entry accepted from JSON input.  The moments and both
@@ -214,9 +214,9 @@ class Gamma2Factors(NamedTuple):
         at most 3, built in O(K^2).  For centred orthonormal components
         gamma1 equals the orbital sum sum_j phi~_j(x') phi~_j(x).
         """
-        lifted = _lift(self.values)
-        gram_det = np.linalg.det(self.gram)[..., None, None]
-        return lifted @ self.pair_moments() @ np.swapaxes(lifted, -1, -2) / 2.0 - gram_det
+        lifted, n = _lift(self.values), self.pair_moments()
+        # det G is the cofactor N[0, 0] / 2
+        return lifted @ n @ np.swapaxes(lifted, -1, -2) / 2.0 - n[..., :1, :1] / 2.0
 
     def entry(self, x1p, x2p, x1, x2) -> float:
         """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices: ints, not bools, in 0..K-1."""
@@ -230,25 +230,30 @@ class Gamma2Factors(NamedTuple):
         return float(primed @ self.moments @ unprimed)
 
     def whitened(self) -> np.ndarray:
-        """The centred components whitened to an identity Gram matrix, per node set.
+        """The centred components times G^-1/2, so their Gram matrix is I, per node set.
 
-        A set whose smallest Gram eigenvalue is at most WHITEN_RTOL times its
-        largest has dependent components; it is rejected, and the message
-        names that ratio (the first such set's, for a stack).
+        G^-1/2 = adj(G + sI) / (s t) with s = sqrt(det G), t = sqrt(tr G + 2s),
+        formed as 2^-e (4^-e G)^-1/2, exactly, with e chosen so that tr G is
+        near 1.  A set with det G / (tr G)^2 at most WHITEN_RTOL has dependent
+        components; it is rejected, and the message names that ratio (the
+        first such set's, for a stack).
         """
-        evals, evecs = np.linalg.eigh(self.gram)
-        smallest, largest = evals[..., 0], evals[..., -1]
-        bad = ~(smallest > WHITEN_RTOL * largest)
+        g = self.gram
+        half = np.frexp(g[..., 0, 0] + g[..., 1, 1])[1] // 2
+        p, q, r = (np.ldexp(g[..., i, j], -2 * half) for i, j in ((0, 0), (0, 1), (1, 1)))
+        det, trace = p * r - q * q, p + r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = det / (trace * trace)
+        bad = ~(ratio > WHITEN_RTOL)
         if bad.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = float((smallest / largest)[bad].flat[0])
             raise ValueError(
                 "components are linearly dependent; cannot whiten (smallest/largest "
-                f"Gram eigenvalue {ratio:.3g}, at most {WHITEN_RTOL:g})"
+                f"Gram eigenvalue {float(ratio[bad].flat[0]):.3g}, at most {WHITEN_RTOL:g})"
             )
-        # scaling the columns equals the product with diag(evals^-1/2) bit for bit
-        inv_sqrt = evecs * evals[..., None, :] ** -0.5 @ np.swapaxes(evecs, -1, -2)
-        return self.values @ inv_sqrt
+        s = np.sqrt(det)
+        adj = np.stack([r + s, -q, -q, p + s], axis=-1).reshape(g.shape)
+        inv_sqrt = adj / (s * np.sqrt(trace + 2.0 * s))[..., None, None]
+        return self.values @ np.ldexp(inv_sqrt, -half[..., None, None])
 
     def _dense_nodes(self) -> int:
         """K, checked against the cap on the K^2 x K^2 matrices."""

@@ -166,10 +166,15 @@ def collapse_gap(a, b, c):
     return _rel(scalar, direct), scalar, direct
 
 
+def _wedge2(u, v):
+    # _cmul keeps the bits of the scalar complex products.
+    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
+
+
 def morphism_gap(a, b, c, sigma):
     """`_rel` gap of collapse(sigma a, sigma b, sigma c) to det(sigma) collapse(a, b, c)."""
     # _cmul keeps the bits of the scalar product det(sigma) * collapse.
-    expected = _cmul(np.linalg.det(sigma), collapse(a, b, c))
+    expected = _cmul(_wedge2(sigma[..., 0, :], sigma[..., 1, :]), collapse(a, b, c))
     return _rel(collapse_with_morphism(a, b, c, sigma), expected)
 
 
@@ -184,17 +189,18 @@ def moment_gaps(phi, factors):
 
     `factors` is `slater.gamma2_factors(phi, space)`, G its centred Gram
     matrix and scale is max(1, largest |phi| entry).  <Psi^2> is the sum
-    <M, N>, so its gap |<Psi^2> - 6 det G| is measured against the size of
-    that sum, sum |M o N|: a sum that is exactly 0 gives 0 and passes,
-    however large phi is.  For a stack of node sets, phi is (B, K, 2),
-    zero-padded like the factors' values, and each value has shape (B,).
+    <M, N> and det G the cofactor N[0, 0] / 2, so the gap |<Psi^2> - 6 det G|
+    is measured against the size of that sum, sum |M o N|: a sum that is
+    exactly 0 gives 0 and passes, however large phi is.  For a stack of node
+    sets, phi is (B, K, 2), zero-padded like the factors' values, and each
+    value has shape (B,).
     """
     scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     one = np.abs(factors.one_point()) / scale**3
-    two = factors.two_point()
-    gram_det = np.linalg.det(factors.gram)
+    two, n = factors.two_point(), factors.pair_moments()
+    gram_det = n[..., 0, 0] / 2.0
     gap = np.abs(two - 6.0 * gram_det)
-    size = np.abs(factors.moments * factors.pair_moments()).sum(axis=(-2, -1))
+    size = np.abs(factors.moments * n).sum(axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(gap != 0.0, gap / size, 0.0)
     return one, cross, two, gram_det
@@ -227,11 +233,6 @@ def _check_collapse(report: Report, rng) -> None:
         "embed -> wedge tensor -> reindex -> partial trace -> sum matches "
         "det(b-a, c-a) on 1000 random complex triples",
     )
-
-
-def _wedge2(u, v):
-    # _cmul keeps the bits of the scalar complex products.
-    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
 
 
 def _check_tr1_directions(report: Report, rng) -> None:

@@ -168,6 +168,17 @@ def nan_at(index):
     return on_result(change)
 
 
+def added_at(index, delta):
+    """Add delta to one entry of the result, a copy."""
+
+    def change(value):
+        value = np.array(value)
+        value[index] += delta
+        return value
+
+    return on_result(change)
+
+
 def nan_past_dim_2(f):
     return lambda points: f(points) * (np.nan if np.shape(points)[-1] >= 3 else 1.0)
 
@@ -242,6 +253,9 @@ DEFECTS = [
     (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
+    (9, Gamma2Factors, "whitened", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
+    # det G is the cofactor N[0, 0] / 2, so the identity must still see a defect in that cofactor
+    (9, Gamma2Factors, "pair_moments", added_at((..., 0, 0), 1e-6), "two_point_gram_identity"),
     (9, slater, "m_identity_sides", on_result(lambda sides: (sides[0] * (1 + 1e-6), sides[1])),
      "symmetric_m_identity"),
     (10, Gamma2Factors, "dense", shifted(1e-6), "gamma2_expansion_match"),

@@ -1,10 +1,11 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +18,7 @@ from affine_fermions import (
     m_identity_sides,
     two_point,
 )
-from affine_fermions.slater import _psi_tensor
+from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
 from affine_fermions.verification import _padded_factors, moment_gaps
 
 
@@ -177,6 +178,67 @@ def test_whitened_names_the_first_dependent_set_of_a_stack():
     message = f"smallest/largest Gram eigenvalue {evals[0] / evals[-1]:.3g}, at most 1e-12)"
     with pytest.raises(ValueError, match=re.escape(message)):
         factors.whitened()
+
+
+def near_dependent_instance(seed, k, log_eps):
+    """A random node set whose second component is a multiple of the first plus 10^log_eps noise."""
+    rng = np.random.default_rng(seed)
+    space, phi = random_instance(rng, k=k)
+    phi[:, 1] = rng.standard_normal() * phi[:, 0] + 10.0**log_eps * phi[:, 1]
+    return space, phi
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 12), log_eps=st.floats(-5, 0))
+def test_whitened_gram_is_the_identity_to_the_condition_number(seed, k, log_eps):
+    space, phi = near_dependent_instance(seed, k, log_eps)
+    factors = gamma2_factors(phi, space)
+    evals = np.linalg.eigvalsh(factors.gram)  # the eigensolver is only the test's oracle for kappa(G)
+    assume(evals[0] > 0 and evals[-1] <= 1e10 * evals[0])
+    kappa = evals[-1] / evals[0]
+    reduced = factors.whitened()
+    assert np.abs(gamma2_factors(reduced, space).gram - np.eye(2)).max() <= 1e-15 * kappa
+
+
+def test_whitened_is_exact_under_power_of_two_scaling_and_close_under_powers_of_ten():
+    space, phi = random_instance(np.random.default_rng(40), k=8)
+    want = gamma2_factors(phi, space).whitened()
+    for k in range(-150, 151):
+        got = gamma2_factors(phi * 10.0**k, space).whitened()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
+    for space, phi in ((space, phi), near_dependent_instance(41, 8, -4)):
+        want = gamma2_factors(phi, space).whitened()
+        for k in range(-400, 401):
+            assert np.array_equal(gamma2_factors(np.ldexp(phi, k), space).whitened(), want), k
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, 1.0, 2.5])
+def test_whitened_decides_dependence_at_whiten_rtol(angle):
+    # x and y are centred and orthonormal under uniform weights on 4 nodes, so
+    # (x, sqrt(ratio) y), rotated, has Gram eigenvalues 1 and ratio
+    space = MeasuredSpace.uniform(4)
+    x, y = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 1.0, -1.0, -1.0])
+    rotation = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    accepted = np.stack([x, math.sqrt(10 * WHITEN_RTOL) * y], axis=1) @ rotation
+    assert gamma2_factors(accepted, space).whitened().shape == (4, 2)
+    rejected = gamma2_factors(np.stack([x, math.sqrt(WHITEN_RTOL / 10) * y], axis=1) @ rotation, space)
+    pattern = r"cannot whiten \(smallest/largest Gram eigenvalue (\S+), at most 1e-12\)$"
+    with pytest.raises(ValueError, match=pattern) as info:
+        rejected.whitened()
+    assert float(re.search(pattern, str(info.value)).group(1)) == pytest.approx(WHITEN_RTOL / 10, rel=1e-2)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), k=st.integers(3, 12), log_eps=st.floats(-8, 0), scale=st.integers(-60, 60)
+)
+def test_gram_determinant_is_within_4_ulp_of_the_exact_determinant(seed, k, log_eps, scale):
+    space, phi = near_dependent_instance(seed, k, log_eps)
+    phi = phi * 10.0**scale
+    factors = gamma2_factors(phi, space)
+    # the float Gram read from its upper triangle, as the cofactors read it
+    a, b, d = (float(factors.gram[i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    exact = Fraction(a) * Fraction(d) - Fraction(b) ** 2
+    gram_det = float(moment_gaps(phi, factors)[3])
+    assert abs(Fraction(gram_det) - exact) <= 4 * Fraction(float(np.spacing(abs(a * d) + b * b)))
 
 
 # ------------------------------------------------------------------- psi
