@@ -32,7 +32,9 @@ print(f"psi at nodes (0, 1, 2) = {affine_det(factors.values[[0, 1, 2]]).real:.4f
 print(f"psi at nodes (1, 0, 2) = {affine_det(factors.values[[1, 0, 2]]).real:.4f}  (sign flip)")
 
 print("\nmoment identities for the raw wave function")
-print(f"  <Psi>   = {factors.one_point():.2e}  (vanishes by antisymmetry)")
+triples = np.array(list(itertools.product(range(K), repeat=3)))
+mean_psi = (space.weights[triples].prod(axis=1) * affine_det(phi[triples]).real).sum()
+print(f"  <Psi>   = {mean_psi:.2e}  (weighted sum over all node triples; vanishes by antisymmetry)")
 print(f"  <Psi^2> = {factors.two_point():.6f}")
 print(f"  6 det G = {6 * np.linalg.det(factors.gram):.6f}")
 

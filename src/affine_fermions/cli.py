@@ -59,7 +59,7 @@ def cmd_slater(args) -> int:
     space, phi = slater.node_set_from_json(read_json(args.input))
     report = Report(command="slater", seed=DEFAULT_SEED)
     factors = slater.gamma2_factors(phi, space)
-    _, cross, two, gram_det = map(float, moment_gaps(phi, factors))
+    cross, two, gram_det = map(float, moment_gaps(factors))
     report.add_within(
         "two_point_vs_gram", cross, DEFAULT_TOLERANCES["two_point"],
         f"mean of Psi^2 = {two!r} against 6 det(Gram) = {6.0 * gram_det!r}; "

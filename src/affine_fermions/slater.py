@@ -15,8 +15,9 @@ affine in each node, so it factors through three coordinates:
 with u ^ v = u_1 v_2 - u_2 v_1.  Every weighted sum then reduces to the 3x3
 moment matrix M = sum_a w_a (1, a)(1, a)^T and the pair moment
 N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
-is f N f^T with f = (1, phi), <Psi^2> = <M, N> and <Psi> = F(mean, mean) .
-(1, mean).  The K x K x K tensor of Psi values is never built.
+is f N f^T with f = (1, phi) and <Psi^2> = <M, N>.  <Psi> = sum_{x1, x2}
+w w F(x1, x2) . M[0], which vanishes by antisymmetry, is `verify`'s sum over
+node pairs.  The K x K x K tensor of Psi values is never built.
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
 centres it and forms M, and every moment, kernel and whitening is a method
@@ -154,7 +155,7 @@ class Gamma2Factors(NamedTuple):
 
     M = sum_a w_a (1, a)(1, a)^T over the centred nodes a, so M[1:, 1:] is
     the centred Gram matrix G.  Every moment and kernel of the module is
-    read from these O(K) numbers: <Psi>, <Psi^2> = <M, N>, det G, gamma1 =
+    read from these O(K) numbers: <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
     and `pair_expansion` build K^2 x K^2 matrices, up to
     MAX_DENSE_KERNEL_NODES nodes.
@@ -186,16 +187,6 @@ class Gamma2Factors(NamedTuple):
         n01, n02, n12 = c * e - b * f, b * e - c * d, b * c - a * e
         cofactors = [d * f - e * e, n01, n02, n01, a * f - c * c, n12, n02, n12, a * d - b * b]
         return 2.0 * np.stack(cofactors, axis=-1).reshape(m.shape)
-
-    def one_point(self) -> np.ndarray:
-        """Triple-weighted mean of Psi; vanishes by antisymmetry.
-
-        <Psi> = sum_{x1, x2} w w F(x1, x2) . sum_a w_a (1, a).  F is affine
-        in each node, so its mean is F at the mean node, whose wedge and
-        difference both vanish.
-        """
-        mean = self.moments[..., 0, 1:]
-        return (_pair_rows(mean, mean)[..., None, :] @ self.moments[..., 0, :, None])[..., 0, 0]
 
     def two_point(self) -> np.ndarray:
         """Triple-weighted mean of Psi^2, <M, N>.

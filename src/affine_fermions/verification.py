@@ -184,26 +184,28 @@ def rho_basis_values():
     return _abs(rho_trace_AC(b, bp))
 
 
-def moment_gaps(phi, factors):
-    """(|<Psi>| / scale^3, gap of <Psi^2> to 6 det G, <Psi^2>, det G), as arrays.
+def moment_gaps(factors):
+    """(gap of <Psi^2> to 6 det G, <Psi^2>, det G) of `slater.gamma2_factors`' result, as arrays.
 
-    `factors` is `slater.gamma2_factors(phi, space)`, G its centred Gram
-    matrix and scale is max(1, largest |phi| entry).  <Psi^2> is the sum
-    <M, N> and det G the cofactor N[0, 0] / 2, so the gap |<Psi^2> - 6 det G|
-    is measured against the size of that sum, sum |M o N|: a sum that is
-    exactly 0 gives 0 and passes, however large phi is.  For a stack of node
-    sets, phi is (B, K, 2), zero-padded like the factors' values, and each
-    value has shape (B,).
+    <Psi^2> is the sum <M, N> and det G, of the centred Gram matrix G, the
+    cofactor N[0, 0] / 2, so the gap |<Psi^2> - 6 det G| is measured against
+    the size of that sum, sum |M o N|: a sum that is exactly 0 gives 0 and
+    passes, however large phi is.  A stack of node sets gives shape (B,).
     """
-    scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
-    one = np.abs(factors.one_point()) / scale**3
     two, n = factors.two_point(), factors.pair_moments()
     gram_det = n[..., 0, 0] / 2.0
     gap = np.abs(two - 6.0 * gram_det)
     size = np.abs(factors.moments * n).sum(axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(gap != 0.0, gap / size, 0.0)
-    return one, cross, two, gram_det
+    return cross, two, gram_det
+
+
+def _mean_psi(factors, weights):
+    """<Psi> per node set: sum_{x1, x2} w w F(x1, x2) . M[0] over its K^2 node pairs (see `slater`)."""
+    rows = slater._pair_rows(factors.values[..., :, None, :], factors.values[..., None, :, :])
+    inner = (weights[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
+    return (weights[..., None, :] @ inner @ factors.moments[..., 0, :, None])[..., 0, 0]
 
 
 def span_residual(result) -> float:
@@ -397,56 +399,43 @@ def _check_kashiwara(report: Report, rng) -> None:
 
 
 def _node_sets(rng, count, max_nodes):
-    """Sizes, weights and phi of count sets of 4..max_nodes nodes, zero-padded to max_nodes."""
-    sizes = rng.integers(4, max_nodes + 1, count)
-    present = np.arange(max_nodes) < sizes[:, None]
-    weights = np.where(present, rng.random((count, max_nodes)) + 0.1, 0.0)
-    phi = np.where(present[..., None], rng.standard_normal((count, max_nodes, 2)), 0.0)
-    return sizes, weights / weights.sum(axis=1, keepdims=True), phi
-
-
-def _padded_factors(sizes, weights, phi) -> slater.Gamma2Factors:
-    """`Gamma2Factors` of `_node_sets`' sets, values zero past each set's size.
-
-    One `gamma2_factors` call per node count keeps each set's single-call
-    bits; one matmul over the padded stack would not.
-    """
-    values, moments = np.zeros_like(phi), np.empty((len(sizes), 3, 3))
-    for k in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == k)
-        space = slater.MeasuredSpace(weights[rows, :k])
-        values[rows, :k], moments[rows] = slater.gamma2_factors(phi[rows, :k], space)
-    return slater.Gamma2Factors(values, moments)
+    """A stack of count sets of K nodes, K drawn from 4..max_nodes once for all: its space and phi."""
+    k = rng.integers(4, max_nodes + 1)
+    weights = rng.random((count, k)) + 0.1
+    phi = rng.standard_normal((count, k, 2))
+    return slater.MeasuredSpace(weights / weights.sum(axis=1, keepdims=True)), phi
 
 
 def _check_moments(report: Report, rng) -> None:
-    sizes, weights, phi = _node_sets(rng, 50, 12)
-    one, two, _, _ = moment_gaps(phi, _padded_factors(sizes, weights, phi))
+    space, phi = _node_sets(rng, 50, 12)
+    factors = slater.gamma2_factors(phi, space)
+    # cubed by products: numpy's AVX-512 power loop rounds scale ** 3 differently
+    scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     report.add_within(
-        "one_point_vanishes", one, DEFAULT_TOLERANCES["one_point"],
+        "one_point_vanishes", np.abs(_mean_psi(factors, space.weights)) / (scale * scale * scale),
+        DEFAULT_TOLERANCES["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
         "(50 random spaces, scaled by the cubed component bound)",
     )
     report.add_within(
-        "two_point_gram_identity", two, DEFAULT_TOLERANCES["two_point"],
+        "two_point_gram_identity", moment_gaps(factors)[0], DEFAULT_TOLERANCES["two_point"],
         "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
     )
 
-    space = slater.MeasuredSpace(weights[0, : sizes[0]])
-    reduced = slater.gamma2_factors(phi[0, : sizes[0]], space).whitened()
-    unit = abs(slater.gamma2_factors(reduced, space).two_point() / 6.0 - 1.0)
+    first = slater.MeasuredSpace(space.weights[0])
+    reduced = slater.gamma2_factors(phi[0], first).whitened()
+    unit = abs(slater.gamma2_factors(reduced, first).two_point() / 6.0 - 1.0)
     report.add_within(
         "two_point_orthonormal_unit", unit, DEFAULT_TOLERANCES["two_point"],
         "centered orthonormal components give mean of Psi^2 equal to 6",
     )
 
-    sizes, weights, phi = _node_sets(rng, 20, 8)
-    values = _padded_factors(sizes, weights, phi).values
-    # symmetric tables, unmasked: past each set's nodes the weights are 0, and every entry is weighted
-    raw = rng.standard_normal((20, 8, 8, 8))
+    space, phi = _node_sets(rng, 20, 8)
+    values, k = slater.gamma2_factors(phi, space).values, len(space)
+    raw = rng.standard_normal((20, k, k, k))
     m_tables = sum(np.transpose(raw, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
     report.add_within(
-        "symmetric_m_identity", _rel(*slater.m_identity_sides(values, weights, m_tables)),
+        "symmetric_m_identity", _rel(*slater.m_identity_sides(values, space.weights, m_tables)),
         DEFAULT_TOLERANCES["m_identity"],
         "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",
     )

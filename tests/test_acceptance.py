@@ -111,6 +111,26 @@ def test_a_suite_that_draws_once_more_moves_no_other_suites_records(monkeypatch,
     assert record_text(records_named(after, others)) == record_text(others)
 
 
+def test_the_moment_suite_draws_every_node_count_across_seeds(monkeypatch):
+    # each stack has one node count, drawn per seed: over seeds 0-99 the 50 moment sets take
+    # every count in 4-12 and the 20 M-identity sets every count in 4-8, so a fixed count fails
+    shapes, counts, nonzero = [], {50: set(), 20: set()}, 0
+    factors = slater.gamma2_factors
+    monkeypatch.setattr(slater, "gamma2_factors", lambda phi, space: shapes.append(phi.shape) or factors(phi, space))
+    for seed in range(100):
+        shapes.clear()
+        records = {r.name: r.measured for r in run_alone(verification._check_moments, seed).checks}
+        # one call per stack, plus the whitening pair on the first moment set
+        (moments, k, _), (_, _), (_, _), (identity, k_identity, _) = shapes
+        assert (moments, identity) == (50, 20)
+        counts[50].add(k)
+        counts[20].add(k_identity)
+        nonzero += records["one_point_vanishes"] != 0.0
+    assert counts == {50: set(range(4, 13)), 20: set(range(4, 9))}
+    # <Psi> is a sum over node pairs that rounds, not a closed form that is exactly 0
+    assert nonzero >= 90
+
+
 def traced(check):
     """A wrapper like bench/tracing.py's: it sets `__wrapped__`, but not the suite's name."""
 
@@ -250,7 +270,8 @@ DEFECTS = [
     # Q = the provided bases: the index decides inertia without orthonormalizing them
     (8, np.linalg, "qr", lambda f: lambda a, *args, **kwargs: f(a, *args, **kwargs)._replace(Q=a),
      "kashiwara_invariance"),
-    (9, Gamma2Factors, "one_point", shifted(1e-8), "one_point_vanishes"),
+    # <Psi> is the pair sum of F(x1, x2) . M[0]; an offset on every row moves it by about 1e-6
+    (9, slater, "_pair_rows", shifted(1e-6), "one_point_vanishes"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_orthonormal_unit"),
     (9, Gamma2Factors, "whitened", scaled(1 + 1e-6), "two_point_orthonormal_unit"),

@@ -550,6 +550,24 @@ def test_collapse_peak_memory_is_set_by_its_output(fn):
     assert peak < 8 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("fn", [collapse, collapse_with_morphism], ids=["collapse", "morphism"])
+def test_a_state_broadcast_across_some_leading_axes_is_not_copied(fn):
+    # a, and sigma, broadcast across the 1000 columns of b and c: the output is 1.5 MiB, a copy
+    # of a would add 3.1 MiB and one of sigma 6.1 MiB
+    rng = np.random.default_rng(24)
+    a = random_triple_batch(rng, 100)[0, :, None]
+    args = [a, *random_triple_batch(rng, 10**5)[1:].reshape(2, 100, 1000, 2)]
+    if fn is collapse_with_morphism:
+        args.append(rng.standard_normal((100, 1, 2, 2)) + 1j * rng.standard_normal((100, 1, 2, 2)))
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.2f} MiB"
+
+
 # ------------------------------------------------- dense oracle of the stages
 
 ORACLE_THETA_COLS = np.array([(2, 3, 4, 5, 0, 1), (0, 1, 2, 3, 4, 5), (4, 5, 0, 1, 2, 3)])

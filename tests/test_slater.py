@@ -19,7 +19,7 @@ from affine_fermions import (
     two_point,
 )
 from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
-from affine_fermions.verification import _padded_factors, moment_gaps
+from affine_fermions.verification import _mean_psi, moment_gaps
 
 
 def random_instance(rng, k=None, max_nodes=10):
@@ -237,7 +237,7 @@ def test_gram_determinant_is_within_4_ulp_of_the_exact_determinant(seed, k, log_
     # the float Gram read from its upper triangle, as the cofactors read it
     a, b, d = (float(factors.gram[i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
     exact = Fraction(a) * Fraction(d) - Fraction(b) ** 2
-    gram_det = float(moment_gaps(phi, factors)[3])
+    gram_det = float(moment_gaps(factors)[2])
     assert abs(Fraction(gram_det) - exact) <= 4 * Fraction(float(np.spacing(abs(a * d) + b * b)))
 
 
@@ -295,13 +295,6 @@ def test_psi_invariant_under_centering():
 # ----------------------------------------------------------- n-point sums
 
 
-def test_one_point_two_nodes_exact_zero():
-    rng = np.random.default_rng(8)
-    space = MeasuredSpace([0.3, 0.7])
-    phi = rng.standard_normal((2, 2))
-    assert gamma2_factors(phi, space).one_point() == 0.0
-
-
 def test_two_point_degenerate_components():
     rng = np.random.default_rng(11)
     space, phi = random_instance(rng)
@@ -309,14 +302,22 @@ def test_two_point_degenerate_components():
     assert abs(two_point(phi, space)) <= 1e-12 * max(1.0, np.abs(phi).max() ** 4)
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+def test_pair_sum_of_psi_matches_the_triple_sum(k):
+    rng = np.random.default_rng(100 + k)
+    space, phi = random_instance(rng, k=k)
+    phi = 3.0 * phi + 1.5  # off-centre, so centering matters
+    w = space.weights
+    triple = np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(phi))
+    scale = max(1.0, np.abs(phi).max())
+    assert abs(_mean_psi(gamma2_factors(phi, space), w) - triple) <= 1e-14 * scale**3
+
+
 @pytest.mark.parametrize("k", [2, 3, 7, 12])
 def test_moments_match_brute_force_oracle(k):
     rng = np.random.default_rng(100 + k)
     space, phi = random_instance(rng, k=k)
     phi = 3.0 * phi + 1.5  # off-centre, so centering matters
-    scale = max(1.0, np.abs(phi).max())
-    one = gamma2_factors(phi, space).one_point()
-    assert abs(one - triple_mean_oracle(phi, space, 1)) <= 1e-10 * scale**3
     want = triple_mean_oracle(phi, space, 2)
     assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -333,9 +334,6 @@ def test_moments_invariant_under_centering():
     rng = np.random.default_rng(13)
     space, phi = random_instance(rng)
     tilde = centered(phi, space)
-    scale = max(1.0, np.abs(phi).max())
-    one = gamma2_factors(phi, space).one_point()
-    assert abs(gamma2_factors(tilde, space).one_point() - one) <= 1e-10 * scale**3
     assert two_point(tilde, space) == pytest.approx(two_point(phi, space))
 
 
@@ -615,7 +613,8 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         # each set gets the BLAS calls of its own call, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
-        assert stack.one_point()[i] == single.one_point()
+        assert _mean_psi(stack, weights)[i] == _mean_psi(single, weights[i])
+        assert [g[i] for g in moment_gaps(stack)] == list(moment_gaps(single))
         assert two[i] == stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
         assert np.array_equal(g1[i], single.gamma1())
@@ -626,23 +625,13 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         assert np.array_equal(stack.dense()[i], single.dense())
 
 
-@given(sizes=st.lists(st.integers(4, 12), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
-def test_padded_factors_keep_each_sets_single_call_bits(sizes, seed):
-    sizes, weights, phi, _ = padded_stack(np.random.default_rng(seed), sizes)
-    stack = _padded_factors(sizes, weights, phi)
-    gaps = moment_gaps(phi, stack)
-    for i, k in enumerate(sizes):
-        single = gamma2_factors(phi[i, :k], MeasuredSpace(weights[i, :k]))
-        assert np.array_equal(stack.values[i, :k], single.values)
-        assert not stack.values[i, k:].any()
-        assert np.array_equal(stack.moments[i], single.moments)
-        assert [g[i] for g in gaps] == list(moment_gaps(phi[i, :k], single))
-
-
 @given(sizes=st.lists(st.integers(4, 8), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
 def test_stacked_m_identity_equals_single_calls(sizes, seed):
     sizes, weights, phi, m = padded_stack(np.random.default_rng(seed), sizes, tables=True)
-    lhs, rhs = m_identity_sides(_padded_factors(sizes, weights, phi).values, weights, m)
+    values = np.zeros_like(phi)  # each set's centred values, zero past its nodes
+    for i, k in enumerate(sizes):
+        values[i, :k] = centered(phi[i, :k], MeasuredSpace(weights[i, :k]))
+    lhs, rhs = m_identity_sides(values, weights, m)
     for i, k in enumerate(sizes):
         single = m_sides(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
         assert (lhs[i], rhs[i]) == single
@@ -685,6 +674,6 @@ def test_stacked_shapes_must_match():
 def test_stacked_m_identity_names_the_asymmetric_table():
     sizes, weights, phi, m = padded_stack(np.random.default_rng(42), [4, 5, 6], tables=True)
     m[1, 0, 1, 2] += 1.0
-    values = _padded_factors(sizes, weights, phi).values
+    # the tables are checked before the values are read
     with pytest.raises(ValueError, match=r"M table 1 is not symmetric at nodes \(0, 1, 2\)"):
-        m_identity_sides(values, weights, m)
+        m_identity_sides(phi, weights, m)
