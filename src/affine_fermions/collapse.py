@@ -314,16 +314,14 @@ def _collapse_blocks(a, b, c, sigma):
     """collapse(sigma a, sigma b, sigma c), or collapse(a, b, c) if sigma is None, by row blocks."""
     states = [_as_state(v, name) for v, name in ((a, "a"), (b, "b"), (c, "c"))]
     lead = np.broadcast_shapes(*(v.shape[:-1] for v in states), () if sigma is None else sigma.shape[:-2])
-    # One leading axis is sliced; more are gathered a block at a time, since
-    # flattening a view broadcast across some of them would copy it whole.
+    # Gathered per block: flattening a view broadcast on some axes would copy it whole.
     shape = lead or (1,)
     views = [np.broadcast_to(v, shape + v.shape[-1:]) for v in states]
     views += [] if sigma is None else [np.broadcast_to(sigma, shape + (2, 2))]
     out = np.empty(np.prod(shape, dtype=int), dtype=complex)
     for start in range(0, len(out), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        index = rows if len(shape) == 1 else np.unravel_index(np.arange(*rows.indices(len(out))), shape)
-        a, b, c, *m = (v[index] for v in views)
+        a, b, c, *m = (v[np.unravel_index(np.arange(*rows.indices(len(out))), shape)] for v in views)
         # matmul keeps the bits of the single (2, 2) @ (2,) product; einsum does not.
         block = [v if sigma is None else (m[0] @ v[:, :, None])[..., 0] for v in (a, b, c)]
         out[rows] = tr1(theta(lambda_tensor(*block))).sum(axis=-1)

@@ -16,8 +16,8 @@ with u ^ v = u_1 v_2 - u_2 v_1.  Every weighted sum then reduces to the 3x3
 moment matrix M = sum_a w_a (1, a)(1, a)^T and the pair moment
 N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
 is f N f^T with f = (1, phi) and <Psi^2> = <M, N>.  <Psi> = sum_{x1, x2}
-w w F(x1, x2) . M[0], which vanishes by antisymmetry, is `verify`'s sum over
-node pairs.  The K x K x K tensor of Psi values is never built.
+w w F(x1, x2) . M[0], which vanishes by antisymmetry, is `mean_psi`'s sum
+over node pairs.  The K x K x K tensor of Psi values is never built.
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
 centres it and forms M, and every moment, kernel and whitening is a method
@@ -45,6 +45,7 @@ __all__ = [
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
+    "mean_psi",
     "m_identity_sides",
     "MAX_DENSE_KERNEL_NODES",
     "MAX_PHI",
@@ -310,6 +311,13 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
     values = values - weights[..., None, :] @ values
     lifted = _lift(values)
     return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted))
+
+
+def mean_psi(factors: Gamma2Factors, weights: np.ndarray) -> np.ndarray:
+    """<Psi> per node set: sum_{x1, x2} w w F(x1, x2) . M[0] over its K^2 node pairs, 0 up to rounding."""
+    rows = _pair_rows(factors.values[..., :, None, :], factors.values[..., None, :, :])
+    inner = (weights[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
+    return (weights[..., None, :] @ inner @ factors.moments[..., 0, :, None])[..., 0, 0]
 
 
 def two_point(phi, space: MeasuredSpace) -> np.ndarray:

@@ -201,13 +201,6 @@ def moment_gaps(factors):
     return cross, two, gram_det
 
 
-def _mean_psi(factors, weights):
-    """<Psi> per node set: sum_{x1, x2} w w F(x1, x2) . M[0] over its K^2 node pairs (see `slater`)."""
-    rows = slater._pair_rows(factors.values[..., :, None, :], factors.values[..., None, :, :])
-    inner = (weights[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
-    return (weights[..., None, :] @ inner @ factors.moments[..., 0, :, None])[..., 0, 0]
-
-
 def span_residual(result) -> float:
     """Distance of the unit affine-determinant coefficients on C^dim from the span of a NullspaceResult.
 
@@ -412,14 +405,14 @@ def _check_moments(report: Report, rng) -> None:
     # cubed by products: numpy's AVX-512 power loop rounds scale ** 3 differently
     scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     report.add_within(
-        "one_point_vanishes", np.abs(_mean_psi(factors, space.weights)) / (scale * scale * scale),
+        "one_point_vanishes", np.abs(slater.mean_psi(factors, space.weights)) / (scale * scale * scale),
         DEFAULT_TOLERANCES["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
-        "(50 random spaces, scaled by the cubed component bound)",
+        f"(50 random spaces of {len(space)} nodes, scaled by the cubed component bound)",
     )
     report.add_within(
         "two_point_gram_identity", moment_gaps(factors)[0], DEFAULT_TOLERANCES["two_point"],
-        "mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces",
+        f"mean of Psi^2 equals 6 det(centered Gram) on 50 random spaces of {len(space)} nodes",
     )
 
     first = slater.MeasuredSpace(space.weights[0])
@@ -437,7 +430,7 @@ def _check_moments(report: Report, rng) -> None:
     report.add_within(
         "symmetric_m_identity", _rel(*slater.m_identity_sides(values, space.weights, m_tables)),
         DEFAULT_TOLERANCES["m_identity"],
-        "3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables",
+        f"3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables on {k} nodes",
     )
 
 

@@ -18,8 +18,8 @@ from affine_fermions import (
     m_identity_sides,
     two_point,
 )
-from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
-from affine_fermions.verification import _mean_psi, moment_gaps
+from affine_fermions.slater import WHITEN_RTOL, _psi_tensor, mean_psi
+from affine_fermions.verification import moment_gaps
 
 
 def random_instance(rng, k=None, max_nodes=10):
@@ -303,21 +303,15 @@ def test_two_point_degenerate_components():
 
 
 @pytest.mark.parametrize("k", range(2, 13))
-def test_pair_sum_of_psi_matches_the_triple_sum(k):
-    rng = np.random.default_rng(100 + k)
-    space, phi = random_instance(rng, k=k)
-    phi = 3.0 * phi + 1.5  # off-centre, so centering matters
-    w = space.weights
-    triple = np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(phi))
-    scale = max(1.0, np.abs(phi).max())
-    assert abs(_mean_psi(gamma2_factors(phi, space), w) - triple) <= 1e-14 * scale**3
-
-
-@pytest.mark.parametrize("k", [2, 3, 7, 12])
 def test_moments_match_brute_force_oracle(k):
     rng = np.random.default_rng(100 + k)
     space, phi = random_instance(rng, k=k)
     phi = 3.0 * phi + 1.5  # off-centre, so centering matters
+    w = space.weights
+    # <Psi>: the pair sum against the K^3 sum of the Psi tensor
+    triple = np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(phi))
+    scale = max(1.0, np.abs(phi).max())
+    assert abs(mean_psi(gamma2_factors(phi, space), w) - triple) <= 1e-14 * scale**3
     want = triple_mean_oracle(phi, space, 2)
     assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -613,7 +607,7 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         # each set gets the BLAS calls of its own call, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
-        assert _mean_psi(stack, weights)[i] == _mean_psi(single, weights[i])
+        assert mean_psi(stack, weights)[i] == mean_psi(single, weights[i])
         assert [g[i] for g in moment_gaps(stack)] == list(moment_gaps(single))
         assert two[i] == stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
