@@ -47,7 +47,7 @@ table = np.zeros((K, K, K))
 raw = rng.standard_normal((K, K, K))
 for perm in itertools.permutations(range(3)):
     table += np.transpose(raw, perm)
-lhs, rhs = m_identity_sides(whitened.values, space.weights, table)
+lhs, rhs = m_identity_sides(whitened, table)
 print(f"\nsymmetric-weight overlap identity: lhs = {lhs:.6f}, rhs = {rhs:.6f}")
 
 g1 = whitened.gamma1()

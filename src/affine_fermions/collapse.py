@@ -11,6 +11,11 @@ module also provides the covariance of the pipeline under a 2x2 morphism
 applied to all three states, and the partial traces of the rank-1 state
 built from two copies of the affine determinant.
 
+Every 2x2 product and determinant, sigma's action on the states included, is
+formed by `_cmul` and `_wedge2` from real and imaginary parts, with no BLAS
+or LAPACK call: the results do not depend on the BLAS kernel, and they are
+exact on Gaussian-integer inputs that no step rounds.
+
 All functions are pure; inputs are never mutated.  Each one also takes a
 batch: leading axes in front of its per-triple shape.  A single triple is
 the case without leading axes and gets the same arithmetic, bit for bit.
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .affine_forms import affine_det
 
 __all__ = [
     "ConsistencyError",
@@ -123,9 +126,14 @@ def _cmul(u, v):
 
     numpy's vectorised complex multiply fuses multiply-adds and differs from
     the scalar complex product in the last bit; this form equals the scalar
-    product bit for bit.
+    product bit for bit, for one value and along a batch alike.
     """
     return (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
+
+
+def _wedge2(u, v):
+    """u_1 v_2 - u_2 v_1 over the last axis, from `_cmul` products; det(b-a, c-a) is _wedge2(b - a, c - a)."""
+    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
 
 
 @dataclass(frozen=True)
@@ -322,29 +330,21 @@ def _collapse_blocks(a, b, c, sigma):
     for start in range(0, len(out), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         a, b, c, *m = (v[np.unravel_index(np.arange(*rows.indices(len(out))), shape)] for v in views)
-        # matmul keeps the bits of the single (2, 2) @ (2,) product; einsum does not.
-        block = [v if sigma is None else (m[0] @ v[:, :, None])[..., 0] for v in (a, b, c)]
-        out[rows] = tr1(theta(lambda_tensor(*block))).sum(axis=-1)
+        if m:
+            # (sigma v)_i = sigma_i0 v_0 + sigma_i1 v_1, for i = 0, 1 at once
+            a, b, c = (_cmul(m[0][..., 0], v[:, None, 0]) + _cmul(m[0][..., 1], v[:, None, 1]) for v in (a, b, c))
+        out[rows] = tr1(theta(lambda_tensor(a, b, c))).sum(axis=-1)
     return _unbatched(out.reshape(lead))
 
 
 def _basis_sum(terms):
     """Sum over terms of det(first triple) * det(second triple), in term order.
 
-    Every triple of every term goes through one affine_det call.
+    Each det(b-a, c-a) is `_wedge2(b - a, c - a)` and each product `_cmul`, so
+    the sum is exact on Gaussian integers that no step rounds.
     """
-    points = [p for term in terms for triple in term for p in triple]
-    lead = np.broadcast_shapes(*(p.shape[:-1] for p in points))
-    pts = np.empty(lead + (len(points), 2), dtype=complex)
-    for i, p in enumerate(points):
-        pts[..., i, :] = p
-    dets = affine_det(pts.reshape(lead + (len(terms), 2, 3, 2)))
-    # _cmul, not `*`, keeps the bits of the Python complex product.
-    products = _cmul(dets[..., 0], dets[..., 1])
-    total = np.zeros(dets.shape[:-2], dtype=complex)
-    for t in range(len(terms)):
-        total = total + products[..., t]
-    return _unbatched(total)
+    dets = ([_wedge2(b - a, c - a) for a, b, c in term] for term in terms)
+    return _unbatched(sum(_cmul(first, second) for first, second in dets))
 
 
 def rho_trace_A(b, c, b_prime, c_prime):

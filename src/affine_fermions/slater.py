@@ -16,15 +16,16 @@ with u ^ v = u_1 v_2 - u_2 v_1.  Every weighted sum then reduces to the 3x3
 moment matrix M = sum_a w_a (1, a)(1, a)^T and the pair moment
 N = sum_{x1, x2} w w F^T F = 2 adj(M): gamma2 = F M F^T, the order-1 kernel
 is f N f^T with f = (1, phi) and <Psi^2> = <M, N>.  <Psi> = sum_{x1, x2}
-w w F(x1, x2) . M[0], which vanishes by antisymmetry, is `mean_psi`'s sum
-over node pairs.  The K x K x K tensor of Psi values is never built.
+w w F(x1, x2) . M[0], which vanishes by antisymmetry, is
+`Gamma2Factors.mean_psi`'s sum over node pairs.  The K x K x K tensor of
+Psi values is never built.
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
-centres it and forms M, and every moment, kernel and whitening is a method
-of its result, which the `(phi, space)` wrappers `two_point`, `gamma1` and
-`gamma2` read too.  A space and phi with leading axes are a stack of node
-sets of one size, each getting the bits of its own call.
-`m_identity_sides` takes centred values.
+centres it and forms M.  Its result carries the weights too, and every
+moment, kernel and whitening is a method of it, which the `(phi, space)`
+wrappers `two_point`, `gamma1` and `gamma2` read too; `m_identity_sides`
+takes it with one table per node set.  A space and phi with leading axes
+are a stack of node sets of one size, each getting the bits of its own call.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -45,7 +46,6 @@ __all__ = [
     "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
-    "mean_psi",
     "m_identity_sides",
     "MAX_DENSE_KERNEL_NODES",
     "MAX_PHI",
@@ -152,7 +152,7 @@ def _lift(values: np.ndarray) -> np.ndarray:
 
 
 class Gamma2Factors(NamedTuple):
-    """The centred components of a node set and their moment matrix M.
+    """The centred components of a node set, their moment matrix M and the weights.
 
     M = sum_a w_a (1, a)(1, a)^T over the centred nodes a, so M[1:, 1:] is
     the centred Gram matrix G.  Every moment and kernel of the module is
@@ -161,13 +161,14 @@ class Gamma2Factors(NamedTuple):
     and `pair_expansion` build K^2 x K^2 matrices, up to
     MAX_DENSE_KERNEL_NODES nodes.
 
-    A stack from `gamma2_factors`, values (..., K, 2) and moments
-    (..., 3, 3), is answered per node set by every method but `entry`,
-    which takes one node set.
+    A stack from `gamma2_factors`, values (..., K, 2), moments (..., 3, 3)
+    and weights (..., K), is answered per node set by every method but
+    `entry`, which takes one node set.
     """
 
     values: np.ndarray  # (..., K, 2) centred components
     moments: np.ndarray  # (..., 3, 3) M
+    weights: np.ndarray  # (..., K) w
 
     @property
     def gram(self) -> np.ndarray:
@@ -196,6 +197,13 @@ class Gamma2Factors(NamedTuple):
         orthonormal.
         """
         return np.sum(self.moments * self.pair_moments(), axis=(-2, -1))
+
+    def mean_psi(self) -> np.ndarray:
+        """<Psi>: sum_{x1, x2} w w F(x1, x2) . M[0] over the K^2 node pairs, 0 up to rounding."""
+        w = self.weights
+        rows = _pair_rows(self.values[..., :, None, :], self.values[..., None, :, :])
+        inner = (w[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
+        return (w[..., None, :] @ inner @ self.moments[..., 0, :, None])[..., 0, 0]
 
     def gamma1(self) -> np.ndarray:
         """Normalized order-1 density kernel, Gamma/2 - det G.
@@ -310,14 +318,7 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
         raise ValueError("wave function values must be finite")
     values = values - weights[..., None, :] @ values
     lifted = _lift(values)
-    return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted))
-
-
-def mean_psi(factors: Gamma2Factors, weights: np.ndarray) -> np.ndarray:
-    """<Psi> per node set: sum_{x1, x2} w w F(x1, x2) . M[0] over its K^2 node pairs, 0 up to rounding."""
-    rows = _pair_rows(factors.values[..., :, None, :], factors.values[..., None, :, :])
-    inner = (weights[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
-    return (weights[..., None, :] @ inner @ factors.moments[..., 0, :, None])[..., 0, 0]
+    return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted), weights)
 
 
 def two_point(phi, space: MeasuredSpace) -> np.ndarray:
@@ -325,28 +326,22 @@ def two_point(phi, space: MeasuredSpace) -> np.ndarray:
     return gamma2_factors(phi, space).two_point()
 
 
-def m_identity_sides(values, weights, m_table):
-    """Both sides of the symmetric-weight overlap identity, one set or a stack.
+def m_identity_sides(factors: Gamma2Factors, m_table):
+    """Both sides of the symmetric-weight overlap identity, per node set of `factors`.
 
     For a table M symmetric in its three node arguments, centred values and
     wedge scalars ab = W(x_0, x_1) etc., lhs = 3 sum w^3 ab M (ab + bc + ca)
-    equals rhs = sum w^3 (ab + bc + ca) M (ab + bc + ca).  values (..., K, 2),
-    weights (..., K) and tables (..., K, K, K) must share their leading axes,
-    or a ValueError names the shapes; a stack may pad smaller sets with zero
-    weights and zero table entries, which add exactly 0 to both sides.  Every
-    entry of a table is compared with its five permuted entries, to 1e-12
-    relative to the entry; an asymmetric or non-finite table is rejected,
-    naming it.
+    equals rhs = sum w^3 (ab + bc + ca) M (ab + bc + ca).  m_table holds one
+    K x K x K table per node set, (..., K, K, K) with the node sets' leading
+    axes, or a ValueError names the shapes.  Every entry of a table is
+    compared with its five permuted entries, to 1e-12 relative to the entry;
+    an asymmetric or non-finite table is rejected, naming it.
     """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    values, w = factors.values, factors.weights
     m = np.asarray(m_table, dtype=float)
-    lead, k = values.shape[:-2], values.shape[-2:-1]
-    if values.shape[-1:] != (2,) or weights.shape != lead + k or m.shape != lead + 3 * k:
-        raise ValueError(
-            "need values (..., K, 2), weights (..., K) and tables (..., K, K, K) with the same "
-            f"leading axes, got shapes {values.shape}, {weights.shape} and {m.shape}"
-        )
+    lead, k = values.shape[:-2], values.shape[-2]
+    if m.shape != lead + (k, k, k):
+        raise ValueError(f"need one K x K x K table per node set, shape {lead + (k, k, k)}, got shape {m.shape}")
     bound = 1e-12 * np.maximum(1.0, np.abs(m))
     bad = np.zeros(m.shape, dtype=bool)
     # One transpose at a time holds a few copies of M, not fifteen.  Written
@@ -360,7 +355,6 @@ def m_identity_sides(values, weights, m_table):
         which = f" table {', '.join(map(str, table))}" if table else ""
         raise ValueError(f"M{which} is not symmetric at nodes ({i}, {j}, {l})")
 
-    w = weights
     wedge = _wedge(values[..., :, None, :], values[..., None, :, :])
     psi3 = (
         wedge[..., :, :, None]

@@ -22,6 +22,8 @@ from . import affine_forms, slater, spin, symplectic
 from .collapse import (
     BASIS_2D,
     _cmul,
+    _unbatched,
+    _wedge2,
     collapse,
     collapse_with_morphism,
     lambda_tensor,
@@ -160,15 +162,10 @@ def _complex_normal(rng, shape):
 
 
 def collapse_gap(a, b, c):
-    """(`_rel` gap, collapsed scalar, det(b-a, c-a)) for one triple or a batch."""
+    """(`_rel` gap, collapsed scalar, `_wedge2(b - a, c - a)`) for one triple or a batch."""
     scalar = collapse(a, b, c)
-    direct = affine_forms.affine_det(np.stack([a, b, c], axis=-2))
+    direct = _unbatched(_wedge2(b - a, c - a))
     return _rel(scalar, direct), scalar, direct
-
-
-def _wedge2(u, v):
-    # _cmul keeps the bits of the scalar complex products.
-    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
 
 
 def morphism_gap(a, b, c, sigma):
@@ -405,7 +402,7 @@ def _check_moments(report: Report, rng) -> None:
     # cubed by products: numpy's AVX-512 power loop rounds scale ** 3 differently
     scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     report.add_within(
-        "one_point_vanishes", np.abs(slater.mean_psi(factors, space.weights)) / (scale * scale * scale),
+        "one_point_vanishes", np.abs(factors.mean_psi()) / (scale * scale * scale),
         DEFAULT_TOLERANCES["one_point"],
         "triple-weighted mean of the antisymmetric wave function is zero "
         f"(50 random spaces of {len(space)} nodes, scaled by the cubed component bound)",
@@ -424,11 +421,11 @@ def _check_moments(report: Report, rng) -> None:
     )
 
     space, phi = _node_sets(rng, 20, 8)
-    values, k = slater.gamma2_factors(phi, space).values, len(space)
+    factors, k = slater.gamma2_factors(phi, space), len(space)
     raw = rng.standard_normal((20, k, k, k))
     m_tables = sum(np.transpose(raw, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
     report.add_within(
-        "symmetric_m_identity", _rel(*slater.m_identity_sides(values, space.weights, m_tables)),
+        "symmetric_m_identity", _rel(*slater.m_identity_sides(factors, m_tables)),
         DEFAULT_TOLERANCES["m_identity"],
         f"3 <ab M Psi> equals <Psi M Psi> for 20 random symmetric weight tables on {k} nodes",
     )

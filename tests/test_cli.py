@@ -84,12 +84,14 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # last bits of the measured values come from numpy 2.4 and OpenBLAS 0.3.31
 # on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
 # with numpy's native SIMD loops and with its AVX-512 loops turned off
-# (test_pins_hold_with_numpy_avx512_loops_off); OpenBLAS's Haswell and
-# Sandybridge kernels still move some of them, so another OpenBLAS kernel or
-# platform may need its own digests.
+# (test_pins_hold_with_numpy_avx512_loops_off).  The collapse-demo pin also
+# holds under OpenBLAS's Haswell and Sandybridge kernels
+# (test_collapse_demo_pin_holds_under_other_openblas_kernels): the collapse
+# layer makes no BLAS call.  Those kernels still move some other pins, so
+# another OpenBLAS kernel or platform may need its own digests.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "ba575ca4f7355438220c9299a036238dc645b03297a4061cebb716f200b9db2a",
-    ("collapse-demo", "--seed", "5"): "68edbf6f72051fcd13338a559b85dc005ff8c52c5522043b6e3eb52e902decb3",
+    ("verify", "--seed", "1729"): "f6e9eeb53347cdd0b43ab43143ebb4f69c3024c4300f4e8f8bf469c1aac609a3",
+    ("collapse-demo", "--seed", "5"): "b78080fea663f205ab1ad2cde9a0a168c671b9e92a685f2d86117bc4990facf4",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "eabae00cbe62732adb15e67ebd3b9067b39248d94b68028c0a9baf14ed1d14ed",
@@ -126,7 +128,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "23f46d80150773ca83d6b0a29e23be393584df0f2654d195ca7e944211d63e29"
+VERIFY_SEEDS_0_49_DIGEST = "91bdb5055d627277a81009b69974a31541947a235d53ee8ab5abb8631abd0b0f"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -157,20 +159,33 @@ PIN_TESTS = [
 ]
 
 
+def run_tests_in_child(tests, **changes):
+    """Run the pytest node ids `tests` in a child whose environment differs only by `changes`."""
+    env = {**os.environ, **changes}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+
+
 def test_pins_hold_with_numpy_avx512_loops_off():
     # reruns the pin tests, with these digests, in a child whose numpy skips the
-    # AVX-512 targets this CPU has; only the child's environment changes
+    # AVX-512 targets this CPU has
     from numpy._core import _multiarray_umath as umath
 
     targets = [t for t in umath.__cpu_dispatch__
                if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
     if not targets:
         pytest.skip("no AVX-512 target of numpy is present on this CPU")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *PIN_TESTS]
-    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    run_tests_in_child(PIN_TESTS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_collapse_demo_pin_holds_under_other_openblas_kernels(kernel):
+    # collapse-demo's bytes come from the collapse layer's own closed forms, not
+    # from BLAS, so its pin holds whichever OpenBLAS kernel the child selects
+    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]"],
+                       OPENBLAS_CORETYPE=kernel)
 
 
 def test_verify_seed_change_keeps_verdicts(tmp_path, capsys):

@@ -24,6 +24,7 @@ from affine_fermions import (
     tr1,
 )
 from affine_fermions.collapse import _BLOCK_ROWS as BLOCK
+from affine_fermions.verification import collapse_gap
 
 
 def random_triple(rng):
@@ -669,3 +670,36 @@ def test_morphism_covariance_exact_certificate():
         got = collapse_with_morphism(a, b, c, sigma)
         assert len(got) == 729
         assert np.array_equal(got, complex(*det) * base), (p, q, r, t)
+
+
+def gaussian_det(a, b, c):
+    """det(b - a, c - a) in Python ints, for states given as two Gaussian integers (re, im)."""
+    u, v = ([(p[0] - q[0], p[1] - q[1]) for p, q in zip(x, a)] for x in (b, c))
+    first, second = gaussian_mul(u[0], v[1]), gaussian_mul(u[1], v[0])
+    return first[0] - second[0], first[1] - second[1]
+
+
+def gaussian_sum(values):
+    return tuple(sum(parts) for parts in zip(*values))
+
+
+def test_closed_forms_are_exact_on_gaussian_integers():
+    # Parts in [-8, 8] keep every product and sum an integer far below 2^53, so a
+    # form built from exact products and sums gives the integer answer in every row.
+    rows = np.random.default_rng(0).integers(-8, 9, (2000, 5, 2, 2)).tolist()
+    basis = [((1, 0), (0, 0)), ((0, 0), (1, 0))]
+    det, trace_a, trace_ac = [], [], []
+    for a, b, c, bp, cp in rows:
+        det.append(gaussian_det(a, b, c))
+        trace_a.append(gaussian_sum(gaussian_mul(gaussian_det(e, b, c), gaussian_det(e, bp, cp)) for e in basis))
+        trace_ac.append(gaussian_sum(
+            gaussian_mul(gaussian_det(e, b, f), gaussian_det(e, bp, f)) for e in basis for f in basis
+        ))
+    det, trace_a, trace_ac = (np.array([complex(*z) for z in want]) for want in (det, trace_a, trace_ac))
+    parts = np.array(rows, dtype=float)
+    a, b, c, bp, cp = (parts[..., 0] + 1j * parts[..., 1]).transpose(1, 0, 2)
+    _, scalar, direct = collapse_gap(a, b, c)
+    assert np.count_nonzero(direct != det) == 0
+    assert np.count_nonzero(scalar != det) == 0
+    assert np.count_nonzero(rho_trace_A(b, c, bp, cp) != trace_a) == 0
+    assert np.count_nonzero(rho_trace_AC(b, bp) != trace_ac) == 0

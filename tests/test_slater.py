@@ -18,7 +18,7 @@ from affine_fermions import (
     m_identity_sides,
     two_point,
 )
-from affine_fermions.slater import WHITEN_RTOL, _psi_tensor, mean_psi
+from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
 from affine_fermions.verification import moment_gaps
 
 
@@ -56,7 +56,7 @@ def centered(phi, space):
 
 def m_sides(phi, space, m):
     """Both sides of the symmetric-M identity for one node set."""
-    return m_identity_sides(centered(phi, space), space.weights, m)
+    return m_identity_sides(gamma2_factors(phi, space), m)
 
 
 def symmetrized_table(rng, k):
@@ -311,7 +311,7 @@ def test_moments_match_brute_force_oracle(k):
     # <Psi>: the pair sum against the K^3 sum of the Psi tensor
     triple = np.einsum("i,j,k,ijk->", w, w, w, _psi_tensor(phi))
     scale = max(1.0, np.abs(phi).max())
-    assert abs(mean_psi(gamma2_factors(phi, space), w) - triple) <= 1e-14 * scale**3
+    assert abs(gamma2_factors(phi, space).mean_psi() - triple) <= 1e-14 * scale**3
     want = triple_mean_oracle(phi, space, 2)
     assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -386,25 +386,22 @@ def test_m_identity_rejects_one_perturbed_entry_anywhere():
 
 
 @pytest.mark.parametrize(
-    "values, weights, table",
+    "count, table",
     [
-        ((5, 2), (5,), (1, 1, 1)),  # a constant table would broadcast
-        ((5, 2), (1,), (5, 5, 5)),  # one weight would broadcast
-        ((5, 2), (4,), (5, 5, 5)),
-        ((5, 3), (5,), (5, 5, 5)),
-        ((5,), (5,), (5, 5, 5)),
-        ((2, 5, 2), (5,), (2, 5, 5, 5)),
-        ((2, 5, 2), (2, 5), (5, 5, 5)),
-        ((5, 2), (5,), (5, 5)),
+        ((), (1, 1, 1)),  # a constant table would broadcast
+        ((), (5, 5)),
+        ((), (4, 5, 5)),
+        ((), (2, 5, 5, 5)),  # a stack of tables for one node set
+        ((2,), (5, 5, 5)),  # one table for a stack would broadcast
+        ((2,), (3, 5, 5, 5)),
     ],
 )
-def test_m_identity_rejects_mismatched_shapes(values, weights, table):
+def test_m_identity_rejects_mismatched_shapes(count, table):
     rng = np.random.default_rng(21)
-    values = rng.standard_normal(values)
-    weights = np.full(weights, 0.2)
-    with pytest.raises(ValueError, match="same leading axes") as info:
-        m_identity_sides(values, weights, np.ones(table))
-    assert str(info.value).endswith(f"got shapes {values.shape}, {weights.shape} and {table}")
+    factors = gamma2_factors(rng.standard_normal(count + (5, 2)), MeasuredSpace(np.full(count + (5,), 0.2)))
+    with pytest.raises(ValueError, match="one K x K x K table per node set") as info:
+        m_identity_sides(factors, np.ones(table))
+    assert str(info.value).endswith(f"shape {count + (5, 5, 5)}, got shape {table}")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -607,7 +604,7 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         # each set gets the BLAS calls of its own call, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
-        assert mean_psi(stack, weights)[i] == mean_psi(single, weights[i])
+        assert stack.mean_psi()[i] == single.mean_psi()
         assert [g[i] for g in moment_gaps(stack)] == list(moment_gaps(single))
         assert two[i] == stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
@@ -619,16 +616,12 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         assert np.array_equal(stack.dense()[i], single.dense())
 
 
-@given(sizes=st.lists(st.integers(4, 8), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
-def test_stacked_m_identity_equals_single_calls(sizes, seed):
-    sizes, weights, phi, m = padded_stack(np.random.default_rng(seed), sizes, tables=True)
-    values = np.zeros_like(phi)  # each set's centred values, zero past its nodes
-    for i, k in enumerate(sizes):
-        values[i, :k] = centered(phi[i, :k], MeasuredSpace(weights[i, :k]))
-    lhs, rhs = m_identity_sides(values, weights, m)
-    for i, k in enumerate(sizes):
-        single = m_sides(phi[i, :k], MeasuredSpace(weights[i, :k]), m[i, :k, :k, :k])
-        assert (lhs[i], rhs[i]) == single
+@given(count=st.integers(1, 8), k=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_m_identity_equals_single_calls(count, k, seed):
+    _, weights, phi, m = padded_stack(np.random.default_rng(seed), [k] * count, tables=True)
+    lhs, rhs = m_sides(phi, MeasuredSpace(weights), m)
+    for i in range(count):
+        assert (lhs[i], rhs[i]) == m_sides(phi[i], MeasuredSpace(weights[i]), m[i])
 
 
 @pytest.mark.parametrize(
@@ -666,8 +659,7 @@ def test_stacked_shapes_must_match():
 
 
 def test_stacked_m_identity_names_the_asymmetric_table():
-    sizes, weights, phi, m = padded_stack(np.random.default_rng(42), [4, 5, 6], tables=True)
+    _, weights, phi, m = padded_stack(np.random.default_rng(42), [5, 5, 5], tables=True)
     m[1, 0, 1, 2] += 1.0
-    # the tables are checked before the values are read
     with pytest.raises(ValueError, match=r"M table 1 is not symmetric at nodes \(0, 1, 2\)"):
-        m_identity_sides(phi, weights, m)
+        m_sides(phi, MeasuredSpace(weights), m)

@@ -68,7 +68,7 @@ def test_pair_moments_are_twice_the_adjugate_of_m():
     assert is_zero(n - 2 * m.adjugate())
     assert is_zero([sum(m.multiply_elementwise(n)) - 6 * m.det()])
     # the package's N and <Psi^2> = <M, N>, read from the entries of M
-    factors = Gamma2Factors(None, np.array(m.tolist(), dtype=object))
+    factors = Gamma2Factors(None, np.array(m.tolist(), dtype=object), np.array(weights, dtype=object))
     assert is_zero(sp.Matrix(factors.pair_moments().tolist()) - n)
     assert is_zero([factors.two_point() - 6 * m.det()])
 
@@ -94,7 +94,7 @@ def test_gamma2_is_f_m_f_against_the_sum_over_x0():
     assert is_zero([brute - closed])
     # the package's dense gamma2 on the nodes themselves, pairs row-major
     values = np.array([list(x) for x in nodes], dtype=object)
-    dense = Gamma2Factors(values, np.array(m.tolist(), dtype=object)).dense()
+    dense = Gamma2Factors(values, np.array(m.tolist(), dtype=object), np.array(weights, dtype=object)).dense()
     pairs = [(nodes[i], nodes[j]) for i, j in itertools.product(range(NODES), repeat=2)]
     brute = sp.Matrix(
         [[sum(w * psi(a, *col) * psi(a, *row) for w, a in zip(weights, nodes)) for col in pairs] for row in pairs]
