@@ -36,11 +36,8 @@ from .symplectic import (
 from .slater import (
     Gamma2Factors,
     MeasuredSpace,
-    gamma1,
-    gamma2,
     gamma2_factors,
     m_identity_sides,
-    two_point,
 )
 from .spin import PAULI, exchange_operator, s_squared_expectation, s_squared_matrix
 from .verification import DEFAULT_SEED, DEFAULT_TOLERANCES, CheckRecord, Report, run_verify

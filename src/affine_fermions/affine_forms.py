@@ -58,8 +58,9 @@ class MultiAffineForm:
 
     Coefficients live in an array of shape (d+1,)*m: index 0 on axis k
     selects the constant in argument k, index j in 1..d selects coordinate
-    j-1.  The form value is the full contraction of the coefficient table
-    with the per-argument feature vectors (1, p_k[0], ..., p_k[d-1]).
+    j-1.  The form's value at points p_k is the full contraction of the
+    table with the feature vectors (1, p_k[0], ..., p_k[d-1]); the class
+    holds the table only.
     """
 
     dim: int
@@ -74,19 +75,6 @@ class MultiAffineForm:
         if c.shape != expected:
             raise ValueError(f"coefficient table must have shape {expected}")
         object.__setattr__(self, "coeffs", c.astype(complex))
-
-    def __call__(self, points) -> complex:
-        pts = np.asarray(points, dtype=complex)
-        if pts.shape != (self.arity, self.dim):
-            raise ValueError(
-                f"need {self.arity} points of dimension {self.dim}, "
-                f"got shape {pts.shape}"
-            )
-        value = self.coeffs
-        for k in range(self.arity):
-            feature = np.concatenate(([1.0], pts[k]))
-            value = np.tensordot(value, feature, axes=([0], [0]))
-        return complex(value)
 
 
 def _zero_table(d: int, m: int) -> np.ndarray:

@@ -171,12 +171,12 @@ class ThetaBlocks:
         zeros = np.abs(np.concatenate([self.x_blocks[_ZERO_INDEX], self.y_blocks[_ZERO_INDEX]], axis=-1))
         for k, slots in enumerate(_ZERO_SLOTS):
             _bound(
-                zeros[..., k, :], lambda: self.scale, ValueError,
+                zeros[..., k, :], lambda: self._scale, ValueError,
                 f"block {k + 1} must vanish in slots {slots}; got residual {{:g}}",
             )
 
     @cached_property
-    def scale(self) -> np.ndarray:
+    def _scale(self) -> np.ndarray:
         """max(1, |X'|max, |Y'|max) per row, the scale of every bound on the blocks.
 
         Computed on first use: a check needs it only when a residual exceeds 1e-12.
@@ -282,12 +282,12 @@ def tr1(tb: ThetaBlocks) -> np.ndarray:
     x_sum = x[..., 0, :] + x[..., 1, :] + x[..., 2, :]
     y_sum = y[..., 0, :] + y[..., 1, :] + y[..., 2, :]
     _bound(
-        np.maximum(np.abs(x_sum[..., 0::2]), np.abs(y_sum[..., 1::2])), lambda: tb.scale,
+        np.maximum(np.abs(x_sum[..., 0::2]), np.abs(y_sum[..., 1::2])), lambda: tb._scale,
         ConsistencyError, "dead slots of the block traces did not cancel (residual {:g})",
     )
     x_live = x_sum[..., 1::2]
     _bound(
-        np.abs(y_sum[..., 0::2] + x_live), lambda: tb.scale, ConsistencyError,
+        np.abs(y_sum[..., 0::2] + x_live), lambda: tb._scale, ConsistencyError,
         "Y-block trace is not the negative of the X-block trace (residual {:g})",
     )
     return x_live

@@ -22,10 +22,11 @@ Psi values is never built.
 
 `gamma2_factors(phi, space)` is the one front door: it validates phi,
 centres it and forms M.  Its result carries the weights too, and every
-moment, kernel and whitening is a method of it, which the `(phi, space)`
-wrappers `two_point`, `gamma1` and `gamma2` read too; `m_identity_sides`
-takes it with one table per node set.  A space and phi with leading axes
-are a stack of node sets of one size, each getting the bits of its own call.
+moment, kernel and whitening is a method of it; `m_identity_sides` takes it
+with one table per node set.  The `(phi, space)` wrappers `two_point`,
+`gamma1` and `gamma2` are not exported: only bench/sweeps.py calls them.
+A space and phi with leading axes are a stack of node sets of one size,
+each getting the bits of its own call.
 
 Kernel assembly uses fixed summation order, so results are reproducible
 bit-for-bit for a given input.
@@ -41,9 +42,6 @@ from .json_io import number_array
 
 __all__ = [
     "MeasuredSpace",
-    "two_point",
-    "gamma1",
-    "gamma2",
     "Gamma2Factors",
     "gamma2_factors",
     "m_identity_sides",
@@ -52,8 +50,8 @@ __all__ = [
     "node_set_from_json",
 ]
 
-# The dense gamma2 (and its export) is a K^2 x K^2 matrix; beyond this many
-# nodes use the factors, whose entries cost O(1) each.
+# The dense gamma2 (and its export) is a K^2 x K^2 matrix, built up to this
+# many nodes; the slater report without --out reads only O(K) moments.
 MAX_DENSE_KERNEL_NODES = 32
 
 # How far the weights may sum from 1.
@@ -157,13 +155,12 @@ class Gamma2Factors(NamedTuple):
     M = sum_a w_a (1, a)(1, a)^T over the centred nodes a, so M[1:, 1:] is
     the centred Gram matrix G.  Every moment and kernel of the module is
     read from these O(K) numbers: <Psi^2> = <M, N>, det G, gamma1 =
-    f N f^T / 2 - det G and gamma2 = F M F^T.  `entry` costs O(1); `dense`
-    and `pair_expansion` build K^2 x K^2 matrices, up to
-    MAX_DENSE_KERNEL_NODES nodes.
+    f N f^T / 2 - det G and gamma2 = F M F^T.  `dense` and
+    `pair_expansion` build K^2 x K^2 matrices, up to MAX_DENSE_KERNEL_NODES
+    nodes.
 
     A stack from `gamma2_factors`, values (..., K, 2), moments (..., 3, 3)
-    and weights (..., K), is answered per node set by every method but
-    `entry`, which takes one node set.
+    and weights (..., K), is answered per node set by every method.
     """
 
     values: np.ndarray  # (..., K, 2) centred components
@@ -218,17 +215,6 @@ class Gamma2Factors(NamedTuple):
         # det G is the cofactor N[0, 0] / 2
         return lifted @ n @ np.swapaxes(lifted, -1, -2) / 2.0 - n[..., :1, :1] / 2.0
 
-    def entry(self, x1p, x2p, x1, x2) -> float:
-        """gamma2 at ((x'_1, x'_2), (x_1, x_2)) for node indices: ints, not bools, in 0..K-1."""
-        if self.values.ndim != 2:
-            raise ValueError(f"entry reads one node set, got values of shape {self.values.shape}")
-        k = len(self.values)
-        for node in (x1p, x2p, x1, x2):
-            if isinstance(node, bool) or not (isinstance(node, (int, np.integer)) and 0 <= node < k):
-                raise ValueError(f"node {node!r} is not an index in 0..{k - 1}")
-        primed, unprimed = _pair_rows(self.values[[x1p, x1]], self.values[[x2p, x2]])
-        return float(primed @ self.moments @ unprimed)
-
     def whitened(self) -> np.ndarray:
         """The centred components times G^-1/2, so their Gram matrix is I, per node set.
 
@@ -262,8 +248,8 @@ class Gamma2Factors(NamedTuple):
             raise ValueError(
                 f"{k} nodes would materialize a {k * k} x {k * k} gamma2; the "
                 f"dense kernel and its export are capped at "
-                f"{MAX_DENSE_KERNEL_NODES} nodes; use gamma2_factors(...).entry "
-                f"beyond that"
+                f"{MAX_DENSE_KERNEL_NODES} nodes; the slater report without "
+                f"--out takes any K"
             )
         return k
 
@@ -322,7 +308,7 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
 
 
 def two_point(phi, space: MeasuredSpace) -> np.ndarray:
-    """Triple-weighted mean of Psi^2, 6 det G, in O(K) work (`Gamma2Factors.two_point`)."""
+    """<Psi^2> = 6 det G in O(K) work (`Gamma2Factors.two_point`); unexported, for bench/sweeps.py."""
     return gamma2_factors(phi, space).two_point()
 
 
@@ -367,11 +353,11 @@ def m_identity_sides(factors: Gamma2Factors, m_table):
 
 
 def gamma1(phi, space: MeasuredSpace) -> np.ndarray:
-    """Normalized order-1 density kernel (`Gamma2Factors.gamma1`)."""
+    """Normalized order-1 density kernel (`Gamma2Factors.gamma1`); unexported, for bench/sweeps.py."""
     return gamma2_factors(phi, space).gamma1()
 
 
 def gamma2(phi, space: MeasuredSpace) -> np.ndarray:
-    """Order-2 density kernel as a K^2 x K^2 matrix (`Gamma2Factors.dense`)."""
+    """Order-2 density kernel as a K^2 x K^2 matrix (`Gamma2Factors.dense`); unexported, for bench/sweeps.py."""
     return gamma2_factors(phi, space).dense()
 

@@ -157,7 +157,8 @@ def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
     """Symmetric matrix of Q on L1 (+) L2 (+) L3 in the provided bases.
 
     Assembles the blocks omega(basis_i, basis_j) with cyclic signs into an
-    upper form B and returns (B + B^T) / 2, of shape (..., 3n, 3n).
+    upper form B and returns (B + B^T) / 2, of shape (..., 3n, 3n).  No
+    subcommand prints it; demos/kashiwara_example.py does.
     """
     return _cyclic_form(*triple.bases)
 

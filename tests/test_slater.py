@@ -12,11 +12,8 @@ from numpy.testing import assert_allclose
 from affine_fermions import (
     MeasuredSpace,
     affine_det,
-    gamma1,
-    gamma2,
     gamma2_factors,
     m_identity_sides,
-    two_point,
 )
 from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
 from affine_fermions.verification import moment_gaps
@@ -256,21 +253,6 @@ def test_psi_unit_simplex():
     assert _psi_tensor(phi)[0, 1, 2] == pytest.approx(1.0)
 
 
-def test_psi_unknown_label():
-    rng = np.random.default_rng(5)
-    space, phi = random_instance(rng)
-    with pytest.raises(ValueError):
-        gamma2_factors(phi, space).entry(0, 1, len(space), 2)
-
-
-@pytest.mark.parametrize("bad", [-1, 6, 1.0, "a", True])
-def test_nodes_outside_the_index_range_are_rejected(bad):
-    rng = np.random.default_rng(5)
-    space, phi = random_instance(rng, k=6)
-    with pytest.raises(ValueError, match="not an index in 0..5"):
-        gamma2_factors(phi, space).entry(0, 1, bad, 2)
-
-
 def test_psi_antisymmetric_in_labels():
     rng = np.random.default_rng(6)
     space, phi = random_instance(rng)
@@ -299,7 +281,7 @@ def test_two_point_degenerate_components():
     rng = np.random.default_rng(11)
     space, phi = random_instance(rng)
     phi[:, 1] = phi[:, 0]
-    assert abs(two_point(phi, space)) <= 1e-12 * max(1.0, np.abs(phi).max() ** 4)
+    assert abs(gamma2_factors(phi, space).two_point()) <= 1e-12 * max(1.0, np.abs(phi).max() ** 4)
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -313,7 +295,7 @@ def test_moments_match_brute_force_oracle(k):
     scale = max(1.0, np.abs(phi).max())
     assert abs(gamma2_factors(phi, space).mean_psi() - triple) <= 1e-14 * scale**3
     want = triple_mean_oracle(phi, space, 2)
-    assert abs(two_point(phi, space) - want) <= 1e-10 * max(1.0, abs(want))
+    assert abs(gamma2_factors(phi, space).two_point() - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_psi_tensor_reference_matches_oracle():
@@ -328,7 +310,7 @@ def test_moments_invariant_under_centering():
     rng = np.random.default_rng(13)
     space, phi = random_instance(rng)
     tilde = centered(phi, space)
-    assert two_point(tilde, space) == pytest.approx(two_point(phi, space))
+    assert gamma2_factors(tilde, space).two_point() == pytest.approx(gamma2_factors(phi, space).two_point())
 
 
 # ------------------------------------------------- symmetric-M identity
@@ -339,7 +321,7 @@ def test_m_identity_constant_weight():
     space, phi = random_instance(rng, k=7)
     k = len(space)
     lhs, rhs = m_sides(phi, space, np.ones((k, k, k)))
-    want = two_point(phi, space)
+    want = gamma2_factors(phi, space).two_point()
     assert lhs == pytest.approx(want)
     assert rhs == pytest.approx(want)
 
@@ -456,14 +438,14 @@ def test_gamma1_matches_generic_oracle():
     space, phi = random_instance(rng, k=9)
     phi = 2.0 * phi - 0.7
     want = order1_kernel_oracle(phi, space) / 2.0 - np.linalg.det(gamma2_factors(phi, space).gram)
-    got = gamma1(phi, space)
+    got = gamma2_factors(phi, space).gamma1()
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_gamma1_orthonormal_trace_is_two():
     rng = np.random.default_rng(21)
     space, phi = orthonormal_instance(rng)
-    g = gamma1(phi, space)
+    g = gamma2_factors(phi, space).gamma1()
     assert float(space.weights @ np.diag(g)) == pytest.approx(2.0)
 
 
@@ -472,7 +454,7 @@ def test_gamma1_degenerate_second_component():
     space, phi = random_instance(rng, k=5)
     phi[:, 1] = 0.0
     assert np.linalg.det(gamma2_factors(phi, space).gram) == pytest.approx(0.0)
-    got = gamma1(phi, space)
+    got = gamma2_factors(phi, space).gamma1()
     want = order1_kernel_oracle(phi, space) / 2.0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -480,14 +462,31 @@ def test_gamma1_degenerate_second_component():
 def test_gamma1_symmetric():
     rng = np.random.default_rng(23)
     space, phi = random_instance(rng)
-    g = gamma1(phi, space)
+    g = gamma2_factors(phi, space).gamma1()
     assert_allclose(g, g.T, atol=1e-13 * max(1.0, np.abs(g).max()))
 
 
-def test_gamma2_matches_generic_oracle():
-    rng = np.random.default_rng(24)
-    space, phi = random_instance(rng, k=4)
-    got = gamma2(phi, space)
+def test_gamma1_beyond_dense_cap_matches_oracle():
+    """Only the dense gamma2 is capped: gamma1 at K = 40 against the generic-determinant oracle."""
+    rng = np.random.default_rng(31)
+    space, phi = random_instance(rng, k=40)
+    values, w = centered(phi, space), space.weights
+    factors = gamma2_factors(phi, space)
+    got, det_g = factors.gamma1(), np.linalg.det(factors.gram)
+    for i, j in ((0, 39), (17, 5), (12, 12), (30, 7)):
+        gamma = sum(
+            w[a] * w[b] * psi_oracle(values, (a, j, b)) * psi_oracle(values, (a, i, b))
+            for a, b in itertools.product(range(40), repeat=2)
+        )
+        want = gamma / 2.0 - det_g
+        assert abs(got[i, j] - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("seed, k", [(24, 4), (30, 5)])
+def test_gamma2_matches_generic_oracle(seed, k):
+    rng = np.random.default_rng(seed)
+    space, phi = random_instance(rng, k=k)
+    got = gamma2_factors(phi, space).dense()
     want = gamma2_oracle(phi, space)
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -496,7 +495,7 @@ def test_gamma2_symmetries_exact():
     rng = np.random.default_rng(25)
     space, phi = random_instance(rng, k=5)
     k = len(space)
-    g = gamma2(phi, space)
+    g = gamma2_factors(phi, space).dense()
     scale = max(1.0, np.abs(g).max())
     assert np.abs(g - g.T).max() <= 1e-12 * scale
     four = g.reshape(k, k, k, k)
@@ -508,26 +507,19 @@ def test_gamma2_equal_labels_row_vanishes():
     rng = np.random.default_rng(26)
     space, phi = random_instance(rng, k=5)
     k = len(space)
-    g = gamma2(phi, space)
+    g = gamma2_factors(phi, space).dense()
     for i in range(k):
         assert np.abs(g[i * k + i, :]).max() == 0.0
 
 
-def test_gamma2_dense_cap_and_entry_evaluator():
+def test_gamma2_dense_cap():
     rng = np.random.default_rng(29)
     k = 40
     w = rng.random(k) + 0.1
     space = MeasuredSpace(w / w.sum())
     phi = rng.standard_normal((k, 2))
-    with pytest.raises(ValueError, match=r"gamma2_factors\(\.\.\.\)\.entry"):
-        gamma2(phi, space)
-    # entry evaluator agrees with the dense kernel on a small instance
-    space_small, phi_small = random_instance(rng, k=5)
-    dense = gamma2(phi_small, space_small)
-    factors = gamma2_factors(phi_small, space_small)
-    for ip, jp, i, j in ((0, 1, 2, 3), (4, 2, 1, 0), (3, 3, 1, 2)):
-        got = factors.entry(ip, jp, i, j)
-        assert got == pytest.approx(dense[ip * 5 + jp, i * 5 + j], abs=1e-12)
+    with pytest.raises(ValueError, match=r"capped at 32 nodes; the slater report without --out takes any K$"):
+        gamma2_factors(phi, space).dense()
 
 
 def test_gamma2_pair_expansion_beyond_dense_cap_is_rejected():
@@ -543,61 +535,32 @@ def test_gamma2_pair_expansion_beyond_dense_cap_is_rejected():
     assert len(messages) == 1
 
 
-def test_gamma2_entries_match_generic_oracle():
-    rng = np.random.default_rng(30)
-    space, phi = random_instance(rng, k=5)
-    want = gamma2_oracle(phi, space)
-    factors = gamma2_factors(phi, space)
-    scale = max(1.0, np.abs(want).max())
-    for ip, jp, i, j in itertools.product(range(5), repeat=4):
-        got = factors.entry(ip, jp, i, j)
-        assert abs(got - want[ip * 5 + jp, i * 5 + j]) <= 1e-10 * scale
-
-
-def test_gamma2_entry_beyond_dense_cap_matches_oracle():
-    rng = np.random.default_rng(31)
-    space, phi = random_instance(rng, k=40)
-    values = centered(phi, space)
-    w = space.weights
-    factors = gamma2_factors(phi, space)
-    for ip, jp, i, j in ((0, 39, 17, 5), (38, 1, 1, 38), (12, 12, 3, 4), (7, 30, 30, 7)):
-        want = sum(
-            w[a] * psi_oracle(values, (a, i, j)) * psi_oracle(values, (a, ip, jp))
-            for a in range(40)
-        )
-        got = factors.entry(ip, jp, i, j)
-        assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
-
-
 def test_kernels_require_two_components():
     space = MeasuredSpace.uniform(4)
     phi = np.ones((4, 3))
     with pytest.raises(ValueError, match="d = 2"):
-        two_point(phi, space)
+        gamma2_factors(phi, space).two_point()
 
 
 # ------------------------------------------------------ stacked node sets
 
 
-def padded_stack(rng, sizes, tables=False):
-    """Random node sets of the given sizes, zero-padded to the largest."""
-    k_max = max(sizes)
-    weights, phi = np.zeros((len(sizes), k_max)), np.zeros((len(sizes), k_max, 2))
-    m = np.zeros((len(sizes), k_max, k_max, k_max))
-    for i, k in enumerate(sizes):
+def node_stack(rng, count, k, tables=False):
+    """count random node sets of k nodes: weights, phi and, with tables, a symmetric table per set."""
+    weights, phi, m = np.empty((count, k)), np.empty((count, k, 2)), np.zeros((count, k, k, k))
+    for i in range(count):
         w = rng.random(k) + 0.1
-        weights[i, :k], phi[i, :k] = w / w.sum(), rng.standard_normal((k, 2))
+        weights[i], phi[i] = w / w.sum(), rng.standard_normal((k, 2))
         if tables:
-            m[i, :k, :k, :k] = symmetrized_table(rng, k)
-    return np.array(sizes), weights, phi, m
+            m[i] = symmetrized_table(rng, k)
+    return weights, phi, m
 
 
 @given(count=st.integers(1, 8), k=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
 def test_stacked_moments_equal_single_calls(count, k, seed):
-    _, weights, phi, _ = padded_stack(np.random.default_rng(seed), [k] * count)
+    weights, phi, _ = node_stack(np.random.default_rng(seed), count, k)
     space = MeasuredSpace(weights)
     stack = gamma2_factors(phi, space)
-    two, g1, g2 = two_point(phi, space), gamma1(phi, space), gamma2(phi, space)
     whitened, expansion = stack.whitened(), stack.pair_expansion()
     for i in range(count):
         single = gamma2_factors(phi[i], MeasuredSpace(weights[i]))
@@ -606,11 +569,9 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
         assert np.array_equal(stack.moments[i], single.moments)
         assert stack.mean_psi()[i] == single.mean_psi()
         assert [g[i] for g in moment_gaps(stack)] == list(moment_gaps(single))
-        assert two[i] == stack.two_point()[i] == single.two_point()
+        assert stack.two_point()[i] == single.two_point()
         assert np.linalg.det(stack.gram)[i] == np.linalg.det(single.gram)
-        assert np.array_equal(g1[i], single.gamma1())
         assert np.array_equal(stack.gamma1()[i], single.gamma1())
-        assert np.array_equal(g2[i], single.dense())
         assert np.array_equal(whitened[i], single.whitened())
         assert np.array_equal(expansion[i], single.pair_expansion())
         assert np.array_equal(stack.dense()[i], single.dense())
@@ -618,7 +579,7 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
 
 @given(count=st.integers(1, 8), k=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
 def test_stacked_m_identity_equals_single_calls(count, k, seed):
-    _, weights, phi, m = padded_stack(np.random.default_rng(seed), [k] * count, tables=True)
+    weights, phi, m = node_stack(np.random.default_rng(seed), count, k, tables=True)
     lhs, rhs = m_sides(phi, MeasuredSpace(weights), m)
     for i in range(count):
         assert (lhs[i], rhs[i]) == m_sides(phi[i], MeasuredSpace(weights[i]), m[i])
@@ -633,7 +594,7 @@ def test_stacked_m_identity_equals_single_calls(count, k, seed):
     ],
 )
 def test_stacked_weights_follow_measured_space_rules(row, message):
-    _, weights, _, _ = padded_stack(np.random.default_rng(40), [2] * 4)
+    weights, _, _ = node_stack(np.random.default_rng(40), 4, 2)
     # set 1 breaks its rule first; set 3 sums to 1.4, which comes later
     weights[1], weights[3] = row[:2], [0.7, 0.7]
     with pytest.raises(ValueError, match=r"weights .*") as single:
@@ -645,7 +606,7 @@ def test_stacked_weights_follow_measured_space_rules(row, message):
 
 
 def test_stacked_shapes_must_match():
-    _, weights, phi, _ = padded_stack(np.random.default_rng(41), [5, 5])
+    weights, phi, _ = node_stack(np.random.default_rng(41), 2, 5)
     space = MeasuredSpace(weights)
     assert len(space) == 5
     with pytest.raises(ValueError, match="^need at least two weighted nodes$"):
@@ -654,12 +615,10 @@ def test_stacked_shapes_must_match():
         gamma2_factors(phi[:, :4], space)
     with pytest.raises(ValueError, match=r"got shape \(5, 2\)"):
         gamma2_factors(phi[0], space)
-    with pytest.raises(ValueError, match=r"entry reads one node set"):
-        gamma2_factors(phi, space).entry(0, 1, 2, 3)
 
 
 def test_stacked_m_identity_names_the_asymmetric_table():
-    _, weights, phi, m = padded_stack(np.random.default_rng(42), [5, 5, 5], tables=True)
+    weights, phi, m = node_stack(np.random.default_rng(42), 3, 5, tables=True)
     m[1, 0, 1, 2] += 1.0
     with pytest.raises(ValueError, match=r"M table 1 is not symmetric at nodes \(0, 1, 2\)"):
         m_sides(phi, MeasuredSpace(weights), m)
