@@ -11,10 +11,11 @@ module also provides the covariance of the pipeline under a 2x2 morphism
 applied to all three states, and the partial traces of the rank-1 state
 built from two copies of the affine determinant.
 
-Every 2x2 product and determinant, sigma's action on the states included, is
-formed by `_cmul` and `_wedge2` from real and imaginary parts, with no BLAS
-or LAPACK call: the results do not depend on the BLAS kernel, and they are
-exact on Gaussian-integer inputs that no step rounds.
+Every product and 2x2 determinant, Lambda's outer products and sigma's
+action on the states included, is formed by `_cmul` and `_wedge2` from real
+and imaginary parts, with no BLAS or LAPACK call: the results depend neither
+on the BLAS kernel nor on numpy's SIMD target, and they are exact on
+Gaussian-integer inputs that no step rounds.
 
 All functions are pure; inputs are never mutated.  Each one also takes a
 batch: leading axes in front of its per-triple shape.  A single triple is
@@ -124,9 +125,12 @@ def _batch_first(x: np.ndarray, ndim: int) -> np.ndarray:
 def _cmul(u, v):
     """u * v formed from real and imaginary parts.
 
-    numpy's vectorised complex multiply fuses multiply-adds and differs from
-    the scalar complex product in the last bit; this form equals the scalar
-    product bit for bit, for one value and along a batch alike.
+    numpy's vectorised complex multiply fuses multiply-adds, or not, by SIMD
+    target, and differs from the scalar complex product in the last bit;
+    this form equals the scalar product bit for bit, up to the sign of a
+    zero real part, for one value and along a batch alike, whichever target
+    numpy runs.  Every complex product of the module goes through it,
+    `lambda_tensor`'s outer products included.
     """
     return (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
 
@@ -213,16 +217,18 @@ def lambda_tensor(a, b, c) -> np.ndarray:
     embedded states live in disjoint slots, so each wedge fills one 2x2
     block with (u (x) v) / 2, read from the live slots of `embed`'s output,
     and the transposed block with its negative; the three diagonal blocks
-    stay zero.  Batched states give shape (..., 6, 6).
+    stay zero.  The three blocks' outer products are one stacked `_cmul`.
+    Batched states give shape (..., 6, 6).
     """
     e = embed(a, b, c)
-    live = [_batch_last(v, 1)[2 * i : 2 * i + 2] for i, v in enumerate((e.a, e.b, e.c))]
+    live = np.stack([_batch_last(v, 1)[2 * i : 2 * i + 2] for i, v in enumerate((e.a, e.b, e.c))])
+    # block k is live[k] (x) live[j] with j its column block: rows 0, 1, 2 in order
+    products = _cmul(live[:, :, None], live[[j for _, j in _LIVE_BLOCKS], None, :])
+    products.view(float)[...] *= 0.5  # halve every real and imaginary part
     lam = np.zeros((6, 6) + e.a.shape[:-1], dtype=complex)
-    for i, j in _LIVE_BLOCKS:
-        block = lam[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-        np.multiply(live[i][:, None], live[j][None, :], out=block)
+    for (i, j), block in zip(_LIVE_BLOCKS, products):
+        lam[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
         np.negative(block.swapaxes(0, 1), out=lam[2 * j : 2 * j + 2, 2 * i : 2 * i + 2])
-    lam.view(float)[...] *= 0.5  # halve every real and imaginary part
     return _batch_first(lam, 2)
 
 

@@ -83,15 +83,16 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # alters them on purpose updates the digest and says why in CHANGES.md.  The
 # last bits of the measured values come from numpy 2.4 and OpenBLAS 0.3.31
 # on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
-# with numpy's native SIMD loops and with its AVX-512 loops turned off
-# (test_pins_hold_with_numpy_avx512_loops_off).  The collapse-demo pin also
+# with numpy's native SIMD loops, with its AVX-512 loops turned off, and with
+# every dispatch target turned off, at numpy's baseline
+# (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin also
 # holds under OpenBLAS's Haswell and Sandybridge kernels
 # (test_collapse_demo_pin_holds_under_other_openblas_kernels): the collapse
 # layer makes no BLAS call.  Those kernels still move some other pins, so
 # another OpenBLAS kernel or platform may need its own digests.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "f6e9eeb53347cdd0b43ab43143ebb4f69c3024c4300f4e8f8bf469c1aac609a3",
-    ("collapse-demo", "--seed", "5"): "b78080fea663f205ab1ad2cde9a0a168c671b9e92a685f2d86117bc4990facf4",
+    ("verify", "--seed", "1729"): "af18e4177685cf97886dbd7ec437a1608684ff40e4a5c1c1e9e32c2d075a88c4",
+    ("collapse-demo", "--seed", "5"): "24bcd3ba2904b847ccab8a5823e5a82c8194e18ef3029ef9e34d0ca36e7837c7",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "eabae00cbe62732adb15e67ebd3b9067b39248d94b68028c0a9baf14ed1d14ed",
@@ -128,7 +129,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "91bdb5055d627277a81009b69974a31541947a235d53ee8ab5abb8631abd0b0f"
+VERIFY_SEEDS_0_49_DIGEST = "414510c847db7be4d87faff6f8b0ec57dec7ad1919b85e2b91b1d1fd15a5ed2a"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -168,15 +169,18 @@ def run_tests_in_child(tests, **changes):
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
 
 
-def test_pins_hold_with_numpy_avx512_loops_off():
+@pytest.mark.parametrize("case", ["avx512", "baseline"])
+def test_pins_hold_with_numpy_simd_targets_off(case):
     # reruns the pin tests, with these digests, in a child whose numpy skips the
-    # AVX-512 targets this CPU has
+    # AVX-512 targets this CPU has, or every dispatch target it has, which
+    # leaves numpy's baseline loops (X86_V2 on x86-64)
     from numpy._core import _multiarray_umath as umath
 
-    targets = [t for t in umath.__cpu_dispatch__
-               if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if case == "avx512":
+        targets = [t for t in targets if t.startswith("AVX512") or t == "X86_V4"]
     if not targets:
-        pytest.skip("no AVX-512 target of numpy is present on this CPU")
+        pytest.skip(f"no numpy dispatch target of the {case} case is present on this CPU")
     run_tests_in_child(PIN_TESTS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
 
 
