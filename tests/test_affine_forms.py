@@ -34,6 +34,14 @@ def test_affine_det_unit_simplex():
     assert affine_det([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) == pytest.approx(1.0)
 
 
+def test_affine_det_coordinate_expansion():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        a, b, c = random_points(rng, 3, 2)
+        want = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        assert affine_det([a, b, c]) == pytest.approx(want)
+
+
 def test_affine_det_coplanar_points():
     pts = np.array(
         [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]]
@@ -55,6 +63,16 @@ def test_affine_det_antisymmetry_exhaustive(d):
         got = affine_det(pts[list(perm)])
         want = perm_sign(perm) * reference
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_affine_det_translation_invariant():
+    rng = np.random.default_rng(1)
+    for d in (2, 3):
+        pts = random_points(rng, d + 1, d)
+        shift = random_points(rng, 1, d)[0]
+        before = affine_det(pts)
+        after = affine_det(pts + shift)
+        assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
 
 def affinely_dependent(pts):

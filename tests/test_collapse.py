@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from affine_fermions import (
+    BASIS_2D,
     ConsistencyError,
     ThetaBlocks,
     affine_det,
@@ -195,6 +196,27 @@ def test_tr1_general_formula():
         assert_allclose(out, want, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
+def test_tr1_degenerate_directions():
+    # repeated arguments push the trace onto fixed directions:
+    #   (a,a,c) -> wedge(c,a) * (0,1,-1)
+    #   (a,b,b) -> wedge(a,b) * (1,-1,0)
+    #   (a,b,a) -> wedge(a,b) * (1,0,-1)
+    rng = np.random.default_rng(6)
+    a, b, c = random_triple(rng)
+    u = np.array([0.0, 1.0, -1.0])
+    v = np.array([1.0, 0.0, -1.0])
+    w = np.array([1.0, -1.0, 0.0])
+    cases = (
+        ((a, a, c), wedge2(c, a), u),
+        ((a, b, b), wedge2(a, b), w),
+        ((a, b, a), wedge2(a, b), v),
+    )
+    for args, factor, direction in cases:
+        out = tr1(theta(lambda_tensor(*args)))
+        assert np.abs(out - factor * direction).max() <= 1e-12 * max(1.0, abs(factor))
+    assert_allclose(w, v - u)  # exact
+
+
 def test_tr1_detects_inconsistent_blocks():
     rng = np.random.default_rng(7)
     good = theta(lambda_tensor(*random_triple(rng)))
@@ -240,6 +262,14 @@ def test_collapse_repeated_and_collinear_inputs_vanish():
     assert abs(collapse(*pts)) <= 1e-12
 
 
+def test_collapse_equals_affine_det():
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        a, b, c = random_triple(rng)
+        direct = affine_det([a, b, c])
+        assert abs(collapse(a, b, c) - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
 # -------------------------------------------------- collapse_with_morphism
 
 
@@ -268,6 +298,16 @@ def test_morphism_singular_kills_everything():
         )
 
 
+def test_morphism_covariance_random():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        a, b, c = random_triple(rng)
+        sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        lhs = collapse_with_morphism(a, b, c, sigma)
+        rhs = np.linalg.det(sigma) * collapse(a, b, c)
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+
 # ------------------------------------------------------------ rho traces
 
 
@@ -289,6 +329,28 @@ def test_rho_trace_a_swap_symmetry():
     b, c, bp = rng.standard_normal((3, 2))
     cp = rng.standard_normal(2)
     assert rho_trace_A(b, c, bp, cp) == rho_trace_A(bp, cp, b, c)
+
+
+def test_rho_trace_a_basis_matrix_is_zero():
+    # on computational-basis arguments two of the three points always
+    # coincide, so the 16-entry matrix vanishes even though the kernel on
+    # continuous arguments does not
+    values = [
+        rho_trace_A(b, c, bp, cp)
+        for b in BASIS_2D
+        for c in BASIS_2D
+        for bp in BASIS_2D
+        for cp in BASIS_2D
+    ]
+    assert max(abs(v) for v in values) == 0.0
+
+
+def test_rho_trace_ac_closed_form():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        b, bp = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        closed = 2.0 * (b[0] + b[1] - 1.0) * (bp[0] + bp[1] - 1.0)
+        assert abs(rho_trace_AC(b, bp) - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
 # ------------------------------------------------------- non-finite input

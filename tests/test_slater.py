@@ -19,8 +19,8 @@ from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
 from affine_fermions.verification import moment_gaps
 
 
-def random_instance(rng, k=None):
-    k = k or int(rng.integers(4, 11))  # 4 to 10 nodes
+def random_instance(rng, k=None, max_nodes=10):
+    k = k or int(rng.integers(4, max_nodes + 1))
     w = rng.random(k) + 0.1
     space = MeasuredSpace(w / w.sum())
     return space, rng.standard_normal((k, 2))
@@ -334,6 +334,15 @@ def test_m_identity_separable_weight():
     m = f[:, None, None] + f[None, :, None] + f[None, None, :]
     lhs, rhs = m_sides(phi, space, m)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def test_m_identity_random_symmetric_tables():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        space, phi = random_instance(rng, max_nodes=8)
+        m = symmetrized_table(rng, len(space))
+        lhs, rhs = m_sides(phi, space, m)
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_m_identity_rejects_asymmetric_table():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ from numpy.testing import assert_allclose
 
 from affine_fermions import (
     affine_det,
+    exchange_operator,
     s_squared_expectation,
     s_squared_matrix,
 )
+
+
+def two_qubit_basis(i, j):
+    ket = np.zeros(4)
+    ket[2 * i + j] = 1.0
+    return ket
 
 
 def three_qubit_basis(bits):
@@ -17,12 +25,44 @@ def three_qubit_basis(bits):
     return ket
 
 
+def test_exchange_swaps_basis_states():
+    p = exchange_operator()
+    for i in range(2):
+        for j in range(2):
+            assert_allclose(p @ two_qubit_basis(i, j), two_qubit_basis(j, i))
+
+
+def test_exchange_is_involution_and_hermitian():
+    p = exchange_operator()
+    assert_allclose(p @ p, np.eye(4))
+    assert_allclose(p, p.conj().T)
+
+
+def test_exchange_equals_swap_matrix():
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            swap[2 * j + i, 2 * i + j] = 1.0
+    assert_allclose(exchange_operator(), swap)
+
+
 def test_s_squared_matrix_hermitian():
     m = s_squared_matrix()
     assert_allclose(m, m.conj().T)
     assert not m.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         m[0, 0] = 0.0
+
+
+def test_s_squared_all_up():
+    # three diagonal terms of value 3 plus six cross terms of value 1,
+    # i.e. 4 s (s+1) with s = 3/2
+    assert s_squared_expectation(three_qubit_basis("000")) == pytest.approx(15.0)
+
+
+def test_s_squared_doublet():
+    state = (three_qubit_basis("010") - three_qubit_basis("100")) / math.sqrt(2.0)
+    assert s_squared_expectation(state) == pytest.approx(3.0)
 
 
 def test_s_squared_rejects_unnormalized():

@@ -117,6 +117,12 @@ def test_kashiwara_index_axes_example():
     assert_allclose(result.eigenvalues, [-0.5, (1 - 5**0.5) / 4, (1 + 5**0.5) / 4], atol=1e-12)
 
 
+def test_kashiwara_index_swap_flips_signature():
+    t = axes_triple()
+    swapped = LagrangianTriple(t.bases[1], t.bases[0], t.bases[2])
+    assert kashiwara_index(swapped).signature == 1
+
+
 def test_kashiwara_index_odd_permutations_negate():
     t = plane_triple()
     base = kashiwara_index(t).signature
@@ -129,6 +135,20 @@ def test_kashiwara_index_odd_permutations_negate():
 def test_kashiwara_index_repeated_subspace_degenerates():
     t = LagrangianTriple([[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]])
     assert kashiwara_index(t).n_zero > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kashiwara_index_invariance(n):
+    rng = np.random.default_rng(n)
+    triple = axes_triple() if n == 1 else plane_triple()
+    base = kashiwara_index(triple).signature
+    for _ in range(20):
+        s = symplectic_shear(rng.standard_normal((2 * n, 2 * n)))
+        changes = [
+            np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n) for _ in range(3)
+        ]
+        moved = LagrangianTriple(*(s @ b @ g for b, g in zip(triple.bases, changes)))
+        assert kashiwara_index(moved).signature == base
 
 
 def test_symplectic_shear_preserves_form():
