@@ -28,8 +28,9 @@ with one table per node set.  The `(phi, space)` wrappers `two_point`,
 A space and phi with leading axes are a stack of node sets of one size,
 each getting the bits of its own call.
 
-Kernel assembly uses fixed summation order, so results are reproducible
-bit-for-bit for a given input.
+M, gamma1 and gamma2 are elementwise products and sums in a fixed order,
+with no BLAS call, so their bits do not depend on the BLAS kernel or on
+numpy's SIMD target, and the two kernels are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -149,6 +150,38 @@ def _lift(values: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(values.shape[:-1] + (1,)), values], axis=-1)
 
 
+def _weighted_sums(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_k w_k x_k along each row x of `columns` (..., n, K), with weights (..., K): (..., n).
+
+    Each product w_k x_k is one rounding, and each row's products are summed
+    along a contiguous row in numpy's pairwise order for K terms: one order
+    for every row, every node set of a stack and every SIMD target.
+    """
+    return np.add.reduce(np.multiply(weights[..., None, :], columns, order="C"), axis=-1)
+
+
+def _symmetric_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows M rows^T for rows (..., n, 3) and a symmetric M (..., 3, 3): (..., n, n), exactly symmetric.
+
+    M = C + C^T, where C is M's upper triangle with its diagonal halved, so
+    rows M rows^T = H + H^T with H = (rows C) rows^T.  Entries [p, q] and
+    [q, p] add the same two floats, H[p, q] and H[q, p], so the result is
+    symmetric bit for bit.  rows C is summed term by term over a <= b, and H
+    over the three columns, in a fixed order with no BLAS call.  H is linear
+    in each row, so negating row p of `rows` negates row and column p of the
+    result exactly.
+    """
+    r = [rows[..., a] for a in range(3)]
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = ([m[..., a, b, None] for b in range(3)] for a in range(3))
+    # the columns of rows C, each summed over a <= b in order of a
+    u = [0.5 * m00 * r[0], m01 * r[0] + 0.5 * m11 * r[1], m02 * r[0] + m12 * r[1] + 0.5 * m22 * r[2]]
+    half = np.multiply(u[0][..., :, None], r[0][..., None, :])
+    term = np.empty_like(half)
+    for b in (1, 2):
+        half += np.multiply(u[b][..., :, None], r[b][..., None, :], out=term)
+    return np.add(half, np.swapaxes(half, -1, -2), out=term)
+
+
 class Gamma2Factors(NamedTuple):
     """The centred components of a node set, their moment matrix M and the weights.
 
@@ -157,7 +190,11 @@ class Gamma2Factors(NamedTuple):
     read from these O(K) numbers: <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `dense` and
     `pair_expansion` build K^2 x K^2 matrices, up to MAX_DENSE_KERNEL_NODES
-    nodes.
+    nodes.  `gamma1` and `dense` are one symmetric form, `_symmetric_form`,
+    summed elementwise in a fixed order: gamma1 and gamma2 are symmetric bit
+    for bit, and gamma2 flips sign exactly under a swap within either pair,
+    so each orbit of its entries under those swaps and the transpose holds
+    one magnitude.
 
     A stack from `gamma2_factors`, values (..., K, 2), moments (..., 3, 3)
     and weights (..., K), is answered per node set by every method.
@@ -207,13 +244,12 @@ class Gamma2Factors(NamedTuple):
 
         Gamma(x', x) = sum over (x_0, x_2) of w w Psi(x_0, x, x_2)
         Psi(x_0, x', x_2).  Psi(x_0, x, x_2) = F(x_2, x_0) . (1, x), so
-        Gamma = f N f^T with f = (1, phi): a symmetric K x K matrix of rank
-        at most 3, built in O(K^2).  For centred orthonormal components
-        gamma1 equals the orbital sum sum_j phi~_j(x') phi~_j(x).
+        Gamma = f N f^T with f = (1, phi): a K x K matrix of rank at most 3,
+        built in O(K^2) and symmetric bit for bit.  For centred orthonormal
+        components gamma1 equals the orbital sum sum_j phi~_j(x') phi~_j(x).
         """
-        lifted, n = _lift(self.values), self.pair_moments()
-        # det G is the cofactor N[0, 0] / 2
-        return lifted @ n @ np.swapaxes(lifted, -1, -2) / 2.0 - n[..., :1, :1] / 2.0
+        half = self.pair_moments() / 2.0  # adj(M), exactly; det G is its [0, 0] cofactor
+        return _symmetric_form(_lift(self.values), half) - half[..., :1, :1]
 
     def whitened(self) -> np.ndarray:
         """The centred components times G^-1/2, so their Gram matrix is I, per node set.
@@ -257,14 +293,15 @@ class Gamma2Factors(NamedTuple):
         """gamma2 as the K^2 x K^2 matrix with row-major pair indexing.
 
         Entry ((x'_1, x'_2), (x_1, x_2)) = sum_a w_a Psi(a, x_1, x_2)
-        Psi(a, x'_1, x'_2) = F(x'_1, x'_2) M F(x_1, x_2)^T.  Symmetric as a
-        big matrix, antisymmetric under swapping within either pair, and
-        positive semidefinite of rank at most 3.
+        Psi(a, x'_1, x'_2) = F(x'_1, x'_2) M F(x_1, x_2)^T.  Positive
+        semidefinite of rank at most 3; symmetric as a big matrix and
+        antisymmetric under swapping within either pair, both bit for bit:
+        F(x_2, x_1) is -F(x_1, x_2) exactly, and the form is exactly
+        symmetric and odd in each row.
         """
         k = self._dense_nodes()
         rows = _pair_rows(self.values[..., :, None, :], self.values[..., None, :, :])
-        rows = rows.reshape(self.values.shape[:-2] + (k * k, 3))
-        return rows @ self.moments @ np.swapaxes(rows, -1, -2)
+        return _symmetric_form(rows.reshape(self.values.shape[:-2] + (k * k, 3)), self.moments)
 
     def pair_expansion(self) -> np.ndarray:
         """Closed-form gamma2 for centred orthonormal components, per node set.
@@ -289,9 +326,13 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
     """Validate phi, centre it and form M, in O(K) work and memory.
 
     The only place that does any of the three: every other function of the
-    module reads its result.  For a stack of spaces, phi (..., K, 2) has the
-    weights' leading axes; each set gets the BLAS calls, on the same K, that
-    it gets alone, so every set keeps its single-call bits.
+    module reads its result.  The centring subtracts the weighted mean
+    sum_k w_k phi_k, and M's six upper entries are the weighted sums of
+    1, a_1, a_2, a_1^2, a_1 a_2 and a_2^2 over the centred nodes a; both are
+    `_weighted_sums`, elementwise products summed along each row.  For a
+    stack of spaces, phi (..., K, 2) has the weights' leading axes; each set
+    is summed in the order of its own call, so every set keeps its
+    single-call bits.
     """
     weights = space.weights
     values = np.asarray(phi, dtype=float)
@@ -302,9 +343,10 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
         )
     if not np.isfinite(values).all():
         raise ValueError("wave function values must be finite")
-    values = values - weights[..., None, :] @ values
-    lifted = _lift(values)
-    return Gamma2Factors(values, np.swapaxes(lifted, -1, -2) @ (weights[..., None] * lifted), weights)
+    values = values - _weighted_sums(weights, np.swapaxes(values, -1, -2))[..., None, :]
+    a, b = values[..., 0], values[..., 1]
+    sums = _weighted_sums(weights, np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-2))
+    return Gamma2Factors(values, sums[..., [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(sums.shape[:-1] + (3, 3)), weights)
 
 
 def two_point(phi, space: MeasuredSpace) -> np.ndarray:

@@ -224,6 +224,23 @@ def mirror_inertia(result):
     return dataclasses.replace(result, n_plus=result.n_minus, n_minus=result.n_plus)
 
 
+def crossed_term(dense):
+    """gamma2 whose (1, 1) term is M_11 R_p1 R_q2 in place of M_11 R_p1 R_q1: one asymmetric term.
+
+    The kernels suite whitens its nodes, so M is I up to rounding: a pair
+    term M_ab (R_pa R_qb + R_pb R_qa), a != b, is near 1e-17, and dropping
+    its transposed half would move no entry past rounding.
+    """
+
+    def defective(factors):
+        v = factors.values
+        rows = slater._pair_rows(v[..., :, None, :], v[..., None, :, :]).reshape(v.shape[:-2] + (-1, 3))
+        r1, r2 = rows[..., 1], rows[..., 2]
+        return dense(factors) + factors.moments[..., 1, 1, None, None] * r1[..., :, None] * (r2 - r1)[..., None, :]
+
+    return defective
+
+
 def row_ids(rows, name_at):
     """Each row's record; a later row on the same record adds the function it plants in, row[name_at],
     and one on the same record and function also adds its defect's name, row[name_at + 1]."""
@@ -283,12 +300,20 @@ DEFECTS = [
     (10, Gamma2Factors, "dense", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
     (10, Gamma2Factors, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
     (10, Gamma2Factors, "gamma1", nan_at((0, 1)), "kernel_symmetries"),
+    (10, Gamma2Factors, "dense", crossed_term, "kernel_symmetries"),
     (11, spin, "s_squared_expectation", shifted(1e-9), "s_squared_expectations"),
     (11, spin, "exchange_operator", nan_at((3, 3)), "exchange_operator_swap"),
     # the doublet is the second of the two states the record reads
     (11, spin, "s_squared_expectation",
      lambda f: lambda state: np.nan if np.count_nonzero(state) > 1 else f(state), "s_squared_expectations"),
 ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
+def test_kernel_symmetries_read_exactly_zero(seed):
+    """gamma2 and gamma1 are symmetric, and gamma2 pair-antisymmetric, by construction: every part is 0."""
+    (record,) = [r for r in run_alone(verification._check_kernels, seed).checks if r.name == "kernel_symmetries"]
+    assert record.measured == 0.0
 
 
 def test_add_within_records_the_nan_propagating_max_of_its_parts():

@@ -85,19 +85,23 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
 # with numpy's native SIMD loops, with its AVX-512 loops turned off, and with
 # every dispatch target turned off, at numpy's baseline
-# (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin also
-# holds under OpenBLAS's Haswell and Sandybridge kernels
-# (test_collapse_demo_pin_holds_under_other_openblas_kernels): the collapse
-# layer makes no BLAS call.  Those kernels still move some other pins, so
-# another OpenBLAS kernel or platform may need its own digests.
+# (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin, the
+# slater report pin and both export pins also hold under OpenBLAS's Haswell
+# and Sandybridge kernels (test_collapse_demo_pin_holds_under_other_openblas_kernels,
+# test_slater_pins_hold_under_other_openblas_kernels): the collapse layer
+# and slater's moments and kernels make no BLAS call.  Those kernels still
+# move the verify, kashiwara, seeds 0-49 and slater_kernels.py demo pins
+# (LAPACK in affine_det, the Kashiwara index and gamma2_psd; BLAS in
+# mean_psi, whitened and pair_expansion), so another OpenBLAS kernel or
+# platform may need its own digests for those.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "af18e4177685cf97886dbd7ec437a1608684ff40e4a5c1c1e9e32c2d075a88c4",
+    ("verify", "--seed", "1729"): "bf58199b5dc30506f4294cff86bc6caac0dc743703f5a534f73f2e3a967fac7b",
     ("collapse-demo", "--seed", "5"): "24bcd3ba2904b847ccab8a5823e5a82c8194e18ef3029ef9e34d0ca36e7837c7",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
         "eabae00cbe62732adb15e67ebd3b9067b39248d94b68028c0a9baf14ed1d14ed",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
-        "c9c8f462a7da35dc94d8290e5223a11ccd4185dd10ad7969189943428f974028",
+        "f36d217709682fff75b6677d0ee4b2f6e733152c3c179a43c76fda5654362948",
 }
 
 
@@ -106,13 +110,13 @@ REPORT_DIGESTS = {
 # is the report the command writes to stdout without --out.
 EXPORT_DIGESTS = {
     "json": {
-        "gamma1.json": "94bee986a41d518db58c380165f70c32b34c1c20b83cce87fc64eb7cb62e708a",
-        "gamma2.json": "3d0d40fd90a7bb703bbf8ba145f104d3e471276dd312ae44e0cd43f57ce9fc3a",
+        "gamma1.json": "07ea530ad04eb7b5238825a0dbdb36447da6c07166916be2e3b3b7c3cc47ce3a",
+        "gamma2.json": "2fd114c2432dec90d3302938d0b4ceded158be2ab643046bd0fe263762ed8adb",
         "report.json": REPORT_DIGESTS[("slater", "--input", "demos/data/slater_orthonormal.json")],
     },
     "csv": {
-        "gamma1.csv": "0e67bf887cde546c54e734a7ee44927ce829da477f33e123e1934bcfb0435271",
-        "gamma2.csv": "f37d88658d029626ce231f8382d4d7272fb36680148096be7c3a2fe9e8931948",
+        "gamma1.csv": "bfa9d8e2f323329dcf3d403daa940cb8cf73a6730f0422929688e148337a63a9",
+        "gamma2.csv": "ec8ee2463ae9df093e7d3bce5848a0da38c42f4a5e09f23ded4575d237cd53bb",
         "report.json": REPORT_DIGESTS[("slater", "--input", "demos/data/slater_orthonormal.json")],
     },
 }
@@ -129,7 +133,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "414510c847db7be4d87faff6f8b0ec57dec7ad1919b85e2b91b1d1fd15a5ed2a"
+VERIFY_SEEDS_0_49_DIGEST = "845fe611c3d3569988491f940afebd56ade69cfd9959acf117ca9ef200050ef6"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -189,6 +193,16 @@ def test_collapse_demo_pin_holds_under_other_openblas_kernels(kernel):
     # collapse-demo's bytes come from the collapse layer's own closed forms, not
     # from BLAS, so its pin holds whichever OpenBLAS kernel the child selects
     run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]"],
+                       OPENBLAS_CORETYPE=kernel)
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_slater_pins_hold_under_other_openblas_kernels(kernel):
+    # slater's centring, M and both kernels are elementwise sums in a fixed
+    # order, so its report and both exports keep their bytes under any kernel
+    run_tests_in_child(["tests/test_cli.py::test_export_bytes_are_pinned",
+                        "tests/test_cli.py::test_report_bytes_are_pinned"
+                        "[slater --input demos/data/slater_orthonormal.json]"],
                        OPENBLAS_CORETYPE=kernel)
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -15,6 +18,7 @@ from affine_fermions import (
     gamma2_factors,
     m_identity_sides,
 )
+from affine_fermions.cli import main
 from affine_fermions.slater import WHITEN_RTOL, _psi_tensor
 from affine_fermions.verification import moment_gaps
 
@@ -459,13 +463,6 @@ def test_gamma1_degenerate_second_component():
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_gamma1_symmetric():
-    rng = np.random.default_rng(23)
-    space, phi = random_instance(rng)
-    g = gamma2_factors(phi, space).gamma1()
-    assert_allclose(g, g.T, atol=1e-13 * max(1.0, np.abs(g).max()))
-
-
 def test_gamma1_beyond_dense_cap_matches_oracle():
     """Only the dense gamma2 is capped: gamma1 at K = 40 against the generic-determinant oracle."""
     rng = np.random.default_rng(31)
@@ -491,16 +488,77 @@ def test_gamma2_matches_generic_oracle(seed, k):
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_gamma2_symmetries_exact():
-    rng = np.random.default_rng(25)
-    space, phi = random_instance(rng, k=5)
+def symmetry_stack(case):
+    """Three node sets of 7 nodes: random, collinear (phi_2 = 3 phi_1 + 1) or random scaled by 1e6."""
+    weights, phi, _ = node_stack(np.random.default_rng(25), 3, 7)
+    if case == "collinear":
+        phi[..., 1] = 3.0 * phi[..., 0] + 1.0
+    elif case == "scaled":
+        phi *= 1e6
+    return MeasuredSpace(weights), phi
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("case", ["random", "collinear", "scaled"])
+def test_kernels_are_exactly_symmetric(case, stacked):
+    """gamma2 is symmetric and flips sign under either pair swap, gamma1 is symmetric: bit for bit."""
+    space, phi = symmetry_stack(case)
+    if not stacked:
+        space, phi = MeasuredSpace(space.weights[0]), phi[0]
+    factors = gamma2_factors(phi, space)
+    g2, g1 = factors.dense(), factors.gamma1()
     k = len(space)
-    g = gamma2_factors(phi, space).dense()
-    scale = max(1.0, np.abs(g).max())
-    assert np.abs(g - g.T).max() <= 1e-12 * scale
-    four = g.reshape(k, k, k, k)
-    assert np.abs(four + np.transpose(four, (1, 0, 2, 3))).max() <= 1e-12 * scale
-    assert np.abs(four + np.transpose(four, (0, 1, 3, 2))).max() <= 1e-12 * scale
+    four = g2.reshape(g2.shape[:-2] + (k, k, k, k))
+    assert np.abs(g2).max() > 0.0
+    assert np.array_equal(g2, np.swapaxes(g2, -1, -2))
+    assert np.array_equal(four, -np.swapaxes(four, -4, -3))
+    assert np.array_equal(four, -np.swapaxes(four, -2, -1))
+    assert np.array_equal(g1, np.swapaxes(g1, -1, -2))
+
+
+def exact_kernels(phi, weights):
+    """M, gamma1 and gamma2 in Fractions: centre, sum (1, a)(1, a)^T, then F M F^T and f adj(M) f^T - det G."""
+    w = [Fraction(x) for x in weights]
+    mean = [sum(wk * Fraction(row[i]) for wk, row in zip(w, phi)) for i in range(2)]
+    lifted = [[Fraction(1), Fraction(row[0]) - mean[0], Fraction(row[1]) - mean[1]] for row in phi]
+    m = [[sum(wk * f[i] * f[j] for wk, f in zip(w, lifted)) for j in range(3)] for i in range(3)]
+    adj = [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]) for j in range(3)] for i in range(3)]
+
+    def form(x, a, y):
+        return sum(x[i] * a[i][j] * y[j] for i in range(3) for j in range(3))
+
+    gamma1 = [[form(f, adj, g) - adj[0][0] for g in lifted] for f in lifted]
+    rows = [[p[1] * q[2] - p[2] * q[1], p[2] - q[2], q[1] - p[1]] for p in lifted for q in lifted]
+    return m, gamma1, [[form(r, m, t) for t in rows] for r in rows]
+
+
+def test_kernels_equal_their_exact_values_on_dyadic_inputs():
+    """Integer phi and dyadic weights: every product and sum of M, gamma1 and gamma2 is exact in doubles."""
+    phi = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 2.0], [2.0, 5.0], [0.0, -3.0]])
+    weights = np.array([1 / 8, 3 / 8, 1 / 4, 1 / 8, 1 / 8])
+    factors = gamma2_factors(phi, MeasuredSpace(weights))
+    exact = exact_kernels(phi.tolist(), weights.tolist())
+    for got, want in zip((factors.moments, factors.gamma1(), factors.dense()), exact):
+        assert [[Fraction(x) for x in row] for row in got.tolist()] == want
+
+
+def test_kernel_export_spells_one_magnitude_per_orbit(tmp_path):
+    """At K = 12 gamma2.json holds 66 * 67 / 2 = 2211 distinct magnitudes, one per orbit.
+
+    The orbits are those of the swaps within either pair and the transpose
+    on the 132^2 entries whose pairs hold two nodes each: 8 entries, or 4
+    where the two pairs hold the same nodes.
+    """
+    rng = np.random.default_rng(12)
+    weights = rng.random(12) + 0.1
+    doc = {"weights": (weights / weights.sum()).tolist(), "phi": rng.standard_normal((12, 2)).tolist()}
+    (tmp_path / "nodes.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["slater", "--input", str(tmp_path / "nodes.json"), "--out", str(tmp_path)]) == 0
+    entries = json.loads((tmp_path / "gamma2.json").read_text())["entries"]
+    assert len(entries) == 132 * 132
+    assert len({abs(value) for _, _, value in entries}) == 2211
 
 
 def test_gamma2_equal_labels_row_vanishes():
@@ -564,7 +622,8 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
     whitened, expansion = stack.whitened(), stack.pair_expansion()
     for i in range(count):
         single = gamma2_factors(phi[i], MeasuredSpace(weights[i]))
-        # each set gets the BLAS calls of its own call, so the bits agree
+        # each set is summed in its own call's order, and gets its own call's BLAS calls in
+        # mean_psi and whitened, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
         assert stack.mean_psi()[i] == single.mean_psi()

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import re
 import runpy
@@ -23,32 +24,33 @@ BENCH_FILE = re.compile(r"\bbench/\w+\.py\b")
 
 
 def public_defs():
-    """Qualified name -> (docstring, {(code file, first line)}) of every public def in the package.
+    """Qualified name -> (docstring, {code object}) of every public def in the package, as imported.
 
-    Module-level functions and the methods of module-level classes count; a
-    name with a leading underscore is private unless it is a dunder.  A
-    decorated def's code object starts at its first decorator, so both that
-    line and the `def` line stand for it.
+    Module-level functions and the methods, class methods, static methods and
+    properties of module-level classes count when their code comes from the
+    module's own file; a name with a leading underscore is private unless it
+    is a dunder.  A decorated def is keyed by the code of the function it
+    wraps, which is the code a call runs.  Nothing is read from the files, so
+    an edit to them while the tests run changes no key.
     """
     defs = {}
     for path, module in MODULES.items():
-        tree = ast.parse(path.read_text())
-        owners = [(path.stem, tree.body)]
-        owners += [(f"{path.stem}.{node.name}", node.body) for node in tree.body
-                   if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
-        for owner, body in owners:
-            for node in body:
-                if not isinstance(node, ast.FunctionDef):
+        owners = [(path.stem, vars(module))]
+        owners += [(f"{path.stem}.{name}", vars(obj)) for name, obj in vars(module).items()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__ and not name.startswith("_")]
+        for owner, namespace in owners:
+            for name, obj in namespace.items():
+                if name.startswith("_") and not name.endswith("__"):
                     continue
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    continue
-                lines = {node.lineno, *(d.lineno for d in node.decorator_list[:1])}
-                defs[f"{owner}.{node.name}"] = (ast.get_docstring(node) or "", {(module.__file__, n) for n in lines})
+                func = getattr(obj, "__func__", getattr(obj, "fget", obj))
+                code = getattr(inspect.unwrap(func), "__code__", None)
+                if code is not None and code.co_filename == module.__file__:
+                    defs[f"{owner}.{name}"] = (func.__doc__ or "", {code})
     return defs
 
 
 def reached(tmp_path):
-    """(code file, first line) of every Python function called by each subcommand and demo."""
+    """The code object of every Python function called by each subcommand and demo."""
     data = ROOT / "demos" / "data"
     runs = [
         ["verify"],
@@ -69,7 +71,7 @@ def reached(tmp_path):
 
     def record(frame, event, arg):
         if event == "call":
-            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            seen.add(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(record)
@@ -126,13 +128,28 @@ def test_reach_exemption_needs_the_bench_file_to_name_the_def(tmp_path):
     ]
 
 
-def test_public_defs_key_a_decorated_def_on_both_of_its_lines():
+def test_public_defs_key_each_def_by_the_code_it_runs():
     defs = public_defs()
-    _, keys = defs["slater.MeasuredSpace.uniform"]
-    code = MODULES[PACKAGE / "slater.py"].MeasuredSpace.uniform.__func__.__code__
-    assert len(keys) == 2 and (code.co_filename, code.co_firstlineno) in keys
+    slater, cli = MODULES[PACKAGE / "slater.py"], MODULES[PACKAGE / "cli.py"]
+    assert defs["slater.MeasuredSpace.uniform"][1] == {slater.MeasuredSpace.uniform.__func__.__code__}
+    assert defs["slater.Gamma2Factors.gram"][1] == {slater.Gamma2Factors.gram.fget.__code__}
+    # functools.cache: the wrapped function's code, which is what a call runs
+    assert defs["cli.build_parser"][1] == {cli.build_parser.__wrapped__.__code__}
     assert "affine_forms.MultiAffineForm.__post_init__" in defs
     assert "slater.Gamma2Factors._dense_nodes" not in defs and "slater._psi_tensor" not in defs
+    # imported names and the methods that namedtuple and dataclass generate are not the module's own
+    assert "slater.number_array" not in defs and "slater.Gamma2Factors.__new__" not in defs
+    assert "affine_forms.MultiAffineForm.__init__" not in defs
+
+
+def test_public_defs_read_no_source_file(monkeypatch):
+    # the reach test's keys come from the imported code alone, so a file of
+    # src/ edited while the suite runs cannot move them against `reached`'s
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"public_defs read {path}")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert "slater.gamma2_factors" in public_defs()
 
 
 # Attributes and modules whose calls reach BLAS or LAPACK.
@@ -144,10 +161,17 @@ BLAS_NAMES = {"linalg", "matmul", "einsum", "dot", "tensordot", "kron"}
 NO_BLAS_MODULES = ["collapse.py"]
 
 
-def blas_calls(source: str) -> list:
-    """(line, what) of each `@` and each BLAS_NAMES attribute, import or imported name in source."""
+# Functions whose bits must not depend on the BLAS or LAPACK build, in modules
+# that still make such calls elsewhere: slater.py keeps `@` in mean_psi and
+# whitened and einsum in pair_expansion.  Each is scanned with every def of its
+# module that it reaches (`reached_defs`).
+NO_BLAS_FUNCTIONS = {"slater.py": ["gamma2_factors", "Gamma2Factors.gamma1", "Gamma2Factors.dense"]}
+
+
+def blas_calls(source) -> list:
+    """(line, what) of each `@` and each BLAS_NAMES attribute, import or imported name in source, a str or a tree."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
         elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
@@ -156,6 +180,67 @@ def blas_calls(source: str) -> list:
             dotted = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
             found += [(node.lineno, part) for name in dotted for part in name.split(".") if part in BLAS_NAMES]
     return sorted(found)
+
+
+def reached_defs(source: str, qualname: str) -> dict:
+    """`qualname` and every def of the module in `source` that it reaches, transitively: name -> FunctionDef.
+
+    A def is a module-level function or a method of a module-level class; a
+    def reaches each module-level function that it names and each method of
+    its own class that it reads from `self`.
+    """
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+    todo, found = [qualname], {}
+    while todo:
+        name = todo.pop()
+        if name in found:
+            continue
+        found[name] = defs[name]
+        owner = name.rpartition(".")[0]
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+                  and f"{owner}.{node.attr}" in defs):
+                todo.append(f"{owner}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module, function", [(m, f) for m, functions in NO_BLAS_FUNCTIONS.items() for f in functions])
+def test_function_makes_no_blas_or_lapack_call(module, function):
+    """The function and every def of its module that it reaches: no `@` and no BLAS_NAMES call."""
+    defs = reached_defs((PACKAGE / module).read_text(), function)
+    assert {name: found for name, node in defs.items() if (found := blas_calls(node))} == {}
+
+
+def test_function_scan_follows_the_defs_it_reaches():
+    planted = "\n".join([
+        "import numpy as np",
+        "def helper(a, b):",
+        "    return a @ b",
+        "def unused(a):",
+        "    return np.linalg.det(a)",
+        "class Box:",
+        "    def outer(self, a):",
+        "        return self.inner(a) + other(a)",
+        "    def inner(self, a):",
+        "        return helper(a, a)",
+        "    def alone(self, a):",
+        "        return a * a",
+        "def other(a):",
+        "    return np.einsum('ij->i', a)",
+    ])
+    defs = reached_defs(planted, "Box.outer")
+    assert sorted(defs) == ["Box.inner", "Box.outer", "helper", "other"]
+    assert {name: blas_calls(node) for name, node in defs.items() if blas_calls(node)} == {
+        "helper": [(3, "@")], "other": [(14, "einsum")],
+    }
+    assert list(reached_defs(planted, "Box.alone")) == ["Box.alone"]
 
 
 @pytest.mark.parametrize("module", NO_BLAS_MODULES)
