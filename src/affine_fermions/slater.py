@@ -153,11 +153,13 @@ def _lift(values: np.ndarray) -> np.ndarray:
 def _weighted_sums(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """sum_k w_k x_k along each row x of `columns` (..., n, K), with weights (..., K): (..., n).
 
-    Each product w_k x_k is one rounding, and each row's products are summed
-    along a contiguous row in numpy's pairwise order for K terms: one order
-    for every row, every node set of a stack and every SIMD target.
+    `columns` is a C-contiguous array of the caller's, which this overwrites
+    with the products.  Each product w_k x_k is one rounding, and each row's
+    products are summed along its contiguous row in numpy's pairwise order
+    for K terms: one order for every row, every node set of a stack and
+    every SIMD target.
     """
-    return np.add.reduce(np.multiply(weights[..., None, :], columns, order="C"), axis=-1)
+    return np.add.reduce(np.multiply(columns, weights[..., None, :], out=columns), axis=-1)
 
 
 def _symmetric_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -343,9 +345,13 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
         )
     if not np.isfinite(values).all():
         raise ValueError("wave function values must be finite")
-    values = values - _weighted_sums(weights, np.swapaxes(values, -1, -2))[..., None, :]
+    values = values - _weighted_sums(weights, np.swapaxes(values, -1, -2).copy())[..., None, :]
     a, b = values[..., 0], values[..., 1]
-    sums = _weighted_sums(weights, np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-2))
+    columns = np.empty(a.shape[:-1] + (6, a.shape[-1]))  # 1, a_1, a_2, a_1^2, a_1 a_2, a_2^2
+    columns[..., 0, :], columns[..., 1, :], columns[..., 2, :] = 1.0, a, b
+    for row, (x, y) in enumerate(((a, a), (a, b), (b, b)), start=3):
+        np.multiply(x, y, out=columns[..., row, :])
+    sums = _weighted_sums(weights, columns)
     return Gamma2Factors(values, sums[..., [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(sums.shape[:-1] + (3, 3)), weights)
 
 
