@@ -28,9 +28,10 @@ with one table per node set.  The `(phi, space)` wrappers `two_point`,
 A space and phi with leading axes are a stack of node sets of one size,
 each getting the bits of its own call.
 
-M, gamma1 and gamma2 are elementwise products and sums in a fixed order,
-with no BLAS call, so their bits do not depend on the BLAS kernel or on
-numpy's SIMD target, and the two kernels are exactly symmetric.
+Every moment, kernel and whitening is elementwise products and sums in a
+fixed order, with no BLAS or LAPACK call, so its bits do not depend on the
+BLAS kernel or on numpy's SIMD target, and the two kernels are exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _psi_tensor(values: np.ndarray) -> np.ndarray:
     """Psi over all node triples as a K x K x K array; the tests' reference."""
     d1 = values[None, :, 0] - values[:, None, 0]  # phi_1(q) - phi_1(p)
     d2 = values[None, :, 1] - values[:, None, 1]
-    return np.einsum("ij,ik->ijk", d1, d2) - np.einsum("ik,ij->ijk", d1, d2)
+    return d1[:, :, None] * d2[:, None, :] - d1[:, None, :] * d2[:, :, None]
 
 
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,11 +193,11 @@ class Gamma2Factors(NamedTuple):
     read from these O(K) numbers: <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `dense` and
     `pair_expansion` build K^2 x K^2 matrices, up to MAX_DENSE_KERNEL_NODES
-    nodes.  `gamma1` and `dense` are one symmetric form, `_symmetric_form`,
-    summed elementwise in a fixed order: gamma1 and gamma2 are symmetric bit
-    for bit, and gamma2 flips sign exactly under a swap within either pair,
-    so each orbit of its entries under those swaps and the transpose holds
-    one magnitude.
+    nodes.  Every method sums elementwise in a fixed order.  `gamma1` and
+    `dense` are one symmetric form, `_symmetric_form`: gamma1 and gamma2 are
+    symmetric bit for bit, and gamma2 flips sign exactly under a swap within
+    either pair, so each orbit of its entries under those swaps and the
+    transpose holds one magnitude.
 
     A stack from `gamma2_factors`, values (..., K, 2), moments (..., 3, 3)
     and weights (..., K), is answered per node set by every method.
@@ -235,11 +236,15 @@ class Gamma2Factors(NamedTuple):
         return np.sum(self.moments * self.pair_moments(), axis=(-2, -1))
 
     def mean_psi(self) -> np.ndarray:
-        """<Psi>: sum_{x1, x2} w w F(x1, x2) . M[0] over the K^2 node pairs, 0 up to rounding."""
-        w = self.weights
+        """<Psi>: sum_{x1, x2} w w F(x1, x2) . M[0] over the K^2 node pairs, 0 up to rounding.
+
+        F . M[0] is three products per pair, added in order; `_weighted_sums`
+        then sums over x2 and then over x1.
+        """
+        w, m0 = self.weights, [self.moments[..., 0, a, None, None] for a in range(3)]
         rows = _pair_rows(self.values[..., :, None, :], self.values[..., None, :, :])
-        inner = (w[..., None, None, :] @ rows)[..., 0, :]  # sum_j w_j F(x_i, x_j), (..., K, 3)
-        return (w[..., None, :] @ inner @ self.moments[..., 0, :, None])[..., 0, 0]
+        psi = rows[..., 0] * m0[0] + rows[..., 1] * m0[1] + rows[..., 2] * m0[2]
+        return _weighted_sums(w, _weighted_sums(w, psi)[..., None, :])[..., 0]
 
     def gamma1(self) -> np.ndarray:
         """Normalized order-1 density kernel, Gamma/2 - det G.
@@ -275,9 +280,9 @@ class Gamma2Factors(NamedTuple):
                 f"Gram eigenvalue {float(ratio[bad].flat[0]):.3g}, at most {WHITEN_RTOL:g})"
             )
         s = np.sqrt(det)
-        adj = np.stack([r + s, -q, -q, p + s], axis=-1).reshape(g.shape)
-        inv_sqrt = adj / (s * np.sqrt(trace + 2.0 * s))[..., None, None]
-        return self.values @ np.ldexp(inv_sqrt, -half[..., None, None])
+        a, b = (np.ldexp(self.values[..., i], -half[..., None]) for i in range(2))
+        d0, d1, off = (r + s)[..., None], (p + s)[..., None], q[..., None]  # adj(G + sI) = [[d0, -off], [-off, d1]]
+        return np.stack([a * d0 - b * off, b * d1 - a * off], axis=-1) / (s * np.sqrt(trace + 2.0 * s))[..., None, None]
 
     def _dense_nodes(self) -> int:
         """K, checked against the cap on the K^2 x K^2 matrices."""
@@ -318,10 +323,12 @@ class Gamma2Factors(NamedTuple):
         k = self._dense_nodes()
         first, second = self.values[..., :, None, :], self.values[..., None, :, :]
         diff = first - second  # (..., K, K, 2)
-        wedge = _wedge(first, second)
-        affine_part = np.einsum("...ijm,...klm->...ijkl", diff, diff)
-        slater_part = np.einsum("...ij,...kl->...ijkl", wedge, wedge)
-        return (affine_part + slater_part).reshape(self.values.shape[:-2] + (k * k, k * k))
+        pairs = self.values.shape[:-2] + (k * k,)
+        x, y, wedge = (part.reshape(pairs) for part in (diff[..., 0], diff[..., 1], _wedge(first, second)))
+        out = x[..., :, None] * x[..., None, :]
+        out += y[..., :, None] * y[..., None, :]
+        out += wedge[..., :, None] * wedge[..., None, :]
+        return out
 
 
 def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
@@ -395,9 +402,9 @@ def m_identity_sides(factors: Gamma2Factors, m_table):
         + wedge[..., None, :, :]
         + np.swapaxes(wedge, -1, -2)[..., :, None, :]
     )  # W(x0,x1) + W(x1,x2) + W(x2,x0)
-    lhs = 3.0 * np.einsum("...i,...j,...k,...ij,...ijk,...ijk->...", w, w, w, wedge, m, psi3)
-    rhs = np.einsum("...i,...j,...k,...ijk,...ijk,...ijk->...", w, w, w, psi3, m, psi3)
-    return lhs, rhs
+    weighted = w[..., :, None, None] * w[..., None, :, None] * w[..., None, None, :] * m  # w_i w_j w_k M_ijk
+    axes = (-3, -2, -1)
+    return 3.0 * np.sum(weighted * wedge[..., None] * psi3, axis=axes), np.sum(weighted * psi3 * psi3, axis=axes)
 
 
 def gamma1(phi, space: MeasuredSpace) -> np.ndarray:

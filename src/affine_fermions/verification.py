@@ -469,7 +469,7 @@ def _check_kernels(report: Report, rng) -> None:
         f"definiteness can fail on degenerate nodes); the smallest is {min_eig!r}",
     )
 
-    orbital = phi @ phi.T
+    orbital = phi[:, None, 0] * phi[None, :, 0] + phi[:, None, 1] * phi[None, :, 1]
     report.add_within(
         "gamma1_orbital_sum",
         np.abs(g1 - orbital) / max(1.0, float(np.abs(orbital).max())),

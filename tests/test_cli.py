@@ -87,15 +87,15 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # every dispatch target turned off, at numpy's baseline
 # (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin, the
 # slater report pin and both export pins also hold under OpenBLAS's Haswell
-# and Sandybridge kernels (test_collapse_demo_pin_holds_under_other_openblas_kernels,
-# test_slater_pins_hold_under_other_openblas_kernels): the collapse layer
-# and slater's moments and kernels make no BLAS call.  Those kernels still
-# move the verify, kashiwara, seeds 0-49 and slater_kernels.py demo pins
-# (LAPACK in affine_det, the Kashiwara index and gamma2_psd; BLAS in
-# mean_psi, whitened and pair_expansion), so another OpenBLAS kernel or
-# platform may need its own digests for those.
+# and Sandybridge kernels (test_pins_hold_under_other_openblas_kernels): the
+# collapse layer and slater make no BLAS or LAPACK call.  Those kernels still
+# move the verify, kashiwara, seeds 0-49 and slater_kernels.py demo pins,
+# through LAPACK: np.linalg.det in affine_det, eigvalsh in gamma2_psd and
+# qr and eigvalsh in kashiwara_index (the demo also makes LAPACK and BLAS
+# calls of its own).  So another OpenBLAS kernel or platform may need its
+# own digests for those.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "bf58199b5dc30506f4294cff86bc6caac0dc743703f5a534f73f2e3a967fac7b",
+    ("verify", "--seed", "1729"): "0c7bf1234402f277b55a9d3d0b9cb0d4ee14b347b1fd9d5271bdb2a6d96216cb",
     ("collapse-demo", "--seed", "5"): "24bcd3ba2904b847ccab8a5823e5a82c8194e18ef3029ef9e34d0ca36e7837c7",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
@@ -133,7 +133,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "845fe611c3d3569988491f940afebd56ade69cfd9959acf117ca9ef200050ef6"
+VERIFY_SEEDS_0_49_DIGEST = "4e602e114e93bb7da982ea16cdbdcb66ff9f0d2b8523dadb973e5174319c3914"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -188,22 +188,19 @@ def test_pins_hold_with_numpy_simd_targets_off(case):
     run_tests_in_child(PIN_TESTS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
-def test_collapse_demo_pin_holds_under_other_openblas_kernels(kernel):
-    # collapse-demo's bytes come from the collapse layer's own closed forms, not
-    # from BLAS, so its pin holds whichever OpenBLAS kernel the child selects
-    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]"],
-                       OPENBLAS_CORETYPE=kernel)
+# The pins whose bytes come from closed forms with no BLAS or LAPACK call: the
+# collapse layer's and slater's moments and kernels.
+PORTABLE_PINS = [
+    "tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]",
+    "tests/test_cli.py::test_report_bytes_are_pinned[slater --input demos/data/slater_orthonormal.json]",
+    "tests/test_cli.py::test_export_bytes_are_pinned",
+]
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
-def test_slater_pins_hold_under_other_openblas_kernels(kernel):
-    # slater's centring, M and both kernels are elementwise sums in a fixed
-    # order, so its report and both exports keep their bytes under any kernel
-    run_tests_in_child(["tests/test_cli.py::test_export_bytes_are_pinned",
-                        "tests/test_cli.py::test_report_bytes_are_pinned"
-                        "[slater --input demos/data/slater_orthonormal.json]"],
-                       OPENBLAS_CORETYPE=kernel)
+def test_pins_hold_under_other_openblas_kernels(kernel):
+    # reruns PORTABLE_PINS, with these digests, in a child under another OpenBLAS kernel
+    run_tests_in_child(PORTABLE_PINS, OPENBLAS_CORETYPE=kernel)
 
 
 def test_verify_seed_change_keeps_verdicts(tmp_path, capsys):

@@ -517,7 +517,10 @@ def test_kernels_are_exactly_symmetric(case, stacked):
 
 
 def exact_kernels(phi, weights):
-    """M, gamma1 and gamma2 in Fractions: centre, sum (1, a)(1, a)^T, then F M F^T and f adj(M) f^T - det G."""
+    """M, gamma1, gamma2 and the pair expansion in Fractions.
+
+    Centre, sum (1, a)(1, a)^T, then f adj(M) f^T - det G, F M F^T and F F^T.
+    """
     w = [Fraction(x) for x in weights]
     mean = [sum(wk * Fraction(row[i]) for wk, row in zip(w, phi)) for i in range(2)]
     lifted = [[Fraction(1), Fraction(row[0]) - mean[0], Fraction(row[1]) - mean[1]] for row in phi]
@@ -530,17 +533,20 @@ def exact_kernels(phi, weights):
 
     gamma1 = [[form(f, adj, g) - adj[0][0] for g in lifted] for f in lifted]
     rows = [[p[1] * q[2] - p[2] * q[1], p[2] - q[2], q[1] - p[1]] for p in lifted for q in lifted]
-    return m, gamma1, [[form(r, m, t) for t in rows] for r in rows]
+    expansion = [[sum(x * y for x, y in zip(r, t)) for t in rows] for r in rows]
+    return m, gamma1, [[form(r, m, t) for t in rows] for r in rows], expansion
 
 
 def test_kernels_equal_their_exact_values_on_dyadic_inputs():
-    """Integer phi and dyadic weights: every product and sum of M, gamma1 and gamma2 is exact in doubles."""
+    """Integer phi and dyadic weights: every product and sum of the moments and kernels is exact in doubles."""
     phi = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 2.0], [2.0, 5.0], [0.0, -3.0]])
     weights = np.array([1 / 8, 3 / 8, 1 / 4, 1 / 8, 1 / 8])
     factors = gamma2_factors(phi, MeasuredSpace(weights))
     exact = exact_kernels(phi.tolist(), weights.tolist())
-    for got, want in zip((factors.moments, factors.gamma1(), factors.dense()), exact):
+    kernels = (factors.moments, factors.gamma1(), factors.dense(), factors.pair_expansion())
+    for got, want in zip(kernels, exact, strict=True):
         assert [[Fraction(x) for x in row] for row in got.tolist()] == want
+    assert factors.mean_psi() == 0.0
 
 
 def test_kernel_export_spells_one_magnitude_per_orbit(tmp_path):
@@ -622,8 +628,7 @@ def test_stacked_moments_equal_single_calls(count, k, seed):
     whitened, expansion = stack.whitened(), stack.pair_expansion()
     for i in range(count):
         single = gamma2_factors(phi[i], MeasuredSpace(weights[i]))
-        # each set is summed in its own call's order, and gets its own call's BLAS calls in
-        # mean_psi and whitened, so the bits agree
+        # each set is summed elementwise in its own call's order, so the bits agree
         assert np.array_equal(stack.values[i], single.values)
         assert np.array_equal(stack.moments[i], single.moments)
         assert stack.mean_psi()[i] == single.mean_psi()
