@@ -87,8 +87,9 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # every dispatch target turned off, at numpy's baseline
 # (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin, the
 # slater report pin and both export pins also hold under OpenBLAS's Haswell
-# and Sandybridge kernels (test_pins_hold_under_other_openblas_kernels): the
-# collapse layer and slater make no BLAS or LAPACK call.  Those kernels still
+# and Sandybridge kernels (test_collapse_demo_pin_holds_under_other_openblas_kernels,
+# test_slater_pins_hold_under_other_openblas_kernels): the collapse layer
+# and slater make no BLAS or LAPACK call.  Those kernels still
 # move the verify, kashiwara, seeds 0-49 and slater_kernels.py demo pins,
 # through LAPACK: np.linalg.det in affine_det, eigvalsh in gamma2_psd and
 # qr and eigvalsh in kashiwara_index (the demo also makes LAPACK and BLAS
@@ -188,19 +189,22 @@ def test_pins_hold_with_numpy_simd_targets_off(case):
     run_tests_in_child(PIN_TESTS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
 
 
-# The pins whose bytes come from closed forms with no BLAS or LAPACK call: the
-# collapse layer's and slater's moments and kernels.
-PORTABLE_PINS = [
-    "tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]",
-    "tests/test_cli.py::test_report_bytes_are_pinned[slater --input demos/data/slater_orthonormal.json]",
-    "tests/test_cli.py::test_export_bytes_are_pinned",
-]
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_collapse_demo_pin_holds_under_other_openblas_kernels(kernel):
+    # collapse-demo's bytes come from the collapse layer's own closed forms, not
+    # from BLAS, so its pin holds whichever OpenBLAS kernel the child selects
+    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]"],
+                       OPENBLAS_CORETYPE=kernel)
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
-def test_pins_hold_under_other_openblas_kernels(kernel):
-    # reruns PORTABLE_PINS, with these digests, in a child under another OpenBLAS kernel
-    run_tests_in_child(PORTABLE_PINS, OPENBLAS_CORETYPE=kernel)
+def test_slater_pins_hold_under_other_openblas_kernels(kernel):
+    # slater's moments, kernels and pair expansion are elementwise sums in a
+    # fixed order, so its report and both exports keep their bytes under any kernel
+    run_tests_in_child(["tests/test_cli.py::test_export_bytes_are_pinned",
+                        "tests/test_cli.py::test_report_bytes_are_pinned"
+                        "[slater --input demos/data/slater_orthonormal.json]"],
+                       OPENBLAS_CORETYPE=kernel)
 
 
 def test_verify_seed_change_keeps_verdicts(tmp_path, capsys):

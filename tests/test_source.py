@@ -161,14 +161,20 @@ BLAS_NAMES = {"linalg", "matmul", "einsum", "dot", "tensordot", "kron"}
 NO_BLAS_MODULES = ["collapse.py", "slater.py"]
 
 
+# Functions whose bits the exported kernels carry: each is scanned with every
+# def of its module that it reaches (`reached_defs`), so the guard on them
+# holds even where their module makes such calls elsewhere.
+NO_BLAS_FUNCTIONS = {"slater.py": ["gamma2_factors", "Gamma2Factors.gamma1", "Gamma2Factors.dense"]}
+
+
 def blas_calls(source) -> list:
-    """(line, what) of each `@`, `**` and BLAS_NAMES attribute, import or imported name in source.
+    """(line, what) of each `@`, `**` and BLAS_NAMES attribute, import or imported name in source, a str or a tree.
 
     numpy's power loops round by SIMD target, so `**` counts with the BLAS
     calls.
     """
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.MatMult, ast.Pow)):
             found.append((node.lineno, "@" if isinstance(node.op, ast.MatMult) else "**"))
         elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
@@ -177,6 +183,67 @@ def blas_calls(source) -> list:
             dotted = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
             found += [(node.lineno, part) for name in dotted for part in name.split(".") if part in BLAS_NAMES]
     return sorted(found)
+
+
+def reached_defs(source: str, qualname: str) -> dict:
+    """`qualname` and every def of the module in `source` that it reaches, transitively: name -> FunctionDef.
+
+    A def is a module-level function or a method of a module-level class; a
+    def reaches each module-level function that it names and each method of
+    its own class that it reads from `self`.
+    """
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+    todo, found = [qualname], {}
+    while todo:
+        name = todo.pop()
+        if name in found:
+            continue
+        found[name] = defs[name]
+        owner = name.rpartition(".")[0]
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+                  and f"{owner}.{node.attr}" in defs):
+                todo.append(f"{owner}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module, function", [(m, f) for m, functions in NO_BLAS_FUNCTIONS.items() for f in functions])
+def test_function_makes_no_blas_or_lapack_call(module, function):
+    """The function and every def of its module that it reaches: no `@`, no `**` and no BLAS_NAMES call."""
+    defs = reached_defs((PACKAGE / module).read_text(), function)
+    assert {name: found for name, node in defs.items() if (found := blas_calls(node))} == {}
+
+
+def test_function_scan_follows_the_defs_it_reaches():
+    planted = "\n".join([
+        "import numpy as np",
+        "def helper(a, b):",
+        "    return a @ b",
+        "def unused(a):",
+        "    return np.linalg.det(a)",
+        "class Box:",
+        "    def outer(self, a):",
+        "        return self.inner(a) + other(a)",
+        "    def inner(self, a):",
+        "        return helper(a, a)",
+        "    def alone(self, a):",
+        "        return a * a",
+        "def other(a):",
+        "    return np.einsum('ij->i', a)",
+    ])
+    defs = reached_defs(planted, "Box.outer")
+    assert sorted(defs) == ["Box.inner", "Box.outer", "helper", "other"]
+    assert {name: blas_calls(node) for name, node in defs.items() if blas_calls(node)} == {
+        "helper": [(3, "@")], "other": [(14, "einsum")],
+    }
+    assert list(reached_defs(planted, "Box.alone")) == ["Box.alone"]
 
 
 @pytest.mark.parametrize("module", NO_BLAS_MODULES)
