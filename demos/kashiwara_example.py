@@ -4,8 +4,9 @@
 Q(x1, x2, x3) = omega(x1, x2) + omega(x2, x3) + omega(x3, x1) on
 L1 (+) L2 (+) L3 has the same pairwise-cyclic shape as the entangled
 triple; its signature classifies the triple up to symplectic moves.  The
-index takes the eigenvalues of Q in orthonormal bases of the subspaces: a
-change of basis is a congruence, which keeps the signature.
+index counts the signs of Q in orthonormal bases of the subspaces by
+symmetric elimination: a change of basis, and each elimination step, is a
+congruence, which keeps the signature.
 """
 
 import numpy as np

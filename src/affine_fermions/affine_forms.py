@@ -10,6 +10,7 @@ basis of antisymmetric forms per homogeneity sector as index tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 MAX_GENERATOR_ARITY = 6
+# affine_det expands det by the Leibniz sum up to this dimension, 4! = 24 products.
+MAX_LEIBNIZ_DIM = 4
 # Integers in a nullspace answer, dimension x m: what is built and written.
 # Also the most coefficients a dense (d+1)^m form table may have.
 MAX_NULLSPACE_INTEGERS = 10**6
@@ -39,7 +42,10 @@ def affine_det(points):
     """Determinant of (x_1 - x_0, ..., x_d - x_0) for d+1 points in C^d.
 
     points has shape (d+1, d) and gives a Python complex, or (..., d+1, d)
-    for a batch and gives an array over the leading axes.
+    for a batch and gives an array over the leading axes.  Up to
+    MAX_LEIBNIZ_DIM it is `_leibniz_det`, with no BLAS or LAPACK call and
+    exact on Gaussian integers that no step rounds; past it, LAPACK's
+    np.linalg.det, whose last bits depend on the build.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim < 2:
@@ -47,9 +53,49 @@ def affine_det(points):
     m, d = pts.shape[-2:]
     if m != d + 1:
         raise ValueError(f"need d+1 = {d + 1} points in dimension {d}, got {m}")
-    # One batched np.linalg.det equals the per-matrix calls bit for bit.
-    dets = np.linalg.det((pts[..., 1:, :] - pts[..., :1, :]).swapaxes(-1, -2))
+    rows = pts[..., 1:, :] - pts[..., :1, :]
+    if d <= MAX_LEIBNIZ_DIM:
+        dets = _leibniz_det(rows)
+    else:
+        # One batched np.linalg.det equals the per-matrix calls bit for bit.
+        dets = np.linalg.det(rows.swapaxes(-1, -2))
     return complex(dets) if dets.ndim == 0 else dets
+
+
+@functools.cache
+def _leibniz_terms(d: int):
+    """(perms, negative): S_d as a (d!, d) int array in `signed_permutations` order, and which are odd.
+
+    Built once per d and read-only, since every call shares them.
+    """
+    perms, signs = zip(*signed_permutations(d))
+    tables = np.array(perms, dtype=int).reshape(len(perms), d), np.array(signs) < 0
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _leibniz_det(rows: np.ndarray) -> np.ndarray:
+    """det of complex (..., d, d) matrices: sum of sign(sigma) prod_i rows[i, sigma(i)].
+
+    Each product runs from i = 0 up, its real and imaginary parts formed as
+    `collapse._cmul` forms them, and the signed products' parts are added
+    along the contiguous permutation axis, in `signed_permutations` order,
+    in numpy's pairwise order; so d = 2 is `_wedge2`'s value and every
+    batch entry gets the bits of its own call.
+    """
+    d = rows.shape[-1]
+    if d == 0:
+        return np.ones(rows.shape[:-2], dtype=complex)
+    perms, negative = _leibniz_terms(d)
+    factors = rows[..., np.arange(d)[:, None], perms.T]  # (..., d, d!): rows[i, sigma(i)] for each sigma
+    re, im = factors.real, factors.imag
+    term_re, term_im = re[..., 0, :], im[..., 0, :]
+    for i in range(1, d):
+        f_re, f_im = re[..., i, :], im[..., i, :]
+        term_re, term_im = term_re * f_re - term_im * f_im, term_re * f_im + term_im * f_re
+    det_re, det_im = (np.add.reduce(np.where(negative, -part, part), axis=-1) for part in (term_re, term_im))
+    return det_re + 1j * det_im
 
 
 @dataclass(frozen=True)

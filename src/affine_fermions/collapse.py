@@ -203,7 +203,12 @@ def embed(a, b, c) -> EmbeddedTriple:
     Each state has shape (2,), or (..., 2) for a batch; the leading axes
     broadcast against each other.
     """
-    states = np.broadcast_arrays(_as_state(a, "a"), _as_state(b, "b"), _as_state(c, "c"))
+    return _embed(_as_state(a, "a"), _as_state(b, "b"), _as_state(c, "c"))
+
+
+def _embed(a, b, c) -> EmbeddedTriple:
+    """`embed` of states that `_as_state` has already checked."""
+    states = np.broadcast_arrays(a, b, c)
     w = np.zeros((3, 6) + states[0].shape[:-1], dtype=complex)
     for block, v in enumerate(states):
         w[block, 2 * block : 2 * block + 2] = _batch_last(v, 1)
@@ -220,7 +225,11 @@ def lambda_tensor(a, b, c) -> np.ndarray:
     stay zero.  The three blocks' outer products are one stacked `_cmul`.
     Batched states give shape (..., 6, 6).
     """
-    e = embed(a, b, c)
+    return _lambda(embed(a, b, c))
+
+
+def _lambda(e: EmbeddedTriple) -> np.ndarray:
+    """`lambda_tensor` of an embedded triple."""
     live = np.stack([_batch_last(v, 1)[2 * i : 2 * i + 2] for i, v in enumerate((e.a, e.b, e.c))])
     # block k is live[k] (x) live[j] with j its column block: rows 0, 1, 2 in order
     products = _cmul(live[:, :, None], live[[j for _, j in _LIVE_BLOCKS], None, :])
@@ -339,7 +348,8 @@ def _collapse_blocks(a, b, c, sigma):
         if m:
             # (sigma v)_i = sigma_i0 v_0 + sigma_i1 v_1, for i = 0, 1 at once
             a, b, c = (_cmul(m[0][..., 0], v[:, None, 0]) + _cmul(m[0][..., 1], v[:, None, 1]) for v in (a, b, c))
-        out[rows] = tr1(theta(lambda_tensor(a, b, c))).sum(axis=-1)
+        # the states were checked once, above; theta and ThetaBlocks still check every block
+        out[rows] = tr1(theta(_lambda(_embed(a, b, c)))).sum(axis=-1)
     return _unbatched(out.reshape(lead))
 
 

@@ -61,7 +61,7 @@ def s_squared_expectation(state) -> float:
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (8,):
         raise ValueError(f"need 8 amplitudes for three qubits, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
+    norm = np.sqrt(np.add.reduce(psi.real * psi.real + psi.imag * psi.imag))
     if not abs(norm - 1.0) <= 1e-12:  # `not <=`, so that a NaN norm is rejected too
         raise ValueError(f"state must be normalized, got norm {norm!r}")
     return float(np.real(np.conj(psi) @ s_squared_matrix() @ psi))

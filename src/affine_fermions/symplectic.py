@@ -17,7 +17,9 @@ own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +39,31 @@ __all__ = [
 # each column scaled by a power of two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
 
-INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to the largest |eigenvalue|
+INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to the largest |entry| of the form
 
-# Largest |entry| accepted in a JSON basis.  The index orthonormalizes the
-# bases, so its eigenvalues do not grow with the entries; the cap is for the
-# rank test of LagrangianTriple, whose singular values overflow near DBL_MAX
-# (entries of 1.7e308 report "rank 0 < 1").
+# Largest residual norm of a basis column that `_qr` counts as dependent on
+# the columns before it, relative to the basis's largest column norm once each
+# column is scaled by a power of two to a largest |entry| in [0.5, 1).
+RANK_RTOL = 1e-13
+
+# Bunch-Parlett's pivot threshold: it bounds the growth of the entries per
+# elimination step by the smallest possible factor, 1 + 1/alpha, about 2.57.
+_PIVOT_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+
+# Narrowest block that `_inertia` treats as wide: it zeroes a wide block's
+# eliminated rows and columns one by one, not by a full mask, and compacts
+# it.  On a narrower block numpy's per-call cost outweighs the elementwise
+# work that either saves.
+_WIDE_BLOCK = 64
+
+# Largest n accepted in a JSON triple.  `_inertia` eliminates the 3n x 3n
+# form in elementwise numpy passes, not blocked BLAS: at n = 256 `kashiwara`
+# takes about a second, and each doubling of n multiplies that by eight.
+MAX_TRIPLE_DIM = 256
+
+# Largest |entry| accepted in a JSON basis, a bound on the input that `_basis`
+# checks.  The index scales and orthonormalizes the bases, so its form does
+# not grow with the entries.
 MAX_BASIS_ENTRY = 1e150
 
 
@@ -58,12 +79,140 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _qr(a: np.ndarray):
+    """(q, rank): orthonormal columns q spanning the columns of a, and their count.
+
+    Modified Gram-Schmidt over a stack (..., m, n) of finite bases.  Each
+    column is first divided by the power of two that brings its largest
+    |entry| into [0.5, 1), exactly, so no sum of squares overflows or
+    underflows.  Then each column, in order, is normalized and projected out
+    of the columns after it, twice, since one pass leaves the rounding
+    error of the first.  A column whose residual norm is at most RANK_RTOL
+    times the largest scaled column norm counts as dependent, and its
+    column of q is 0.  Sums run along contiguous rows in numpy's pairwise
+    order, with +, -, *, / and sqrt alone, so a stack gets the bits of its
+    members on their own.
+    """
+    a = np.asarray(a, dtype=float)
+    _, exponents = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+    cols = np.ascontiguousarray(_transpose(np.ldexp(a, -exponents)))  # column j is the contiguous row j
+    cut = RANK_RTOL * np.sqrt(np.add.reduce(cols * cols, axis=-1).max(axis=-1))
+    rank = np.zeros(cut.shape, dtype=int)
+    for k in range(cols.shape[-2]):
+        column, rest = cols[..., k, :], cols[..., k + 1 :, :]
+        norm = np.sqrt(np.add.reduce(column * column, axis=-1))
+        kept = norm > cut
+        rank += kept
+        column /= np.where(kept, norm, np.inf)[..., None]
+        for _ in range(2):
+            rest -= np.add.reduce(rest * column[..., None, :], axis=-1)[..., None] * column[..., None, :]
+    return _transpose(cols), rank
+
+
+def _inertia(form: np.ndarray, cut):
+    """(n_plus, n_minus, n_zero, lowest) of exactly symmetric matrices (..., N, N), by symmetric elimination.
+
+    Bunch-Parlett complete pivoting: while the largest |entry| of the
+    remaining block exceeds `cut` (broadcast over the stack), a step takes
+    the largest diagonal entry as a 1 x 1 pivot if it is at least
+    _PIVOT_ALPHA times the largest |entry|, which is the same test as
+    against the largest off-diagonal one, and otherwise the 2 x 2 block
+    [[a, b], [b, c]] on the largest entry b, which is then off the diagonal
+    and makes the determinant negative.  Each step is a congruence, so by
+    Sylvester's law the counts are those of the eigenvalues: a 1 x 1 pivot
+    adds its sign, a 2 x 2 pivot one plus and one minus, and the rows left
+    when the elimination stops count as zero.  lowest is the least of the
+    pivots (a 2 x 2 pivot's are |b| and det / |b|) and of the lower ends of
+    the Gershgorin discs of the block left over, so a negative eigenvalue
+    makes it negative.
+
+    A stack runs in lockstep, each member's eliminated rows and columns set
+    to 0.  Once every member has at most 3/4 of the block's rows live, and
+    the block is at least _WIDE_BLOCK wide, each member's live rows move
+    to the front, in order, and the block shrinks to the most any member
+    has; so one N x N form takes about 0.43 N^3 products a pass, against
+    N^3 over the whole form at every step.  The Schur update is a sum of
+    exactly symmetric outer products, and the steps use +, -, * and /
+    alone, so the same code runs on Fraction entries (dtype object, cut 0)
+    and gives exact counts there.
+    """
+    a = np.array(form)
+    shape, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    stack = np.arange(len(a))
+    cut = np.broadcast_to(cut, shape).reshape(-1)
+    live = np.ones(a.shape[:-1], dtype=bool)
+    done = np.zeros(len(a), dtype=int)  # rows eliminated
+    n_minus = np.zeros_like(done)
+    lowest = np.full(len(a), np.inf, dtype=a.dtype)
+    magnitude, term = np.empty_like(a), np.empty_like(a)  # reused: a new N x N array costs page faults
+    while done.min() < n:
+        width = a.shape[-1]
+        size = np.abs(a, out=magnitude).reshape(len(a), width * width)
+        top = np.argmax(size, axis=-1)
+        p = np.argmax(size[:, :: width + 1], axis=-1)
+        top_all, top_diagonal = size[stack, top], size[stack, p * (width + 1)]
+        go = top_all > cut
+        if not go.any():
+            break
+        one = go & (top_diagonal >= _PIVOT_ALPHA * top_all)
+        two = go ^ one
+        r, s = np.divmod(top, width)
+        i, j = np.where(one, p, r), np.where(one, p, s)
+        ci, cj = a[stack, i], a[stack, j]  # rows i and j, which are columns i and j
+        aii, ajj, aij = ci[stack, i], cj[stack, j], ci[stack, j]
+        det = np.where(two, aii * ajj - aij * aij, aii)
+        # the pivot block's inverse is [[w_ii, w_ij], [w_ij, w_jj]]: [[1 / a, 0], [0, 0]] for a
+        # 1 x 1 pivot a, and 0 where the elimination has stopped
+        safe = np.where(go, det, 1)
+        w_ii = np.where(go, np.where(one, 1, ajj) / safe, 0)
+        np.multiply(ci[:, :, None], ci[:, None, :], out=term)
+        term *= w_ii[:, None, None]
+        a -= term
+        if two.any():
+            w_ij, w_jj = np.where(two, -aij / safe, 0), np.where(two, aii / safe, 0)
+            np.multiply(ci[:, :, None], cj[:, None, :], out=term)
+            both = term + term.swapaxes(-1, -2)
+            both *= w_ij[:, None, None]
+            np.multiply(cj[:, :, None], cj[:, None, :], out=term)
+            term *= w_jj[:, None, None]
+            both += term
+            a -= both
+        # det < 0 for a 2 x 2 pivot: its one minus, and its least pivot is det / |b|
+        n_minus += go & (det < 0)  # every other eliminated row adds a plus
+        np.minimum(lowest, det / np.where(two, np.abs(aij), 1), out=lowest, where=go)
+        done += go
+        done += two
+        live[stack, i] ^= go
+        live[stack, j] ^= two
+        if width < _WIDE_BLOCK:
+            a *= live[:, :, None] & live[:, None, :]
+            continue
+        for rows, at in ((stack[go], i[go]), (stack[two], j[two])):  # the pivot rows and columns
+            a[rows, at] = 0
+            a[rows, :, at] = 0
+        count = n - done.min()  # the most rows a member has live
+        if 4 * count <= 3 * width:
+            order = np.argsort(~live, axis=-1, kind="stable")[:, :count]
+            a = a[stack[:, None, None], order[:, :, None], order[:, None, :]]
+            live = np.arange(count) < n - done[:, None]
+            magnitude, term = np.empty_like(a), np.empty_like(a)
+    width = a.shape[-1]
+    off_diagonal = np.abs(a)
+    off_diagonal[:, np.arange(width), np.arange(width)] = 0
+    # the lower ends of the Gershgorin discs of the rows left
+    discs = np.diagonal(a, axis1=-2, axis2=-1) - np.add.reduce(off_diagonal, axis=-1)
+    lowest = np.minimum(lowest, np.min(discs, axis=-1, where=live, initial=np.inf))
+    return tuple(value.reshape(shape) for value in (done - n_minus, n_minus, n - done, lowest))
+
+
 class LagrangianTriple:
     """Three Lagrangian subspaces of R^(2n), each given by a 2n x n basis.
 
     The bases may share leading batch axes, (..., 2n, n), for a stack of
     triples.  Construction validates that every basis is finite, has full
-    column rank and that omega vanishes on each subspace: |omega(col_i,
+    column rank (by `_qr`, whose orthonormal bases `kashiwara_index` then
+    reads) and that omega vanishes on each subspace: |omega(col_i,
     col_j)| <= LAGRANGIAN_ATOL for all column pairs within one basis, after
     each column is divided by the power of two 2^e_i that brings its largest
     |entry| into [0.5, 1).  The division is exact, so the test is the same
@@ -84,7 +233,9 @@ class LagrangianTriple:
         finite = np.isfinite(stacked).all(axis=(-2, -1))
         # Zeros stand in for a non-finite basis, which fails its first check.
         safe = np.where(finite[..., None, None], stacked, 0.0)
-        rank = np.linalg.matrix_rank(safe)
+        # _qr scales the columns itself, so the index reads these bases only through _qr
+        # (test_acceptance's kashiwara_invariance-qr defect puts the identity in its place)
+        orthonormal, rank = _qr(safe)
         _, exponents = np.frexp(np.abs(safe).max(axis=-2, keepdims=True))
         unit = np.ldexp(safe, -exponents)
         gram = _transpose(unit) @ standard_symplectic_matrix(n) @ unit
@@ -112,24 +263,35 @@ class LagrangianTriple:
             raise ValueError(message)
         self.n = n
         self.bases = bases
+        self._orthonormal = orthonormal  # (3, ..., 2n, n): the bases after `_qr`, which the index reads
 
 
 @dataclass(frozen=True)
 class SignatureResult:
-    """Inertia of the cyclic pairing form.
+    """Inertia of the cyclic pairing form, and the form it was decided on.
 
     The counts are Python ints for one triple and int arrays over the batch
-    shape for a stack; eigenvalues has shape (..., 3n).
+    shape for a stack; form, the cyclic form in orthonormal bases, has shape
+    (..., 3n, 3n).
     """
 
     n_plus: int
     n_minus: int
     n_zero: int
-    eigenvalues: np.ndarray
+    form: np.ndarray = field(repr=False)
 
     @property
     def signature(self) -> int:
         return self.n_plus - self.n_minus
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of form, (..., 3n), for display: the counts do not read them.
+
+        They come from LAPACK's eigvalsh on first use, so their last bits
+        depend on the LAPACK build and the CPU.
+        """
+        return np.linalg.eigvalsh(self.form)
 
     def to_json_dict(self) -> dict:
         """Counts, signature and eigenvalues; nested lists over the batch axes of a stack."""
@@ -164,26 +326,23 @@ def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
 
 
 def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
-    """Eigenvalue signs of the cyclic pairing form.
+    """Inertia of the cyclic pairing form, by symmetric elimination.
 
-    The inertia is decided on QR-orthonormalized bases of the same
-    subspaces.  That change of basis is a congruence, so by Sylvester's law
-    it keeps the signature, and it keeps badly scaled or nearly parallel
-    basis columns from pushing true eigenvalues below the zero cut.  There,
-    eigenvalues with magnitude below INERTIA_RTOL times the largest
-    magnitude count as zero; signature = n_plus - n_minus.  The reported
-    eigenvalues are the ones decided on, so they do not grow with the
-    provided bases.  A stack of triples takes one QR and one eigvalsh call.
+    The inertia is decided on Gram-Schmidt-orthonormalized bases of the same
+    subspaces, which the triple's validation formed (`_qr`).  That change of
+    basis is a congruence, so by
+    Sylvester's law it keeps the signature, and it keeps badly scaled or
+    nearly parallel basis columns from pushing true pivots below the zero
+    cut.  `_inertia` eliminates the form until the largest |entry| left is
+    at most INERTIA_RTOL times the form's largest |entry|; the rows left
+    count as zero, and signature = n_plus - n_minus.  Neither step calls
+    BLAS or LAPACK, and a stack of triples takes one call of each.
     """
-    eigenvalues = np.linalg.eigvalsh(_cyclic_form(*np.linalg.qr(np.stack(triple.bases)).Q))
-    top = np.abs(eigenvalues).max(axis=-1, keepdims=True)
-    cut = np.where(top > 0, INERTIA_RTOL * top, 0.0)
-    n_plus = np.count_nonzero(eigenvalues > cut, axis=-1)
-    n_minus = np.count_nonzero(eigenvalues < -cut, axis=-1)
-    n_zero = eigenvalues.shape[-1] - n_plus - n_minus
-    if eigenvalues.ndim == 1:
+    form = _cyclic_form(*triple._orthonormal)
+    n_plus, n_minus, n_zero, _ = _inertia(form, INERTIA_RTOL * np.abs(form).max(axis=(-2, -1)))
+    if form.ndim == 2:
         n_plus, n_minus, n_zero = int(n_plus), int(n_minus), int(n_zero)
-    return SignatureResult(n_plus, n_minus, n_zero, eigenvalues)
+    return SignatureResult(n_plus, n_minus, n_zero, form)
 
 
 def symplectic_shear(m) -> np.ndarray:
@@ -216,12 +375,13 @@ def _basis(doc, key: str, n: int) -> np.ndarray:
 def lagrangian_triple_from_json(doc) -> LagrangianTriple:
     """Build a triple from the parsed document {"n": int, "L1": rows, "L2": rows, "L3": rows}.
 
-    n is an integer >= 1, and each Lk is a list of 2n rows with n numbers.
+    n is an integer from 1 to MAX_TRIPLE_DIM, and each Lk is a list of 2n
+    rows with n numbers.
     """
     try:
         n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a JSON integer >= 1, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_TRIPLE_DIM:
+            raise ValueError(f"n must be a JSON integer from 1 to {MAX_TRIPLE_DIM}, got {n!r}")
         bases = [_basis(doc, key, n) for key in ("L1", "L2", "L3")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Lagrangian triple document: {exc}") from exc

@@ -363,7 +363,7 @@ def _check_kashiwara(report: Report, rng) -> None:
         bases = np.array(triples, dtype=float)  # (triple, subspace, 2n, n)
         s = symplectic.symplectic_shear(rng.standard_normal((20, 2 * n, 2 * n)))
         changes = np.triu(rng.standard_normal((20, 3, n, n))) + 2.0 * np.eye(n)
-        # columns scaled by 1e-3..1e3: without its QR step the index misjudges which eigenvalues are 0
+        # columns scaled by 1e-3..1e3: without its Gram-Schmidt step the index misjudges which pivots are 0
         changes *= 10.0 ** rng.uniform(-3, 3, (20, 3, 1, n))
         # one stack: the fixed triples, then 20 moved copies of the first, each compared with it
         moved = s[:, None] @ bases[0] @ changes
@@ -462,11 +462,16 @@ def _check_kernels(report: Report, rng) -> None:
         "each node pair; order-1 kernel is symmetric",
     )
 
-    min_eig = float(np.linalg.eigvalsh(g2).min())
+    # the kernel has rank 3: three pivots, then a block of roundoff.  The elimination runs until
+    # every entry left is at most psd_floor / K^2, so the discs of the block left lie within
+    # +-psd_floor and no eigenvalue below -psd_floor can hide there.
+    floor = DEFAULT_TOLERANCES["psd_floor"]
+    lowest = float(symplectic._inertia(g2, floor / len(g2))[3])
     report.add_within(
-        "gamma2_psd", -min_eig, DEFAULT_TOLERANCES["psd_floor"],
-        "order-2 kernel eigenvalues are nonnegative up to roundoff (positive semidefinite; "
-        f"definiteness can fail on degenerate nodes); the smallest is {min_eig!r}",
+        "gamma2_psd", -lowest, floor,
+        "order-2 kernel pivots, of its symmetric elimination down to entries of psd_floor / K^2, "
+        "and the Gershgorin discs of the block left are nonnegative up to roundoff (positive "
+        f"semidefinite; definiteness can fail on degenerate nodes); the least is {lowest!r}",
     )
 
     orbital = phi[:, None, 0] * phi[None, :, 0] + phi[:, None, 1] * phi[None, :, 1]

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import time
 from pathlib import Path
 
@@ -241,12 +242,28 @@ def crossed_term(dense):
     return defective
 
 
+def null_space_twist(g2):
+    """gamma2 plus 5e-9 (e_00 e_11^T + e_11 e_00^T): an eigenvalue of -5e-9 with no negative diagonal entry.
+
+    gamma2 is antisymmetric within each node pair, so its rows (a, a) are 0
+    and e_00, e_11 lie in its null space; the planted block [[0, 5e-9],
+    [5e-9, 0]] there has eigenvalues +-5e-9, between psd_floor and the
+    kernel's largest |entry| times INERTIA_RTOL.
+    """
+    g2 = np.array(g2)
+    k = math.isqrt(len(g2))
+    g2[0, k + 1] += 5e-9
+    g2[k + 1, 0] += 5e-9
+    return g2
+
+
 def row_ids(rows, name_at):
     """Each row's record; a later row on the same record adds the function it plants in, row[name_at],
-    and one on the same record and function also adds its defect's name, row[name_at + 1]."""
+    without a leading underscore, and one on the same record and function also adds its defect's
+    name, row[name_at + 1]."""
     ids = []
     for row in rows:
-        record, name = row[-1], row[name_at]
+        record, name = row[-1], row[name_at].lstrip("_")
         candidates = (record, f"{record}-{name}", f"{record}-{name}-{row[name_at + 1].__name__}")
         ids.append(next(i for i in candidates if i not in ids))
     return ids
@@ -285,8 +302,7 @@ DEFECTS = [
      lambda f: lambda m: np.broadcast_to(np.diag(np.repeat([1.0, -1.0], m.shape[-1] // 2)), m.shape),
      "kashiwara_invariance"),
     # Q = the provided bases: the index decides inertia without orthonormalizing them
-    (8, np.linalg, "qr", lambda f: lambda a, *args, **kwargs: f(a, *args, **kwargs)._replace(Q=a),
-     "kashiwara_invariance"),
+    (8, symplectic, "_qr", lambda f: lambda a: (a, f(a)[1]), "kashiwara_invariance"),
     # <Psi> is the pair sum of F(x1, x2) . M[0]; an offset on every row moves it by about 1e-6
     (9, slater, "_pair_rows", shifted(1e-6), "one_point_vanishes"),
     (9, Gamma2Factors, "two_point", scaled(1 + 1e-6), "two_point_gram_identity"),
@@ -298,6 +314,7 @@ DEFECTS = [
      "symmetric_m_identity"),
     (10, Gamma2Factors, "dense", shifted(1e-6), "gamma2_expansion_match"),
     (10, Gamma2Factors, "dense", on_result(lambda g: g - 1e-6 * np.eye(len(g))), "gamma2_psd"),
+    (10, Gamma2Factors, "dense", on_result(null_space_twist), "gamma2_psd"),
     (10, Gamma2Factors, "gamma1", scaled(1 + 1e-6), "gamma1_orbital_sum"),
     (10, Gamma2Factors, "gamma1", nan_at((0, 1)), "kernel_symmetries"),
     (10, Gamma2Factors, "dense", crossed_term, "kernel_symmetries"),

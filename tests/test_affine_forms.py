@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,39 @@ def test_affine_det_zero_iff_dependent():
             flat = pts - np.outer((pts - pts[0]) @ normal, normal)
             assert abs(affine_det(flat)) <= 1e-9 * max(1.0, np.abs(flat).max() ** d)
             assert affinely_dependent(flat)
+
+
+def fraction_det(rows):
+    """det of a square matrix of Fractions by Gaussian elimination, exactly."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            factor = a[r][k] / a[k][k]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_affine_det_is_exact_on_integer_points(d):
+    # The Leibniz sum rounds no step on small integers, so it equals the
+    # determinant in fractions exactly, dependent point sets included.
+    rng = np.random.default_rng(d)
+    pts = rng.integers(-9, 10, (200, d + 1, d))
+    pts[:20, -1] = pts[:20, 0] + 2 * (pts[:20, 1] - pts[:20, 0])  # on a line through two others
+    got = affine_det(pts)
+    for sample, value in zip(pts, got):
+        want = fraction_det([[Fraction(int(x)) for x in row] for row in sample[1:] - sample[0]])
+        assert value == complex(want)
+        assert affine_det(sample) == complex(want)
+    assert (got[:20] == 0).all()
 
 
 # --------------------------------------------------------- MultiAffineForm

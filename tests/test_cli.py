@@ -85,22 +85,23 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
 # with numpy's native SIMD loops, with its AVX-512 loops turned off, and with
 # every dispatch target turned off, at numpy's baseline
-# (test_pins_hold_with_numpy_simd_targets_off).  The collapse-demo pin, the
-# slater report pin and both export pins also hold under OpenBLAS's Haswell
-# and Sandybridge kernels (test_collapse_demo_pin_holds_under_other_openblas_kernels,
-# test_slater_pins_hold_under_other_openblas_kernels): the collapse layer
-# and slater make no BLAS or LAPACK call.  Those kernels still
-# move the verify, kashiwara, seeds 0-49 and slater_kernels.py demo pins,
-# through LAPACK: np.linalg.det in affine_det, eigvalsh in gamma2_psd and
-# qr and eigvalsh in kashiwara_index (the demo also makes LAPACK and BLAS
-# calls of its own).  So another OpenBLAS kernel or platform may need its
-# own digests for those.
+# (test_pins_hold_with_numpy_simd_targets_off).  The verify, seeds 0-49,
+# collapse-demo and slater report pins and both export pins also hold under
+# OpenBLAS's Haswell and Sandybridge kernels
+# (test_verify_pins_hold_under_other_openblas_kernels,
+# test_collapse_demo_pin_holds_under_other_openblas_kernels,
+# test_slater_pins_hold_under_other_openblas_kernels): verify, the collapse
+# layer and slater make no LAPACK call, and verify decides the Kashiwara
+# index and gamma2_psd by elimination.  The kashiwara report prints
+# eigenvalues that LAPACK's eigvalsh computes for display, and the
+# slater_kernels.py demo makes LAPACK calls of its own, so another OpenBLAS
+# kernel or platform may need its own digests for those two.
 REPORT_DIGESTS = {
-    ("verify", "--seed", "1729"): "0c7bf1234402f277b55a9d3d0b9cb0d4ee14b347b1fd9d5271bdb2a6d96216cb",
+    ("verify", "--seed", "1729"): "cad9ff31d723d53ee7e6177f7060e694331c946148d4e6dccc7806bd051ac39a",
     ("collapse-demo", "--seed", "5"): "24bcd3ba2904b847ccab8a5823e5a82c8194e18ef3029ef9e34d0ca36e7837c7",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
-        "eabae00cbe62732adb15e67ebd3b9067b39248d94b68028c0a9baf14ed1d14ed",
+        "baa01e2f54c6eb278e26373a19a0e513938bbb4540048b0fea059e7f58010423",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
         "f36d217709682fff75b6677d0ee4b2f6e733152c3c179a43c76fda5654362948",
 }
@@ -134,7 +135,7 @@ def test_report_bytes_are_pinned(argv, capsysbinary, monkeypatch):
 # SHA-256 over the `write_json` text of `run_verify(seed)` for seeds 0-49,
 # in seed order: a stage rewrite that moves one bit at any of these seeds
 # changes it.
-VERIFY_SEEDS_0_49_DIGEST = "4e602e114e93bb7da982ea16cdbdcb66ff9f0d2b8523dadb973e5174319c3914"
+VERIFY_SEEDS_0_49_DIGEST = "88c17edebffdef6cdf838f3dc64bac30ccdd693270d9a0293227c780f3d680d5"
 
 
 def test_verify_reports_for_seeds_0_to_49_are_pinned():
@@ -187,6 +188,16 @@ def test_pins_hold_with_numpy_simd_targets_off(case):
     if not targets:
         pytest.skip(f"no numpy dispatch target of the {case} case is present on this CPU")
     run_tests_in_child(PIN_TESTS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_verify_pins_hold_under_other_openblas_kernels(kernel):
+    # verify makes no LAPACK call: affine_det is a Leibniz sum, and the Kashiwara
+    # index and gamma2_psd come from symmetric elimination, so its bytes hold
+    # whichever OpenBLAS kernel the child selects
+    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[verify --seed 1729]",
+                        "tests/test_cli.py::test_verify_reports_for_seeds_0_to_49_are_pinned"],
+                       OPENBLAS_CORETYPE=kernel)
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
@@ -1038,6 +1049,7 @@ def test_kashiwara_rejects_non_finite_basis(tmp_path, capsys, slot, value):
         ("n", True),
         ("n", "1"),
         ("n", 0),
+        ("n", 257),  # above symplectic.MAX_TRIPLE_DIM
         ("L2", [["1"], [0.0]]),
         ("L3", [[True], [1.0]]),
         ("L1", [[10**400], [0.0]]),
@@ -1046,8 +1058,8 @@ def test_kashiwara_rejects_non_finite_basis(tmp_path, capsys, slot, value):
         ("L2", nested(70)),
     ],
     ids=[
-        "n-float", "n-bool", "n-string", "n-zero", "L2-string-entry", "L3-bool-entry", "L1-huge-integer", "L1-ragged",
-        "L1-nested-40", "L2-nested-70",
+        "n-float", "n-bool", "n-string", "n-zero", "n-above-cap", "L2-string-entry", "L3-bool-entry", "L1-huge-integer",
+        "L1-ragged", "L1-nested-40", "L2-nested-70",
     ],
 )
 def test_kashiwara_rejects_mistyped_fields(tmp_path, capsys, field, value):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import re
 import tracemalloc
@@ -25,6 +26,9 @@ from affine_fermions import (
 )
 from affine_fermions.collapse import _BLOCK_ROWS as BLOCK
 from affine_fermions.verification import collapse_gap
+
+# the module, which the package's `collapse` function shadows as an attribute
+collapse_module = importlib.import_module("affine_fermions.collapse")
 
 
 def random_triple(rng):
@@ -532,6 +536,20 @@ def test_a_non_finite_row_past_the_first_block_names_its_argument(fn, name):
         del args["sigma"]
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
         fn(**args)
+
+
+@pytest.mark.parametrize("fn", [collapse, collapse_with_morphism], ids=["collapse", "morphism"])
+def test_the_blocks_reuse_the_checked_states(fn, monkeypatch):
+    # each state is converted and checked once per call, not once more per block;
+    # theta and ThetaBlocks still check every block
+    names = []
+    as_state = collapse_module._as_state
+    monkeypatch.setattr(collapse_module, "_as_state", lambda v, name: names.append(name) or as_state(v, name))
+    n = 3 * BLOCK + 1
+    a, b, c = random_triple_batch(np.random.default_rng(23), n)
+    args = (a, b, c) if fn is collapse else (a, b, c, np.tile(np.eye(2, dtype=complex), (n, 1, 1)))
+    assert fn(*args).shape == (n,)
+    assert names == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("fn", [collapse, collapse_with_morphism], ids=["collapse", "morphism"])

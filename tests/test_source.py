@@ -10,8 +10,10 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from affine_fermions import run_verify
 from affine_fermions.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,10 +163,16 @@ BLAS_NAMES = {"linalg", "matmul", "einsum", "dot", "tensordot", "kron"}
 NO_BLAS_MODULES = ["collapse.py", "slater.py"]
 
 
-# Functions whose bits the exported kernels carry: each is scanned with every
-# def of its module that it reaches (`reached_defs`), so the guard on them
-# holds even where their module makes such calls elsewhere.
-NO_BLAS_FUNCTIONS = {"slater.py": ["gamma2_factors", "Gamma2Factors.gamma1", "Gamma2Factors.dense"]}
+# Functions whose bits the exported kernels or verify's reports carry: each
+# is scanned with every def of its module that it reaches (`reached_defs`),
+# so the guard on them holds even where their module makes such calls
+# elsewhere: affine_det's Leibniz sum, and the Gram-Schmidt step and the
+# symmetric elimination that decide the Kashiwara index and gamma2_psd.
+NO_BLAS_FUNCTIONS = {
+    "slater.py": ["gamma2_factors", "Gamma2Factors.gamma1", "Gamma2Factors.dense"],
+    "affine_forms.py": ["_leibniz_det"],
+    "symplectic.py": ["_qr", "_inertia"],
+}
 
 
 def blas_calls(source) -> list:
@@ -268,3 +276,24 @@ def test_blas_scan_finds_planted_calls():
         (2, "linalg"), (3, "@"), (4, "@"), (5, "dot"), (5, "einsum"), (6, "linalg"), (7, "kron"),
         (8, "**"), (9, "**"),
     ]
+
+
+def test_verify_makes_no_lapack_call(monkeypatch):
+    """`verify` decides every record without numpy.linalg, so no LAPACK build moves its bytes.
+
+    Every public function of numpy.linalg raises while `run_verify` runs:
+    det, slogdet, qr, eig, eigh, eigvals, eigvalsh, svd, matrix_rank, solve,
+    inv, lstsq and cholesky, the LAPACK entry points, among them.
+    """
+    names = [name for name in np.linalg.__all__
+             if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"run_verify called numpy.linalg.{name}")
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    report = run_verify(1729)
+    assert report.ok and len(report.checks) == 26

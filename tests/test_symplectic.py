@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from affine_fermions import (
     standard_symplectic_matrix,
     symplectic_shear,
 )
+from affine_fermions import symplectic
 
 
 def axes_triple():
@@ -317,3 +319,107 @@ def test_one_bad_sample_raises_the_single_message_with_its_index(plant, shape, a
         LagrangianTriple(*bases)
     assert str(single.value).startswith("L2 ")
     assert str(batch.value) == f"{single.value} (sample {', '.join(map(str, at))})"
+
+
+# ------------------------------------------------------ inertia by elimination
+
+
+def eigenvalue_counts(form):
+    """(n_plus, n_minus, n_zero) from eigvalsh, |lambda| <= INERTIA_RTOL max |lambda| counted as zero."""
+    eigenvalues = np.linalg.eigvalsh(form)
+    cut = symplectic.INERTIA_RTOL * np.abs(eigenvalues).max(axis=-1, keepdims=True)
+    n_plus = np.count_nonzero(eigenvalues > cut, axis=-1)
+    n_minus = np.count_nonzero(eigenvalues < -cut, axis=-1)
+    return n_plus, n_minus, eigenvalues.shape[-1] - n_plus - n_minus
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("repeat", [False, True], ids=["generic", "repeated"])
+def test_elimination_counts_equal_eigenvalue_counts(n, repeat):
+    # 150 triples per case, 900 in all; a repeated subspace gives n zero eigenvalues
+    result = kashiwara_index(LagrangianTriple(*moved_bases(n, (150,), seed=10 * n + repeat, repeat=repeat)))
+    counts = (result.n_plus, result.n_minus, result.n_zero)
+    for got, want in zip(counts, eigenvalue_counts(result.form)):
+        assert np.array_equal(got, want)
+    assert ((result.n_zero >= n) if repeat else (result.n_zero == 0)).all()
+
+
+def omega(u, v):
+    """omega(u, v) = u_p . v_q - u_q . v_p over the last axis, u and v in R^(2n)."""
+    n = u.shape[-1] // 2
+    return (u[..., :n] * v[..., n:]).sum(axis=-1) - (u[..., n:] * v[..., :n]).sum(axis=-1)
+
+
+def test_n1_signature_is_the_sign_of_the_cyclic_omega_product():
+    # for three lines in R^2, tau = -sign(omega(l1, l2) omega(l2, l3) omega(l3, l1)), which needs no
+    # elimination; a repeated line makes one factor, and tau, zero
+    rng = np.random.default_rng(12)
+    lines = rng.standard_normal((3, 300, 2))
+    lines[2, :50] = 3.0 * lines[0, :50]
+    lines[1, 50:100] = -lines[2, 50:100]
+    result = kashiwara_index(LagrangianTriple(*lines[..., None]))
+    product = omega(lines[0], lines[1]) * omega(lines[1], lines[2]) * omega(lines[2], lines[0])
+    tau = np.where(np.arange(300) < 100, 0, -np.sign(product))
+    assert np.array_equal(result.signature, tau)
+
+
+def test_elimination_reads_the_inertia_of_planted_forms():
+    # X diag(signs) X^T with generic X has the inertia of its signs, zeros included
+    rng = np.random.default_rng(13)
+    for size in (1, 2, 5, 9, 36):
+        signs = rng.choice([-1.0, 0.0, 1.0], (40, size))
+        x = rng.standard_normal((40, size, size))
+        form = (x * signs[:, None, :]) @ x.swapaxes(-1, -2)
+        form = (form + form.swapaxes(-1, -2)) / 2.0
+        cut = symplectic.INERTIA_RTOL * np.abs(form).max(axis=(-2, -1))
+        n_plus, n_minus, n_zero, lowest = symplectic._inertia(form, cut)
+        assert np.array_equal(n_plus, (signs > 0).sum(axis=-1))
+        assert np.array_equal(n_minus, (signs < 0).sum(axis=-1))
+        assert np.array_equal(n_zero, (signs == 0).sum(axis=-1))
+        # a negative eigenvalue gives a negative pivot; with none, only the discs of the block
+        # left, whose entries are at most the cut, can read below 0
+        negative = (signs < 0).any(axis=-1)
+        assert (lowest[negative] < 0).all()
+        assert (lowest[~negative] >= -size * cut[~negative]).all()
+
+
+def test_elimination_runs_unchanged_on_fractions():
+    # integer shears and basis changes keep every basis integer, so the cyclic form is
+    # exact in fractions; the same routine gives its exact inertia, with cut 0
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        upper = rng.integers(-3, 4, (20, 2 * n, 2 * n))
+        s = symplectic_shear(np.triu(upper) + np.triu(upper, 1).swapaxes(-1, -2))
+        changes = np.triu(rng.integers(-3, 4, (3, 20, n, n)), 1) + np.eye(n, dtype=int)
+        bases = [s @ b @ g for b, g in zip(plane_bases(n), changes)]
+        bases[2][:5] = bases[0][:5] @ changes[2][:5]  # L3 = L1 in the first five
+        exact = [np.vectorize(Fraction, otypes=[object])(b.astype(int)) for b in bases]
+        form = np.zeros((20, 3 * n, 3 * n), dtype=object)
+        for k in range(3):
+            b1, b2 = exact[k], exact[(k + 1) % 3]
+            block = omega(b1.swapaxes(-1, -2)[..., :, None, :], b2.swapaxes(-1, -2)[..., None, :, :])
+            rows, cols = slice(k * n, (k + 1) * n), slice(((k + 1) % 3) * n, ((k + 1) % 3 + 1) * n)
+            form[:, rows, cols] = block / 2
+            form[:, cols, rows] = block.swapaxes(-1, -2) / 2
+        n_plus, n_minus, n_zero, lowest = symplectic._inertia(form, 0)
+        assert all(isinstance(p, Fraction) for p in lowest.flat if p != 0)
+        result = kashiwara_index(LagrangianTriple(*bases))
+        assert np.array_equal(n_plus, result.n_plus) and np.array_equal(n_minus, result.n_minus)
+        assert np.array_equal(n_zero, result.n_zero)
+        assert (n_zero[:5] >= n).all() and (n_zero[5:] == 0).all()
+
+
+def test_gram_schmidt_rank_finds_dependent_columns():
+    # a column equal to a multiple of another, or zero, counts as dependent; the rest are independent
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 4):
+        a = rng.standard_normal((500, 2 * n, n))
+        k = rng.integers(1, n, 500)
+        scale = rng.choice([1.0, -1.0, 3.0, 0.1, 1e-3], 500)
+        scale[:50] = 0.0
+        a[np.arange(500), :, k] = scale[:, None] * a[:, :, 0]
+        q, rank = symplectic._qr(a * 10.0 ** rng.uniform(-200, 200, (500, 1, n)))
+        assert (rank == n - 1).all()
+        q, rank = symplectic._qr(rng.standard_normal((500, 2 * n, n)))
+        assert (rank == n).all()
+        assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-14
