@@ -6,7 +6,9 @@ L1 (+) L2 (+) L3 has the same pairwise-cyclic shape as the entangled
 triple; its signature classifies the triple up to symplectic moves.  The
 index counts the signs of Q in orthonormal bases of the subspaces by
 symmetric elimination: a change of basis, and each elimination step, is a
-congruence, which keeps the signature.
+congruence, which keeps the signature.  The elimination reports how far its
+decisions fell from the zero cut: its least pivot and the largest entry it
+left, each over the cut.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ print("triple: x-axis, y-axis, diagonal in R^2")
 print("matrix of Q (basis coefficients s, t, r):")
 print(kashiwara_q(axes))
 result = kashiwara_index(axes)
-print(f"eigenvalues in orthonormal bases {np.round(result.eigenvalues, 4)}")
+print(f"margins over the zero cut: least pivot {result.pivot_margin:.4g}, "
+      f"largest entry left {result.zero_margin:.4g}")
 print(f"inertia (+, -, 0) = ({result.n_plus}, {result.n_minus}, {result.n_zero})")
 print(f"signature = {result.signature}")
 
@@ -31,6 +34,10 @@ print(f"\nswap the first two subspaces: signature = "
 repeated = LagrangianTriple(axes.bases[0], axes.bases[1], axes.bases[0])
 print(f"repeat a subspace: inertia = "
       f"{(lambda r: (r.n_plus, r.n_minus, r.n_zero))(kashiwara_index(repeated))}")
+
+line = [[0.6], [0.8]]
+equal = kashiwara_index(LagrangianTriple(line, line, line))
+print(f"three equal subspaces: inertia = ({equal.n_plus}, {equal.n_minus}, {equal.n_zero})")
 
 print("\ninvariance under symplectic transformations (n = 2)")
 planes = LagrangianTriple(

@@ -18,8 +18,7 @@ own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ __all__ = [
 # each column scaled by a power of two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
 
-INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to the largest |entry| of the form
+INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to max(1, largest |entry| of the form)
 
 # Largest residual norm of a basis column that `_qr` counts as dependent on
 # the columns before it, relative to the basis's largest column norm once each
@@ -110,7 +109,7 @@ def _qr(a: np.ndarray):
 
 
 def _inertia(form: np.ndarray, cut):
-    """(n_plus, n_minus, n_zero, lowest) of exactly symmetric matrices (..., N, N), by symmetric elimination.
+    """(n_plus, n_minus, n_zero, lowest, pivot, left) of exactly symmetric matrices (..., N, N), by symmetric elimination.
 
     Bunch-Parlett complete pivoting: while the largest |entry| of the
     remaining block exceeds `cut` (broadcast over the stack), a step takes
@@ -124,7 +123,8 @@ def _inertia(form: np.ndarray, cut):
     when the elimination stops count as zero.  lowest is the least of the
     pivots (a 2 x 2 pivot's are |b| and det / |b|) and of the lower ends of
     the Gershgorin discs of the block left over, so a negative eigenvalue
-    makes it negative.
+    makes it negative.  pivot is the least largest |entry| that a step
+    eliminated (inf if none did), left the largest |entry| left (0 if none).
 
     A stack runs in lockstep, each member's eliminated rows and columns set
     to 0.  Once every member has at most 3/4 of the block's rows live, and
@@ -145,6 +145,7 @@ def _inertia(form: np.ndarray, cut):
     done = np.zeros(len(a), dtype=int)  # rows eliminated
     n_minus = np.zeros_like(done)
     lowest = np.full(len(a), np.inf, dtype=a.dtype)
+    pivot = lowest.copy()
     magnitude, term = np.empty_like(a), np.empty_like(a)  # reused: a new N x N array costs page faults
     while done.min() < n:
         width = a.shape[-1]
@@ -155,6 +156,7 @@ def _inertia(form: np.ndarray, cut):
         go = top_all > cut
         if not go.any():
             break
+        np.minimum(pivot, top_all, out=pivot, where=go)
         one = go & (top_diagonal >= _PIVOT_ALPHA * top_all)
         two = go ^ one
         r, s = np.divmod(top, width)
@@ -199,11 +201,12 @@ def _inertia(form: np.ndarray, cut):
             magnitude, term = np.empty_like(a), np.empty_like(a)
     width = a.shape[-1]
     off_diagonal = np.abs(a)
+    left = np.max(off_diagonal, axis=(-2, -1), initial=0)  # eliminated rows and columns hold 0
     off_diagonal[:, np.arange(width), np.arange(width)] = 0
     # the lower ends of the Gershgorin discs of the rows left
     discs = np.diagonal(a, axis1=-2, axis2=-1) - np.add.reduce(off_diagonal, axis=-1)
     lowest = np.minimum(lowest, np.min(discs, axis=-1, where=live, initial=np.inf))
-    return tuple(value.reshape(shape) for value in (done - n_minus, n_minus, n - done, lowest))
+    return tuple(value.reshape(shape) for value in (done - n_minus, n_minus, n - done, lowest, pivot, left))
 
 
 class LagrangianTriple:
@@ -268,40 +271,30 @@ class LagrangianTriple:
 
 @dataclass(frozen=True)
 class SignatureResult:
-    """Inertia of the cyclic pairing form, and the form it was decided on.
+    """Inertia of the cyclic pairing form, and its elimination's margins over the zero cut.
 
-    The counts are Python ints for one triple and int arrays over the batch
-    shape for a stack; form, the cyclic form in orthonormal bases, has shape
-    (..., 3n, 3n).
+    pivot_margin is the least largest |entry| that a step eliminated (inf
+    when none did), zero_margin the largest |entry| left (0 when no row is),
+    each over the cut: near 1, roundoff could move the counts.  Python ints
+    and floats for one triple, arrays over the batch shape for a stack.
     """
 
     n_plus: int
     n_minus: int
     n_zero: int
-    form: np.ndarray = field(repr=False)
+    pivot_margin: float
+    zero_margin: float
 
     @property
     def signature(self) -> int:
         return self.n_plus - self.n_minus
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of form, (..., 3n), for display: the counts do not read them.
-
-        They come from LAPACK's eigvalsh on first use, so their last bits
-        depend on the LAPACK build and the CPU.
-        """
-        return np.linalg.eigvalsh(self.form)
-
     def to_json_dict(self) -> dict:
-        """Counts, signature and eigenvalues; nested lists over the batch axes of a stack."""
-        return {
-            "n_plus": np.asarray(self.n_plus).tolist(),
-            "n_minus": np.asarray(self.n_minus).tolist(),
-            "n_zero": np.asarray(self.n_zero).tolist(),
-            "signature": np.asarray(self.signature).tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
+        """Counts, signature and margins, an inf pivot_margin as null; nested lists over the batch axes of a stack."""
+        keys = ("n_plus", "n_minus", "n_zero", "signature", "zero_margin")
+        doc = {key: np.asarray(getattr(self, key)).tolist() for key in keys}
+        doc["pivot_margin"] = np.where(np.isinf(self.pivot_margin), None, self.pivot_margin).tolist()
+        return doc
 
 
 def _cyclic_form(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
@@ -330,19 +323,22 @@ def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
 
     The inertia is decided on Gram-Schmidt-orthonormalized bases of the same
     subspaces, which the triple's validation formed (`_qr`).  That change of
-    basis is a congruence, so by
-    Sylvester's law it keeps the signature, and it keeps badly scaled or
-    nearly parallel basis columns from pushing true pivots below the zero
-    cut.  `_inertia` eliminates the form until the largest |entry| left is
-    at most INERTIA_RTOL times the form's largest |entry|; the rows left
-    count as zero, and signature = n_plus - n_minus.  Neither step calls
-    BLAS or LAPACK, and a stack of triples takes one call of each.
+    basis is a congruence, so by Sylvester's law it keeps the signature, and
+    it keeps badly scaled or nearly parallel basis columns from pushing true
+    pivots below the zero cut.  There every entry of the form is at most 1
+    in magnitude, and the cut is INERTIA_RTOL times max(1, its largest
+    |entry|), so a form of roundoff alone, as on three equal subspaces,
+    counts as zero.  `_inertia` eliminates the form until the largest
+    |entry| left is at most the cut; the rows left count as zero.  Neither
+    step calls BLAS or LAPACK, and a stack of triples takes one call of each.
     """
     form = _cyclic_form(*triple._orthonormal)
-    n_plus, n_minus, n_zero, _ = _inertia(form, INERTIA_RTOL * np.abs(form).max(axis=(-2, -1)))
+    cut = INERTIA_RTOL * np.maximum(1.0, np.abs(form).max(axis=(-2, -1)))
+    n_plus, n_minus, n_zero, _, pivot, left = _inertia(form, cut)
+    counts, margins = (n_plus, n_minus, n_zero), (pivot / cut, left / cut)
     if form.ndim == 2:
-        n_plus, n_minus, n_zero = int(n_plus), int(n_minus), int(n_zero)
-    return SignatureResult(n_plus, n_minus, n_zero, form)
+        counts, margins = map(int, counts), map(float, margins)
+    return SignatureResult(*counts, *margins)
 
 
 def symplectic_shear(m) -> np.ndarray:

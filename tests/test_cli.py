@@ -85,23 +85,24 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
 # with numpy's native SIMD loops, with its AVX-512 loops turned off, and with
 # every dispatch target turned off, at numpy's baseline
-# (test_pins_hold_with_numpy_simd_targets_off).  The verify, seeds 0-49,
-# collapse-demo and slater report pins and both export pins also hold under
+# (test_pins_hold_with_numpy_simd_targets_off).  Every pin also holds under
 # OpenBLAS's Haswell and Sandybridge kernels
 # (test_verify_pins_hold_under_other_openblas_kernels,
 # test_collapse_demo_pin_holds_under_other_openblas_kernels,
-# test_slater_pins_hold_under_other_openblas_kernels): verify, the collapse
-# layer and slater make no LAPACK call, and verify decides the Kashiwara
-# index and gamma2_psd by elimination.  The kashiwara report prints
-# eigenvalues that LAPACK's eigvalsh computes for display, and the
-# slater_kernels.py demo makes LAPACK calls of its own, so another OpenBLAS
-# kernel or platform may need its own digests for those two.
+# test_slater_pins_hold_under_other_openblas_kernels,
+# test_kashiwara_and_demo_pins_hold_under_other_openblas_kernels): no
+# command and no demo makes a LAPACK call, and verify, kashiwara and the
+# slater_kernels.py demo decide inertia, and read gamma2_psd's least pivot,
+# by symmetric elimination.  The kashiwara report prints that elimination's
+# margins.  The small BLAS products that remain, in the Kashiwara form and
+# the demos, held their bits under both kernels; another platform may need
+# its own digests for those.
 REPORT_DIGESTS = {
     ("verify", "--seed", "1729"): "cad9ff31d723d53ee7e6177f7060e694331c946148d4e6dccc7806bd051ac39a",
     ("collapse-demo", "--seed", "5"): "24bcd3ba2904b847ccab8a5823e5a82c8194e18ef3029ef9e34d0ca36e7837c7",
     ("conjecture",): "925f9e079a356a7961a6830783bd97fc050fd583bfdb8b8b138434e1fb3f945c",
     ("kashiwara", "--input", "demos/data/lagrangian_axes.json"):
-        "baa01e2f54c6eb278e26373a19a0e513938bbb4540048b0fea059e7f58010423",
+        "cca3c29f757ac0e0c3118efe74962acb4ce3851804aa511fc50b89771db471cb",
     ("slater", "--input", "demos/data/slater_orthonormal.json"):
         "f36d217709682fff75b6677d0ee4b2f6e733152c3c179a43c76fda5654362948",
 }
@@ -215,6 +216,17 @@ def test_slater_pins_hold_under_other_openblas_kernels(kernel):
     run_tests_in_child(["tests/test_cli.py::test_export_bytes_are_pinned",
                         "tests/test_cli.py::test_report_bytes_are_pinned"
                         "[slater --input demos/data/slater_orthonormal.json]"],
+                       OPENBLAS_CORETYPE=kernel)
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_kashiwara_and_demo_pins_hold_under_other_openblas_kernels(kernel):
+    # kashiwara and the demos make no LAPACK call: the index and the demo's gamma2
+    # pivot come from symmetric elimination, so their bytes hold whichever OpenBLAS
+    # kernel the child selects
+    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned"
+                        "[kashiwara --input demos/data/lagrangian_axes.json]",
+                        "tests/test_demos.py::test_demo_runs"],
                        OPENBLAS_CORETYPE=kernel)
 
 
@@ -1008,6 +1020,24 @@ def test_kashiwara_permuted_triple_flips(tmp_path, capsys):
     assert json.loads(out)["index"]["signature"] == 1
 
 
+@pytest.mark.parametrize(
+    "n, basis",
+    [(1, [[0.6], [0.8]]), (2, [[1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.7, -1.1]])],
+    ids=["line", "graph"],
+)
+def test_kashiwara_equal_subspaces_have_index_zero(tmp_path, capsys, n, basis):
+    # Q of three equal subspaces is 0; in floating point its entries are roundoff, which the
+    # cut counts as zero because it is floored at INERTIA_RTOL, not relative to max|Q| alone
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"n": n, "L1": basis, "L2": basis, "L3": basis}))
+    status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 0
+    index = json.loads(out)["index"]
+    assert (index["n_plus"], index["n_minus"], index["n_zero"], index["signature"]) == (0, 0, 3 * n, 0)
+    # no step ran, and the roundoff left is far below the cut
+    assert index["pivot_margin"] is None and index["zero_margin"] < 1e-6
+
+
 def test_kashiwara_degenerate_triple(tmp_path, capsys):
     path = axes_triple_input(tmp_path / "triple.json", order=("L1", "L2", "L1"))
     status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
@@ -1081,14 +1111,15 @@ def test_kashiwara_rejects_entries_above_the_magnitude_cap(tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert err.strip().splitlines() == ["error: L1 basis entries must be at most 1e+150 in magnitude"]
-    # at the cap the eigenvalues, taken in orthonormal bases, are the unit triple's
+    # at the cap the margins, taken in orthonormal bases, are the unit triple's
     path.write_text(json.dumps({"n": 1, "L1": [[1e150], [0]], "L2": [[0], [1e150]], "L3": [[1e150], [1e150]]}))
     status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
     index = json.loads(out)["index"]
     assert status == 0
     assert index["signature"] == -1
     unit = json.loads(run(["kashiwara", "--input", str(axes_triple_input(tmp_path / "unit.json"))], capsys)[1])
-    assert np.allclose(index["eigenvalues"], unit["index"]["eigenvalues"], rtol=0, atol=1e-15)
+    assert math.isclose(index["pivot_margin"], unit["index"]["pivot_margin"], rel_tol=1e-14)
+    assert index["zero_margin"] == unit["index"]["zero_margin"] == 0.0
 
 
 def test_kashiwara_accepts_integer_entries(tmp_path, capsys):

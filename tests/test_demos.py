@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # test_cli.py: a change that alters a demo's output on purpose updates its
 # digest and says why in CHANGES.md.
 DEMO_DIGESTS = {
-    "slater_kernels.py": "d4f292c1229390e3c7c2eaba4f546d672f24ee9f96e38ebd827bbdca6f5cbee6",
-    "kashiwara_example.py": "b36ded55ee2855b9741317a4b698c217bc1c553947644d982a124c6e65b32993",
+    "slater_kernels.py": "5295d611572a70a58172a0a40c657eae3d55d7dafadbd10b7d5cf6d88fd7994a",
+    "kashiwara_example.py": "df618623616b1afbdab2e26b6624ebdcc69ebb2827e6bbb6db9c29febc5b7e7f",
     "affine_determinants.py": "5c393ba51d12ff5f16d55e49066f2aaeeaedc7a2165b8109726b9813d89612c6",
     "collapse_pipeline.py": "a29955de81e41149a9c6e8214dfc6edd9489529d42cf8d872953a51a26ff4a1a",
 }

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import re
 import runpy
 import sys
@@ -278,22 +279,40 @@ def test_blas_scan_finds_planted_calls():
     ]
 
 
-def test_verify_makes_no_lapack_call(monkeypatch):
-    """`verify` decides every record without numpy.linalg, so no LAPACK build moves its bytes.
+# Files that make no LAPACK call at all; the `@` products left in them are BLAS, and test_cli.py's
+# kernel legs pin their bits.
+NO_LAPACK_FILES = ["src/affine_fermions/symplectic.py", "demos/kashiwara_example.py", "demos/slater_kernels.py"]
 
-    Every public function of numpy.linalg raises while `run_verify` runs:
-    det, slogdet, qr, eig, eigh, eigvals, eigvalsh, svd, matrix_rank, solve,
-    inv, lstsq and cholesky, the LAPACK entry points, among them.
-    """
+
+@pytest.mark.parametrize("path", NO_LAPACK_FILES)
+def test_file_makes_no_lapack_call(path):
+    assert [found for found in blas_calls((ROOT / path).read_text()) if found[1] == "linalg"] == []
+
+
+def refuse_lapack(monkeypatch):
+    """Make every public function of numpy.linalg raise: det, slogdet, qr, eig, eigh, eigvals,
+    eigvalsh, svd, matrix_rank, solve, inv, lstsq and cholesky, the LAPACK entry points, among them."""
     names = [name for name in np.linalg.__all__
              if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)]
 
     def refuse(name):
         def call(*args, **kwargs):
-            raise AssertionError(f"run_verify called numpy.linalg.{name}")
+            raise AssertionError(f"called numpy.linalg.{name}")
         return call
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, refuse(name))
+
+
+def test_verify_makes_no_lapack_call(monkeypatch):
+    """`verify` decides every record without numpy.linalg, so no LAPACK build moves its bytes."""
+    refuse_lapack(monkeypatch)
     report = run_verify(1729)
     assert report.ok and len(report.checks) == 26
+
+
+def test_kashiwara_makes_no_lapack_call(monkeypatch, capsys):
+    """`kashiwara` decides and reports its index without numpy.linalg, so no LAPACK build moves its bytes."""
+    refuse_lapack(monkeypatch)
+    assert main(["kashiwara", "--input", str(ROOT / "demos" / "data" / "lagrangian_axes.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["index"]["signature"] == -1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -115,8 +115,12 @@ def test_kashiwara_index_axes_example():
     result = kashiwara_index(axes_triple())
     assert (result.n_plus, result.n_minus, result.n_zero) == (1, 2, 0)
     assert result.signature == -1
-    # the eigenvalues of Q in orthonormal bases: -1/2 and (1 -+ sqrt 5) / 4
-    assert_allclose(result.eigenvalues, [-0.5, (1 - 5**0.5) / 4, (1 + 5**0.5) / 4], atol=1e-12)
+    # every pivot's largest |entry| is 1/2, far above the cut of 1e-8, and nothing is left over
+    assert_allclose(result.pivot_margin, 0.5 / symplectic.INERTIA_RTOL, rtol=1e-12)
+    assert result.zero_margin == 0.0
+    # the eigenvalues of Q in orthonormal bases, the form the counts are decided on: -1/2 and (1 -+ sqrt 5) / 4
+    form = symplectic._cyclic_form(*axes_triple()._orthonormal)
+    assert_allclose(np.linalg.eigvalsh(form), [-0.5, (1 - 5**0.5) / 4, (1 + 5**0.5) / 4], atol=1e-12)
 
 
 def test_kashiwara_index_swap_flips_signature():
@@ -265,9 +269,8 @@ def test_stacked_triples_equal_single_calls(n, shape, seed, repeat):
     def stacked(values):
         return np.reshape(values, shape + np.shape(values[0]))
 
-    for field in ("n_plus", "n_minus", "n_zero", "signature"):
+    for field in ("n_plus", "n_minus", "n_zero", "signature", "pivot_margin", "zero_margin"):
         assert np.array_equal(getattr(result, field), stacked([getattr(r, field) for r in singles]))
-    assert np.array_equal(result.eigenvalues, stacked([r.eigenvalues for r in singles]))
     assert np.array_equal(kashiwara_q(triple), stacked([kashiwara_q(row) for row in rows]))
     if repeat:
         assert (result.n_zero > 0).all()
@@ -277,9 +280,10 @@ def test_unbatched_index_returns_ints():
     result = kashiwara_index(plane_triple())
     for value in (result.n_plus, result.n_minus, result.n_zero, result.signature):
         assert type(value) is int
-    assert result.eigenvalues.shape == (6,)
+    assert type(result.pivot_margin) is float and type(result.zero_margin) is float
     stacked = kashiwara_index(LagrangianTriple(*moved_bases(2, (4,), seed=3)))
     assert stacked.n_plus.shape == stacked.signature.shape == (4,)
+    assert stacked.pivot_margin.shape == stacked.zero_margin.shape == (4,)
     assert (stacked.signature == result.signature).all()
 
 
@@ -325,9 +329,9 @@ def test_one_bad_sample_raises_the_single_message_with_its_index(plant, shape, a
 
 
 def eigenvalue_counts(form):
-    """(n_plus, n_minus, n_zero) from eigvalsh, |lambda| <= INERTIA_RTOL max |lambda| counted as zero."""
+    """(n_plus, n_minus, n_zero) from eigvalsh, |lambda| <= INERTIA_RTOL max(1, max |lambda|) counted as zero."""
     eigenvalues = np.linalg.eigvalsh(form)
-    cut = symplectic.INERTIA_RTOL * np.abs(eigenvalues).max(axis=-1, keepdims=True)
+    cut = symplectic.INERTIA_RTOL * np.maximum(1.0, np.abs(eigenvalues).max(axis=-1, keepdims=True))
     n_plus = np.count_nonzero(eigenvalues > cut, axis=-1)
     n_minus = np.count_nonzero(eigenvalues < -cut, axis=-1)
     return n_plus, n_minus, eigenvalues.shape[-1] - n_plus - n_minus
@@ -337,9 +341,10 @@ def eigenvalue_counts(form):
 @pytest.mark.parametrize("repeat", [False, True], ids=["generic", "repeated"])
 def test_elimination_counts_equal_eigenvalue_counts(n, repeat):
     # 150 triples per case, 900 in all; a repeated subspace gives n zero eigenvalues
-    result = kashiwara_index(LagrangianTriple(*moved_bases(n, (150,), seed=10 * n + repeat, repeat=repeat)))
+    triple = LagrangianTriple(*moved_bases(n, (150,), seed=10 * n + repeat, repeat=repeat))
+    result = kashiwara_index(triple)
     counts = (result.n_plus, result.n_minus, result.n_zero)
-    for got, want in zip(counts, eigenvalue_counts(result.form)):
+    for got, want in zip(counts, eigenvalue_counts(symplectic._cyclic_form(*triple._orthonormal))):
         assert np.array_equal(got, want)
     assert ((result.n_zero >= n) if repeat else (result.n_zero == 0)).all()
 
@@ -372,15 +377,31 @@ def test_elimination_reads_the_inertia_of_planted_forms():
         form = (x * signs[:, None, :]) @ x.swapaxes(-1, -2)
         form = (form + form.swapaxes(-1, -2)) / 2.0
         cut = symplectic.INERTIA_RTOL * np.abs(form).max(axis=(-2, -1))
-        n_plus, n_minus, n_zero, lowest = symplectic._inertia(form, cut)
+        n_plus, n_minus, n_zero, lowest, pivot, left = symplectic._inertia(form, cut)
         assert np.array_equal(n_plus, (signs > 0).sum(axis=-1))
         assert np.array_equal(n_minus, (signs < 0).sum(axis=-1))
         assert np.array_equal(n_zero, (signs == 0).sum(axis=-1))
+        # every step eliminated a block whose largest |entry| is above the cut, and what is left is not
+        assert (pivot > cut).all() and (left <= cut).all()
+        assert np.array_equal(np.isinf(pivot), n_zero == size)
         # a negative eigenvalue gives a negative pivot; with none, only the discs of the block
         # left, whose entries are at most the cut, can read below 0
         negative = (signs < 0).any(axis=-1)
         assert (lowest[negative] < 0).all()
         assert (lowest[~negative] >= -size * cut[~negative]).all()
+
+
+def exact_cyclic_form(bases):
+    """Q of a stack of triples (..., 2n, n) of Fraction bases, in those bases, as an object array (..., 3n, 3n)."""
+    n = bases[0].shape[-1]
+    form = np.zeros(bases[0].shape[:-2] + (3 * n, 3 * n), dtype=object)
+    for k in range(3):
+        b1, b2 = bases[k], bases[(k + 1) % 3]
+        block = omega(b1.swapaxes(-1, -2)[..., :, None, :], b2.swapaxes(-1, -2)[..., None, :, :])
+        rows, cols = slice(k * n, (k + 1) * n), slice(((k + 1) % 3) * n, ((k + 1) % 3 + 1) * n)
+        form[..., rows, cols] = block / 2
+        form[..., cols, rows] = block.swapaxes(-1, -2) / 2
+    return form
 
 
 def test_elimination_runs_unchanged_on_fractions():
@@ -394,19 +415,63 @@ def test_elimination_runs_unchanged_on_fractions():
         bases = [s @ b @ g for b, g in zip(plane_bases(n), changes)]
         bases[2][:5] = bases[0][:5] @ changes[2][:5]  # L3 = L1 in the first five
         exact = [np.vectorize(Fraction, otypes=[object])(b.astype(int)) for b in bases]
-        form = np.zeros((20, 3 * n, 3 * n), dtype=object)
-        for k in range(3):
-            b1, b2 = exact[k], exact[(k + 1) % 3]
-            block = omega(b1.swapaxes(-1, -2)[..., :, None, :], b2.swapaxes(-1, -2)[..., None, :, :])
-            rows, cols = slice(k * n, (k + 1) * n), slice(((k + 1) % 3) * n, ((k + 1) % 3 + 1) * n)
-            form[:, rows, cols] = block / 2
-            form[:, cols, rows] = block.swapaxes(-1, -2) / 2
-        n_plus, n_minus, n_zero, lowest = symplectic._inertia(form, 0)
-        assert all(isinstance(p, Fraction) for p in lowest.flat if p != 0)
+        n_plus, n_minus, n_zero, lowest, pivot, left = symplectic._inertia(exact_cyclic_form(exact), 0)
+        assert all(isinstance(p, Fraction) for p in np.concatenate([lowest, pivot]).flat if p != 0)
+        assert (left == 0).all()  # with cut 0, only exact zeros are left
         result = kashiwara_index(LagrangianTriple(*bases))
         assert np.array_equal(n_plus, result.n_plus) and np.array_equal(n_minus, result.n_minus)
         assert np.array_equal(n_zero, result.n_zero)
         assert (n_zero[:5] >= n).all() and (n_zero[5:] == 0).all()
+
+
+def exact_inverse(m):
+    """The inverse of a Fraction matrix whose leading minors are nonzero, by Gauss-Jordan elimination."""
+    n = len(m)
+    a = np.concatenate([m, np.eye(n, dtype=int).astype(object)], axis=1)
+    for k in range(n):
+        a[k] = a[k] / a[k, k]
+        for i in range(n):
+            if i != k:
+                a[i] = a[i] - a[i, k] * a[k]
+    return a[:, n:]
+
+
+@given(
+    n=st.integers(1, 3),
+    entries=st.lists(st.fractions(-3, 3, max_denominator=7), min_size=6, max_size=6),
+    exponent=st.floats(-12, 0),
+)
+@example(n=1, entries=[Fraction(1, 2)] * 6, exponent=-8.0)  # at the cut: the counts rest on roundoff
+@example(n=3, entries=[Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(3, 2), Fraction(1, 5), Fraction(-2)],
+         exponent=-8.0)
+def test_margins_flag_every_answer_that_roundoff_moved(n, entries, exponent):
+    # (L, L, R_theta L): L is the rational Lagrangian, orthonormal in its rational basis, that the
+    # Cayley transform of [[0, -S], [S, 0]] takes the p-plane to, and R_theta = [[cI, -sI], [sI, cI]] a
+    # rational rotation, c = (1 - t^2) / (1 + t^2) and s = 2t / (1 + t^2); Q's nonzero entries are
+    # s / 2, so its exact inertia is (n, n, n) for every t > 0
+    upper = np.zeros((n, n), dtype=object)
+    upper[np.triu_indices(n)] = entries[: n * (n + 1) // 2]
+    sym = upper + np.triu(upper, 1).T
+    eye = np.eye(n, dtype=int).astype(object)
+    square = sym.dot(sym)
+    w = exact_inverse(eye + square)
+    line = np.vstack([(eye - square).dot(w), -2 * sym.dot(w)])
+    t = Fraction(10.0**exponent)
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    bases = [line, line, np.vstack([c * line[:n] - s * line[n:], s * line[:n] + c * line[n:]])]
+    form = exact_cyclic_form(bases)
+    assert tuple(symplectic._inertia(form, 0)[:3]) == (n, n, n)
+    result = kashiwara_index(LagrangianTriple(*(b.astype(float) for b in bases)))
+    counts = (result.n_plus, result.n_minus, result.n_zero)
+    if t >= Fraction(1, 10**6):
+        assert counts == (n, n, n)
+    if t <= Fraction(1, 10**10):
+        assert counts == (0, 0, 3 * n)
+    # Q is exact here in orthonormal bases, the ones the float index decides on, so an exact elimination
+    # at the same cut gives the answer free of roundoff: where the float answer differs, a margin says
+    # that it is within a factor of 10 of the cut
+    exact = tuple(symplectic._inertia(form, Fraction(symplectic.INERTIA_RTOL))[:3])
+    assert counts == exact or result.pivot_margin < 10 or result.zero_margin > 0.1
 
 
 def test_gram_schmidt_rank_finds_dependent_columns():
