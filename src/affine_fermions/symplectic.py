@@ -78,6 +78,20 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a b over the last two axes, as outer products of a's columns and b's rows added in order.
+
+    Each entry is ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) + ..., with no BLAS
+    kernel, so its bits depend neither on the kernel nor on numpy's SIMD
+    target.  It makes two numpy calls per inner index, so it is for small
+    blocks.
+    """
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., k, None, :]
+    return out
+
+
 def _qr(a: np.ndarray):
     """(q, rank): orthonormal columns q spanning the columns of a, and their count.
 
@@ -346,14 +360,15 @@ def symplectic_shear(m) -> np.ndarray:
 
     Each is the product of the shears [[I, A], [0, I]] and [[I, 0], [C, I]],
     which preserve omega because A and C are symmetric.  m has shape
-    (..., 2n, 2n); the result has the same shape.
+    (..., 2n, 2n); the result has the same shape.  A C is `_matmul`'s
+    elementwise product.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[-1] // 2
     sym = (m + _transpose(m)) / 2.0
     a, c = sym[..., :n, :n], sym[..., n:, n:]
     eye = np.broadcast_to(np.eye(n), a.shape)
-    return np.block([[eye + a @ c, a], [c, eye]])
+    return np.block([[eye + _matmul(a, c), a], [c, eye]])
 
 
 def _basis(doc, key: str, n: int) -> np.ndarray:

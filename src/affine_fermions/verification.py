@@ -363,10 +363,11 @@ def _check_kashiwara(report: Report, rng) -> None:
         bases = np.array(triples, dtype=float)  # (triple, subspace, 2n, n)
         s = symplectic.symplectic_shear(rng.standard_normal((20, 2 * n, 2 * n)))
         changes = np.triu(rng.standard_normal((20, 3, n, n))) + 2.0 * np.eye(n)
-        # columns scaled by 1e-3..1e3: without its Gram-Schmidt step the index misjudges which pivots are 0
-        changes *= 10.0 ** rng.uniform(-3, 3, (20, 3, 1, n))
+        # columns scaled by 2^-10..2^10, exactly: without its Gram-Schmidt step the index misjudges
+        # which pivots are 0
+        changes = np.ldexp(changes, rng.integers(-10, 11, (20, 3, 1, n)))
         # one stack: the fixed triples, then 20 moved copies of the first, each compared with it
-        moved = s[:, None] @ bases[0] @ changes
+        moved = symplectic._matmul(symplectic._matmul(s[:, None], bases[0]), changes)
         stack = symplectic.LagrangianTriple(*np.concatenate([bases, moved]).swapaxes(0, 1))
         sig = symplectic.kashiwara_index(stack).signature
         drift += int(np.count_nonzero(sig[len(triples) :] != sig[0]))
@@ -489,7 +490,7 @@ def _check_spin(report: Report, rng) -> None:
     # column 2i + j of the swap is the basis state |ji>
     swap = np.eye(4)[[0, 2, 1, 3]]
     report.add_within(
-        "exchange_operator_swap", [np.abs(p - swap), np.abs(p @ p - np.eye(4))], 0.0,
+        "exchange_operator_swap", [np.abs(p - swap), np.abs(spin._cmatmul(p, p) - np.eye(4))], 0.0,
         "P|ij> = |ji> on all four basis states and P^2 = Id, exactly",
     )
 

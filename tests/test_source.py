@@ -158,10 +158,29 @@ def test_public_defs_read_no_source_file(monkeypatch):
 # Attributes and modules whose calls reach BLAS or LAPACK.
 BLAS_NAMES = {"linalg", "matmul", "einsum", "dot", "tensordot", "kron"}
 
+# numpy's functions that call BLAS, which test_verify_makes_no_blas_call refuses by name.
+BLAS_ENTRY_POINTS = ["dot", "einsum", "inner", "kron", "matmul", "tensordot", "vdot"]
+
 # Modules whose bits must not depend on the BLAS or LAPACK build or on numpy's
-# SIMD target.  The other modules on byte-pinned paths join the list as their
-# BLAS and LAPACK calls give way to closed forms.
-NO_BLAS_MODULES = ["collapse.py", "slater.py"]
+# SIMD target: no call in them is exempt.
+NO_BLAS_MODULES = ["__init__.py", "cli.py", "collapse.py", "exterior.py", "json_io.py", "slater.py", "spin.py",
+                   "verification.py"]
+
+# The calls that the package's other modules keep, as (def, call, count, reason): the def, method or
+# module-level name that makes them, what `blas_calls` names them, and how many there are.
+BLAS_ALLOWLIST = {
+    "affine_forms.py": [
+        ("affine_det", "linalg", 1, "np.linalg.det past MAX_LEIBNIZ_DIM, a d that no command reaches"),
+        ("MAX_NULLSPACE_INTEGERS", "**", 1, "10**6, a Python int"),
+        ("_zero_table", "**", 1, "(d + 1) ** m on Python ints, against the cap"),
+    ],
+    "symplectic.py": [
+        # `symplectic._matmul` takes about 0.1 s an n x n block at n = 256, `@` 2 ms: both wait for an index
+        # decided on an n x n form
+        ("LagrangianTriple.__init__", "@", 2, "the isotropy Gram of each basis"),
+        ("_cyclic_form", "@", 6, "the three omega blocks of the Kashiwara form"),
+    ],
+}
 
 
 # Functions whose bits the exported kernels or verify's reports carry: each
@@ -261,6 +280,66 @@ def test_module_makes_no_blas_or_lapack_call(module):
     assert blas_calls((PACKAGE / module).read_text()) == []
 
 
+def named_calls(source: str) -> dict:
+    """(where, call) -> the lines of each `blas_calls` find in source, keyed by the statement that holds it.
+
+    where names a def, a method (Class.method) or the one name that an
+    assignment binds, at module level or in a class; any other statement is
+    "<module>".
+    """
+    calls = {}
+    for node in ast.parse(source).body:
+        prefix, members = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+        for member in members:
+            if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
+                where = prefix + member.name
+            elif isinstance(member, ast.Assign) and len(member.targets) == 1 and isinstance(member.targets[0], ast.Name):
+                where = prefix + member.targets[0].id
+            else:
+                where = "<module>"
+            for line, call in blas_calls(member):
+                calls.setdefault((where, call), []).append(line)
+    return calls
+
+
+def unlisted_calls(source: str, allowlist) -> list:
+    """What the module scan names: each call that no allowlist entry covers, and each entry that matches no call.
+
+    An entry (where, call, count, reason) covers the calls `call` made in
+    `where` when there are exactly `count` of them; with any other number,
+    each of them is named, so a call planted beside an allowed one is found.
+    """
+    calls = named_calls(source)
+    allowed = {(where, call): count for where, call, count, _ in allowlist}
+    faults = [f"line {line}: {call} in {where}" for (where, call), lines in sorted(calls.items())
+              if allowed.get((where, call)) != len(lines) for line in lines]
+    faults += [f"{where}: the allowlisted {call} matches no call" for where, call in allowed
+               if (where, call) not in calls]
+    return faults
+
+
+def test_every_package_module_is_scanned():
+    assert sorted(NO_BLAS_MODULES + list(BLAS_ALLOWLIST)) == sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", BLAS_ALLOWLIST)
+def test_module_makes_only_allowlisted_blas_calls(module):
+    """Each `@`, `**` and BLAS_NAMES call of the module is one that BLAS_ALLOWLIST names, and each entry matches."""
+    assert unlisted_calls((PACKAGE / module).read_text(), BLAS_ALLOWLIST[module]) == []
+
+
+def test_allowlist_entry_that_matches_no_call_fails():
+    planted = "\n".join([
+        "import numpy as np",
+        "def form(a, b):",
+        "    return a * b",
+    ])
+    assert unlisted_calls(planted, [("form", "@", 1, "a product")]) == ["form: the allowlisted @ matches no call"]
+    assert unlisted_calls(planted, [("gone", "linalg", 1, "a solve")]) == [
+        "gone: the allowlisted linalg matches no call",
+    ]
+
+
 def test_blas_scan_finds_planted_calls():
     planted = "\n".join([
         "import numpy as np",
@@ -277,6 +356,25 @@ def test_blas_scan_finds_planted_calls():
         (2, "linalg"), (3, "@"), (4, "@"), (5, "dot"), (5, "einsum"), (6, "linalg"), (7, "kron"),
         (8, "**"), (9, "**"),
     ]
+    # an `@` beside an allowlisted one, in the same method, and one in a def that the allowlist does not name
+    planted = "\n".join([
+        "import numpy as np",
+        "CAP = 10**6",
+        "class Triple:",
+        "    def __init__(self, a, j):",
+        "        self.gram = a.T @ j @ a",
+        "        self.twice = self.gram @ self.gram",
+        "def form(a, b):",
+        "    return np.dot(a, b) + a @ b",
+    ])
+    allowlist = [("Triple.__init__", "@", 2, "the Gram"), ("CAP", "**", 1, "a Python int")]
+    assert unlisted_calls(planted, allowlist) == [
+        "line 5: @ in Triple.__init__", "line 5: @ in Triple.__init__", "line 6: @ in Triple.__init__",
+        "line 8: @ in form", "line 8: dot in form",
+    ]
+    assert unlisted_calls(planted.replace("self.gram @ self.gram", "self.gram"), allowlist) == [
+        "line 8: @ in form", "line 8: dot in form",
+    ]
 
 
 # Files that make no LAPACK call at all; the `@` products left in them are BLAS, and test_cli.py's
@@ -289,24 +387,40 @@ def test_file_makes_no_lapack_call(path):
     assert [found for found in blas_calls((ROOT / path).read_text()) if found[1] == "linalg"] == []
 
 
-def refuse_lapack(monkeypatch):
-    """Make every public function of numpy.linalg raise: det, slogdet, qr, eig, eigh, eigvals,
-    eigvalsh, svd, matrix_rank, solve, inv, lstsq and cholesky, the LAPACK entry points, among them."""
-    names = [name for name in np.linalg.__all__
-             if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)]
-
+def refuse_calls(monkeypatch, module, names):
+    """Make each function `names` of `module` raise, naming the call."""
     def refuse(name):
         def call(*args, **kwargs):
-            raise AssertionError(f"called numpy.linalg.{name}")
+            raise AssertionError(f"called {module.__name__}.{name}")
         return call
 
     for name in names:
-        monkeypatch.setattr(np.linalg, name, refuse(name))
+        monkeypatch.setattr(module, name, refuse(name))
+
+
+def refuse_lapack(monkeypatch):
+    """Make every public function of numpy.linalg raise: det, slogdet, qr, eig, eigh, eigvals,
+    eigvalsh, svd, matrix_rank, solve, inv, lstsq and cholesky, the LAPACK entry points, among them."""
+    refuse_calls(monkeypatch, np.linalg, [name for name in np.linalg.__all__ if callable(getattr(np.linalg, name))
+                                          and not isinstance(getattr(np.linalg, name), type)])
 
 
 def test_verify_makes_no_lapack_call(monkeypatch):
     """`verify` decides every record without numpy.linalg, so no LAPACK build moves its bytes."""
     refuse_lapack(monkeypatch)
+    report = run_verify(1729)
+    assert report.ok and len(report.checks) == 26
+
+
+def test_verify_makes_no_blas_call(monkeypatch):
+    """`verify` calls none of numpy's BLAS entry points by name: dot, matmul, einsum, tensordot, kron,
+    inner and vdot raise, as refuse_lapack makes numpy.linalg raise.
+
+    The `@` operator does not look these names up, so this guard cannot see
+    it; the static scan covers `@` (test_module_makes_no_blas_or_lapack_call
+    and test_module_makes_only_allowlisted_blas_calls).
+    """
+    refuse_calls(monkeypatch, np, BLAS_ENTRY_POINTS)
     report = run_verify(1729)
     assert report.ok and len(report.checks) == 26
 
