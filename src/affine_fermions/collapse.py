@@ -26,7 +26,8 @@ call runs along the whole batch; they return views in the documented
 blocks of 256 rows, so a batch holds its output plus one block.  Lambda is
 built from its three live 2x2 blocks, and every structural check computes
 its scale only when a residual exceeds 1e-12 (no smaller one can break a
-bound relative to max(1, ...)).
+bound relative to max(1, ...)).  Lambda's blocks are placed, and X' and Y'
+read, through index tables built at import from `_LIVE_BLOCKS` and `_THETA_COLS`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ BASIS_2D = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 # reindexation and pinned by the unit tests.
 _THETA_SHIFTS = (2, 0, 4)
 _THETA_COLS = tuple(tuple((s + shift) % 6 for s in range(6)) for shift in _THETA_SHIFTS)
+# theta's gather tables, (2, 3, 1) and (3, 6): X' (p = 0) and Y' (p = 1) slot (p, k, s) reads Lambda[2k + p, col]
+_THETA_ROWS = 2 * np.arange(3)[:, None] + np.arange(2)[:, None, None]
+_THETA_INDEX = np.array(_THETA_COLS)
 
 # Slots of each X'/Y' block that are structurally zero: those that read
 # Lambda's own 2x2 diagonal block, (4, 5), (2, 3) and (0, 1).
@@ -69,6 +73,9 @@ _ZERO_INDEX = (..., np.array([[0], [1], [2]]), np.array(_ZERO_SLOTS))
 # Lambda's live 2x2 blocks (row block, column block): a'^b', b'^c' and c'^a'.
 # The rest of Lambda is their negated transposes and zeros.
 _LIVE_BLOCKS = ((0, 1), (1, 2), (2, 0))
+# _lambda's scatter tables, (3, 2, 1) and (3, 1, 2): entry (r, c) of block (i, j) sits at Lambda[2i + r, 2j + c]
+_LIVE_ROWS = 2 * np.array(_LIVE_BLOCKS)[:, :1, None] + np.arange(2)[:, None]
+_LIVE_COLS = 2 * np.array(_LIVE_BLOCKS)[:, None, 1:] + np.arange(2)
 
 # Relative bound of every structural-zero and consistency check.
 _REL_TOL = 1e-12
@@ -222,8 +229,8 @@ def lambda_tensor(a, b, c) -> np.ndarray:
     embedded states live in disjoint slots, so each wedge fills one 2x2
     block with (u (x) v) / 2, read from the live slots of `embed`'s output,
     and the transposed block with its negative; the three diagonal blocks
-    stay zero.  The three blocks' outer products are one stacked `_cmul`.
-    Batched states give shape (..., 6, 6).
+    stay zero.  The three blocks' outer products are one stacked `_cmul`,
+    placed with their negatives by two scatters.  Batched states give shape (..., 6, 6).
     """
     return _lambda(embed(a, b, c))
 
@@ -235,49 +242,41 @@ def _lambda(e: EmbeddedTriple) -> np.ndarray:
     products = _cmul(live[:, :, None], live[[j for _, j in _LIVE_BLOCKS], None, :])
     products.view(float)[...] *= 0.5  # halve every real and imaginary part
     lam = np.zeros((6, 6) + e.a.shape[:-1], dtype=complex)
-    for (i, j), block in zip(_LIVE_BLOCKS, products):
-        lam[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-        np.negative(block.swapaxes(0, 1), out=lam[2 * j : 2 * j + 2, 2 * i : 2 * i + 2])
+    lam[_LIVE_ROWS, _LIVE_COLS] = products
+    lam[_LIVE_COLS, _LIVE_ROWS] = np.negative(products, out=products)
     return _batch_first(lam, 2)
 
 
 def theta(lam: np.ndarray) -> ThetaBlocks:
     """Reindex the 36 entries of Lambda into the block form of the pipeline.
 
-    Entry-for-entry bijection: block k, slot s reads Lambda[2k + s//6, col]
-    minus its transpose partner, i.e. twice the upper value.  The columns
-    of block k run from _THETA_SHIFTS[k] round to the one before, so each
-    block is two slices of a row and of a column.  Only defined for
-    matrices with the Lambda structure (antisymmetric, vanishing 2x2
-    diagonal blocks); the blocks' zero slots are those diagonal blocks, so
-    `ThetaBlocks` rejects a nonzero one.  lam has shape (6, 6), or
-    (..., 6, 6) for a batch.
+    Entry-for-entry bijection: slot s of X' block k reads Lambda[2k, col]
+    and of Y' block k Lambda[2k + 1, col], col = _THETA_COLS[k][s], minus
+    its transpose partner, i.e. twice the upper value.  The entries are one
+    gather through `_THETA_ROWS` and `_THETA_INDEX`, and their partners are
+    read with the tables swapped.  Only defined for matrices with the Lambda
+    structure (antisymmetric, vanishing 2x2 diagonal blocks); the blocks'
+    zero slots are those diagonal blocks, so `ThetaBlocks` rejects a
+    nonzero one.  lam has shape (6, 6), or (..., 6, 6) for a batch.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {lam.shape}")
     m = _batch_last(lam, 2)
-    # X' reads the even rows of Lambda and Y' the odd rows.  The buffer
-    # first holds those rows of Lambda + Lambda^T for the antisymmetry
-    # check.  Exact zeros, the sums of a Lambda built by `lambda_tensor`,
-    # pass it without magnitudes; a non-finite entry makes its own sum
-    # non-finite.
-    parts = np.empty((2, 3, 6) + m.shape[2:], dtype=complex)
-    for p in (0, 1):
-        np.add(m[p::2], m[:, p::2].swapaxes(0, 1), out=parts[p])
-    if parts.any():
-        skew = np.abs(parts)
+    # Exact zeros, the sums of a Lambda built by `lambda_tensor`, pass the
+    # antisymmetry check without magnitudes; a non-finite entry makes its
+    # own sum non-finite.
+    if (m + m.swapaxes(0, 1)).any():
+        skew = np.abs(m + m.swapaxes(0, 1))
         if not np.isfinite(np.max(skew)):
             _require_finite(lam, "lam")
         _bound(
             skew, lambda: np.maximum(1.0, np.abs(lam).max(axis=(-2, -1))), ValueError,
-            "matrix is not antisymmetric (residual {:g})", axes=(0, 1, 2),
+            "matrix is not antisymmetric (residual {:g})", axes=(0, 1),
         )
-    for p, part in enumerate(parts):
-        for k, shift in enumerate(_THETA_SHIFTS):
-            row, partner = m[2 * k + p], m[:, 2 * k + p]
-            np.subtract(row[shift:], partner[shift:], out=part[k, : 6 - shift])
-            np.subtract(row[:shift], partner[:shift], out=part[k, 6 - shift :])
+    parts = m[_THETA_ROWS, _THETA_INDEX]  # (2, 3, 6, ...): X' then Y'
+    for part, rows in zip(parts, _THETA_ROWS):  # by halves: one full-size gather would set a block's peak memory
+        part -= m[_THETA_INDEX, rows]
     x, y = (_batch_first(part, 2) for part in parts)
     return ThetaBlocks(x_blocks=x, y_blocks=y)
 

@@ -34,8 +34,9 @@ __all__ = [
     "lagrangian_triple_from_json",
 ]
 
-# Largest |omega(col_i, col_j)| accepted within one Lagrangian basis, with
-# each column scaled by a power of two to a largest |entry| in [0.5, 1).
+# Largest |omega(col_i, col_j)| accepted within one Lagrangian basis, taken on
+# the orthonormalized columns that the index reads, each scaled by a power of
+# two to a largest |entry| in [0.5, 1).
 LAGRANGIAN_ATOL = 1e-10
 
 INERTIA_RTOL = 1e-8  # kashiwara_index's zero cut, relative to max(1, largest |entry| of the form)
@@ -230,10 +231,11 @@ class LagrangianTriple:
     triples.  Construction validates that every basis is finite, has full
     column rank (by `_qr`, whose orthonormal bases `kashiwara_index` then
     reads) and that omega vanishes on each subspace: |omega(col_i,
-    col_j)| <= LAGRANGIAN_ATOL for all column pairs within one basis, after
-    each column is divided by the power of two 2^e_i that brings its largest
-    |entry| into [0.5, 1).  The division is exact, so the test is the same
-    at every scale and entries near 1e300 do not overflow.  The first
+    col_j)| <= LAGRANGIAN_ATOL for all column pairs of `_qr`'s orthonormal
+    basis, after each column is divided by the power of two 2^e_i that
+    brings its largest |entry| into [0.5, 1).  Taken on the raw columns,
+    nearly parallel ones would hide a symplectic plane: omega of e_p1 and
+    e_p1 + 1e-11 e_q1 is 1e-11.  The first
     offending triple in C order is reported with its subspace, column pair
     and scaled residual, and, in a stack, with its sample index.
     """
@@ -253,8 +255,8 @@ class LagrangianTriple:
         # _qr scales the columns itself, so the index reads these bases only through _qr
         # (test_acceptance's kashiwara_invariance-qr defect puts the identity in its place)
         orthonormal, rank = _qr(safe)
-        _, exponents = np.frexp(np.abs(safe).max(axis=-2, keepdims=True))
-        unit = np.ldexp(safe, -exponents)
+        _, exponents = np.frexp(np.abs(orthonormal).max(axis=-2, keepdims=True))
+        unit = np.ldexp(orthonormal, -exponents)
         gram = _transpose(unit) @ standard_symplectic_matrix(n) @ unit
         gram = gram.reshape(finite.shape + (n * n,))
         worst = np.argmax(np.abs(gram), axis=-1)
@@ -273,7 +275,8 @@ class LagrangianTriple:
                 i, j = divmod(int(worst[at]), n)
                 message = (
                     f"L{which + 1} is not Lagrangian: omega(col {i}, col {j}) / "
-                    f"(2^e_{i} 2^e_{j}) = {residual[at]:g} exceeds {LAGRANGIAN_ATOL:g}"
+                    f"(2^e_{i} 2^e_{j}) = {residual[at]:g} on the orthonormalized columns "
+                    f"exceeds {LAGRANGIAN_ATOL:g}"
                 )
             if sample:
                 message += f" (sample {', '.join(str(k) for k in sample)})"

@@ -19,7 +19,7 @@ from affine_fermions import (
     perm_sign,
     signed_permutations,
 )
-from affine_fermions.affine_forms import MAX_NULLSPACE_INTEGERS, _zero_table
+from affine_fermions.affine_forms import MAX_LEIBNIZ_DIM, MAX_NULLSPACE_INTEGERS, _zero_table
 from affine_fermions.json_io import write_json
 from affine_fermions.verification import span_residual
 
@@ -127,6 +127,35 @@ def test_affine_det_is_exact_on_integer_points(d):
         assert value == complex(want)
         assert affine_det(sample) == complex(want)
     assert (got[:20] == 0).all()
+
+
+# Past MAX_LEIBNIZ_DIM, affine_det is LAPACK's np.linalg.det, which rounds even
+# on small integers: the first d = 5 sample below reads 158893.99999999997 for 158894.
+@pytest.mark.parametrize("d", [5, 6])
+def test_affine_det_past_the_leibniz_sum_is_alternating_and_translation_invariant(d):
+    assert d > MAX_LEIBNIZ_DIM
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        pts = random_points(rng, d + 1, d)
+        reference = affine_det(pts)
+        bound = 1e-12 * max(1.0, abs(reference))
+        for _ in range(20):
+            perm = rng.permutation(d + 1)
+            assert abs(affine_det(pts[perm]) - perm_sign(tuple(perm)) * reference) <= bound
+        assert abs(affine_det(pts + random_points(rng, 1, d)[0]) - reference) <= bound
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_affine_det_past_the_leibniz_sum_matches_fractions(d):
+    rng = np.random.default_rng(d)
+    pts = rng.integers(-9, 10, (100, d + 1, d))
+    got = affine_det(pts)
+    assert got.shape == (100,) and got.dtype == complex
+    for sample, value in zip(pts, got):
+        want = complex(fraction_det([[Fraction(int(x)) for x in row] for row in sample[1:] - sample[0]]))
+        assert want != 0 and abs(value - want) <= 1e-12 * abs(want)
+    single = affine_det(pts[0])
+    assert type(single) is complex and single == got[0]
 
 
 # --------------------------------------------------------- MultiAffineForm

@@ -82,7 +82,8 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # SHA-256 of reports that must not change by a single byte.  A change that
 # alters them on purpose updates the digest and says why in CHANGES.md.  The
 # last bits of the measured values come from numpy 2.4 and OpenBLAS 0.3.31
-# on x86-64.  Every pin here, the export, seeds 0-49 and demo pins too, holds
+# on x86-64.  Every pin here, the export, seeds 0-49, demo and batched
+# collapse pins too (test_collapse.py's BATCHED_COLLAPSE_DIGESTS), holds
 # with numpy's native SIMD loops, with its AVX-512 loops turned off, and with
 # every dispatch target turned off, at numpy's baseline
 # (test_pins_hold_with_numpy_simd_targets_off).  Every pin also holds under
@@ -164,6 +165,7 @@ PIN_TESTS = [
     "tests/test_cli.py::test_export_bytes_are_pinned",
     "tests/test_cli.py::test_verify_reports_for_seeds_0_to_49_are_pinned",
     "tests/test_demos.py::test_demo_runs",
+    "tests/test_collapse.py::test_batched_collapse_bytes_are_pinned",
 ]
 
 
@@ -203,9 +205,11 @@ def test_verify_pins_hold_under_other_openblas_kernels(kernel):
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
 def test_collapse_demo_pin_holds_under_other_openblas_kernels(kernel):
-    # collapse-demo's bytes come from the collapse layer's own closed forms, not
-    # from BLAS, so its pin holds whichever OpenBLAS kernel the child selects
-    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]"],
+    # collapse-demo's bytes, and batched collapse's, come from the collapse layer's
+    # own closed forms, not from BLAS, so their pins hold whichever OpenBLAS kernel
+    # the child selects
+    run_tests_in_child(["tests/test_cli.py::test_report_bytes_are_pinned[collapse-demo --seed 5]",
+                        "tests/test_collapse.py::test_batched_collapse_bytes_are_pinned"],
                        OPENBLAS_CORETYPE=kernel)
 
 
@@ -1043,6 +1047,21 @@ def test_kashiwara_degenerate_triple(tmp_path, capsys):
     status, out, _ = run(["kashiwara", "--input", str(path)], capsys)
     assert status == 0
     assert json.loads(out)["index"]["n_zero"] > 0
+
+
+def test_kashiwara_rejects_a_symplectic_plane_given_by_nearly_parallel_columns(tmp_path, capsys):
+    # L1's columns e_p1 and e_p1 + 1e-11 e_q1 span {e_p1, e_q1}; raw, they pair to omega = 1e-11 only
+    doc = {
+        "n": 2,
+        "L1": [[1, 1], [0, 0], [0, 1e-11], [0, 0]],
+        "L2": [[0, 0], [0, 0], [1, 0], [0, 1]],
+        "L3": [[1, 0], [0, 1], [0, 0], [0, 0]],
+    }
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 2 and out == ""
+    assert "L1 is not Lagrangian: omega(col 0, col 1)" in err
 
 
 def test_kashiwara_rejects_non_lagrangian(tmp_path, capsys):

@@ -67,6 +67,21 @@ def test_triple_rejects_non_isotropic_basis():
         LagrangianTriple(really_bad, good, good)
 
 
+def test_nearly_parallel_columns_are_judged_after_orthonormalizing():
+    # columns e_p1 and e_p1 + 1e-11 e_q1 span the symplectic plane {e_p1, e_q1}, though
+    # omega of the raw columns is only 1e-11; orthonormalized they pair to 1
+    l2 = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    l3 = np.vstack([np.eye(2), np.zeros((2, 2))])
+    plane = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1e-11], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^L1 is not Lagrangian: omega\(col 0, col 1\) / \(2\^e_0 2\^e_1\) = 0\.25 "
+                                         r"on the orthonormalized columns exceeds 1e-10$"):
+        LagrangianTriple(plane, l2, l3)
+    # e_p1 and e_p1 + 1e-11 e_p2 span the Lagrangian {e_p1, e_p2} = L3 itself: n_zero = n
+    lagrangian = np.array([[1.0, 1.0], [0.0, 1e-11], [0.0, 0.0], [0.0, 0.0]])
+    result = kashiwara_index(LagrangianTriple(lagrangian, l2, l3))
+    assert (result.n_plus, result.n_minus, result.n_zero) == (2, 2, 2)
+
+
 def test_triple_error_reports_pair_and_residual():
     really_bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     good = np.vstack([np.eye(2), np.zeros((2, 2))])
