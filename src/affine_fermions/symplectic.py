@@ -50,15 +50,9 @@ RANK_RTOL = 1e-13
 # elimination step by the smallest possible factor, 1 + 1/alpha, about 2.57.
 _PIVOT_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
-# Narrowest block that `_inertia` treats as wide: it zeroes a wide block's
-# eliminated rows and columns one by one, not by a full mask, and compacts
-# it.  On a narrower block numpy's per-call cost outweighs the elementwise
-# work that either saves.
-_WIDE_BLOCK = 64
-
 # Largest n accepted in a JSON triple.  `_inertia` eliminates the 3n x 3n
-# form in elementwise numpy passes, not blocked BLAS: at n = 256 `kashiwara`
-# takes about a second, and each doubling of n multiplies that by eight.
+# form in elementwise passes, not blocked BLAS: at n = 256 `kashiwara` took
+# 1.6 s on a 2-CPU x86-64 machine, 1 s in `_inertia`, 8x per doubling of n.
 MAX_TRIPLE_DIM = 256
 
 # Largest |entry| accepted in a JSON basis, a bound on the input that `_basis`
@@ -141,15 +135,15 @@ def _inertia(form: np.ndarray, cut):
     makes it negative.  pivot is the least largest |entry| that a step
     eliminated (inf if none did), left the largest |entry| left (0 if none).
 
-    A stack runs in lockstep, each member's eliminated rows and columns set
-    to 0.  Once every member has at most 3/4 of the block's rows live, and
-    the block is at least _WIDE_BLOCK wide, each member's live rows move
-    to the front, in order, and the block shrinks to the most any member
-    has; so one N x N form takes about 0.43 N^3 products a pass, against
-    N^3 over the whole form at every step.  The Schur update is a sum of
-    exactly symmetric outer products, and the steps use +, -, * and /
-    alone, so the same code runs on Fraction entries (dtype object, cut 0)
-    and gives exact counts there.
+    A stack runs in lockstep.  Each step zeroes each member's pivot rows
+    and columns, and once every member has at most 3/4 of the block's rows
+    live, each member's live rows move to the front, in order, and the
+    block shrinks to the most any member has, at every width; so one N x N
+    form's elimination takes about 0.43 N^3 products, against N^3 over the
+    whole form at every step.  The Schur update is a sum of exactly
+    symmetric outer products, and the steps use +, -, * and / alone, so
+    the same code runs on Fraction entries (dtype object, cut 0) and gives
+    exact counts there.
     """
     a = np.array(form)
     shape, n = a.shape[:-2], a.shape[-1]
@@ -202,9 +196,6 @@ def _inertia(form: np.ndarray, cut):
         done += two
         live[stack, i] ^= go
         live[stack, j] ^= two
-        if width < _WIDE_BLOCK:
-            a *= live[:, :, None] & live[:, None, :]
-            continue
         for rows, at in ((stack[go], i[go]), (stack[two], j[two])):  # the pivot rows and columns
             a[rows, at] = 0
             a[rows, :, at] = 0

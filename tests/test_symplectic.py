@@ -384,11 +384,12 @@ def test_n1_signature_is_the_sign_of_the_cyclic_omega_product():
 
 
 def test_elimination_reads_the_inertia_of_planted_forms():
-    # X diag(signs) X^T with generic X has the inertia of its signs, zeros included
+    # X diag(signs) X^T with generic X has the inertia of its signs, zeros included; sizes
+    # 63 to 130, on smaller stacks, are as wide as `kashiwara`'s forms from n = 21 on
     rng = np.random.default_rng(13)
-    for size in (1, 2, 5, 9, 36):
-        signs = rng.choice([-1.0, 0.0, 1.0], (40, size))
-        x = rng.standard_normal((40, size, size))
+    for size, count in ((1, 40), (2, 40), (5, 40), (9, 40), (36, 40), (63, 16), (64, 16), (65, 16), (130, 8)):
+        signs = rng.choice([-1.0, 0.0, 1.0], (count, size))
+        x = rng.standard_normal((count, size, size))
         form = (x * signs[:, None, :]) @ x.swapaxes(-1, -2)
         form = (form + form.swapaxes(-1, -2)) / 2.0
         cut = symplectic.INERTIA_RTOL * np.abs(form).max(axis=(-2, -1))
