@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._products import _cmul
 from .exterior import signed_permutations
 from .json_io import Rows
 
@@ -43,9 +44,8 @@ def affine_det(points):
 
     points has shape (d+1, d) and gives a Python complex, or (..., d+1, d)
     for a batch and gives an array over the leading axes.  Up to
-    MAX_LEIBNIZ_DIM it is `_leibniz_det`, with no BLAS or LAPACK call and
-    exact on Gaussian integers that no step rounds; past it, LAPACK's
-    np.linalg.det, whose last bits depend on the build.
+    MAX_LEIBNIZ_DIM it is `_leibniz_det`, in `_products`' order; past it,
+    LAPACK's np.linalg.det, whose last bits depend on the build.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim < 2:
@@ -78,23 +78,19 @@ def _leibniz_terms(d: int):
 def _leibniz_det(rows: np.ndarray) -> np.ndarray:
     """det of complex (..., d, d) matrices: sum of sign(sigma) prod_i rows[i, sigma(i)].
 
-    Each product runs from i = 0 up, its real and imaginary parts formed as
-    `collapse._cmul` forms them, and the signed products' parts are added
-    along the contiguous permutation axis, in `signed_permutations` order,
-    in numpy's pairwise order; so d = 2 is `_wedge2`'s value and every
-    batch entry gets the bits of its own call.
+    Each product is `_cmul`'s, from i = 0 up, and the signed products' real
+    and imaginary parts are summed pairwise along the contiguous permutation
+    axis, in `signed_permutations` order; so d = 2 is `_wedge2`'s value.
     """
     d = rows.shape[-1]
     if d == 0:
         return np.ones(rows.shape[:-2], dtype=complex)
     perms, negative = _leibniz_terms(d)
     factors = rows[..., np.arange(d)[:, None], perms.T]  # (..., d, d!): rows[i, sigma(i)] for each sigma
-    re, im = factors.real, factors.imag
-    term_re, term_im = re[..., 0, :], im[..., 0, :]
+    term = factors[..., 0, :]
     for i in range(1, d):
-        f_re, f_im = re[..., i, :], im[..., i, :]
-        term_re, term_im = term_re * f_re - term_im * f_im, term_re * f_im + term_im * f_re
-    det_re, det_im = (np.add.reduce(np.where(negative, -part, part), axis=-1) for part in (term_re, term_im))
+        term = _cmul(term, factors[..., i, :])
+    det_re, det_im = (np.add.reduce(np.where(negative, -part, part), axis=-1) for part in (term.real, term.imag))
     return det_re + 1j * det_im
 
 

@@ -11,12 +11,7 @@ module also provides the covariance of the pipeline under a 2x2 morphism
 applied to all three states, and the partial traces of the rank-1 state
 built from two copies of the affine determinant.
 
-Every product and 2x2 determinant, Lambda's outer products and sigma's
-action on the states included, is formed by `_cmul` and `_wedge2` from real
-and imaginary parts, with no BLAS or LAPACK call: the results depend neither
-on the BLAS kernel nor on numpy's SIMD target, and they are exact on
-Gaussian-integer inputs that no step rounds.
-
+Every product and 2x2 determinant is `_cmul` or `_wedge2`, in `_products`' order.
 All functions are pure; inputs are never mutated.  Each one also takes a
 batch: leading axes in front of its per-triple shape.  A single triple is
 the case without leading axes and gets the same arithmetic, bit for bit.
@@ -36,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._products import _cmul, _unbatched, _wedge2
 
 __all__ = [
     "ConsistencyError",
@@ -113,11 +110,6 @@ def _bound(residual, scale, error, message: str, axes=-1) -> None:
         raise error(message.format(np.reshape(residual, -1)[worst]))
 
 
-def _unbatched(z):
-    """A Python complex for a single input; the array over the batch otherwise."""
-    return complex(z) if np.ndim(z) == 0 else z
-
-
 def _batch_last(x: np.ndarray, ndim: int) -> np.ndarray:
     """x with its last ndim axes moved to the front: the stages' storage order."""
     lead = x.ndim - ndim
@@ -127,24 +119,6 @@ def _batch_last(x: np.ndarray, ndim: int) -> np.ndarray:
 def _batch_first(x: np.ndarray, ndim: int) -> np.ndarray:
     """Inverse of `_batch_last`: the first ndim axes moved to the back."""
     return x.transpose((*range(ndim, x.ndim), *range(ndim)))
-
-
-def _cmul(u, v):
-    """u * v formed from real and imaginary parts.
-
-    numpy's vectorised complex multiply fuses multiply-adds, or not, by SIMD
-    target, and differs from the scalar complex product in the last bit;
-    this form equals the scalar product bit for bit, up to the sign of a
-    zero real part, for one value and along a batch alike, whichever target
-    numpy runs.  Every complex product of the module goes through it,
-    `lambda_tensor`'s outer products included.
-    """
-    return (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
-
-
-def _wedge2(u, v):
-    """u_1 v_2 - u_2 v_1 over the last axis, from `_cmul` products; det(b-a, c-a) is _wedge2(b - a, c - a)."""
-    return _cmul(u[..., 0], v[..., 1]) - _cmul(u[..., 1], v[..., 0])
 
 
 @dataclass(frozen=True)
@@ -353,11 +327,7 @@ def _collapse_blocks(a, b, c, sigma):
 
 
 def _basis_sum(terms):
-    """Sum over terms of det(first triple) * det(second triple), in term order.
-
-    Each det(b-a, c-a) is `_wedge2(b - a, c - a)` and each product `_cmul`, so
-    the sum is exact on Gaussian integers that no step rounds.
-    """
+    """Sum over terms of det(first triple) * det(second triple), in term order."""
     dets = ([_wedge2(b - a, c - a) for a, b, c in term] for term in terms)
     return _unbatched(sum(_cmul(first, second) for first, second in dets))
 

@@ -16,13 +16,23 @@ __all__ = ["number_array", "read_json", "Rows", "write_json"]
 def read_json(path) -> object:
     """The JSON document in the file at `path`.
 
-    A document nested past the interpreter's recursion limit raises
-    ValueError naming `path`; a malformed one raises json.JSONDecodeError,
-    and an unreadable file OSError.
+    An object that repeats a key, and a document nested past the
+    interpreter's recursion limit, raise ValueError naming `path` (and the
+    key); a malformed one raises json.JSONDecodeError, and an unreadable
+    file OSError.
     """
     text = Path(path).read_text()
+
+    def unique_keys(pairs):  # called once for each JSON object, with its pairs in order
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: key {key!r} appears more than once in one object")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

@@ -25,13 +25,9 @@ centres it and forms M.  Its result carries the weights too, and every
 moment, kernel and whitening is a method of it; `m_identity_sides` takes it
 with one table per node set.  The `(phi, space)` wrappers `two_point`,
 `gamma1` and `gamma2` are not exported: only bench/sweeps.py calls them.
-A space and phi with leading axes are a stack of node sets of one size,
-each getting the bits of its own call.
-
-Every moment, kernel and whitening is elementwise products and sums in a
-fixed order, with no BLAS or LAPACK call, so its bits do not depend on the
-BLAS kernel or on numpy's SIMD target, and the two kernels are exactly
-symmetric.
+A space and phi with leading axes are a stack of node sets of one size.
+Every moment, kernel and whitening follows `_products`' order rule, so
+each set gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._products import _symmetric_form, _wedge, _weighted_sums
 from .json_io import number_array
 
 __all__ = [
@@ -131,11 +128,6 @@ def _psi_tensor(values: np.ndarray) -> np.ndarray:
     return d1[:, :, None] * d2[:, None, :] - d1[:, None, :] * d2[:, :, None]
 
 
-def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u ^ v = u_1 v_2 - u_2 v_1 over the last axis of two broadcasting arrays."""
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 def _pair_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """F(x1, x2) = [x1 ^ x2, (x1 - x2)_2, -(x1 - x2)_1] along a new last axis.
 
@@ -151,40 +143,6 @@ def _lift(values: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(values.shape[:-1] + (1,)), values], axis=-1)
 
 
-def _weighted_sums(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """sum_k w_k x_k along each row x of `columns` (..., n, K), with weights (..., K): (..., n).
-
-    `columns` is a C-contiguous array of the caller's, which this overwrites
-    with the products.  Each product w_k x_k is one rounding, and each row's
-    products are summed along its contiguous row in numpy's pairwise order
-    for K terms: one order for every row, every node set of a stack and
-    every SIMD target.
-    """
-    return np.add.reduce(np.multiply(columns, weights[..., None, :], out=columns), axis=-1)
-
-
-def _symmetric_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """rows M rows^T for rows (..., n, 3) and a symmetric M (..., 3, 3): (..., n, n), exactly symmetric.
-
-    M = C + C^T, where C is M's upper triangle with its diagonal halved, so
-    rows M rows^T = H + H^T with H = (rows C) rows^T.  Entries [p, q] and
-    [q, p] add the same two floats, H[p, q] and H[q, p], so the result is
-    symmetric bit for bit.  rows C is summed term by term over a <= b, and H
-    over the three columns, in a fixed order with no BLAS call.  H is linear
-    in each row, so negating row p of `rows` negates row and column p of the
-    result exactly.
-    """
-    r = [rows[..., a] for a in range(3)]
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = ([m[..., a, b, None] for b in range(3)] for a in range(3))
-    # the columns of rows C, each summed over a <= b in order of a
-    u = [0.5 * m00 * r[0], m01 * r[0] + 0.5 * m11 * r[1], m02 * r[0] + m12 * r[1] + 0.5 * m22 * r[2]]
-    half = np.multiply(u[0][..., :, None], r[0][..., None, :])
-    term = np.empty_like(half)
-    for b in (1, 2):
-        half += np.multiply(u[b][..., :, None], r[b][..., None, :], out=term)
-    return np.add(half, np.swapaxes(half, -1, -2), out=term)
-
-
 class Gamma2Factors(NamedTuple):
     """The centred components of a node set, their moment matrix M and the weights.
 
@@ -193,11 +151,10 @@ class Gamma2Factors(NamedTuple):
     read from these O(K) numbers: <Psi^2> = <M, N>, det G, gamma1 =
     f N f^T / 2 - det G and gamma2 = F M F^T.  `dense` and
     `pair_expansion` build K^2 x K^2 matrices, up to MAX_DENSE_KERNEL_NODES
-    nodes.  Every method sums elementwise in a fixed order.  `gamma1` and
-    `dense` are one symmetric form, `_symmetric_form`: gamma1 and gamma2 are
-    symmetric bit for bit, and gamma2 flips sign exactly under a swap within
-    either pair, so each orbit of its entries under those swaps and the
-    transpose holds one magnitude.
+    nodes.  `gamma1` and `dense` are one symmetric form, `_symmetric_form`:
+    gamma1 and gamma2 are symmetric bit for bit, and gamma2 flips sign
+    exactly under a swap within either pair, so each orbit of its entries
+    under those swaps and the transpose holds one magnitude.
 
     A stack from `gamma2_factors`, values (..., K, 2), moments (..., 3, 3)
     and weights (..., K), is answered per node set by every method.
@@ -338,10 +295,8 @@ def gamma2_factors(phi, space: MeasuredSpace) -> Gamma2Factors:
     module reads its result.  The centring subtracts the weighted mean
     sum_k w_k phi_k, and M's six upper entries are the weighted sums of
     1, a_1, a_2, a_1^2, a_1 a_2 and a_2^2 over the centred nodes a; both are
-    `_weighted_sums`, elementwise products summed along each row.  For a
-    stack of spaces, phi (..., K, 2) has the weights' leading axes; each set
-    is summed in the order of its own call, so every set keeps its
-    single-call bits.
+    `_weighted_sums`.  For a stack of spaces, phi (..., K, 2) has the
+    weights' leading axes.
     """
     weights = space.weights
     values = np.asarray(phi, dtype=float)

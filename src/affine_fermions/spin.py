@@ -6,10 +6,7 @@ double sum S^2 = sum_{i,j=1..3} sigma_i . sigma_j including the diagonal
 terms (each contributing 3), so its value on a spin-s eigenstate is
 4 s (s + 1).
 
-Every product is elementwise: Kronecker products by broadcasting, matrix
-products as sums along contiguous rows, and each complex product formed by
-`collapse._cmul`, so no BLAS kernel runs and the bits do not depend on
-numpy's SIMD target.
+Every product is `_kron`, `_cmatmul` or `_cmul`, in `_products`' order.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .collapse import _cmul
+from ._products import _cmatmul, _cmul, _kron
 
 __all__ = [
     "PAULI",
@@ -32,17 +29,6 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def _kron(a, b):
-    """The Kronecker product of two matrices, one `_cmul` product per entry."""
-    (m, n), (p, q) = a.shape, b.shape
-    return _cmul(a[:, None, :, None], b[None, :, None, :]).reshape(m * p, n * q)
-
-
-def _cmatmul(a, b):
-    """The matrix product a b over the last two axes, each entry a `_cmul` row summed in numpy's pairwise order."""
-    return np.add.reduce(_cmul(a[..., :, None, :], b.swapaxes(-1, -2)[..., None, :, :]), axis=-1)
 
 
 def exchange_operator() -> np.ndarray:

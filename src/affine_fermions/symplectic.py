@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._products import _matmul
 from .json_io import number_array
 
 __all__ = [
@@ -69,24 +70,6 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     return j
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product a b over the last two axes, as outer products of a's columns and b's rows added in order.
-
-    Each entry is ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) + ..., with no BLAS
-    kernel, so its bits depend neither on the kernel nor on numpy's SIMD
-    target.  It makes two numpy calls per inner index, so it is for small
-    blocks.
-    """
-    out = a[..., :, 0, None] * b[..., 0, None, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k, None] * b[..., k, None, :]
-    return out
-
-
 def _qr(a: np.ndarray):
     """(q, rank): orthonormal columns q spanning the columns of a, and their count.
 
@@ -97,13 +80,12 @@ def _qr(a: np.ndarray):
     of the columns after it, twice, since one pass leaves the rounding
     error of the first.  A column whose residual norm is at most RANK_RTOL
     times the largest scaled column norm counts as dependent, and its
-    column of q is 0.  Sums run along contiguous rows in numpy's pairwise
-    order, with +, -, *, / and sqrt alone, so a stack gets the bits of its
-    members on their own.
+    column of q is 0.  Its sums follow `_products`' order rule, with +, -,
+    *, / and sqrt alone.
     """
     a = np.asarray(a, dtype=float)
     _, exponents = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
-    cols = np.ascontiguousarray(_transpose(np.ldexp(a, -exponents)))  # column j is the contiguous row j
+    cols = np.ascontiguousarray(np.ldexp(a, -exponents).swapaxes(-1, -2))  # column j is the contiguous row j
     cut = RANK_RTOL * np.sqrt(np.add.reduce(cols * cols, axis=-1).max(axis=-1))
     rank = np.zeros(cut.shape, dtype=int)
     for k in range(cols.shape[-2]):
@@ -114,7 +96,7 @@ def _qr(a: np.ndarray):
         column /= np.where(kept, norm, np.inf)[..., None]
         for _ in range(2):
             rest -= np.add.reduce(rest * column[..., None, :], axis=-1)[..., None] * column[..., None, :]
-    return _transpose(cols), rank
+    return cols.swapaxes(-1, -2), rank
 
 
 def _inertia(form: np.ndarray, cut):
@@ -248,7 +230,7 @@ class LagrangianTriple:
         orthonormal, rank = _qr(safe)
         _, exponents = np.frexp(np.abs(orthonormal).max(axis=-2, keepdims=True))
         unit = np.ldexp(orthonormal, -exponents)
-        gram = _transpose(unit) @ standard_symplectic_matrix(n) @ unit
+        gram = unit.swapaxes(-1, -2) @ standard_symplectic_matrix(n) @ unit
         gram = gram.reshape(finite.shape + (n * n,))
         worst = np.argmax(np.abs(gram), axis=-1)
         residual = np.take_along_axis(gram, worst[..., None], axis=-1)[..., 0]
@@ -310,10 +292,10 @@ def _cyclic_form(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
     n = b1.shape[-1]
     j = standard_symplectic_matrix(n)
     raw = np.zeros(b1.shape[:-2] + (3 * n, 3 * n))
-    raw[..., 0:n, n : 2 * n] = _transpose(b1) @ j @ b2
-    raw[..., n : 2 * n, 2 * n : 3 * n] = _transpose(b2) @ j @ b3
-    raw[..., 2 * n : 3 * n, 0:n] = _transpose(b3) @ j @ b1
-    return (raw + _transpose(raw)) / 2.0
+    raw[..., 0:n, n : 2 * n] = b1.swapaxes(-1, -2) @ j @ b2
+    raw[..., n : 2 * n, 2 * n : 3 * n] = b2.swapaxes(-1, -2) @ j @ b3
+    raw[..., 2 * n : 3 * n, 0:n] = b3.swapaxes(-1, -2) @ j @ b1
+    return (raw + raw.swapaxes(-1, -2)) / 2.0
 
 
 def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
@@ -354,12 +336,11 @@ def symplectic_shear(m) -> np.ndarray:
 
     Each is the product of the shears [[I, A], [0, I]] and [[I, 0], [C, I]],
     which preserve omega because A and C are symmetric.  m has shape
-    (..., 2n, 2n); the result has the same shape.  A C is `_matmul`'s
-    elementwise product.
+    (..., 2n, 2n); the result has the same shape, and A C is `_matmul`'s.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[-1] // 2
-    sym = (m + _transpose(m)) / 2.0
+    sym = (m + m.swapaxes(-1, -2)) / 2.0
     a, c = sym[..., :n, :n], sym[..., n:, n:]
     eye = np.broadcast_to(np.eye(n), a.shape)
     return np.block([[eye + _matmul(a, c), a], [c, eye]])

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine_forms, slater, spin, symplectic
+from ._products import _cmatmul, _cmul, _matmul, _unbatched, _wedge2
 from .collapse import (
     BASIS_2D,
-    _cmul,
-    _unbatched,
-    _wedge2,
     collapse,
     collapse_with_morphism,
     lambda_tensor,
@@ -170,7 +168,6 @@ def collapse_gap(a, b, c):
 
 def morphism_gap(a, b, c, sigma):
     """`_rel` gap of collapse(sigma a, sigma b, sigma c) to det(sigma) collapse(a, b, c)."""
-    # _cmul keeps the bits of the scalar product det(sigma) * collapse.
     expected = _cmul(_wedge2(sigma[..., 0, :], sigma[..., 1, :]), collapse(a, b, c))
     return _rel(collapse_with_morphism(a, b, c, sigma), expected)
 
@@ -270,7 +267,6 @@ def _check_rho_traces(report: Report, rng) -> None:
 
     b, bp = _complex_normal(rng, (2, 100, 2))
     summed = rho_trace_AC(b, bp)
-    # _cmul keeps the bits of the scalar complex product.
     closed = _cmul(2.0 * (b[:, 0] + b[:, 1] - 1.0), bp[:, 0] + bp[:, 1] - 1.0)
     report.add_within(
         "rho_trace_ac_closed_form", _rel(summed, closed), DEFAULT_TOLERANCES["rho_closed_form"],
@@ -367,7 +363,7 @@ def _check_kashiwara(report: Report, rng) -> None:
         # which pivots are 0
         changes = np.ldexp(changes, rng.integers(-10, 11, (20, 3, 1, n)))
         # one stack: the fixed triples, then 20 moved copies of the first, each compared with it
-        moved = symplectic._matmul(symplectic._matmul(s[:, None], bases[0]), changes)
+        moved = _matmul(_matmul(s[:, None], bases[0]), changes)
         stack = symplectic.LagrangianTriple(*np.concatenate([bases, moved]).swapaxes(0, 1))
         sig = symplectic.kashiwara_index(stack).signature
         drift += int(np.count_nonzero(sig[len(triples) :] != sig[0]))
@@ -490,7 +486,7 @@ def _check_spin(report: Report, rng) -> None:
     # column 2i + j of the swap is the basis state |ji>
     swap = np.eye(4)[[0, 2, 1, 3]]
     report.add_within(
-        "exchange_operator_swap", [np.abs(p - swap), np.abs(spin._cmatmul(p, p) - np.eye(4))], 0.0,
+        "exchange_operator_swap", [np.abs(p - swap), np.abs(_cmatmul(p, p) - np.eye(4))], 0.0,
         "P|ij> = |ji> on all four basis states and P^2 = Id, exactly",
     )
 

@@ -1169,6 +1169,26 @@ def test_input_nested_past_the_recursion_limit_is_usage_error(command, tmp_path,
     assert err.strip().splitlines() == [f"error: {path}: JSON nested too deeply to read"]
 
 
+def test_slater_rejects_a_repeated_key(tmp_path, capsys):
+    # each value alone is valid: before the check, the last one was read and the first dropped
+    path = tmp_path / "repeated.json"
+    path.write_text('{"weights": [0.25, 0.75], "phi": [[0.0, 1.0], [1.0, 0.0]], "weights": [0.5, 0.5]}')
+    status, out, err = run(["slater", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {path}: key 'weights' appears more than once in one object"]
+
+
+def test_kashiwara_rejects_a_repeated_key(tmp_path, capsys):
+    doc = json.loads(axes_triple_input(tmp_path / "triple.json").read_text())
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "n": 1}')
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {path}: key 'n' appears more than once in one object"]
+
+
 @pytest.mark.parametrize("command", ["slater", "kashiwara"])
 def test_truncated_input_is_usage_error(command, tmp_path, capsys):
     path = tmp_path / "truncated.json"
@@ -1298,9 +1318,10 @@ def mutate(data, node, root=True):
 
 
 def fuzz_argv(data, tmp_path):
-    """A command line built from the demo documents and flags, each possibly bad."""
+    """(argv, key): a command line built from the demo documents and flags, each possibly bad, and the
+    key that its input document repeats at the top level, or None."""
     command = data.draw(st.sampled_from(["slater", "kashiwara", "conjecture", "verify", "collapse-demo"]))
-    argv = [command]
+    argv, repeated = [command], None
     if command in DEMO_DOCS:
         doc = DEMO_DOCS[command]
         if command == "slater" and data.draw(st.booleans()):
@@ -1308,8 +1329,12 @@ def fuzz_argv(data, tmp_path):
             doc = {"weights": [1.0 / k] * k, "phi": doc["phi"][:k]}
         for _ in range(data.draw(st.integers(0, 3))):
             doc = mutate(data, doc)
+        text = json.dumps(doc)
+        if isinstance(doc, dict) and doc and data.draw(st.booleans()):
+            repeated = data.draw(st.sampled_from(sorted(doc)))
+            text = f"{text[:-1]}, {json.dumps(repeated)}: {json.dumps(doc[repeated])}}}"  # the key again
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         argv += ["--input", str(path)]
     if command == "conjecture":
         for flag in ("--dim", "--arity", "--degree"):
@@ -1327,7 +1352,7 @@ def fuzz_argv(data, tmp_path):
         argv += ["--out", str(tmp_path / "plain_file" / "sub")]
     if command == "slater" and data.draw(st.booleans()):
         argv += ["--format", data.draw(st.sampled_from(["json", "csv", "xml"]))]
-    return argv
+    return argv, repeated
 
 
 @settings(
@@ -1338,7 +1363,7 @@ def fuzz_argv(data, tmp_path):
 @given(data=st.data())
 def test_cli_fuzz_answers_or_names_the_error(data, tmp_path, capsys):
     (tmp_path / "plain_file").write_text("a regular file, not a directory")
-    argv = fuzz_argv(data, tmp_path)
+    argv, repeated = fuzz_argv(data, tmp_path)
     try:
         status = main(argv)
     except SystemExit as exc:  # argparse
@@ -1350,7 +1375,10 @@ def test_cli_fuzz_answers_or_names_the_error(data, tmp_path, capsys):
     if status == 2:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err, (argv, captured.err)
+        if repeated is not None and "--format applies only with --out" not in captured.err:  # the one earlier error
+            assert f"key {repeated!r} appears more than once" in captured.err, (argv, captured.err)
         return
+    assert repeated is None, (argv, repeated)  # a repeated key is refused, never read one way
     assert status in (0, 1), argv
     if "--out" not in argv:
         text = captured.out

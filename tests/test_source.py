@@ -163,8 +163,8 @@ BLAS_ENTRY_POINTS = ["dot", "einsum", "inner", "kron", "matmul", "tensordot", "v
 
 # Modules whose bits must not depend on the BLAS or LAPACK build or on numpy's
 # SIMD target: no call in them is exempt.
-NO_BLAS_MODULES = ["__init__.py", "cli.py", "collapse.py", "exterior.py", "json_io.py", "slater.py", "spin.py",
-                   "verification.py"]
+NO_BLAS_MODULES = ["__init__.py", "_products.py", "cli.py", "collapse.py", "exterior.py", "json_io.py", "slater.py",
+                   "spin.py", "verification.py"]
 
 # The calls that the package's other modules keep, as (def, call, count, reason): the def, method or
 # module-level name that makes them, what `blas_calls` names them, and how many there are.
@@ -175,7 +175,7 @@ BLAS_ALLOWLIST = {
         ("_zero_table", "**", 1, "(d + 1) ** m on Python ints, against the cap"),
     ],
     "symplectic.py": [
-        # `symplectic._matmul` takes about 0.1 s an n x n block at n = 256, `@` 2 ms: both wait for an index
+        # `_products._matmul` takes about 0.1 s an n x n block at n = 256, `@` 2 ms: both wait for an index
         # decided on an n x n form
         ("LagrangianTriple.__init__", "@", 2, "the isotropy Gram of each basis"),
         ("_cyclic_form", "@", 6, "the three omega blocks of the Kashiwara form"),

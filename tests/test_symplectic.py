@@ -17,6 +17,7 @@ from affine_fermions import (
     symplectic_shear,
 )
 from affine_fermions import symplectic
+from affine_fermions._products import _matmul
 
 
 def axes_triple():
@@ -504,3 +505,118 @@ def test_gram_schmidt_rank_finds_dependent_columns():
         q, rank = symplectic._qr(rng.standard_normal((500, 2 * n, n)))
         assert (rank == n).all()
         assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-14
+
+
+# ------------------------------------------------------------ the index's laws
+
+
+def law_graphs(n, kinds, rng):
+    """Four Lagrangian graphs [I; S] of R^(2n), (4, 2n, n): L1 generic, then L2, L3 and L4 as `kinds` say.
+
+    Each of them is "generic", a new random S; "equal" to an earlier
+    subspace; or "shared": an earlier S plus an integer diagonal with at
+    least one zero, so that it meets that subspace in the lines of those
+    zeros, exactly, and in no line nearly.
+    """
+    s = [rng.standard_normal((n, n))]
+    for k, kind in enumerate(kinds, start=1):
+        partner = s[rng.integers(k)]
+        if kind == "generic":
+            s.append(rng.standard_normal((n, n)))
+        elif kind == "equal":
+            s.append(partner)
+        else:
+            d = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n)
+            d[rng.permutation(n)[: rng.integers(1, n + 1)]] = 0.0
+            s.append(partner + np.diag(d))
+    s = np.array(s)
+    s = (s + s.swapaxes(-1, -2)) / 2.0
+    return np.concatenate([np.broadcast_to(np.eye(n), s.shape), s], axis=-2)
+
+
+def law_subspaces(n, kinds, seed):
+    """(graphs, moved): `law_graphs`, and their images under one random symplectic shear, in random bases."""
+    rng = np.random.default_rng(seed)
+    graphs = law_graphs(n, kinds, rng)
+    shear = symplectic_shear(rng.standard_normal((2 * n, 2 * n)))
+    changes = np.triu(rng.standard_normal((4, n, n))) + 2.0 * np.eye(n)
+    return graphs, _matmul(_matmul(shear, graphs), changes)
+
+
+def signatures(subspaces, triples):
+    """The index of each triple (i, j, k) of `subspaces`, from one stacked `kashiwara_index` call."""
+    return kashiwara_index(LagrangianTriple(*subspaces[np.array(triples)].swapaxes(0, 1))).signature
+
+
+def intersection_dims(subspaces, pairs):
+    """dim(Li ∩ Lj) = 2n - rank [Li | Lj] for each pair (i, j), the rank `_qr`'s, so no LAPACK call is made.
+
+    Taken on the graphs: the shear keeps every dimension, while the moved
+    bases' conditioning can bring a dependent column's residual near
+    RANK_RTOL.
+    """
+    joined = np.array([np.concatenate([subspaces[i], subspaces[j]], axis=-1) for i, j in pairs])
+    return 2 * subspaces.shape[-1] - symplectic._qr(joined)[1]
+
+
+LAW_KINDS = st.lists(st.sampled_from(["generic", "shared", "equal"]), min_size=3, max_size=3)
+FOUR_TRIPLES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+@given(n=st.integers(1, 6), kinds=LAW_KINDS, seed=st.integers(0, 2**32 - 1))
+@example(n=4, kinds=["equal", "equal", "equal"], seed=0)
+@example(n=5, kinds=["shared", "shared", "shared"], seed=1)
+def test_kashiwara_index_is_a_cocycle(n, kinds, seed):
+    # tau(L1, L2, L3) - tau(L1, L2, L4) + tau(L1, L3, L4) - tau(L2, L3, L4) = 0
+    _, moved = law_subspaces(n, kinds, seed)
+    t123, t124, t134, t234 = signatures(moved, FOUR_TRIPLES)
+    assert t123 - t124 + t134 - t234 == 0
+
+
+@given(n=st.integers(1, 6), kinds=LAW_KINDS, seed=st.integers(0, 2**32 - 1))
+@example(n=4, kinds=["equal", "equal", "equal"], seed=0)
+@example(n=5, kinds=["shared", "shared", "shared"], seed=1)
+def test_kashiwara_index_parity_follows_the_intersections(n, kinds, seed):
+    # tau(Li, Lj, Lk) = n + dim(Li ∩ Lj) + dim(Lj ∩ Lk) + dim(Lk ∩ Li) (mod 2), for each of the four triples
+    graphs, moved = law_subspaces(n, kinds, seed)
+    dims = intersection_dims(graphs, [pair for i, j, k in FOUR_TRIPLES for pair in ((i, j), (j, k), (k, i))])
+    parity = (signatures(moved, FOUR_TRIPLES) - n - dims.reshape(4, 3).sum(axis=-1)) % 2
+    assert np.array_equal(parity, np.zeros(4))
+
+
+@given(n=st.integers(1, 6), kinds=LAW_KINDS, seed=st.integers(0, 2**32 - 1))
+@example(n=5, kinds=["shared", "shared", "shared"], seed=1)
+def test_kashiwara_index_keeps_its_sign_under_cyclic_permutations(n, kinds, seed):
+    _, moved = law_subspaces(n, kinds, seed)
+    tau = signatures(moved, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    assert tau[0] == tau[1] == tau[2]
+
+
+def direct_sum_triple(n, rng):
+    """(bases, signature, n_zero): three Lagrangians of R^(2n), each the direct sum of a line in each plane (p_k, q_k).
+
+    Block k is an n = 1 triple, whose index is -sign(omega12 omega23 omega31)
+    and which counts one zero when its L3 is its L1, as in every seventh
+    block, and none otherwise.  The index of the sum is the sum of the
+    blocks' indices, and so is its zero count.
+    """
+    lines = rng.standard_normal((3, n, 2))
+    lines[2, ::7] = 2.0 * lines[0, ::7]
+    bases = np.zeros((3, 2 * n, n))
+    k = np.arange(n)
+    bases[:, k, k], bases[:, n + k, k] = lines[..., 0], lines[..., 1]
+    product = omega(lines[0], lines[1]) * omega(lines[1], lines[2]) * omega(lines[2], lines[0])
+    return bases, int(-np.sign(product).sum()), int(np.count_nonzero(product == 0))
+
+
+@pytest.mark.parametrize("n", [64, 130])
+def test_kashiwara_index_of_a_sheared_direct_sum_is_the_sum_over_its_blocks(n):
+    rng = np.random.default_rng(n)
+    bases, signature, n_zero = direct_sum_triple(n, rng)
+    # A C of the shear is `_matmul`'s at n x n, and so is the move
+    shear = symplectic_shear(rng.standard_normal((2 * n, 2 * n)) / np.sqrt(n))
+    result = kashiwara_index(LagrangianTriple(*_matmul(shear, bases)))
+    assert (result.signature, result.n_zero) == (signature, n_zero)
+    assert result.n_plus + result.n_minus + result.n_zero == 3 * n
+    # the counts do not rest on roundoff
+    assert result.pivot_margin > 1e3 and result.zero_margin < 1e-3
