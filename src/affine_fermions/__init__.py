@@ -30,7 +30,6 @@ from .symplectic import (
     kashiwara_index,
     kashiwara_q,
     lagrangian_triple_from_json,
-    standard_symplectic_matrix,
     symplectic_shear,
 )
 from .slater import (

@@ -19,7 +19,8 @@ def read_json(path) -> object:
     An object that repeats a key, and a document nested past the
     interpreter's recursion limit, raise ValueError naming `path` (and the
     key); a malformed one raises json.JSONDecodeError, and an unreadable
-    file OSError.
+    file OSError.  An integer of over 308 characters is read as a float,
+    +-inf past the float range.
     """
     text = Path(path).read_text()
 
@@ -32,17 +33,20 @@ def read_json(path) -> object:
         return doc
 
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        # A shorter int is below 1e308 and converts to a float; float(s) rounds as int-to-float does, but gives
+        # +-inf where that raises, so its field's check refuses it by name, and int()'s digit limit is never met.
+        return json.loads(text, object_pairs_hook=unique_keys, parse_int=lambda s: float(s) if len(s) > 308 else int(s))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def number_array(value, field: str) -> np.ndarray:
-    """`value`, a rectangular nest of lists of JSON numbers, as a float array.
+    """`value`, a rectangular nest of lists of JSON numbers as `read_json`
+    reads them, none past the float range, as a float array.
 
     ints and floats are numbers; bools are not.  Rows of unequal length or
-    depth, any other entry and an integer beyond the float range raise
-    ValueError naming `field`.  The caller checks the shape.
+    depth and any other entry raise ValueError naming `field`.  The caller
+    checks the shape.
     """
     entries = np.asarray(value, dtype=object)
     # The exact types first, without a Python loop; then the first entry that fails.
@@ -52,10 +56,7 @@ def number_array(value, field: str) -> np.ndarray:
                 raise ValueError(f"{field} must be a rectangular list of numbers")
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise ValueError(f"{field} entries must be JSON numbers, got {entry!r}")
-    try:
-        return entries.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{field} entries must be finite") from None
+    return entries.astype(float)
 
 
 class Rows:

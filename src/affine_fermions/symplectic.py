@@ -26,7 +26,6 @@ from ._products import _matmul
 from .json_io import number_array
 
 __all__ = [
-    "standard_symplectic_matrix",
     "LagrangianTriple",
     "SignatureResult",
     "kashiwara_q",
@@ -62,12 +61,14 @@ MAX_TRIPLE_DIM = 256
 MAX_BASIS_ENTRY = 1e150
 
 
-def standard_symplectic_matrix(n: int) -> np.ndarray:
-    """The 2n x 2n matrix J of the standard form in (p, q) block order."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
+def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """omega(u_i, v_j) = u_p^T v_q - u_q^T v_p for stacks of bases (..., 2n, n), as one product (J^T u)^T v.
+
+    J^T u = [-u_q; u_p] is exact, so the bits are those of u^T J v with the matrix J, up to the sign of a
+    zero.  (J^T u)^T is copied to C order, as the product u^T J was: BLAS's path follows the layout.
+    """
+    n = u.shape[-2] // 2
+    return np.concatenate([-u[..., n:, :], u[..., :n, :]], axis=-2).swapaxes(-1, -2).copy() @ v
 
 
 def _qr(a: np.ndarray):
@@ -230,8 +231,7 @@ class LagrangianTriple:
         orthonormal, rank = _qr(safe)
         _, exponents = np.frexp(np.abs(orthonormal).max(axis=-2, keepdims=True))
         unit = np.ldexp(orthonormal, -exponents)
-        gram = unit.swapaxes(-1, -2) @ standard_symplectic_matrix(n) @ unit
-        gram = gram.reshape(finite.shape + (n * n,))
+        gram = _omega(unit, unit).reshape(finite.shape + (n * n,))
         worst = np.argmax(np.abs(gram), axis=-1)
         residual = np.take_along_axis(gram, worst[..., None], axis=-1)[..., 0]
         bad = ~finite | (rank < n) | (np.abs(residual) > LAGRANGIAN_ATOL)
@@ -287,14 +287,12 @@ class SignatureResult:
         return doc
 
 
-def _cyclic_form(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
-    """Q for three bases: cyclic omega blocks in an upper form B, as (B + B^T) / 2."""
-    n = b1.shape[-1]
-    j = standard_symplectic_matrix(n)
-    raw = np.zeros(b1.shape[:-2] + (3 * n, 3 * n))
-    raw[..., 0:n, n : 2 * n] = b1.swapaxes(-1, -2) @ j @ b2
-    raw[..., n : 2 * n, 2 * n : 3 * n] = b2.swapaxes(-1, -2) @ j @ b3
-    raw[..., 2 * n : 3 * n, 0:n] = b3.swapaxes(-1, -2) @ j @ b1
+def _cyclic_form(bases: np.ndarray) -> np.ndarray:
+    """Q for a stack (3, ..., 2n, n) of three bases: cyclic omega blocks in an upper form B, as (B + B^T) / 2."""
+    n = bases.shape[-1]
+    raw = np.zeros(bases.shape[1:-2] + (3, n, 3, n))  # block (k, k + 1 mod 3) is omega(b_k, b_k+1)
+    raw[..., [0, 1, 2], :, [1, 2, 0], :] = _omega(bases, bases[[1, 2, 0]])
+    raw = raw.reshape(bases.shape[1:-2] + (3 * n, 3 * n))
     return (raw + raw.swapaxes(-1, -2)) / 2.0
 
 
@@ -305,7 +303,7 @@ def kashiwara_q(triple: LagrangianTriple) -> np.ndarray:
     upper form B and returns (B + B^T) / 2, of shape (..., 3n, 3n).  No
     subcommand prints it; demos/kashiwara_example.py does.
     """
-    return _cyclic_form(*triple.bases)
+    return _cyclic_form(np.stack(triple.bases))
 
 
 def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
@@ -322,7 +320,7 @@ def kashiwara_index(triple: LagrangianTriple) -> SignatureResult:
     |entry| left is at most the cut; the rows left count as zero.  Neither
     step calls BLAS or LAPACK, and a stack of triples takes one call of each.
     """
-    form = _cyclic_form(*triple._orthonormal)
+    form = _cyclic_form(triple._orthonormal)
     cut = INERTIA_RTOL * np.maximum(1.0, np.abs(form).max(axis=(-2, -1)))
     n_plus, n_minus, n_zero, _, pivot, left = _inertia(form, cut)
     counts, margins = (n_plus, n_minus, n_zero), (pivot / cut, left / cut)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1189,6 +1190,47 @@ def test_kashiwara_rejects_a_repeated_key(tmp_path, capsys):
     assert err.strip().splitlines() == [f"error: {path}: key 'n' appears more than once in one object"]
 
 
+# 5000 digits, past the 4300 that Python converts to or from an int by default
+HUGE_DIGITS = "7" * 5000
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_digit_limit(request):
+    """Python's limit on the digits of an int, as the interpreter sets it, and then turned off; an
+    interpreter without the limit runs both cases as it is."""
+    if request.param == "default" or not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_slater_names_the_field_of_a_5000_digit_integer(int_digit_limit, tmp_path, capsys):
+    # with the limit json.loads itself refused the integer, in a message that named no field
+    path = tmp_path / "huge.json"
+    for text, message in [
+        (f'{{"weights": [{HUGE_DIGITS}, 0.5], "phi": [[0.0, 1.0], [1.0, 0.0]]}}', r"weights (entries )?must be finite"),
+        (f'{{"weights": [0.5, 0.5], "phi": [[0.0, -{HUGE_DIGITS}], [1.0, 0.0]]}}', r"phi entries must be finite"),
+    ]:
+        path.write_text(text)
+        status, out, err = run(["slater", "--input", str(path)], capsys)
+        assert (status, out) == (2, "")
+        assert re.match(f"error: {message}", err), err[:200]
+
+
+def test_kashiwara_names_the_field_of_a_5000_digit_integer(int_digit_limit, tmp_path, capsys):
+    doc = json.loads(axes_triple_input(tmp_path / "triple.json").read_text())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"n": 1', f'"n": {HUGE_DIGITS}'))
+    status, out, err = run(["kashiwara", "--input", str(path)], capsys)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: n must be a JSON integer from 1 to {symplectic.MAX_TRIPLE_DIM}, got "), err[:200]
+
+
 @pytest.mark.parametrize("command", ["slater", "kashiwara"])
 def test_truncated_input_is_usage_error(command, tmp_path, capsys):
     path = tmp_path / "truncated.json"
@@ -1287,9 +1329,13 @@ assert not loaded, loaded
 
 # ------------------------------------------------------------------- fuzz
 
+# A stand-in for a 5000-digit integer, which json.dumps cannot write under Python's limit on int digits:
+# fuzz_argv writes the digits in its place.
+HUGE = "<5000 digits>"
 JUNK = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0]),
     st.sampled_from([None, True, False, "", "1.0", 10**400, -(10**400), 0, -1, 2**63]),
+    st.just(HUGE),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([[], [[]], [1.0, [2.0]], [[1.0], [2.0, 3.0]], {}, {"n": 1}, [None]]),
 )
@@ -1318,10 +1364,11 @@ def mutate(data, node, root=True):
 
 
 def fuzz_argv(data, tmp_path):
-    """(argv, key): a command line built from the demo documents and flags, each possibly bad, and the
-    key that its input document repeats at the top level, or None."""
+    """(argv, key, huge): a command line built from the demo documents and flags, each possibly bad, the
+    key that its input document repeats at the top level, or None, and whether the input holds a
+    5000-digit integer."""
     command = data.draw(st.sampled_from(["slater", "kashiwara", "conjecture", "verify", "collapse-demo"]))
-    argv, repeated = [command], None
+    argv, repeated, huge = [command], None, False
     if command in DEMO_DOCS:
         doc = DEMO_DOCS[command]
         if command == "slater" and data.draw(st.booleans()):
@@ -1333,6 +1380,8 @@ def fuzz_argv(data, tmp_path):
         if isinstance(doc, dict) and doc and data.draw(st.booleans()):
             repeated = data.draw(st.sampled_from(sorted(doc)))
             text = f"{text[:-1]}, {json.dumps(repeated)}: {json.dumps(doc[repeated])}}}"  # the key again
+        huge = json.dumps(HUGE) in text
+        text = text.replace(json.dumps(HUGE), f"-{HUGE_DIGITS}")
         path = tmp_path / "input.json"
         path.write_text(text)
         argv += ["--input", str(path)]
@@ -1352,7 +1401,7 @@ def fuzz_argv(data, tmp_path):
         argv += ["--out", str(tmp_path / "plain_file" / "sub")]
     if command == "slater" and data.draw(st.booleans()):
         argv += ["--format", data.draw(st.sampled_from(["json", "csv", "xml"]))]
-    return argv, repeated
+    return argv, repeated, huge
 
 
 @settings(
@@ -1363,7 +1412,7 @@ def fuzz_argv(data, tmp_path):
 @given(data=st.data())
 def test_cli_fuzz_answers_or_names_the_error(data, tmp_path, capsys):
     (tmp_path / "plain_file").write_text("a regular file, not a directory")
-    argv, repeated = fuzz_argv(data, tmp_path)
+    argv, repeated, huge = fuzz_argv(data, tmp_path)
     try:
         status = main(argv)
     except SystemExit as exc:  # argparse
@@ -1377,8 +1426,11 @@ def test_cli_fuzz_answers_or_names_the_error(data, tmp_path, capsys):
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err, (argv, captured.err)
         if repeated is not None and "--format applies only with --out" not in captured.err:  # the one earlier error
             assert f"key {repeated!r} appears more than once" in captured.err, (argv, captured.err)
+        # Python's own message for the digits names no field
+        assert "Exceeds the limit" not in captured.err, (argv, captured.err[:200])
         return
     assert repeated is None, (argv, repeated)  # a repeated key is refused, never read one way
+    assert not huge, argv  # no field takes a 5000-digit integer
     assert status in (0, 1), argv
     if "--out" not in argv:
         text = captured.out

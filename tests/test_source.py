@@ -177,8 +177,7 @@ BLAS_ALLOWLIST = {
     "symplectic.py": [
         # `_products._matmul` takes about 0.1 s an n x n block at n = 256, `@` 2 ms: both wait for an index
         # decided on an n x n form
-        ("LagrangianTriple.__init__", "@", 2, "the isotropy Gram of each basis"),
-        ("_cyclic_form", "@", 6, "the three omega blocks of the Kashiwara form"),
+        ("_omega", "@", 1, "omega of two stacks of bases: the isotropy Gram and the Kashiwara form's blocks"),
     ],
 }
 

@@ -13,7 +13,6 @@ from affine_fermions import (
     kashiwara_index,
     kashiwara_q,
     lagrangian_triple_from_json,
-    standard_symplectic_matrix,
     symplectic_shear,
 )
 from affine_fermions import symplectic
@@ -32,14 +31,66 @@ def plane_triple():
     )
 
 
+def standard_j(n):
+    """The 2n x 2n matrix J = [[0, I], [-I, 0]] of omega in (p, q) block order."""
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+def cyclic_form_with_j(b1, b2, b3):
+    """Q as the cyclic form was formed before `_omega`: each block u^T J v with the matrix J."""
+    n, j = b1.shape[-1], standard_j(b1.shape[-1])
+    raw = np.zeros(b1.shape[:-2] + (3 * n, 3 * n))
+    raw[..., 0:n, n : 2 * n] = b1.swapaxes(-1, -2) @ j @ b2
+    raw[..., n : 2 * n, 2 * n : 3 * n] = b2.swapaxes(-1, -2) @ j @ b3
+    raw[..., 2 * n : 3 * n, 0:n] = b3.swapaxes(-1, -2) @ j @ b1
+    return (raw + raw.swapaxes(-1, -2)) / 2.0
+
+
 def test_form_convention():
     # omega((p,q), (p',q')) = p q' - q p'
-    omega = standard_symplectic_matrix(1)
-    assert np.array([1.0, 0.0]) @ omega @ np.array([0.0, 1.0]) == 1.0
-    assert np.array([0.0, 1.0]) @ omega @ np.array([1.0, 0.0]) == -1.0
-    j = standard_symplectic_matrix(2)
-    assert_allclose(j.T, -j)
-    assert_allclose(j @ j, -np.eye(4))
+    e_p, e_q = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    assert symplectic._omega(e_p, e_q) == 1.0
+    assert symplectic._omega(e_q, e_p) == -1.0
+    # omega(e_i, e_j) is J's entry (i, j) at n = 2 too
+    assert np.array_equal(symplectic._omega(np.eye(4), np.eye(4)), standard_j(2))
+
+
+def omega_test_bases(rng, kind, shape):
+    """A stack of bases of one kind: random at scales 1e-3 to 1e3, dyadic, or small integers with signed zeros."""
+    if kind == "random":
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-7.0, 7.0, shape[:-2] + (1, shape[-1])))
+    if kind == "dyadic":
+        return rng.integers(-8, 9, shape) / 4.0
+    bases = rng.integers(-2, 3, shape).astype(float)
+    bases[rng.random(shape) < 0.3] = -0.0
+    return bases
+
+
+@pytest.mark.parametrize("kind", ["random", "dyadic", "signed zero"])
+def test_omega_equals_the_product_with_j(kind):
+    # _omega's bits are those of u^T J v with the matrix J, up to the sign of a zero, for
+    # C-ordered bases and for the column-major ones that _qr returns; one stacked call
+    # equals the calls on its blocks.  At n = 17 and 33 a column-major J^T u took another
+    # GEMM path than the product u^T J, with other bits, under OpenBLAS's SkylakeX kernels.
+    # So does _cyclic_form, on the stacks that kashiwara_q (np.stack of the bases as given)
+    # and kashiwara_index (_qr's output) pass it, against the form built block by block
+    rng = np.random.default_rng(13)
+    for n in [*range(1, 7), 17, 33]:
+        for _ in range(4):
+            u, v = (omega_test_bases(rng, kind, (3, 2, 2 * n, n)) for _ in range(2))
+            column_major = u.swapaxes(-1, -2).copy().swapaxes(-1, -2), v.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+            for u, v in ((u, v), column_major):
+                got = symplectic._omega(u, v)
+                want = u.swapaxes(-1, -2) @ standard_j(n) @ v
+                assert np.array_equal((got + 0.0).view(np.int64), (want + 0.0).view(np.int64))
+                blocks = [[symplectic._omega(u[k, m], v[k, m]) for m in range(2)] for k in range(3)]
+                assert np.array_equal(got.view(np.int64), np.array(blocks).view(np.int64))
+                for bases in (np.stack(tuple(u)), symplectic._qr(u)[0]):
+                    got, want = symplectic._cyclic_form(bases), cyclic_form_with_j(*bases)
+                    assert np.array_equal((got + 0.0).view(np.int64), (want + 0.0).view(np.int64))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -135,7 +186,7 @@ def test_kashiwara_index_axes_example():
     assert_allclose(result.pivot_margin, 0.5 / symplectic.INERTIA_RTOL, rtol=1e-12)
     assert result.zero_margin == 0.0
     # the eigenvalues of Q in orthonormal bases, the form the counts are decided on: -1/2 and (1 -+ sqrt 5) / 4
-    form = symplectic._cyclic_form(*axes_triple()._orthonormal)
+    form = symplectic._cyclic_form(axes_triple()._orthonormal)
     assert_allclose(np.linalg.eigvalsh(form), [-0.5, (1 - 5**0.5) / 4, (1 + 5**0.5) / 4], atol=1e-12)
 
 
@@ -177,7 +228,7 @@ def test_symplectic_shear_preserves_form():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
         s = symplectic_shear(rng.standard_normal((2 * n, 2 * n)))
-        j = standard_symplectic_matrix(n)
+        j = standard_j(n)
         assert_allclose(s.T @ j @ s, j, atol=1e-10)
 
 
@@ -239,7 +290,7 @@ def test_symplectic_shear_exact_certificate():
         upper = rng.integers(-4, 5, (30, 2 * n, 2 * n))
         m = np.triu(upper) + np.triu(upper, 1).swapaxes(-1, -2)
         s = symplectic_shear(m)
-        j = standard_symplectic_matrix(n)
+        j = standard_j(n)
         assert np.array_equal(s.swapaxes(-1, -2) @ j @ s, np.broadcast_to(j, s.shape))
         changes = np.triu(rng.integers(-4, 5, (3, 30, n, n))) + 5 * np.eye(n)
         moved = LagrangianTriple(*(s @ b @ g for b, g in zip(plane_bases(n), changes)))
@@ -360,7 +411,7 @@ def test_elimination_counts_equal_eigenvalue_counts(n, repeat):
     triple = LagrangianTriple(*moved_bases(n, (150,), seed=10 * n + repeat, repeat=repeat))
     result = kashiwara_index(triple)
     counts = (result.n_plus, result.n_minus, result.n_zero)
-    for got, want in zip(counts, eigenvalue_counts(symplectic._cyclic_form(*triple._orthonormal))):
+    for got, want in zip(counts, eigenvalue_counts(symplectic._cyclic_form(triple._orthonormal))):
         assert np.array_equal(got, want)
     assert ((result.n_zero >= n) if repeat else (result.n_zero == 0)).all()
 
